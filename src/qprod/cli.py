@@ -32,7 +32,16 @@ from .qfunc import (
     qpochhammer,
     to_hp,
 )
-from .verify import reports_csv, reports_json, run_identity, run_suite, default_suite, summarize
+from .verify import (
+    _prototype_tolerance,
+    _thm4_tolerance,
+    default_suite,
+    reports_csv,
+    reports_json,
+    run_identity,
+    run_suite,
+    summarize,
+)
 
 
 class CliError(Exception):
@@ -155,7 +164,13 @@ def _spec_from_args(args) -> IdentitySpec:
         raise CliError(str(exc)) from exc
 
 
-_DEFAULT_TOLERANCE = {"COR2": 4, "THM4": 5, "PROTOTYPE": 6}
+def _default_tolerance(spec: IdentitySpec) -> int:
+    """The suite's tolerance for this spec's own term or block count (default 1e6)."""
+    if spec.id == "THM4":
+        return _thm4_tolerance(spec.blocks or 10**6)
+    if spec.id == "PROTOTYPE":
+        return _prototype_tolerance(spec.terms or 10**6)
+    return 4 if spec.id == "COR2" else 40
 
 
 def _emit(text: str, out: str | None):
@@ -285,7 +300,7 @@ def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     tolerance = args.tolerance
     if tolerance is None:
-        tolerance = _DEFAULT_TOLERANCE.get(spec.id, 40)
+        tolerance = _default_tolerance(spec)
     report = run_identity(spec, tolerance)
     if args.format == "json":
         _emit(json.dumps(report.to_json(), indent=2, sort_keys=True), args.out)

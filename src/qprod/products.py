@@ -14,7 +14,8 @@ term/block count and record an explicit relative error estimate in EvalInfo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -28,6 +29,8 @@ from .qfunc import (
     as_q,
     context,
     gamma_ctx,
+    geometric_product,
+    geometric_terms,
     jackson_value,
     qgamma_ctx,
     qpoch_inf_ctx,
@@ -243,14 +246,17 @@ def _omega(ro, ctx):
 def _char_shift_lhs(chi, z, q, ctx, min_terms=0):
     """prod_{n>=2} (1 - q^(n - chi(n) z)) / (1 - q^n).
 
-    The per-residue constants d_j = q^(-chi(j) z) are precomputed; the loop
-    stops once max_j |d_j - 1| * q^n / (1-q) is below the working epsilon
-    (every remaining factor is then within that bound of 1).
+    The per-residue constants d_j = q^(-chi(j) z) are precomputed; the
+    product stops once max_j |d_j - 1| * q^n / (1-q) is below the working
+    epsilon (every remaining factor is then within that bound of 1).  The n
+    with chi(n) != 0 in one residue class j mod k form the pair of
+    geometric products (q^n_j d_j; q^k) / (q^n_j; q^k), n_j the class's
+    first n >= 2.
     """
     k = chi.modulus
     lq = ctx.log(q)
     eps = ctx.mpf(10) ** (-ctx.dps)
-    shifts: list = [None] * k
+    shifts: dict = {}
     dev = ctx.mpf(0)
     for j in range(k):
         ro = chi.value(j)
@@ -259,36 +265,29 @@ def _char_shift_lhs(chi, z, q, ctx, min_terms=0):
         d = ctx.exp(-(_omega(ro, ctx) * z) * lq)
         shifts[j] = d
         dev = max(dev, abs(d - 1))
+    terms = geometric_terms(dev * q * q, q, ctx, at_least=min_terms)
+    stop = 2 + terms  # the factors are n = 2 .. stop - 1
+    qk = q**k
     p = ctx.mpf(1)
-    t = q * q
-    n = 2
-    terms = 0
-    while not (dev * t / (1 - q) < eps and terms >= min_terms):
-        d = shifts[n % k]
-        if d is not None:
-            num = 1 - t * d
-            if abs(num) < eps:
-                raise SingularArgumentError(f"vanishing factor 1 - q^(n - chi(n) z) at n = {n}")
-            p *= num / (1 - t)
-        t *= q
-        n += 1
-        terms += 1
+    for j, d in shifts.items():
+        first = 2 + (j - 2) % k
+        count = max(0, (stop - first + k - 1) // k)
+        t = q**first
+
+        def message(i, first=first):
+            return f"vanishing factor 1 - q^(n - chi(n) z) at n = {first + i * k}"
+
+        num, _ = geometric_product(t * d, qk, ctx, n=count, pole=(eps, message))
+        den, _ = geometric_product(t, qk, ctx, n=count)
+        p *= num / den
     return p, EvalInfo(terms=terms)
 
 
 def _psi_factor_product(poly, mu, start, ratio, ctx):
     """prod_{j>=1} poly(start * ratio^(j-1)) ** mu, truncated when |poly(t) - 1| < eps."""
     eps = ctx.mpf(10) ** (-ctx.dps)
-    p = ctx.mpf(1)
-    t = start
-    while True:
-        v = poly.evaluate(t)
-        if abs(v - 1) < eps:
-            break
-        if abs(v) < eps:
-            raise SingularArgumentError("vanishing cyclotomic factor")
-        p *= v
-        t *= ratio
+    p, _ = geometric_product(start, ratio, ctx, poly=poly,
+                             pole=(eps, lambda k: "vanishing cyclotomic factor"))
     return p if mu == 1 else 1 / p
 
 
@@ -326,20 +325,14 @@ def _thm1_lhs(spec, ctx, min_terms=0):
     ta = [ctx.exp(to_hp(a, ctx) * lq) for a in spec.alphas]
     tb = [ctx.exp(to_hp(b, ctx) * lq) for b in spec.betas]
     eps = ctx.mpf(10) ** (-ctx.dps)
+    s = sum((abs(t) for t in ta), ctx.mpf(0)) + sum((abs(t) for t in tb), ctx.mpf(0))
+    terms = geometric_terms(s, q, ctx, at_least=min_terms)
     p = ctx.mpf(1)
-    terms = 0
-    while True:
-        s = sum((abs(t) for t in ta), ctx.mpf(0)) + sum((abs(t) for t in tb), ctx.mpf(0))
-        if s / (1 - q) < eps and terms >= min_terms:
-            break
-        for j in range(len(ta)):
-            den = 1 - tb[j]
-            if abs(den) < eps:
-                raise SingularArgumentError(f"vanishing factor 1 - q^(n + beta_{j})")
-            p *= (1 - ta[j]) / den
-            ta[j] *= q
-            tb[j] *= q
-        terms += 1
+    for j, (a, b) in enumerate(zip(ta, tb)):
+        num, _ = geometric_product(a, q, ctx, n=terms)
+        den, _ = geometric_product(b, q, ctx, n=terms,
+                                   pole=(eps, lambda k, j=j: f"vanishing factor 1 - q^(n + beta_{j})"))
+        p *= num / den
     return p, EvalInfo(terms=terms)
 
 
@@ -403,8 +396,6 @@ def _thm3_full_rhs(spec, ctx, min_terms=0):
 
 
 def _thm3_coprime_lhs(spec, ctx, min_terms=0):
-    import math
-
     q = as_q(spec.q, ctx)
     p = ctx.mpf(1)
     count = 0
@@ -469,8 +460,6 @@ def _thm4_lhs(spec, ctx, min_terms=0):
 
 
 def _thm4_rhs(spec, ctx, min_terms=0):
-    import math
-
     chi = spec.chi
     k = chi.modulus
     z = to_hp(spec.z, ctx)
@@ -518,8 +507,6 @@ def _cor6_lhs(spec, ctx, min_terms=0):
 
 
 def _cor6_rhs(spec, ctx, min_terms=0):
-    import math
-
     q = as_q(spec.q, ctx)
     z = to_hp(spec.z, ctx)
     chi = spec.chi

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import to_fixed
 
 from .numtheory import ArithValue
 
@@ -24,13 +25,12 @@ __all__ = [
     "INFINITY",
     "JACKSON_IDS",
     "Precision",
-    "QParam",
     "SingularArgumentError",
     "context",
     "gamma_classical",
     "gamma_ctx",
-    "hp_complex",
-    "hp_real",
+    "geometric_product",
+    "geometric_terms",
     "hp_str",
     "jackson_value",
     "parse_number",
@@ -126,22 +126,6 @@ def to_hp(value, ctx):
     return v
 
 
-def hp_real(value, prec: Precision = DEFAULT_PRECISION):
-    """A finite real at working precision; complex inputs must have zero imag part."""
-    ctx = context(prec)
-    v = to_hp(value, ctx)
-    if isinstance(v, ctx.mpc):
-        if v.imag != 0:
-            raise ValueError(f"{value!r} is not real")
-        v = v.real
-    return v
-
-
-def hp_complex(value, prec: Precision = DEFAULT_PRECISION):
-    """A finite real or complex value at working precision."""
-    return to_hp(value, context(prec))
-
-
 def hp_str(value, digits: int = DEFAULT_PRECISION.digits) -> str:
     """Decimal-string form with the requested digit count ("a+bi" when complex)."""
     if hasattr(value, "imag") and value.imag != 0:
@@ -153,24 +137,8 @@ def hp_str(value, digits: int = DEFAULT_PRECISION.digits) -> str:
     return mpmath.nstr(v, digits)
 
 
-@dataclass(frozen=True)
-class QParam:
-    """A validated base q, strictly inside (0, 1) on the real line."""
-
-    q: object  # str, Fraction, float, or mpf; kept as given for exact re-conversion
-
-    def __post_init__(self):
-        # validate eagerly at low precision; consumers re-convert per context
-        as_q(self.q, context(Precision(10, 0)))
-
-    def at(self, ctx):
-        return as_q(self.q, ctx)
-
-
 def as_q(q, ctx):
     """Convert q to a real in ctx and enforce 0 < q < 1 strictly."""
-    if isinstance(q, QParam):
-        q = q.q
     v = to_hp(q, ctx)
     if isinstance(v, ctx.mpc):
         if v.imag != 0:
@@ -183,6 +151,121 @@ def as_q(q, ctx):
 
 # ---------------------------------------------------------------------------
 # q-Pochhammer
+
+
+_LN2 = math.log(2)
+_LN10 = math.log(10)
+
+
+def _flog(x) -> float:
+    """log of a positive mpf as a float, read off its mantissa and exponent (no overflow)."""
+    _, man, exp, _ = x._mpf_
+    return math.log(man) + exp * _LN2
+
+
+def geometric_terms(mag, q, ctx, at_least=0) -> int:
+    """Smallest N >= at_least with mag * q^N / (1 - q) below 10^-dps.
+
+    This is the truncation rule of every geometric-tail product: once the
+    terms a q^k with |a| = mag are that small, all remaining factors together
+    move the product by less than one unit in the last working digit.  N is
+    solved from float logarithms; a solution within float error of an
+    integer is settled in working precision.
+    """
+    if not mag:
+        return at_least
+    one_minus_q = 1 - q
+    # log q from log1p(-(1-q)) keeps its relative accuracy for q near 1
+    lq = _flog(q) if q < 0.5 else math.log1p(-float(one_minus_q))
+    x = (_flog(mag) - _flog(one_minus_q) + ctx.dps * _LN10) / -lq  # N is the least integer > x
+    n = math.floor(x) + 1
+    near = round(x)
+    if abs(x - near) <= 1e-9 * (1 + abs(x)):
+        eps = ctx.mpf(10) ** (-ctx.dps)
+        n = near if mag * q**near / one_minus_q < eps else near + 1
+    return max(n, at_least, 0)
+
+
+def geometric_product(a, q, ctx, n=None, poly=None, pole=None):
+    """prod_{k>=0} f(a q^k) on fixed-point integers; returns (value, factors).
+
+    f(t) = 1 - t over exactly n factors, for real or complex a.  Or f is an
+    IntPolynomial with f(0) = 1, evaluated by Horner's rule at real a, and
+    the product stops before the first factor within 10^-dps of 1.  With
+    pole = (eps, message), a factor k with |f| < eps raises
+    SingularArgumentError(message(k)).
+
+    Every value is an int scaled by 2^B, a complex value a pair of them, and
+    the running product m * 2^e keeps a B-bit mantissa m: it is renormalised
+    after every multiply, so a product as small as (q;q)_inf at q = 0.99
+    (about 1e-71) keeps all its bits.  B is the context's working bits plus
+    guard bits.  Each step of t -> t q adds at most one unit of 2^-B, so t_k
+    is off by at most min(k, 1/(1-q)) <= N units and the product of N factors
+    by at most N^2 units; the 2 log2 N + 20 guard bits keep that rounding far
+    below the truncation error 10^-dps.
+    """
+    a = ctx.convert(a)
+    count = n if n is not None else geometric_terms(abs(a), q, ctx)
+    B = ctx.prec + 2 * count.bit_length() + 20
+    one = 1 << B
+    qf = to_fixed(q._mpf_, B)
+    pe = to_fixed(pole[0]._mpf_, B) if pole is not None else 0
+    m, e = one, -B  # the running product is m * 2^e
+    if poly is not None:
+        t = to_fixed(a._mpf_, B)
+        head, *rest = [c << B for c in reversed(poly.coeffs)]
+        stop = one // 10**ctx.dps
+        unit = B - ctx.prec  # log2 of one ulp of a working-precision value in [1/2, 1)
+        k = 0
+        while True:
+            v = head
+            for c in rest:
+                v = (v * t >> B) + c
+            # the stop rule reads f - 1 as f rounds to working precision,
+            # whose ulp doubles at 1
+            d = v - one
+            g = unit + (d >= 0)
+            if -stop < (d + (1 << (g - 1))) >> g << g < stop:
+                break
+            if -pe < v < pe:
+                raise SingularArgumentError(pole[1](k))
+            m *= v
+            s = m.bit_length() - B
+            m = m >> s if s >= 0 else m << -s
+            e += s - B
+            t = t * qf >> B
+            k += 1
+        return ctx.mpf((m, e)), k
+    if isinstance(a, ctx.mpc):
+        tr, ti = (to_fixed(part, B) for part in a._mpc_)
+        mi = 0
+        for k in range(n):
+            fr = one - tr
+            if -pe < fr < pe and -pe < ti < pe and fr * fr + ti * ti < pe * pe:
+                raise SingularArgumentError(pole[1](k))
+            m, mi = m * fr + mi * ti, mi * fr - m * ti
+            s = max(m.bit_length(), mi.bit_length()) - B
+            if s >= 0:
+                m >>= s
+                mi >>= s
+            else:
+                m <<= -s
+                mi <<= -s
+            e += s - B
+            tr = tr * qf >> B
+            ti = ti * qf >> B
+        return ctx.mpc(ctx.mpf((m, e)), ctx.mpf((mi, e))), n
+    t = to_fixed(a._mpf_, B)
+    for k in range(n):
+        f = one - t
+        if -pe < f < pe:
+            raise SingularArgumentError(pole[1](k))
+        m *= f
+        s = m.bit_length() - B
+        m = m >> s if s >= 0 else m << -s
+        e += s - B
+        t = t * qf >> B
+    return ctx.mpf((m, e)), n
 
 
 def qpoch_inf_ctx(a, q, ctx, pole_eps=None):
@@ -199,19 +282,11 @@ def qpoch_inf_ctx(a, q, ctx, pole_eps=None):
         q = q.real
     if not 0 < q < 1:
         raise ValueError(f"base q must lie in (0, 1), got {q}")
-    eps = ctx.mpf(10) ** (-ctx.dps)
-    one_minus_q = 1 - q
-    p = ctx.mpf(1)
-    t = a
-    while not abs(t) / one_minus_q < eps:
-        f = 1 - t
-        if pole_eps is not None and abs(f) < pole_eps:
-            raise SingularArgumentError(
-                f"vanishing factor 1 - a*q^k (|factor| < {pole_eps})"
-            )
-        p *= f
-        t *= q
-    return p
+    a = ctx.convert(a)
+    pole = None
+    if pole_eps is not None:
+        pole = (pole_eps, lambda k: f"vanishing factor 1 - a*q^k (|factor| < {pole_eps})")
+    return geometric_product(a, q, ctx, n=geometric_terms(abs(a), q, ctx), pole=pole)[0]
 
 
 def qpochhammer(a, q, n=INFINITY, prec: Precision = DEFAULT_PRECISION):
@@ -228,12 +303,7 @@ def qpochhammer(a, q, n=INFINITY, prec: Precision = DEFAULT_PRECISION):
         return qpoch_inf_ctx(av, qv, ctx)
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a non-negative integer or INFINITY, got {n!r}")
-    p = ctx.mpf(1)
-    t = av
-    for _ in range(n):
-        p *= 1 - t
-        t *= qv
-    return p
+    return geometric_product(av, qv, ctx, n=n)[0]
 
 
 # ---------------------------------------------------------------------------

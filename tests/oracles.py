@@ -8,6 +8,8 @@ suite never recomputes its own expectations through the code under test.
 import mpmath
 
 from qprod.numtheory import IntPolynomial, divisors, mobius
+from qprod.products import EvalInfo, _omega
+from qprod.qfunc import SingularArgumentError, as_q, to_hp
 
 # (1/2; 1/2)_inf, (1/4; 1/2)_inf, (9/10; 9/10)_inf via mpmath.qp, dps 70
 QP_HALF_HALF = "0.28878809508660242127889972192923078008891190484068578411474107"
@@ -60,3 +62,107 @@ def parse_hp(digits_string: str, dps: int = 70):
     """Parse a frozen digit string at full stated precision."""
     with mpmath.workdps(dps):
         return mpmath.mpf(digits_string)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle for the fixed-point product kernel: the mpf loops the
+# package evaluated its geometric q-products with before the kernel existed,
+# kept verbatim apart from the factor counts they now also return.
+
+
+def qpoch_inf_mpf(a, q, ctx, pole_eps=None):
+    """(a; q)_inf factor by factor on mpf values; returns (value, factors)."""
+    if isinstance(q, ctx.mpc):
+        if q.imag != 0:
+            raise ValueError("base q must be real with 0 < q < 1")
+        q = q.real
+    if not 0 < q < 1:
+        raise ValueError(f"base q must lie in (0, 1), got {q}")
+    eps = ctx.mpf(10) ** (-ctx.dps)
+    one_minus_q = 1 - q
+    p = ctx.mpf(1)
+    t = a
+    factors = 0
+    while not abs(t) / one_minus_q < eps:
+        f = 1 - t
+        if pole_eps is not None and abs(f) < pole_eps:
+            raise SingularArgumentError(
+                f"vanishing factor 1 - a*q^k (|factor| < {pole_eps})"
+            )
+        p *= f
+        t *= q
+        factors += 1
+    return p, factors
+
+
+def char_shift_lhs_mpf(chi, z, q, ctx, min_terms=0):
+    """prod_{n>=2} (1 - q^(n - chi(n) z)) / (1 - q^n) on mpf values."""
+    k = chi.modulus
+    lq = ctx.log(q)
+    eps = ctx.mpf(10) ** (-ctx.dps)
+    shifts: list = [None] * k
+    dev = ctx.mpf(0)
+    for j in range(k):
+        ro = chi.value(j)
+        if ro is None:
+            continue
+        d = ctx.exp(-(_omega(ro, ctx) * z) * lq)
+        shifts[j] = d
+        dev = max(dev, abs(d - 1))
+    p = ctx.mpf(1)
+    t = q * q
+    n = 2
+    terms = 0
+    while not (dev * t / (1 - q) < eps and terms >= min_terms):
+        d = shifts[n % k]
+        if d is not None:
+            num = 1 - t * d
+            if abs(num) < eps:
+                raise SingularArgumentError(f"vanishing factor 1 - q^(n - chi(n) z) at n = {n}")
+            p *= num / (1 - t)
+        t *= q
+        n += 1
+        terms += 1
+    return p, EvalInfo(terms=terms)
+
+
+def psi_factor_product_mpf(poly, mu, start, ratio, ctx):
+    """prod_{j>=1} poly(start * ratio^(j-1)) ** mu on mpf values; returns (value, factors)."""
+    eps = ctx.mpf(10) ** (-ctx.dps)
+    p = ctx.mpf(1)
+    t = start
+    factors = 0
+    while True:
+        v = poly.evaluate(t)
+        if abs(v - 1) < eps:
+            break
+        if abs(v) < eps:
+            raise SingularArgumentError("vanishing cyclotomic factor")
+        p *= v
+        t *= ratio
+        factors += 1
+    return (p if mu == 1 else 1 / p), factors
+
+
+def thm1_lhs_mpf(spec, ctx, min_terms=0):
+    """The THM1 left side prod_n prod_j (1 - q^(n+alpha_j)) / (1 - q^(n+beta_j)) on mpf values."""
+    q = as_q(spec.q, ctx)
+    lq = ctx.log(q)
+    ta = [ctx.exp(to_hp(a, ctx) * lq) for a in spec.alphas]
+    tb = [ctx.exp(to_hp(b, ctx) * lq) for b in spec.betas]
+    eps = ctx.mpf(10) ** (-ctx.dps)
+    p = ctx.mpf(1)
+    terms = 0
+    while True:
+        s = sum((abs(t) for t in ta), ctx.mpf(0)) + sum((abs(t) for t in tb), ctx.mpf(0))
+        if s / (1 - q) < eps and terms >= min_terms:
+            break
+        for j in range(len(ta)):
+            den = 1 - tb[j]
+            if abs(den) < eps:
+                raise SingularArgumentError(f"vanishing factor 1 - q^(n + beta_{j})")
+            p *= (1 - ta[j]) / den
+            ta[j] *= q
+            tb[j] *= q
+        terms += 1
+    return p, EvalInfo(terms=terms)

@@ -161,6 +161,16 @@ def test_verify_mismatch_exits_one(capsys):
     assert "FAIL" in out
 
 
+def test_verify_thm4_default_tolerance_follows_blocks(capsys):
+    # 1e3 blocks agree to 4 digits, inside their own error estimate; the
+    # default tolerance must be the suite's for 1e3 blocks, not for 1e6
+    code, out, err = run(capsys, "verify", "--id", "thm4", "--modulus", "4",
+                         "--char-index", "1", "--z", "0.5", "--blocks", "1000",
+                         "--digits", "30")
+    assert code == 0
+    assert "(tolerance 3)" in out and "PASS" in out
+
+
 def test_verify_unknown_id(capsys):
     code, out, err = run(capsys, "verify", "--id", "nope")
     assert code == 2

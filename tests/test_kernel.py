@@ -1,0 +1,153 @@
+"""The fixed-point geometric product kernel against the mpf loops it replaced.
+
+Each product is computed three ways: by the kernel, by its former mpf loop
+(kept in oracles.py), and by an mpf reference 40 digits past the working
+precision over the same factors.  The factor count must equal the former
+loop's, so the truncation is unchanged, and the kernel's relative error
+against the reference may not exceed the former loop's or 10^-workdps.
+"""
+
+import pytest
+
+import oracles
+from qprod import products
+from qprod.characters import enumerate_characters
+from qprod.numtheory import cyclotomic, mobius
+from qprod.products import IdentitySpec
+from qprod.qfunc import (
+    Precision,
+    SingularArgumentError,
+    context,
+    geometric_product,
+    geometric_terms,
+    qgamma,
+    qpoch_inf_ctx,
+    to_hp,
+)
+
+GRID = [(digits, q) for digits in (50, 100) for q in ("0.5", "0.95", "0.99")]
+CHI5 = next(c for c in enumerate_characters(5) if c.order == 4)  # complex values +-i
+CHI4 = enumerate_characters(4)[1]
+
+
+def contexts(digits):
+    prec = Precision(digits)
+    return context(prec), context(Precision(digits, prec.guard + 40))
+
+
+def check_error(value, oracle, reference, ctx):
+    kernel_err = abs(value - reference) / abs(reference)
+    oracle_err = abs(oracle - reference) / abs(reference)
+    assert kernel_err <= max(oracle_err, ctx.mpf(10) ** -ctx.dps)
+
+
+def powers(ref, x, start, count):
+    """x^start, x^(start+1), ... in the reference context."""
+    t = x**start
+    for _ in range(count):
+        yield t
+        t *= x
+
+
+@pytest.mark.parametrize("digits,qs", GRID)
+@pytest.mark.parametrize("a_text", ["0.3", "0.3+0.4i", "q"])
+def test_qpoch_inf_matches_mpf_loop(digits, qs, a_text):
+    ctx, ref = contexts(digits)
+    q = ctx.mpf(qs)
+    a = q if a_text == "q" else to_hp(a_text, ctx)
+    value = qpoch_inf_ctx(a, q, ctx)
+    oracle, factors = oracles.qpoch_inf_mpf(a, q, ctx)
+    assert geometric_terms(abs(a), q, ctx) == factors
+    ar = ref.convert(a)
+    reference = ref.fprod(1 - ar * t for t in powers(ref, ref.convert(q), 0, factors))
+    check_error(value, oracle, reference, ctx)
+
+
+@pytest.mark.parametrize("digits,qs", GRID)
+def test_char_shift_matches_mpf_loop(digits, qs):
+    ctx, ref = contexts(digits)
+    q = ctx.mpf(qs)
+    z = to_hp("0.25+0.25i", ctx)
+    value, info = products._char_shift_lhs(CHI5, z, q, ctx)
+    oracle, oracle_info = oracles.char_shift_lhs_mpf(CHI5, z, q, ctx)
+    assert info.terms == oracle_info.terms
+    # the shifts d_j = q^(-chi(j) z) are inputs both loops round alike
+    lq = ctx.log(q)
+    d = {j: ref.convert(ctx.exp(-(CHI5.value(j).to_complex(ctx) * z) * lq))
+         for j in range(5) if CHI5.value(j) is not None}
+    reference = ref.fprod(
+        (1 - t * d[n % 5]) / (1 - t)
+        for n, t in enumerate(powers(ref, ref.convert(q), 2, info.terms), start=2)
+        if n % 5 in d
+    )
+    check_error(value, oracle, reference, ctx)
+
+
+@pytest.mark.parametrize("digits,qs", GRID)
+def test_psi_product_matches_mpf_loop(digits, qs):
+    ctx, ref = contexts(digits)
+    poly, mu = cyclotomic(3), mobius(3)  # the COR6 right side for modulus 3
+    y = ctx.mpf(qs)
+    value = products._psi_factor_product(poly, mu, y, y, ctx)
+    _, factors = geometric_product(y, y, ctx, poly=poly)
+    oracle, oracle_factors = oracles.psi_factor_product_mpf(poly, mu, y, y, ctx)
+    assert factors == oracle_factors
+    # the stop rule leaves a tail near 10^-dps / (1 - y), so the reference
+    # takes the same factors instead of more
+    reference = ref.fprod(poly.evaluate(t) for t in powers(ref, ref.convert(y), 1, factors))
+    check_error(value, oracle, reference ** mu, ctx)
+
+
+@pytest.mark.parametrize("qs", ["0.5", "0.95", "0.99"])
+def test_thm1_lhs_matches_mpf_loop(qs):
+    prec = Precision(50)
+    ctx, ref = contexts(prec.digits)
+    spec = IdentitySpec("THM1", alphas=("0.3", "0.7+0.2i"), betas=("0.6", "0.4+0.2i"),
+                        q=qs, prec=prec)
+    value, info = products._thm1_lhs(spec, ctx)
+    oracle, oracle_info = oracles.thm1_lhs_mpf(spec, ctx)
+    assert info.terms == oracle_info.terms
+    q = ctx.mpf(qs)
+    lq = ctx.log(q)
+    ta = [ref.convert(ctx.exp(to_hp(a, ctx) * lq)) for a in spec.alphas]
+    tb = [ref.convert(ctx.exp(to_hp(b, ctx) * lq)) for b in spec.betas]
+    reference = ref.fprod(
+        (1 - a * t) / (1 - b * t)
+        for t in powers(ref, ref.convert(q), 0, info.terms)
+        for a, b in zip(ta, tb)
+    )
+    check_error(value, oracle, reference, ctx)
+
+
+def test_kernel_complex_and_finite_counts():
+    ctx = context(Precision(30))
+    q = ctx.mpf("0.5")
+    value, factors = geometric_product(ctx.mpc("0.25", "0.5"), q, ctx, n=3)
+    a = ctx.mpc("0.25", "0.5")
+    expect = (1 - a) * (1 - a * q) * (1 - a * q * q)
+    assert factors == 3
+    assert abs(value - expect) < ctx.mpf(10) ** -ctx.dps
+    assert geometric_product(ctx.mpf(1), q, ctx, n=2)[0] == 0
+
+
+def message_of(call):
+    with pytest.raises(SingularArgumentError) as info:
+        call()
+    return str(info.value)
+
+
+def test_near_pole_raises_with_the_former_message():
+    prec = Precision(50)
+    ctx = context(prec)
+    q = ctx.mpf("0.5")
+    x = ctx.mpf(-1) + ctx.mpf(10) ** -70
+    qx = ctx.exp(x * ctx.log(q))
+    pole_eps = ctx.mpf(10) ** -ctx.dps
+    expect = message_of(lambda: oracles.qpoch_inf_mpf(qx, q, ctx, pole_eps=pole_eps))
+    assert message_of(lambda: qpoch_inf_ctx(qx, q, ctx, pole_eps=pole_eps)) == expect
+    assert message_of(lambda: qgamma(x, q, prec)) == expect
+    # 1 - q^(n - chi(n) z) vanishes at n = 3 for the character mod 4 and z = -3
+    z = ctx.mpf(-3)
+    expect = message_of(lambda: oracles.char_shift_lhs_mpf(CHI4, z, q, ctx))
+    assert expect.endswith("at n = 3")
+    assert message_of(lambda: products._char_shift_lhs(CHI4, z, q, ctx)) == expect
