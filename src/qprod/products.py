@@ -34,6 +34,8 @@ from .qfunc import (
     jackson_value,
     qgamma_ctx,
     qpoch_inf_ctx,
+    rational_product,
+    rational_zeros,
     to_hp,
 )
 
@@ -306,11 +308,9 @@ def _front_factor(q, z, ctx):
 def _prototype_lhs(spec, ctx, min_terms=0):
     n_terms = spec.terms or 10**6
     n_terms = max(n_terms, min_terms)
-    one = ctx.mpf(1)
-    p = ctx.mpf(1)
-    for j in range(1, n_terms + 1):
-        inv = one / (2 * j + 1)
-        p *= (1 + inv) if (j & 1) else (1 - inv)
+    # 1 - 1/(2j+1) = j / (j + 1/2) for even j, 1 + 1/(2j+1) = (j + 1) / (j + 1/2) for odd j
+    half = ctx.mpf(1) / 2
+    p = rational_product([(0, half), (1, half)], 1, n_terms + 1, ctx)
     est = ctx.mpf(1) / (2 * n_terms + 3) + ctx.mpf(1) / (8 * n_terms) + ctx.mpf(1) / (4 * n_terms**2)
     return p, EvalInfo(terms=n_terms, rel_error_estimate=mpmath.nstr(est, 8))
 
@@ -356,13 +356,12 @@ def _cor2_lhs(spec, ctx, min_terms=0):
         raise ValueError("sum(alphas) != sum(betas): the product does not converge")
     if scale > n_terms / 4:
         raise ValueError("terms too small for entries of this magnitude")
+    poles = [n for b in be for n in rational_zeros([b], 0, n_terms, ctx)]
+    if poles:
+        raise SingularArgumentError(f"factor n + beta vanishes at n = {min(poles)}")
     p = ctx.mpf(1)
-    for m in range(n_terms):
-        for a, b in zip(al, be):
-            den = m + b
-            if den == 0:
-                raise SingularArgumentError(f"factor n + beta vanishes at n = {m}")
-            p *= (m + a) / den
+    for a, b in zip(al, be):
+        p *= rational_product([(a, b)], 0, n_terms, ctx)
     quad = abs(sum(a * a for a in al) - sum(b * b for b in be)) / 2 / (n_terms - 1)
     cubic = (
         (sum(abs(a) ** 3 for a in al) + sum(abs(b) ** 3 for b in be))
@@ -425,28 +424,13 @@ def _thm4_lhs(spec, ctx, min_terms=0):
     z = to_hp(spec.z, ctx)
     if 4 * abs(z) > blocks * k:
         raise ValueError("blocks too small for |z|; tail estimate invalid")
-    values = [chi.value(j) for j in range(k)]
-    real_case = not isinstance(z, ctx.mpc) and all(v is None or v.order <= 2 for v in values)
+    # 1 - chi(n) z / n = (n - chi(n) z) / n
+    shifts = [None if v is None else -_omega(v, ctx) * z for v in (chi.value(j) for j in range(k))]
     stop = blocks * k + 2  # n runs over 2 .. blocks*k + 1: exactly `blocks` full periods
-    p = ctx.mpf(1)
-    if real_case:
-        ints = [0 if v is None else v.as_int() for v in values]
-        for n in range(2, stop):
-            c = ints[n % k]
-            if c:
-                f = 1 - z / n if c == 1 else 1 + z / n
-                if f == 0:
-                    raise SingularArgumentError(f"factor 1 - chi(n) z / n vanishes at n = {n}")
-                p *= f
-    else:
-        cvals = [None if v is None else _omega(v, ctx) for v in values]
-        for n in range(2, stop):
-            c = cvals[n % k]
-            if c is not None:
-                f = 1 - c * z / n
-                if f == 0:
-                    raise SingularArgumentError(f"factor 1 - chi(n) z / n vanishes at n = {n}")
-                p *= f
+    zeros = rational_zeros(shifts, 2, stop, ctx)
+    if zeros:
+        raise SingularArgumentError(f"factor 1 - chi(n) z / n vanishes at n = {zeros[0]}")
+    p = rational_product([None if a is None else (a, 0) for a in shifts], 2, stop, ctx)
     # tail estimate: blocks m >= M contribute ~ C/m^2 each; sum_{m>=M} < C/(M-1)
     phi = totient(k)
     weighted = sum(

@@ -1,9 +1,11 @@
 """Working-precision numerics: q-Pochhammer, q-gamma, classical gamma.
 
 Precision is explicit everywhere.  Each public function takes a Precision and
-does its work inside a private mpmath context carrying digits + guard decimal
-digits, so there is no global precision state and identical inputs at an
-identical Precision give bit-identical results.
+does its work inside the mpmath context for digits + guard decimal digits.
+There is one such context per working precision, created on first use and
+shared afterwards; nothing changes its precision, and mpmath's global mp is
+never touched.  So identical inputs at an identical Precision give
+bit-identical results.
 
 q is restricted to real 0 < q < 1; arguments x may be complex.  q**x always
 means exp(x * log q) with the real (principal) logarithm of q.
@@ -11,6 +13,7 @@ means exp(x * log q) with the real (principal) logarithm of q.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +41,8 @@ __all__ = [
     "qgamma_ctx",
     "qpochhammer",
     "qpoch_inf_ctx",
+    "rational_product",
+    "rational_zeros",
     "to_hp",
     "von_mangoldt_number",
 ]
@@ -71,9 +76,18 @@ DEFAULT_PRECISION = Precision()
 
 
 def context(prec: Precision = DEFAULT_PRECISION):
-    """A fresh mpmath context with prec.digits + prec.guard working digits."""
+    """The shared mpmath context with prec.digits + prec.guard working digits.
+
+    Callers must not change its dps: every Precision with the same working
+    digits gets this same context.
+    """
+    return _context_at(prec.workdps)
+
+
+@functools.cache
+def _context_at(workdps: int):
     ctx = mpmath.mp.clone()
-    ctx.dps = prec.workdps
+    ctx.dps = workdps
     return ctx
 
 
@@ -266,6 +280,95 @@ def geometric_product(a, q, ctx, n=None, poly=None, pole=None):
         e += s - B
         t = t * qf >> B
     return ctx.mpf((m, e)), n
+
+
+def _fixed_parts(x, B):
+    """Real and imaginary part of an mpf or mpc as ints scaled by 2^B."""
+    if hasattr(x, "_mpc_"):
+        return tuple(to_fixed(part, B) for part in x._mpc_)
+    return to_fixed(x._mpf_, B), 0
+
+
+def rational_product(shifts, start, stop, ctx):
+    """prod_{n=start}^{stop-1} (n + a_r) / (n + b_r), r = n mod k, on fixed-point integers.
+
+    shifts[r] is the pair (a_r, b_r) of real or complex values for residue r
+    mod k = len(shifts), or None where every factor is exactly 1; start >= 0.
+    No denominator may vanish (rational_zeros finds those).
+
+    As in geometric_product, every value is an int scaled by 2^B, a complex
+    value a pair of them, and the running product m * 2^e keeps a B-bit
+    mantissa, renormalised after every step.  Each residue class is one run
+    n, n + k, ... whose numerator and denominator grow by k * 2^B per step;
+    a step rounds once (a floor division), so N factors are off by at most
+    N units of 2^-B and B = working bits + 2 log2 N + 20 guard bits keeps
+    that far below one unit in the last working digit.  For n >= 1 every
+    n + x is within 2^-B of itself in relative terms: a shift with
+    |x| >= 1/2 is exact in B bits, and otherwise |n + x| > 1/2.  The n = 0
+    factor a_0 / b_0 is divided in working precision instead, because fixed
+    point would truncate a tiny shift.
+    """
+    k = len(shifts)
+    B = ctx.prec + 2 * (stop - start).bit_length() + 20
+    pairs = [None if s is None else [ctx.convert(x) for x in s] for s in shifts]
+    head = 1
+    if start == 0 and pairs[0] is not None:
+        head = pairs[0][0] / pairs[0][1]
+    start = max(start, 1)
+    m, e = 1 << B, -B  # the running product is m * 2^e
+    if any(isinstance(x, ctx.mpc) for pair in pairs if pair for x in pair):
+        mi = 0
+        for r, pair in enumerate(pairs):
+            if pair is None:
+                continue
+            first = start + (r - start) % k
+            (ar, ai), (br, bi) = (_fixed_parts(x, B) for x in pair)
+            num, den, step = (first << B) + ar, (first << B) + br, k << B
+            for _ in range(first, stop, k):
+                xr = m * num - mi * ai
+                xi = m * ai + mi * num
+                d2 = den * den + bi * bi
+                m, mi = (xr * den + xi * bi) // d2, (xi * den - xr * bi) // d2
+                s = max(m.bit_length(), mi.bit_length()) - B
+                if s:
+                    if s > 0:
+                        m >>= s
+                        mi >>= s
+                    else:
+                        m <<= -s
+                        mi <<= -s
+                    e += s
+                num += step
+                den += step
+        return head * ctx.mpc(ctx.mpf((m, e)), ctx.mpf((mi, e)))
+    for r, pair in enumerate(pairs):
+        if pair is None:
+            continue
+        first = start + (r - start) % k
+        a, b = (to_fixed(x._mpf_, B) for x in pair)
+        num, den, step = (first << B) + a, (first << B) + b, k << B
+        for _ in range(first, stop, k):
+            m = m * num // den
+            s = m.bit_length() - B
+            if s:
+                m = m >> s if s > 0 else m << -s
+                e += s
+            num += step
+            den += step
+    return head * ctx.mpf((m, e))
+
+
+def rational_zeros(values, start, stop, ctx) -> list:
+    """The n in [start, stop), ascending, where n + values[n mod k] is exactly 0.
+
+    k = len(values), and a None entry never vanishes.  Only an integer value
+    x (real, or complex with zero imaginary part) vanishes, at n = -x.
+    """
+    k = len(values)
+    return sorted(
+        n for r, x in enumerate(values) if x is not None and ctx.isint(x)
+        for n in (-int(x.real),) if start <= n < stop and n % k == r
+    )
 
 
 def qpoch_inf_ctx(a, q, ctx, pole_eps=None):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -269,8 +270,6 @@ def _thm4_tolerance(blocks: int) -> int:
 
 
 def _prototype_tolerance(terms: int) -> int:
-    import math
-
     if terms >= 10**6:
         return 6
     return max(2, int(math.log10(terms)) - 1)

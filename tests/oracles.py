@@ -7,7 +7,7 @@ suite never recomputes its own expectations through the code under test.
 
 import mpmath
 
-from qprod.numtheory import IntPolynomial, divisors, mobius
+from qprod.numtheory import IntPolynomial, divisors, mobius, totient
 from qprod.products import EvalInfo, _omega
 from qprod.qfunc import SingularArgumentError, as_q, to_hp
 
@@ -166,3 +166,90 @@ def thm1_lhs_mpf(spec, ctx, min_terms=0):
             tb[j] *= q
         terms += 1
     return p, EvalInfo(terms=terms)
+
+
+# The mpf loops of the slowly convergent classical products, from before the
+# rational product kernel, kept verbatim.
+
+
+def prototype_lhs_mpf(spec, ctx, min_terms=0):
+    """The PROTOTYPE left side prod_j (1 +- 1/(2j+1)) on mpf values."""
+    n_terms = spec.terms or 10**6
+    n_terms = max(n_terms, min_terms)
+    one = ctx.mpf(1)
+    p = ctx.mpf(1)
+    for j in range(1, n_terms + 1):
+        inv = one / (2 * j + 1)
+        p *= (1 + inv) if (j & 1) else (1 - inv)
+    est = ctx.mpf(1) / (2 * n_terms + 3) + ctx.mpf(1) / (8 * n_terms) + ctx.mpf(1) / (4 * n_terms**2)
+    return p, EvalInfo(terms=n_terms, rel_error_estimate=mpmath.nstr(est, 8))
+
+
+def cor2_lhs_mpf(spec, ctx, min_terms=0):
+    """The COR2 left side prod_n prod_i (n + alpha_i) / (n + beta_i) on mpf values."""
+    n_terms = spec.terms or 10**5
+    n_terms = max(n_terms, min_terms)
+    al = [to_hp(a, ctx) for a in spec.alphas]
+    be = [to_hp(b, ctx) for b in spec.betas]
+    # convergence requires the sums to agree exactly
+    mismatch = abs(sum(al) - sum(be))
+    scale = max(max(abs(v) for v in al + be), ctx.mpf(1))
+    if mismatch > scale * ctx.mpf(10) ** (-(ctx.dps - 8)):
+        raise ValueError("sum(alphas) != sum(betas): the product does not converge")
+    if scale > n_terms / 4:
+        raise ValueError("terms too small for entries of this magnitude")
+    p = ctx.mpf(1)
+    for m in range(n_terms):
+        for a, b in zip(al, be):
+            den = m + b
+            if den == 0:
+                raise SingularArgumentError(f"factor n + beta vanishes at n = {m}")
+            p *= (m + a) / den
+    quad = abs(sum(a * a for a in al) - sum(b * b for b in be)) / 2 / (n_terms - 1)
+    cubic = (
+        (sum(abs(a) ** 3 for a in al) + sum(abs(b) ** 3 for b in be))
+        * 2 / (3 * ctx.mpf(n_terms - 1) ** 2)
+    )
+    return p, EvalInfo(terms=n_terms, rel_error_estimate=mpmath.nstr(quad + cubic, 8))
+
+
+def thm4_lhs_mpf(spec, ctx, min_terms=0):
+    """The THM4 left side prod_n (1 - chi(n) z / n) on mpf values."""
+    blocks = spec.blocks or 10**6
+    chi = spec.chi
+    k = chi.modulus
+    z = to_hp(spec.z, ctx)
+    if 4 * abs(z) > blocks * k:
+        raise ValueError("blocks too small for |z|; tail estimate invalid")
+    values = [chi.value(j) for j in range(k)]
+    real_case = not isinstance(z, ctx.mpc) and all(v is None or v.order <= 2 for v in values)
+    stop = blocks * k + 2  # n runs over 2 .. blocks*k + 1: exactly `blocks` full periods
+    p = ctx.mpf(1)
+    if real_case:
+        ints = [0 if v is None else v.as_int() for v in values]
+        for n in range(2, stop):
+            c = ints[n % k]
+            if c:
+                f = 1 - z / n if c == 1 else 1 + z / n
+                if f == 0:
+                    raise SingularArgumentError(f"factor 1 - chi(n) z / n vanishes at n = {n}")
+                p *= f
+    else:
+        cvals = [None if v is None else _omega(v, ctx) for v in values]
+        for n in range(2, stop):
+            c = cvals[n % k]
+            if c is not None:
+                f = 1 - c * z / n
+                if f == 0:
+                    raise SingularArgumentError(f"factor 1 - chi(n) z / n vanishes at n = {n}")
+                p *= f
+    # tail estimate: blocks m >= M contribute ~ C/m^2 each; sum_{m>=M} < C/(M-1)
+    phi = totient(k)
+    weighted = sum(
+        (r * chi.value(r).to_complex(ctx) for r in range(2, k + 2) if chi.value(r) is not None),
+        ctx.mpc(0),
+    )
+    az = abs(z)
+    c_est = (az * abs(weighted) + az**2 * phi / 2 + az**3 * phi * 2 / 3) / k**2
+    est = c_est / (blocks - 1)
+    return p, EvalInfo(terms=blocks * k, rel_error_estimate=mpmath.nstr(est, 8))

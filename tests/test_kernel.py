@@ -1,16 +1,18 @@
-"""The fixed-point geometric product kernel against the mpf loops it replaced.
+"""The fixed-point product kernels against the mpf loops they replaced.
 
-Each product is computed three ways: by the kernel, by its former mpf loop
-(kept in oracles.py), and by an mpf reference 40 digits past the working
-precision over the same factors.  The factor count must equal the former
-loop's, so the truncation is unchanged, and the kernel's relative error
-against the reference may not exceed the former loop's or 10^-workdps.
+Each product is computed three ways: by a kernel (geometric_product or
+rational_product), by its former mpf loop (kept in oracles.py), and by an mpf
+reference 40 digits past the working precision over the same factors.  The
+factor count (and for the classical products the whole EvalInfo) must equal
+the former loop's, so the truncation is unchanged, and the kernel's relative
+error against the reference may not exceed the former loop's or 10^-workdps.
 """
 
 import pytest
 
 import oracles
 from qprod import products
+from qprod.products import _omega, eval_lhs_info
 from qprod.characters import enumerate_characters
 from qprod.numtheory import cyclotomic, mobius
 from qprod.products import IdentitySpec
@@ -22,11 +24,14 @@ from qprod.qfunc import (
     geometric_terms,
     qgamma,
     qpoch_inf_ctx,
+    rational_product,
+    rational_zeros,
     to_hp,
 )
 
 GRID = [(digits, q) for digits in (50, 100) for q in ("0.5", "0.95", "0.99")]
 CHI5 = next(c for c in enumerate_characters(5) if c.order == 4)  # complex values +-i
+CHI3 = enumerate_characters(3)[1]
 CHI4 = enumerate_characters(4)[1]
 
 
@@ -151,3 +156,100 @@ def test_near_pole_raises_with_the_former_message():
     expect = message_of(lambda: oracles.char_shift_lhs_mpf(CHI4, z, q, ctx))
     assert expect.endswith("at n = 3")
     assert message_of(lambda: products._char_shift_lhs(CHI4, z, q, ctx)) == expect
+
+
+# ---------------------------------------------------------------------------
+# rational_product: PROTOTYPE, COR2 and THM4
+
+
+def check_classical(spec, lhs, oracle, factors):
+    """The kernel-backed left side against its former mpf loop and a reference.
+
+    factors(ctx, ref) yields the reference's factors in the reference context,
+    built from the inputs as the working context rounds them.
+    """
+    ctx, ref = contexts(spec.prec.digits)
+    value, info = lhs(spec, ctx)
+    old, old_info = oracle(spec, ctx)
+    assert info == old_info
+    check_error(value, old, ref.fprod(factors(ctx, ref)), ctx)
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_prototype_matches_mpf_loop(digits):
+    spec = IdentitySpec("PROTOTYPE", terms=10**4, prec=Precision(digits))
+
+    def factors(ctx, ref):
+        for j in range(1, spec.terms + 1):
+            yield ref.mpf(2 * j + 2 if j & 1 else 2 * j) / (2 * j + 1)
+
+    check_classical(spec, products._prototype_lhs, oracles.prototype_lhs_mpf, factors)
+
+
+@pytest.mark.parametrize("alphas,betas", [
+    (("0.3", "0.7"), ("0.45", "0.55")),
+    (("-1.5", "2.25"), ("-0.75", "1.5")),
+    (("0.3+0.2i", "0.6-0.1i"), ("0.5+0.1i", "0.4")),
+], ids=["real", "negative", "complex"])
+def test_cor2_matches_mpf_loop(alphas, betas):
+    spec = IdentitySpec("COR2", alphas=alphas, betas=betas, terms=2000, prec=Precision(30))
+
+    def factors(ctx, ref):
+        pairs = [(ref.convert(to_hp(a, ctx)), ref.convert(to_hp(b, ctx)))
+                 for a, b in zip(alphas, betas)]
+        for n in range(spec.terms):
+            for a, b in pairs:
+                yield (n + a) / (n + b)
+
+    check_classical(spec, products._cor2_lhs, oracles.cor2_lhs_mpf, factors)
+
+
+@pytest.mark.parametrize("chi,z_text", [(CHI3, "0.5"), (CHI4, "-0.5"), (CHI5, "0.25+0.25i")],
+                         ids=["mod3", "mod4", "mod5-complex"])
+def test_thm4_matches_mpf_loop(chi, z_text):
+    spec = IdentitySpec("THM4", chi=chi, z=z_text, blocks=2000, prec=Precision(30))
+    k = chi.modulus
+
+    def factors(ctx, ref):
+        z = to_hp(z_text, ctx)
+        cz = {r: ref.convert(_omega(chi.value(r), ctx) * z)
+              for r in range(k) if chi.value(r) is not None}
+        for n in range(2, spec.blocks * k + 2):
+            if n % k in cz:
+                yield (n - cz[n % k]) / n
+
+    check_classical(spec, products._thm4_lhs, oracles.thm4_lhs_mpf, factors)
+
+
+def test_rational_product_keeps_a_tiny_shift_at_n_zero():
+    # a_0 / b_0 at n = 0 is far below the kernel's fixed-point unit
+    ctx, ref = contexts(30)
+    a, b = ctx.mpf("1e-40"), ctx.mpf("3e-45")
+    value = rational_product([(a, b)], 0, 50, ctx)
+    reference = ref.fprod((n + ref.convert(a)) / (n + ref.convert(b)) for n in range(50))
+    assert abs(value - reference) / abs(reference) <= ctx.mpf(10) ** -ctx.dps
+
+
+def test_rational_zeros_are_exact_integer_roots():
+    ctx = context(Precision(30))
+    values = [None, ctx.mpf(-7), ctx.mpc(-5, 0), ctx.mpf("-3.5"), ctx.mpc(-4, 1)]
+    # n = 7 and n = 5 lie in other classes mod 5 than -7 and -5 + 0i; -3.5 and -4 + i never vanish
+    assert rational_zeros(values, 0, 100, ctx) == []
+    assert rational_zeros([ctx.mpf(-6), ctx.mpc(-3, 0)], 0, 100, ctx) == [3, 6]
+    assert rational_zeros([ctx.mpf(-6), ctx.mpc(-3, 0)], 4, 6, ctx) == []
+
+
+def test_cor2_pole_raises_with_the_former_message():
+    spec = IdentitySpec("COR2", alphas=("0.5", "-2.5"), betas=("-3+0i", "1"),
+                        terms=100, prec=Precision(30))
+    expect = "factor n + beta vanishes at n = 3"
+    assert message_of(lambda: oracles.cor2_lhs_mpf(spec, context(spec.prec))) == expect
+    assert message_of(lambda: eval_lhs_info(spec)) == expect
+
+
+def test_thm4_pole_raises_with_the_former_message():
+    # 1 - chi(3) z / 3 = 1 - (-1)(-3)/3 vanishes for the character mod 4
+    spec = IdentitySpec("THM4", chi=CHI4, z="-3", blocks=10, prec=Precision(30))
+    expect = "factor 1 - chi(n) z / n vanishes at n = 3"
+    assert message_of(lambda: oracles.thm4_lhs_mpf(spec, context(spec.prec))) == expect
+    assert message_of(lambda: eval_lhs_info(spec)) == expect

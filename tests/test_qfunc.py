@@ -4,10 +4,13 @@ oracles, functional equations, and domain validation."""
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import oracles
+from qprod.characters import enumerate_characters
 from qprod.numtheory import von_mangoldt
+from qprod.products import IdentitySpec, eval_lhs, eval_rhs
 from qprod.qfunc import (
     INFINITY,
     JACKSON_IDS,
@@ -40,6 +43,25 @@ def test_precision_validation():
         Precision(50, -1)
     with pytest.raises(ValueError):
         Precision(50.0)
+
+
+def test_context_is_shared_per_working_precision():
+    assert context(Precision(50, 10)) is context(Precision(55, 5))
+    assert context(Precision(50, 10)) is not context(Precision(50, 11))
+
+
+def test_evaluation_leaves_context_and_global_precision_alone():
+    global_dps = mpmath.mp.dps
+    prec = Precision(30)
+    ctx = context(prec)
+    spec = IdentitySpec("THM5", chi=enumerate_characters(5)[1], q="0.5", z="0.25+0.25i", prec=prec)
+    eval_lhs(spec)
+    eval_rhs(spec)
+    qgamma("0.3", "0.9", prec)
+    gamma_classical("0.3", prec)
+    assert ctx.dps == prec.workdps
+    assert context(prec) is ctx
+    assert mpmath.mp.dps == global_dps
 
 
 def test_parse_number():
