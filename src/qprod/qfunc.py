@@ -5,7 +5,9 @@ does its work inside the mpmath context for digits + guard decimal digits.
 There is one such context per working precision, created on first use and
 shared afterwards; nothing changes its precision, and mpmath's global mp is
 never touched.  So identical inputs at an identical Precision give
-bit-identical results.
+bit-identical results.  That lets geometric_product, the kernel behind every
+q-product, compute each product once per process: it remembers its results
+by their exact inputs, and a repeat returns the same bits.
 
 q is restricted to real 0 < q < 1; arguments x may be complex.  q**x always
 means exp(x * log q) with the real (principal) logarithm of q.
@@ -200,6 +202,10 @@ def geometric_terms(mag, q, ctx, at_least=0) -> int:
     return max(n, at_least, 0)
 
 
+_MEMO_SIZE = 4096
+_MEMO: dict = {}  # geometric_product results by exact inputs, oldest first
+
+
 def geometric_product(a, q, ctx, n=None, poly=None, pole=None):
     """prod_{k>=0} f(a q^k) on fixed-point integers; returns (value, factors).
 
@@ -217,8 +223,30 @@ def geometric_product(a, q, ctx, n=None, poly=None, pole=None):
     is off by at most min(k, 1/(1-q)) <= N units and the product of N factors
     by at most N^2 units; the 2 log2 N + 20 guard bits keep that rounding far
     below the truncation error 10^-dps.
+
+    Results are remembered for the life of the process, keyed by everything
+    the product depends on: the exact bits of a and q, the context's working
+    bits and digits, n, the polynomial's coefficients and the pole's eps (the
+    message only words an error).  The product is a deterministic function
+    of that key, so a repeated call returns the bits it would compute.  Only
+    results are stored, never a raised error, and past _MEMO_SIZE entries the
+    oldest one goes.
     """
     a = ctx.convert(a)
+    key = (a._mpc_ if isinstance(a, ctx.mpc) else a._mpf_, q._mpf_, ctx.prec, ctx.dps, n,
+           None if poly is None else poly.coeffs, None if pole is None else pole[0]._mpf_)
+    hit = _MEMO.get(key)
+    if hit is None:
+        hit = _geometric_product(a, q, ctx, n, poly, pole)
+        if len(_MEMO) >= _MEMO_SIZE:
+            del _MEMO[next(iter(_MEMO))]
+        _MEMO[key] = hit
+    value, factors = hit
+    # a context with the same working bits rounds alike, but has its own mpf type
+    return ctx.convert(value), factors
+
+
+def _geometric_product(a, q, ctx, n, poly, pole):
     count = n if n is not None else geometric_terms(abs(a), q, ctx)
     B = ctx.prec + 2 * count.bit_length() + 20
     one = 1 << B
@@ -443,16 +471,29 @@ _BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
 
 def bernoulli_fraction(m: int) -> Fraction:
-    """Exact Bernoulli number B_m (convention B_1 = -1/2), by recurrence."""
+    """Exact Bernoulli number B_m (convention B_1 = -1/2).
+
+    The even ones come from the tangent numbers T_k, computed by Brent and
+    Harvey's in-place recurrence ("Fast computation of Bernoulli, Tangent and
+    Secant numbers", 2011) in O(K^2) small-integer steps for T_1..T_K:
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  The cached list at least
+    doubles whenever it grows, so a run of calls m = 2, 4, ... redoes the
+    recurrence only O(log m) times.
+    """
     if m < 0:
         raise ValueError("Bernoulli index must be non-negative")
-    while len(_BERNOULLI) <= m:
-        j = len(_BERNOULLI)
-        if j % 2 == 1:
-            _BERNOULLI.append(Fraction(0))
-            continue
-        s = sum(Fraction(math.comb(j + 1, i)) * _BERNOULLI[i] for i in range(j))
-        _BERNOULLI.append(-s / (j + 1))
+    if len(_BERNOULLI) <= m:
+        top = max(m // 2, len(_BERNOULLI))  # B_2 .. B_2top
+        t = [0, 1] + [0] * (top - 1)  # t[k] = T_k
+        for k in range(2, top + 1):
+            t[k] = (k - 1) * t[k - 1]
+        for k in range(2, top + 1):
+            for j in range(k, top + 1):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        for k in range(len(_BERNOULLI) // 2, top + 1):
+            four = 4**k
+            b = Fraction((-1) ** (k - 1) * 2 * k * t[k], four * (four - 1))
+            _BERNOULLI.extend((b, Fraction(0)))  # B_2k, B_2k+1
     return _BERNOULLI[m]
 
 

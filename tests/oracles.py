@@ -5,6 +5,9 @@ the package (mpmath's qp/gamma and an AGM identity), frozen here so the test
 suite never recomputes its own expectations through the code under test.
 """
 
+import math
+from fractions import Fraction
+
 import mpmath
 
 from qprod.numtheory import IntPolynomial, divisors, mobius, totient
@@ -62,6 +65,22 @@ def parse_hp(digits_string: str, dps: int = 70):
     """Parse a frozen digit string at full stated precision."""
     with mpmath.workdps(dps):
         return mpmath.mpf(digits_string)
+
+
+def bernoulli_fractions_recurrence(m: int) -> list:
+    """Exact B_0 .. B_m (B_1 = -1/2) from sum_{i<=j} C(j+1, i) B_i = 0, in Fractions.
+
+    The recurrence the package used before its tangent-number route.
+    """
+    b = [Fraction(1), Fraction(-1, 2)]
+    while len(b) <= m:
+        j = len(b)
+        if j % 2 == 1:
+            b.append(Fraction(0))
+            continue
+        s = sum(Fraction(math.comb(j + 1, i)) * b[i] for i in range(j))
+        b.append(-s / (j + 1))
+    return b[:m + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 the library API, all exercised in-process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import oracles
 from qprod.characters import DirichletCharacter, enumerate_characters
@@ -227,3 +230,12 @@ def test_digits_flag_controls_output_length(capsys):
     assert len(wide.strip()) > len(narrow.strip())
     # identical up to the final rounded digit of the narrow run
     assert wide.strip()[:30] == narrow.strip()[:30]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-m", "qprod", "suite", "--only", "EX1A"],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "1/1 passed" in done.stdout

@@ -8,10 +8,13 @@ the former loop's, so the truncation is unchanged, and the kernel's relative
 error against the reference may not exceed the former loop's or 10^-workdps.
 """
 
+import dataclasses
+
+import mpmath
 import pytest
 
 import oracles
-from qprod import products
+from qprod import products, qfunc
 from qprod.products import _omega, eval_lhs_info
 from qprod.characters import enumerate_characters
 from qprod.numtheory import cyclotomic, mobius
@@ -28,6 +31,7 @@ from qprod.qfunc import (
     rational_zeros,
     to_hp,
 )
+from qprod.verify import default_suite, reports_json, run_suite
 
 GRID = [(digits, q) for digits in (50, 100) for q in ("0.5", "0.95", "0.99")]
 CHI5 = next(c for c in enumerate_characters(5) if c.order == 4)  # complex values +-i
@@ -253,3 +257,76 @@ def test_thm4_pole_raises_with_the_former_message():
     expect = "factor 1 - chi(n) z / n vanishes at n = 3"
     assert message_of(lambda: oracles.thm4_lhs_mpf(spec, context(spec.prec))) == expect
     assert message_of(lambda: eval_lhs_info(spec)) == expect
+
+
+# ---------------------------------------------------------------------------
+# The geometric_product memo
+
+
+def test_memo_hit_is_bit_identical():
+    ctx = context(Precision(40))
+    q = ctx.mpf("0.7")
+    a = ctx.mpc("0.123456789", "0.2")
+    qfunc._MEMO.clear()
+    cold, cold_factors = geometric_product(a, q, ctx, n=200)
+    warm, warm_factors = geometric_product(a, q, ctx, n=200)
+    assert (warm._mpc_, warm_factors) == (cold._mpc_, cold_factors)
+    assert len(qfunc._MEMO) == 1
+    # another context with the same working precision gets the bits in its own type
+    twin = mpmath.mp.clone()
+    twin.dps = ctx.dps
+    value, _ = geometric_product(twin.convert(a), twin.convert(q), twin, n=200)
+    assert isinstance(value, twin.mpc) and value._mpc_ == cold._mpc_
+    assert len(qfunc._MEMO) == 1
+    # the same inputs at another working precision are another product
+    wider = context(Precision(60))
+    value, _ = geometric_product(a, q, wider, n=200)
+    assert value._mpc_ != cold._mpc_ and abs(value - cold) < ctx.mpf(10) ** -ctx.dps
+    assert len(qfunc._MEMO) == 2
+
+
+def test_memo_never_serves_an_unguarded_result_to_a_pole_check():
+    prec = Precision(50)
+    ctx = context(prec)
+    q = ctx.mpf("0.5")
+    qx = ctx.exp((ctx.mpf(-1) + ctx.mpf(10) ** -70) * ctx.log(q))
+    pole_eps = ctx.mpf(10) ** -ctx.dps
+    expect = message_of(lambda: oracles.qpoch_inf_mpf(qx, q, ctx, pole_eps=pole_eps))
+    geometric_product(qx, q, ctx, n=geometric_terms(abs(qx), q, ctx))  # no pole check: stored
+    assert message_of(lambda: qpoch_inf_ctx(qx, q, ctx, pole_eps=pole_eps)) == expect
+
+
+def test_memo_stores_nothing_for_a_raising_call():
+    ctx = context(Precision(50))
+    q = ctx.mpf("0.5")
+    eps = ctx.mpf(10) ** -ctx.dps
+    before = list(qfunc._MEMO)
+    message_of(lambda: geometric_product(q**-2, q, ctx, n=5, pole=(eps, str)))
+    assert list(qfunc._MEMO) == before
+
+
+def test_memo_keeps_its_fixed_size():
+    ctx = context(Precision(30))
+    q = ctx.mpf("0.5")
+    for i in range(qfunc._MEMO_SIZE + 10):
+        geometric_product(ctx.mpf(i) / 8192, q, ctx, n=1)
+    assert len(qfunc._MEMO) == qfunc._MEMO_SIZE
+    # first in, first out: the newest call is still stored, the oldest is not
+    keys = list(qfunc._MEMO)
+    geometric_product(ctx.mpf(qfunc._MEMO_SIZE + 9) / 8192, q, ctx, n=1)
+    assert list(qfunc._MEMO) == keys
+    geometric_product(ctx.mpf(0), q, ctx, n=1)  # dropped, so computed and stored anew
+    assert list(qfunc._MEMO)[:-1] == keys[1:]
+
+
+def test_suite_reports_do_not_depend_on_which_entry_filled_the_memo():
+    entries = default_suite(include=("THM1", "THM3_FULL", "THM3_COPRIME", "THM5", "COR6"))
+
+    def frozen(order):
+        return reports_json([dataclasses.replace(r, elapsed_ms=0) for r in run_suite(order)])
+
+    qfunc._MEMO.clear()
+    forward = frozen(entries)
+    assert frozen(entries[::-1]) == forward  # every product served from the memo
+    qfunc._MEMO.clear()
+    assert frozen(entries[::-1]) == forward  # each product computed by another entry first

@@ -258,6 +258,11 @@ def test_bernoulli_fractions():
         bernoulli_fraction(-1)
 
 
+def test_bernoulli_matches_the_fraction_recurrence():
+    expect = oracles.bernoulli_fractions_recurrence(200)
+    assert [bernoulli_fraction(m) for m in range(201)] == expect
+
+
 def test_jackson_values_match_qgamma():
     # each closed form reproduces the direct q-gamma evaluation
     ctx = context(P60)
