@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, and agreement with
-the library API, all exercised in-process through main(argv)."""
+the library API, exercised in-process through main(argv), plus one run of
+`python -m qprod` in a subprocess."""
 
 import json
 import os
