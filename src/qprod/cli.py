@@ -15,6 +15,7 @@ import sys
 from .characters import enumerate_characters
 from .numtheory import mobius, psi_by_definition, psi_reduced, radical
 from .products import (
+    IDENTITIES,
     IDENTITY_IDS,
     IdentitySpec,
     eval_lhs_info,
@@ -33,8 +34,6 @@ from .qfunc import (
     to_hp,
 )
 from .verify import (
-    _prototype_tolerance,
-    _thm4_tolerance,
     default_suite,
     reports_csv,
     reports_json,
@@ -108,10 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite = subs.add_parser("suite", help="run the full verification plan")
     p_suite.add_argument("--only", help="comma-separated identity ids to keep")
     p_suite.add_argument("--seed", type=int, default=20260818)
-    p_suite.add_argument("--blocks", type=int, default=10**6,
-                         help="THM4 character periods (default 1e6)")
-    p_suite.add_argument("--prototype-terms", type=int, default=10**6)
-    p_suite.add_argument("--cor2-terms", type=int, default=10**5)
+    p_suite.add_argument("--blocks", type=int,
+                         help=f"THM4 character periods (default {IDENTITIES['THM4'].count})")
+    p_suite.add_argument("--prototype-terms", type=int)
+    p_suite.add_argument("--cor2-terms", type=int)
     p_suite.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p_suite.add_argument("--out", help="write output to this file instead of stdout")
     return parser
@@ -145,7 +144,7 @@ def _spec_from_args(args) -> IdentitySpec:
     if not args.id:
         raise CliError("--id is required")
     ident = args.id.strip().upper().replace("-", "_")
-    if ident not in IDENTITY_IDS:
+    if ident not in IDENTITIES:
         raise CliError(f"unknown identity id {args.id!r}; choose from {', '.join(IDENTITY_IDS)}")
     try:
         return IdentitySpec(
@@ -162,15 +161,6 @@ def _spec_from_args(args) -> IdentitySpec:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-
-
-def _default_tolerance(spec: IdentitySpec) -> int:
-    """The suite's tolerance for this spec's own term or block count (default 1e6)."""
-    if spec.id == "THM4":
-        return _thm4_tolerance(spec.blocks or 10**6)
-    if spec.id == "PROTOTYPE":
-        return _prototype_tolerance(spec.terms or 10**6)
-    return 4 if spec.id == "COR2" else 40
 
 
 def _emit(text: str, out: str | None):
@@ -300,7 +290,7 @@ def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     tolerance = args.tolerance
     if tolerance is None:
-        tolerance = _default_tolerance(spec)
+        tolerance = IDENTITIES[spec.id].tolerance(spec)
     report = run_identity(spec, tolerance)
     if args.format == "json":
         _emit(json.dumps(report.to_json(), indent=2, sort_keys=True), args.out)
@@ -330,7 +320,7 @@ def _suite_line(report) -> str:
 def _cmd_suite(args) -> int:
     include = _split_list(args.only) if args.only else None
     if include:
-        unknown = [i for i in include if i.upper() not in IDENTITY_IDS]
+        unknown = [i for i in include if i.upper() not in IDENTITIES]
         if unknown:
             raise CliError(f"unknown identity id(s) in --only: {', '.join(unknown)}")
     entries = default_suite(

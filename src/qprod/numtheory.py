@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -270,58 +269,31 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Exact polynomial division; raises ValueError on any nonzero remainder."""
+        """Exact polynomial division; raises ValueError on any nonzero remainder.
+
+        Long division in the integers: when the quotient lies in Z[x], every
+        leading coefficient met on the way is a multiple of lc(other).
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero:
             return IntPolynomial(())
         if self.degree < other.degree:
             raise ValueError("exact division leaves a remainder")
-        if other.leading in (1, -1):
-            q, r = self._divmod_int(other)
-        else:
-            q, r = self._divmod_fraction(other)
-        if r is None or not r.is_zero:
-            raise ValueError("exact division leaves a remainder")
-        return q
-
-    def _divmod_int(self, other: "IntPolynomial"):
-        # long division staying in the integers; valid when lc(other) is +-1
         rem = list(self.coeffs)
         db = other.degree
-        lc = other.leading
         quot = [0] * (len(rem) - db)
-        bcs = other.coeffs
         for i in range(len(rem) - db - 1, -1, -1):
-            c = rem[i + db]
-            if c == 0:
-                continue
-            qc = c // lc
+            qc, r = divmod(rem[i + db], other.leading)
+            if r:
+                raise ValueError("exact division leaves a remainder")
             quot[i] = qc
-            for j, bj in enumerate(bcs):
-                if bj:
+            if qc:
+                for j, bj in enumerate(other.coeffs):
                     rem[i + j] -= qc * bj
-        return IntPolynomial(quot), IntPolynomial(rem[:db])
-
-    def _divmod_fraction(self, other: "IntPolynomial"):
-        # general case: divide over the rationals, demand an integer quotient
-        rem = [Fraction(c) for c in self.coeffs]
-        db = other.degree
-        lc = Fraction(other.leading)
-        quot = [Fraction(0)] * (len(rem) - db)
-        bcs = other.coeffs
-        for i in range(len(rem) - db - 1, -1, -1):
-            c = rem[i + db]
-            if c == 0:
-                continue
-            qc = c / lc
-            quot[i] = qc
-            for j, bj in enumerate(bcs):
-                if bj:
-                    rem[i + j] -= qc * bj
-        if any(r != 0 for r in rem[:db]) or any(q.denominator != 1 for q in quot):
-            return IntPolynomial(()), None
-        return IntPolynomial(int(q) for q in quot), IntPolynomial(())
+        if any(rem[:db]):
+            raise ValueError("exact division leaves a remainder")
+        return IntPolynomial(quot)
 
     def substitute_power(self, e: int) -> "IntPolynomial":
         """Return p(x**e)."""
@@ -385,56 +357,23 @@ def one_minus_x_power(d: int) -> IntPolynomial:
 
 # -- gcd machinery
 
-_GCD_PRIME = (1 << 61) - 1  # Mersenne prime, large enough for every lift we attempt
-
-
-def _poly_mod_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """Monic gcd of a and b over GF(p) by plain Euclid on coefficient lists."""
-    fa = [c % p for c in a]
-    fb = [c % p for c in b]
-    while fb and any(fb):
-        while fb and fb[-1] == 0:
-            fb.pop()
-        if not fb:
-            break
-        inv = pow(fb[-1], p - 2, p)
-        db = len(fb) - 1
-        while len(fa) - 1 >= db and any(fa):
-            while fa and fa[-1] == 0:
-                fa.pop()
-            if len(fa) - 1 < db:
-                break
-            scale = fa[-1] * inv % p
-            off = len(fa) - 1 - db
-            for j, c in enumerate(fb):
-                fa[off + j] = (fa[off + j] - scale * c) % p
-        fa, fb = fb, fa
-    while fa and fa[-1] == 0:
-        fa.pop()
-    if not fa:
-        return []
-    inv = pow(fa[-1], p - 2, p)
-    return [c * inv % p for c in fa]
-
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, integer arithmetic."""
     r = list(a)
     db = len(b) - 1
     lb = b[-1]
-    while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
+    e = len(a) - db  # scalings by lc(b) still owed
+    while len(r) - 1 >= db:
         lr = r[-1]
         off = len(r) - 1 - db
         r = [c * lb for c in r]
         for j, c in enumerate(b):
             r[off + j] -= lr * c
+        e -= 1
         while r and r[-1] == 0:
             r.pop()
-    return r
+    return [c * lb**e for c in r]
 
 
 def _subresultant_gcd(a: list[int], b: list[int]) -> list[int]:
@@ -473,10 +412,8 @@ def _subresultant_gcd(a: list[int], b: list[int]) -> list[int]:
 def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     """Greatest common divisor in Z[x], normalized to a positive leading coefficient.
 
-    Fast path: compute the gcd modulo a large prime, lift the monic image to
-    symmetric integer residues, and verify by exact division.  Whenever the
-    lift fails to divide both inputs (unlucky prime, non-unit leading
-    coefficient) the subresultant remainder sequence settles it exactly.
+    The gcd of the contents times the gcd of the primitive parts, which the
+    subresultant remainder sequence computes exactly.
     """
     if f.is_zero and g.is_zero:
         return IntPolynomial(())
@@ -490,28 +427,7 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     b = [c // cg for c in g.coeffs]
     if len(a) == 1 or len(b) == 1:
         return IntPolynomial((cont,))
-
-    p = _GCD_PRIME
-    cand = _poly_mod_gcd(a, b, p)
-    pp: list[int] | None
-    if not cand:
-        pp = None
-    elif len(cand) == 1:
-        pp = [1]
-    else:
-        lifted = [c - p if c > p // 2 else c for c in cand]
-        gpoly = IntPolynomial(lifted)
-        try:
-            IntPolynomial(a).exact_div(gpoly)
-            IntPolynomial(b).exact_div(gpoly)
-            pp = lifted
-        except ValueError:
-            pp = None
-    if pp is None:
-        pp = _subresultant_gcd(a, b)
-    if pp[-1] < 0:
-        pp = [-c for c in pp]
-    return IntPolynomial([c * cont for c in pp])
+    return IntPolynomial([c * cont for c in _subresultant_gcd(a, b)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ gamma_classical, cyclotomic polynomials, and character data).  The two sides
 never share a code path beyond the primitive operations, so agreement is
 evidence, not tautology.
 
+One `Identity` record per id, in `IDENTITIES`, holds everything that defines
+it: the parameters it takes, both evaluators, its default term or block
+count, its tolerance, and its entries in the default suite.
+
 Truncation policy: geometric-tail products stop once the remaining factors
 are provably below one unit in the last working digit; the blocked and
 polynomially-decaying products (THM4, COR2, PROTOTYPE) stop at a configured
@@ -17,10 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from random import Random
+from typing import Callable
 
 import mpmath
 
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, enumerate_characters
 from .numtheory import cyclotomic, mobius, radical, totient, von_mangoldt
 from .qfunc import (
     DEFAULT_PRECISION,
@@ -41,48 +48,15 @@ from .qfunc import (
 
 __all__ = [
     "EvalInfo",
+    "IDENTITIES",
     "IDENTITY_IDS",
+    "Identity",
     "IdentitySpec",
     "eval_lhs",
     "eval_lhs_info",
     "eval_rhs",
     "eval_rhs_info",
 ]
-
-IDENTITY_IDS = (
-    "PROTOTYPE",
-    "THM1",
-    "COR2",
-    "THM3_FULL",
-    "THM3_COPRIME",
-    "THM4",
-    "THM5",
-    "COR6",
-    "EX1A",
-    "EX1B",
-    "EX2A",
-    "EX2B",
-    "JACKSON1",
-    "JACKSON2",
-    "JACKSON3",
-    "JACKSON4",
-)
-
-# ids needing each parameter; anything else present is rejected to catch typos
-_NEEDS_Q = {"THM1", "THM3_FULL", "THM3_COPRIME", "THM5", "COR6"}
-_NEEDS_Z = {"THM4", "THM5", "COR6"}
-_NEEDS_CHI = {"THM4", "THM5", "COR6"}
-_NEEDS_N = {"THM3_FULL", "THM3_COPRIME"}
-_NEEDS_AB = {"THM1", "COR2"}
-_TAKES_TERMS = {"PROTOTYPE", "COR2"}
-_TAKES_BLOCKS = {"THM4"}
-
-_JACKSON_MAP = {
-    "JACKSON1": "J_QTR_4PI",
-    "JACKSON2": "J_HALF_4PI",
-    "JACKSON3": "J_HALF_8PI",
-    "JACKSON4": "J_QTR_8PI",
-}
 
 
 @dataclass(frozen=True)
@@ -139,27 +113,28 @@ class IdentitySpec:
         self._validate()
 
     def _validate(self):
+        """Check the spec against its record; a field the identity does not take is a typo."""
         i = self.id
-        if i not in IDENTITY_IDS:
+        if i not in IDENTITIES:
             raise ValueError(f"unknown identity id {i!r}; expected one of {IDENTITY_IDS}")
-        if i in _NEEDS_AB:
+        rec = IDENTITIES[i]
+        if "alphas" in rec.takes:
             if not self.alphas or len(self.alphas) != len(self.betas):
                 raise ValueError(f"{i} needs equal-length non-empty alphas and betas")
             for e in (*self.alphas, *self.betas):
                 fr = _exact_entry(e)
                 if fr is not None and fr == 0:
                     raise ValueError(f"{i} entries must be nonzero")
-                if i == "COR2" and fr is not None and fr.denominator == 1 and fr <= 0:
-                    raise ValueError(f"COR2 entries must avoid non-positive integers, got {e!r}")
+                if rec.gamma_args and fr is not None and fr.denominator == 1 and fr <= 0:
+                    raise ValueError(f"{i} entries must avoid non-positive integers, got {e!r}")
         elif self.alphas or self.betas:
             raise ValueError(f"{i} takes no alphas/betas")
-        if i in _NEEDS_N:
-            low = 2 if i == "THM3_COPRIME" else 1
-            if not isinstance(self.n, int) or self.n < low:
-                raise ValueError(f"{i} needs integer n >= {low}, got {self.n!r}")
+        if "n" in rec.takes:
+            if not isinstance(self.n, int) or self.n < rec.n_min:
+                raise ValueError(f"{i} needs integer n >= {rec.n_min}, got {self.n!r}")
         elif self.n is not None:
             raise ValueError(f"{i} takes no n")
-        if i in _NEEDS_CHI:
+        if "chi" in rec.takes:
             if self.chi is None:
                 raise ValueError(f"{i} needs a Dirichlet character")
             if self.chi.is_principal or self.chi.modulus < 3:
@@ -168,19 +143,19 @@ class IdentitySpec:
                 raise ValueError(f"k = {self.k} disagrees with the character modulus {self.chi.modulus}")
         elif self.chi is not None or self.k is not None:
             raise ValueError(f"{i} takes no character")
-        if i in _NEEDS_Q:
+        if "q" in rec.takes:
             if self.q is None:
                 raise ValueError(f"{i} needs q")
         elif self.q is not None:
-            raise ValueError(f"{i} takes no q (it is fixed by the identity)" if i.startswith(("EX", "JACK")) else f"{i} takes no q")
-        if i in _NEEDS_Z:
+            raise ValueError(f"{i} takes no q (it is fixed by the identity)" if rec.fixed_q else f"{i} takes no q")
+        if "z" in rec.takes:
             if self.z is None:
                 raise ValueError(f"{i} needs z")
         elif self.z is not None:
             raise ValueError(f"{i} takes no z")
-        if self.terms is not None and i not in _TAKES_TERMS:
+        if self.terms is not None and "terms" not in rec.takes:
             raise ValueError(f"{i} takes no terms parameter")
-        if self.blocks is not None and i not in _TAKES_BLOCKS:
+        if self.blocks is not None and "blocks" not in rec.takes:
             raise ValueError(f"{i} takes no blocks parameter")
         if self.terms is not None and (not isinstance(self.terms, int) or self.terms < 10):
             raise ValueError(f"terms must be an integer >= 10, got {self.terms!r}")
@@ -234,6 +209,49 @@ class IdentitySpec:
         )
 
 
+@dataclass(frozen=True)
+class Identity:
+    """Everything that defines one identity id.
+
+    lhs and rhs map (spec, ctx) to (value, EvalInfo): the defining product
+    and the closed form.  `takes` names the IdentitySpec fields the identity
+    needs ("alphas" covers alphas and betas); every other field must be left
+    unset.  suite(id, rng, count) returns the default plan's specs, drawing
+    from the one generator that default_suite shares among all identities.
+
+    Identities with a term or block count (`count` is its default) bound
+    their tolerance by the left side's own error estimate; the others ask
+    for `target` digits, or 8 fewer than the spec's digits if that is less.
+    """
+
+    lhs: Callable
+    rhs: Callable
+    suite: Callable
+    takes: tuple = ()
+    n_min: int = 1  # smallest n, when n is taken
+    gamma_args: bool = False  # alphas/betas are classical Gamma arguments: no non-positive integers
+    fixed_q: bool = False  # q is a constant of the identity
+    count: int | None = None  # default terms or blocks, when either is taken
+    step: Callable | None = None  # count -> tolerance, capped by the error estimate
+    estimate: Callable | None = None  # (spec, ctx, count) -> the left side's relative error estimate
+    target: int = 40
+
+    def tolerance(self, spec: IdentitySpec) -> int:
+        """Digits the two sides of `spec` must agree to."""
+        if self.estimate is None:
+            return min(self.target, spec.prec.digits - 8)
+        ctx = context(spec.prec)
+        count = _count(spec)
+        est = self.estimate(spec, ctx, count)  # 0 when the product is exact, as THM4 at z = 0
+        backed = int(ctx.floor(-ctx.log10(est))) if est else self.step(count)
+        return max(0, min(self.step(count), backed))
+
+
+def _count(spec: IdentitySpec) -> int:
+    """The spec's term or block count, or its identity's default."""
+    return spec.terms or spec.blocks or IDENTITIES[spec.id].count
+
+
 # ---------------------------------------------------------------------------
 # Shared product kernels
 
@@ -245,7 +263,7 @@ def _omega(ro, ctx):
     return ro.as_int() if ro.order <= 2 else ro.to_complex(ctx)
 
 
-def _char_shift_lhs(chi, z, q, ctx, min_terms=0):
+def _char_shift_lhs(chi, z, q, ctx):
     """prod_{n>=2} (1 - q^(n - chi(n) z)) / (1 - q^n).
 
     The per-residue constants d_j = q^(-chi(j) z) are precomputed; the
@@ -267,7 +285,7 @@ def _char_shift_lhs(chi, z, q, ctx, min_terms=0):
         d = ctx.exp(-(_omega(ro, ctx) * z) * lq)
         shifts[j] = d
         dev = max(dev, abs(d - 1))
-    terms = geometric_terms(dev * q * q, q, ctx, at_least=min_terms)
+    terms = geometric_terms(dev * q * q, q, ctx)
     stop = 2 + terms  # the factors are n = 2 .. stop - 1
     qk = q**k
     p = ctx.mpf(1)
@@ -293,6 +311,17 @@ def _psi_factor_product(poly, mu, start, ratio, ctx):
     return p if mu == 1 else 1 / p
 
 
+def _qgamma_coprime(n, q, ctx):
+    """prod Gamma_q(j/n) over 1 <= j <= n with gcd(j, n) = 1, and the factor count."""
+    p = ctx.mpf(1)
+    count = 0
+    for j in range(1, n + 1):
+        if math.gcd(j, n) == 1:
+            p *= qgamma_ctx(ctx.mpf(j) / n, q, ctx)
+            count += 1
+    return p, count
+
+
 def _front_factor(q, z, ctx):
     """(1 - q) / (1 - q^(1-z)) with a pole guard on the denominator."""
     den = 1 - ctx.exp((1 - z) * ctx.log(q))
@@ -302,31 +331,41 @@ def _front_factor(q, z, ctx):
 
 
 # ---------------------------------------------------------------------------
-# Per-identity evaluators: fn(spec, ctx, min_terms) -> (value, EvalInfo)
+# Per-identity evaluators: fn(spec, ctx) -> (value, EvalInfo); the error
+# estimates of the counted products: fn(spec, ctx, count) -> mpf
 
 
-def _prototype_lhs(spec, ctx, min_terms=0):
-    n_terms = spec.terms or 10**6
-    n_terms = max(n_terms, min_terms)
+def _prototype_estimate(spec, ctx, n_terms):
+    return ctx.mpf(1) / (2 * n_terms + 3) + ctx.mpf(1) / (8 * n_terms) + ctx.mpf(1) / (4 * n_terms**2)
+
+
+def _prototype_lhs(spec, ctx):
+    n_terms = _count(spec)
     # 1 - 1/(2j+1) = j / (j + 1/2) for even j, 1 + 1/(2j+1) = (j + 1) / (j + 1/2) for odd j
     half = ctx.mpf(1) / 2
     p = rational_product([(0, half), (1, half)], 1, n_terms + 1, ctx)
-    est = ctx.mpf(1) / (2 * n_terms + 3) + ctx.mpf(1) / (8 * n_terms) + ctx.mpf(1) / (4 * n_terms**2)
+    est = _prototype_estimate(spec, ctx, n_terms)
     return p, EvalInfo(terms=n_terms, rel_error_estimate=mpmath.nstr(est, 8))
 
 
-def _prototype_rhs(spec, ctx, min_terms=0):
+def _prototype_rhs(spec, ctx):
     return ctx.pi * ctx.sqrt(2) / 4, EvalInfo()
 
 
-def _thm1_lhs(spec, ctx, min_terms=0):
+def _prototype_step(terms: int) -> int:
+    if terms >= 10**6:
+        return 6
+    return max(2, int(math.log10(terms)) - 1)
+
+
+def _thm1_lhs(spec, ctx):
     q = as_q(spec.q, ctx)
     lq = ctx.log(q)
     ta = [ctx.exp(to_hp(a, ctx) * lq) for a in spec.alphas]
     tb = [ctx.exp(to_hp(b, ctx) * lq) for b in spec.betas]
     eps = ctx.mpf(10) ** (-ctx.dps)
     s = sum((abs(t) for t in ta), ctx.mpf(0)) + sum((abs(t) for t in tb), ctx.mpf(0))
-    terms = geometric_terms(s, q, ctx, at_least=min_terms)
+    terms = geometric_terms(s, q, ctx)
     p = ctx.mpf(1)
     for j, (a, b) in enumerate(zip(ta, tb)):
         num, _ = geometric_product(a, q, ctx, n=terms)
@@ -336,7 +375,7 @@ def _thm1_lhs(spec, ctx, min_terms=0):
     return p, EvalInfo(terms=terms)
 
 
-def _thm1_rhs(spec, ctx, min_terms=0):
+def _thm1_rhs(spec, ctx):
     q = as_q(spec.q, ctx)
     p = ctx.mpf(1)
     for a, b in zip(spec.alphas, spec.betas):
@@ -344,9 +383,19 @@ def _thm1_rhs(spec, ctx, min_terms=0):
     return p, EvalInfo()
 
 
-def _cor2_lhs(spec, ctx, min_terms=0):
-    n_terms = spec.terms or 10**5
-    n_terms = max(n_terms, min_terms)
+def _cor2_estimate(spec, ctx, n_terms):
+    al = [to_hp(a, ctx) for a in spec.alphas]
+    be = [to_hp(b, ctx) for b in spec.betas]
+    quad = abs(sum(a * a for a in al) - sum(b * b for b in be)) / 2 / (n_terms - 1)
+    cubic = (
+        (sum(abs(a) ** 3 for a in al) + sum(abs(b) ** 3 for b in be))
+        * 2 / (3 * ctx.mpf(n_terms - 1) ** 2)
+    )
+    return quad + cubic
+
+
+def _cor2_lhs(spec, ctx):
+    n_terms = _count(spec)
     al = [to_hp(a, ctx) for a in spec.alphas]
     be = [to_hp(b, ctx) for b in spec.betas]
     # convergence requires the sums to agree exactly
@@ -362,22 +411,18 @@ def _cor2_lhs(spec, ctx, min_terms=0):
     p = ctx.mpf(1)
     for a, b in zip(al, be):
         p *= rational_product([(a, b)], 0, n_terms, ctx)
-    quad = abs(sum(a * a for a in al) - sum(b * b for b in be)) / 2 / (n_terms - 1)
-    cubic = (
-        (sum(abs(a) ** 3 for a in al) + sum(abs(b) ** 3 for b in be))
-        * 2 / (3 * ctx.mpf(n_terms - 1) ** 2)
-    )
-    return p, EvalInfo(terms=n_terms, rel_error_estimate=mpmath.nstr(quad + cubic, 8))
+    est = _cor2_estimate(spec, ctx, n_terms)
+    return p, EvalInfo(terms=n_terms, rel_error_estimate=mpmath.nstr(est, 8))
 
 
-def _cor2_rhs(spec, ctx, min_terms=0):
+def _cor2_rhs(spec, ctx):
     p = ctx.mpf(1)
     for a, b in zip(spec.alphas, spec.betas):
         p *= gamma_ctx(to_hp(b, ctx), ctx) / gamma_ctx(to_hp(a, ctx), ctx)
     return p, EvalInfo()
 
 
-def _thm3_full_lhs(spec, ctx, min_terms=0):
+def _thm3_full_lhs(spec, ctx):
     q = as_q(spec.q, ctx)
     p = ctx.mpf(1)
     for j in range(1, spec.n + 1):
@@ -385,7 +430,7 @@ def _thm3_full_lhs(spec, ctx, min_terms=0):
     return p, EvalInfo(terms=spec.n)
 
 
-def _thm3_full_rhs(spec, ctx, min_terms=0):
+def _thm3_full_rhs(spec, ctx):
     q = as_q(spec.q, ctx)
     n = spec.n
     y = ctx.root(q, n)
@@ -394,18 +439,12 @@ def _thm3_full_rhs(spec, ctx, min_terms=0):
     return head * euler**n / qpoch_inf_ctx(y, y, ctx), EvalInfo()
 
 
-def _thm3_coprime_lhs(spec, ctx, min_terms=0):
-    q = as_q(spec.q, ctx)
-    p = ctx.mpf(1)
-    count = 0
-    for j in range(1, spec.n + 1):
-        if math.gcd(j, spec.n) == 1:
-            p *= qgamma_ctx(ctx.mpf(j) / spec.n, q, ctx)
-            count += 1
+def _thm3_coprime_lhs(spec, ctx):
+    p, count = _qgamma_coprime(spec.n, as_q(spec.q, ctx), ctx)
     return p, EvalInfo(terms=count)
 
 
-def _thm3_coprime_rhs(spec, ctx, min_terms=0):
+def _thm3_coprime_rhs(spec, ctx):
     q = as_q(spec.q, ctx)
     n = spec.n
     phi = totient(n)
@@ -417,8 +456,22 @@ def _thm3_coprime_rhs(spec, ctx, min_terms=0):
     return head * euler**phi / pp, EvalInfo()
 
 
-def _thm4_lhs(spec, ctx, min_terms=0):
-    blocks = spec.blocks or 10**6
+def _thm4_estimate(spec, ctx, blocks):
+    # tail estimate: blocks m >= M contribute ~ C/m^2 each; sum_{m>=M} < C/(M-1)
+    chi = spec.chi
+    k = chi.modulus
+    phi = totient(k)
+    weighted = sum(
+        (r * chi.value(r).to_complex(ctx) for r in range(2, k + 2) if chi.value(r) is not None),
+        ctx.mpc(0),
+    )
+    az = abs(to_hp(spec.z, ctx))
+    c_est = (az * abs(weighted) + az**2 * phi / 2 + az**3 * phi * 2 / 3) / k**2
+    return c_est / (blocks - 1)
+
+
+def _thm4_lhs(spec, ctx):
+    blocks = _count(spec)
     chi = spec.chi
     k = chi.modulus
     z = to_hp(spec.z, ctx)
@@ -431,19 +484,11 @@ def _thm4_lhs(spec, ctx, min_terms=0):
     if zeros:
         raise SingularArgumentError(f"factor 1 - chi(n) z / n vanishes at n = {zeros[0]}")
     p = rational_product([None if a is None else (a, 0) for a in shifts], 2, stop, ctx)
-    # tail estimate: blocks m >= M contribute ~ C/m^2 each; sum_{m>=M} < C/(M-1)
-    phi = totient(k)
-    weighted = sum(
-        (r * chi.value(r).to_complex(ctx) for r in range(2, k + 2) if chi.value(r) is not None),
-        ctx.mpc(0),
-    )
-    az = abs(z)
-    c_est = (az * abs(weighted) + az**2 * phi / 2 + az**3 * phi * 2 / 3) / k**2
-    est = c_est / (blocks - 1)
+    est = _thm4_estimate(spec, ctx, blocks)
     return p, EvalInfo(terms=blocks * k, rel_error_estimate=mpmath.nstr(est, 8))
 
 
-def _thm4_rhs(spec, ctx, min_terms=0):
+def _thm4_rhs(spec, ctx):
     chi = spec.chi
     k = chi.modulus
     z = to_hp(spec.z, ctx)
@@ -463,13 +508,21 @@ def _thm4_rhs(spec, ctx, min_terms=0):
     return head / gprod, EvalInfo()
 
 
-def _thm5_lhs(spec, ctx, min_terms=0):
+def _thm4_step(blocks: int) -> int:
+    if blocks >= 10**5:
+        return 5
+    if blocks >= 10**4:
+        return 4
+    return 3
+
+
+def _thm5_lhs(spec, ctx):
     q = as_q(spec.q, ctx)
     z = to_hp(spec.z, ctx)
-    return _char_shift_lhs(spec.chi, z, q, ctx, min_terms=min_terms)
+    return _char_shift_lhs(spec.chi, z, q, ctx)
 
 
-def _thm5_rhs(spec, ctx, min_terms=0):
+def _thm5_rhs(spec, ctx):
     q = as_q(spec.q, ctx)
     z = to_hp(spec.z, ctx)
     chi = spec.chi
@@ -486,11 +539,7 @@ def _thm5_rhs(spec, ctx, min_terms=0):
     return p, EvalInfo()
 
 
-def _cor6_lhs(spec, ctx, min_terms=0):
-    return _thm5_lhs(spec, ctx, min_terms=min_terms)
-
-
-def _cor6_rhs(spec, ctx, min_terms=0):
+def _cor6_rhs(spec, ctx):
     q = as_q(spec.q, ctx)
     z = to_hp(spec.z, ctx)
     chi = spec.chi
@@ -510,15 +559,13 @@ def _cor6_rhs(spec, ctx, min_terms=0):
     return head * euler / (pp * gprod), EvalInfo()
 
 
-def _example_lhs(pi_mult, z_sign):
-    def evaluator(spec, ctx, min_terms=0):
-        q = ctx.exp(-pi_mult * ctx.pi)
-        return _char_shift_lhs(_CHI4, ctx.mpf(z_sign), q, ctx, min_terms=min_terms)
-
-    return evaluator
+def _example_lhs(spec, ctx, pi_mult, z):
+    """The THM5 product for the character mod 4 at q = e^(-pi_mult pi)."""
+    q = ctx.exp(-pi_mult * ctx.pi)
+    return _char_shift_lhs(_CHI4, ctx.mpf(z), q, ctx)
 
 
-def _ex1a_rhs(spec, ctx, min_terms=0):
+def _ex1a_rhs(spec, ctx):
     g4 = gamma_ctx(ctx.mpf(1) / 4, ctx)
     pi = ctx.pi
     val = (
@@ -528,12 +575,12 @@ def _ex1a_rhs(spec, ctx, min_terms=0):
     return val, EvalInfo()
 
 
-def _ex1b_rhs(spec, ctx, min_terms=0):
+def _ex1b_rhs(spec, ctx):
     pi = ctx.pi
     return ctx.mpf(2) ** (ctx.mpf(5) / 8) * ctx.exp(-pi / 8) / (1 + ctx.exp(-pi)), EvalInfo()
 
 
-def _ex2a_rhs(spec, ctx, min_terms=0):
+def _ex2a_rhs(spec, ctx):
     g4 = gamma_ctx(ctx.mpf(1) / 4, ctx)
     pi = ctx.pi
     val = (
@@ -543,56 +590,161 @@ def _ex2a_rhs(spec, ctx, min_terms=0):
     return val, EvalInfo()
 
 
-def _ex2b_rhs(spec, ctx, min_terms=0):
+def _ex2b_rhs(spec, ctx):
     pi = ctx.pi
     val = ctx.sqrt(2 + 2 * ctx.sqrt(ctx.mpf(2))) * ctx.exp(-pi / 4) / (1 + ctx.exp(-2 * pi))
     return val, EvalInfo()
 
 
-def _jackson_lhs(value_id):
-    def evaluator(spec, ctx, min_terms=0):
-        pi_mult = 4 if value_id.endswith("4PI") else 8
-        q = ctx.exp(-pi_mult * ctx.pi)
-        if value_id.startswith("J_HALF"):
-            val = qgamma_ctx(ctx.mpf(1) / 2, q, ctx)
-        else:
-            val = qgamma_ctx(ctx.mpf(1) / 4, q, ctx) * qgamma_ctx(ctx.mpf(3) / 4, q, ctx)
-        return val, EvalInfo()
-
-    return evaluator
+def _jackson_lhs(spec, ctx, pi_mult, n):
+    """Gamma_q(1/2) (n = 2) or Gamma_q(1/4) Gamma_q(3/4) (n = 4) at q = e^(-pi_mult pi)."""
+    p, _ = _qgamma_coprime(n, ctx.exp(-pi_mult * ctx.pi), ctx)
+    return p, EvalInfo()
 
 
-def _jackson_rhs(value_id):
-    def evaluator(spec, ctx, min_terms=0):
-        return jackson_value(value_id, spec.prec), EvalInfo()
-
-    return evaluator
+def _jackson_rhs(spec, ctx, value_id):
+    return jackson_value(value_id, spec.prec), EvalInfo()
 
 
-_REGISTRY: dict = {
-    "PROTOTYPE": (_prototype_lhs, _prototype_rhs),
-    "THM1": (_thm1_lhs, _thm1_rhs),
-    "COR2": (_cor2_lhs, _cor2_rhs),
-    "THM3_FULL": (_thm3_full_lhs, _thm3_full_rhs),
-    "THM3_COPRIME": (_thm3_coprime_lhs, _thm3_coprime_rhs),
-    "THM4": (_thm4_lhs, _thm4_rhs),
-    "THM5": (_thm5_lhs, _thm5_rhs),
-    "COR6": (_cor6_lhs, _cor6_rhs),
-    "EX1A": (_example_lhs(1, 1), _ex1a_rhs),
-    "EX1B": (_example_lhs(1, -1), _ex1b_rhs),
-    "EX2A": (_example_lhs(2, 1), _ex2a_rhs),
-    "EX2B": (_example_lhs(2, -1), _ex2b_rhs),
-    "JACKSON1": (_jackson_lhs("J_QTR_4PI"), _jackson_rhs("J_QTR_4PI")),
-    "JACKSON2": (_jackson_lhs("J_HALF_4PI"), _jackson_rhs("J_HALF_4PI")),
-    "JACKSON3": (_jackson_lhs("J_HALF_8PI"), _jackson_rhs("J_HALF_8PI")),
-    "JACKSON4": (_jackson_lhs("J_QTR_8PI"), _jackson_rhs("J_QTR_8PI")),
+# ---------------------------------------------------------------------------
+# Default-suite entries: fn(id, rng, count) -> [IdentitySpec]
+
+_SCALE = 10**9
+_P30, _P50, _P60 = Precision(30), Precision(50), Precision(60)
+
+
+def _dec_str(fr: Fraction) -> str:
+    """Exact decimal string for a fraction whose denominator divides 10^9."""
+    num = fr.numerator * (_SCALE // fr.denominator)
+    sign = "-" if num < 0 else ""
+    a = abs(num)
+    return f"{sign}{a // _SCALE}.{a % _SCALE:09d}"
+
+
+def _complex_str(re: Fraction, im: Fraction) -> str:
+    if im == 0:
+        return _dec_str(re)
+    sign = "-" if im < 0 else "+"
+    return f"{_dec_str(re)}{sign}{_dec_str(abs(im))}i"
+
+
+def _rand_frac(rng: Random, lo: float, hi: float) -> Fraction:
+    return Fraction(rng.randint(int(lo * _SCALE), int(hi * _SCALE)), _SCALE)
+
+
+def random_thm1_instance(rng: Random):
+    """Equal-sum complex parameter lists: Re in [0.2, 3], Im in [-0.5, 0.5].
+
+    The last beta balances the sums exactly (decimal fractions), resampling
+    until it falls back inside the same box.
+    """
+    while True:
+        length = rng.randint(1, 4)
+        re_a = [_rand_frac(rng, 0.2, 3) for _ in range(length)]
+        im_a = [_rand_frac(rng, -0.5, 0.5) for _ in range(length)]
+        re_b = [_rand_frac(rng, 0.2, 3) for _ in range(length - 1)]
+        im_b = [_rand_frac(rng, -0.5, 0.5) for _ in range(length - 1)]
+        re_last = sum(re_a) - sum(re_b)
+        im_last = sum(im_a) - sum(im_b)
+        if Fraction(1, 5) <= re_last <= 3 and abs(im_last) <= Fraction(1, 2):
+            re_b.append(re_last)
+            im_b.append(im_last)
+            alphas = tuple(_complex_str(r, i) for r, i in zip(re_a, im_a))
+            betas = tuple(_complex_str(r, i) for r, i in zip(re_b, im_b))
+            return alphas, betas
+
+
+def random_cor2_instance(rng: Random):
+    """Equal-sum positive real lists, entries in [0.2, 1.5]."""
+    while True:
+        length = rng.randint(1, 4)
+        a = [_rand_frac(rng, 0.2, 1.5) for _ in range(length)]
+        b = [_rand_frac(rng, 0.2, 1.5) for _ in range(length - 1)]
+        last = sum(a) - sum(b)
+        if Fraction(1, 5) <= last <= Fraction(3, 2):
+            b.append(last)
+            return tuple(_dec_str(v) for v in a), tuple(_dec_str(v) for v in b)
+
+
+def _prototype_suite(ident, rng, terms):
+    return [IdentitySpec(ident, terms=terms, prec=_P30)]
+
+
+def _thm1_suite(ident, rng, count):
+    specs = []
+    for _ in range(20):
+        alphas, betas = random_thm1_instance(rng)
+        specs += [IdentitySpec(ident, alphas=alphas, betas=betas, q=q, prec=_P50)
+                  for q in ("0.1", "0.5", "0.9")]
+    return specs
+
+
+def _cor2_suite(ident, rng, terms):
+    pairs = [(("0.5", "0.5"), ("0.25", "0.75"))] + [random_cor2_instance(rng) for _ in range(10)]
+    return [IdentitySpec(ident, alphas=a, betas=b, terms=terms, prec=_P30) for a, b in pairs]
+
+
+def _thm3_suite(ident, rng, count):
+    return [IdentitySpec(ident, n=n, q=q, prec=_P50)
+            for n in range(2, 13) for q in ("0.2", "0.6", "0.95")]
+
+
+def _thm4_suite(ident, rng, blocks):
+    return [IdentitySpec(ident, chi=enumerate_characters(k)[1], z="0.5", blocks=blocks, prec=_P30)
+            for k in (3, 4)]
+
+
+def _char_shift_suite(ident, rng, count):
+    return [IdentitySpec(ident, chi=chi, q=q, z=z, prec=_P60)
+            for k in range(3, 13) for chi in enumerate_characters(k) if not chi.is_principal
+            for q in ("0.3", "0.7") for z in ("0.5", "-0.5", "0.25+0.25i")]
+
+
+def _constant_suite(ident, rng, count):
+    return [IdentitySpec(ident, prec=_P60)]
+
+
+def _example(pi_mult, z, rhs):
+    return Identity(partial(_example_lhs, pi_mult=pi_mult, z=z), rhs, _constant_suite, fixed_q=True)
+
+
+def _jackson(pi_mult, n, value_id):
+    return Identity(partial(_jackson_lhs, pi_mult=pi_mult, n=n),
+                    partial(_jackson_rhs, value_id=value_id), _constant_suite, fixed_q=True)
+
+
+# ---------------------------------------------------------------------------
+# The catalog, in default-suite order (THM1 draws its instances before COR2)
+
+IDENTITIES: dict = {
+    "PROTOTYPE": Identity(_prototype_lhs, _prototype_rhs, _prototype_suite, takes=("terms",),
+                          count=10**6, step=_prototype_step, estimate=_prototype_estimate),
+    "THM1": Identity(_thm1_lhs, _thm1_rhs, _thm1_suite, takes=("alphas", "q"), target=42),
+    "COR2": Identity(_cor2_lhs, _cor2_rhs, _cor2_suite, takes=("alphas", "terms"), gamma_args=True,
+                     count=10**5, step=lambda terms: 4, estimate=_cor2_estimate),
+    "THM3_FULL": Identity(_thm3_full_lhs, _thm3_full_rhs, _thm3_suite, takes=("n", "q")),
+    "THM3_COPRIME": Identity(_thm3_coprime_lhs, _thm3_coprime_rhs, _thm3_suite, takes=("n", "q"),
+                             n_min=2),
+    "THM4": Identity(_thm4_lhs, _thm4_rhs, _thm4_suite, takes=("chi", "z", "blocks"),
+                     count=10**6, step=_thm4_step, estimate=_thm4_estimate),
+    "THM5": Identity(_thm5_lhs, _thm5_rhs, _char_shift_suite, takes=("chi", "z", "q")),
+    "COR6": Identity(_thm5_lhs, _cor6_rhs, _char_shift_suite, takes=("chi", "z", "q")),
+    "EX1A": _example(1, 1, _ex1a_rhs),
+    "EX1B": _example(1, -1, _ex1b_rhs),
+    "EX2A": _example(2, 1, _ex2a_rhs),
+    "EX2B": _example(2, -1, _ex2b_rhs),
+    "JACKSON1": _jackson(4, 4, "J_QTR_4PI"),
+    "JACKSON2": _jackson(4, 2, "J_HALF_4PI"),
+    "JACKSON3": _jackson(8, 2, "J_HALF_8PI"),
+    "JACKSON4": _jackson(8, 4, "J_QTR_8PI"),
 }
 
+IDENTITY_IDS = tuple(IDENTITIES)
 
-def eval_lhs_info(spec: IdentitySpec, min_terms: int = 0) -> tuple:
+
+def eval_lhs_info(spec: IdentitySpec) -> tuple:
     """Left side of the identity plus truncation info."""
-    ctx = context(spec.prec)
-    return _REGISTRY[spec.id][0](spec, ctx, min_terms)
+    return IDENTITIES[spec.id].lhs(spec, context(spec.prec))
 
 
 def eval_lhs(spec: IdentitySpec):
@@ -602,8 +754,7 @@ def eval_lhs(spec: IdentitySpec):
 
 def eval_rhs_info(spec: IdentitySpec) -> tuple:
     """Right side (closed form) of the identity plus trivial info."""
-    ctx = context(spec.prec)
-    return _REGISTRY[spec.id][1](spec, ctx, 0)
+    return IDENTITIES[spec.id].rhs(spec, context(spec.prec))
 
 
 def eval_rhs(spec: IdentitySpec):

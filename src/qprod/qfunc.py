@@ -179,8 +179,8 @@ def _flog(x) -> float:
     return math.log(man) + exp * _LN2
 
 
-def geometric_terms(mag, q, ctx, at_least=0) -> int:
-    """Smallest N >= at_least with mag * q^N / (1 - q) below 10^-dps.
+def geometric_terms(mag, q, ctx) -> int:
+    """Smallest N >= 0 with mag * q^N / (1 - q) below 10^-dps.
 
     This is the truncation rule of every geometric-tail product: once the
     terms a q^k with |a| = mag are that small, all remaining factors together
@@ -189,7 +189,7 @@ def geometric_terms(mag, q, ctx, at_least=0) -> int:
     integer is settled in working precision.
     """
     if not mag:
-        return at_least
+        return 0
     one_minus_q = 1 - q
     # log q from log1p(-(1-q)) keeps its relative accuracy for q near 1
     lq = _flog(q) if q < 0.5 else math.log1p(-float(one_minus_q))
@@ -199,7 +199,7 @@ def geometric_terms(mag, q, ctx, at_least=0) -> int:
     if abs(x - near) <= 1e-9 * (1 + abs(x)):
         eps = ctx.mpf(10) ** (-ctx.dps)
         n = near if mag * q**near / one_minus_q < eps else near + 1
-    return max(n, at_least, 0)
+    return max(n, 0)
 
 
 _MEMO_SIZE = 4096

@@ -12,14 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from random import Random
 
-from .characters import enumerate_characters
-from .products import IdentitySpec, eval_lhs_info, eval_rhs_info
+from .products import IDENTITIES, IDENTITY_IDS, IdentitySpec, eval_lhs_info, eval_rhs_info
 from .qfunc import Precision, SingularArgumentError, context, hp_str, to_hp
 
 __all__ = [
@@ -205,152 +202,30 @@ def reports_csv(reports) -> str:
 # ---------------------------------------------------------------------------
 # Default suite construction
 
-_SCALE = 10**9
-
-
-def _dec_str(fr: Fraction) -> str:
-    """Exact decimal string for a fraction whose denominator divides 10^9."""
-    num = fr.numerator * (_SCALE // fr.denominator)
-    sign = "-" if num < 0 else ""
-    a = abs(num)
-    return f"{sign}{a // _SCALE}.{a % _SCALE:09d}"
-
-
-def _complex_str(re: Fraction, im: Fraction) -> str:
-    if im == 0:
-        return _dec_str(re)
-    sign = "-" if im < 0 else "+"
-    return f"{_dec_str(re)}{sign}{_dec_str(abs(im))}i"
-
-
-def _rand_frac(rng: Random, lo: float, hi: float) -> Fraction:
-    return Fraction(rng.randint(int(lo * _SCALE), int(hi * _SCALE)), _SCALE)
-
-
-def random_thm1_instance(rng: Random):
-    """Equal-sum complex parameter lists: Re in [0.2, 3], Im in [-0.5, 0.5].
-
-    The last beta balances the sums exactly (decimal fractions), resampling
-    until it falls back inside the same box.
-    """
-    while True:
-        length = rng.randint(1, 4)
-        re_a = [_rand_frac(rng, 0.2, 3) for _ in range(length)]
-        im_a = [_rand_frac(rng, -0.5, 0.5) for _ in range(length)]
-        re_b = [_rand_frac(rng, 0.2, 3) for _ in range(length - 1)]
-        im_b = [_rand_frac(rng, -0.5, 0.5) for _ in range(length - 1)]
-        re_last = sum(re_a) - sum(re_b)
-        im_last = sum(im_a) - sum(im_b)
-        if Fraction(1, 5) <= re_last <= 3 and abs(im_last) <= Fraction(1, 2):
-            re_b.append(re_last)
-            im_b.append(im_last)
-            alphas = tuple(_complex_str(r, i) for r, i in zip(re_a, im_a))
-            betas = tuple(_complex_str(r, i) for r, i in zip(re_b, im_b))
-            return alphas, betas
-
-
-def random_cor2_instance(rng: Random):
-    """Equal-sum positive real lists, entries in [0.2, 1.5]."""
-    while True:
-        length = rng.randint(1, 4)
-        a = [_rand_frac(rng, 0.2, 1.5) for _ in range(length)]
-        b = [_rand_frac(rng, 0.2, 1.5) for _ in range(length - 1)]
-        last = sum(a) - sum(b)
-        if Fraction(1, 5) <= last <= Fraction(3, 2):
-            b.append(last)
-            return tuple(_dec_str(v) for v in a), tuple(_dec_str(v) for v in b)
-
-
-def _thm4_tolerance(blocks: int) -> int:
-    if blocks >= 10**5:
-        return 5
-    if blocks >= 10**4:
-        return 4
-    return 3
-
-
-def _prototype_tolerance(terms: int) -> int:
-    if terms >= 10**6:
-        return 6
-    return max(2, int(math.log10(terms)) - 1)
-
 
 def default_suite(
     include=None,
     *,
     seed: int = 20260818,
-    thm1_instances: int = 20,
-    cor2_instances: int = 10,
-    digits_q: int = 50,
-    digits_char: int = 60,
-    digits_series: int = 30,
-    prototype_terms: int = 10**6,
-    cor2_terms: int = 10**5,
-    thm4_blocks: int = 10**6,
-    moduli=range(3, 13),
-    thm3_orders=range(2, 13),
-    thm1_q=("0.1", "0.5", "0.9"),
-    thm3_q=("0.2", "0.6", "0.95"),
-    char_q=("0.3", "0.7"),
-    char_z=("0.5", "-0.5", "0.25+0.25i"),
+    prototype_terms: int | None = None,
+    cor2_terms: int | None = None,
+    thm4_blocks: int | None = None,
 ) -> tuple:
     """The all-passing verification plan: (IdentitySpec, tolerance) pairs.
 
-    Randomized instances are seeded, so two calls with the same arguments
-    build byte-identical suites.  `include` filters by identity id.
+    Every identity's record builds its own entries, in catalog order, from
+    one seeded generator, so two calls with the same arguments build
+    byte-identical suites.  `include` filters by identity id; every builder
+    still draws, so a filtered plan holds exactly the full plan's entries of
+    those ids.  The count arguments replace an identity's default term or
+    block count.
     """
     rng = Random(seed)
-    p_q = Precision(digits_q)
-    p_char = Precision(digits_char)
-    p_series = Precision(digits_series)
+    counts = {"PROTOTYPE": prototype_terms, "COR2": cor2_terms, "THM4": thm4_blocks}
+    wanted = IDENTITY_IDS if include is None else {i.upper() for i in include}
     entries: list = []
-
-    entries.append((
-        IdentitySpec("PROTOTYPE", terms=prototype_terms, prec=p_series),
-        _prototype_tolerance(prototype_terms),
-    ))
-
-    for _ in range(thm1_instances):
-        alphas, betas = random_thm1_instance(rng)
-        for q in thm1_q:
-            entries.append((IdentitySpec("THM1", alphas=alphas, betas=betas, q=q, prec=p_q), 42))
-
-    entries.append((
-        IdentitySpec("COR2", alphas=("0.5", "0.5"), betas=("0.25", "0.75"),
-                     terms=cor2_terms, prec=p_series),
-        4,
-    ))
-    for _ in range(cor2_instances):
-        alphas, betas = random_cor2_instance(rng)
-        entries.append((IdentitySpec("COR2", alphas=alphas, betas=betas,
-                                     terms=cor2_terms, prec=p_series), 4))
-
-    for n in thm3_orders:
-        for q in thm3_q:
-            entries.append((IdentitySpec("THM3_FULL", n=n, q=q, prec=p_q), 40))
-            entries.append((IdentitySpec("THM3_COPRIME", n=n, q=q, prec=p_q), 40))
-
-    for k in moduli:
-        for chi in enumerate_characters(k):
-            if chi.is_principal:
-                continue
-            for q in char_q:
-                for z in char_z:
-                    entries.append((IdentitySpec("THM5", chi=chi, q=q, z=z, prec=p_char), 40))
-                    entries.append((IdentitySpec("COR6", chi=chi, q=q, z=z, prec=p_char), 40))
-
-    for k in (3, 4):
-        chi = enumerate_characters(k)[1]
-        entries.append((
-            IdentitySpec("THM4", chi=chi, z="0.5", blocks=thm4_blocks, prec=p_series),
-            _thm4_tolerance(thm4_blocks),
-        ))
-
-    for ident in ("EX1A", "EX1B", "EX2A", "EX2B",
-                  "JACKSON1", "JACKSON2", "JACKSON3", "JACKSON4"):
-        entries.append((IdentitySpec(ident, prec=p_char), 40))
-
-    if include is not None:
-        wanted = {i.upper() for i in include}
-        entries = [e for e in entries if e[0].id in wanted]
+    for ident, rec in IDENTITIES.items():
+        specs = rec.suite(ident, rng, counts.get(ident) or rec.count)
+        if ident in wanted:
+            entries += [(spec, rec.tolerance(spec)) for spec in specs]
     return tuple(entries)

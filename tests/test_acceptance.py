@@ -19,9 +19,16 @@ from qprod.numtheory import (
     radical,
     totient,
 )
-from qprod.products import IdentitySpec, eval_lhs, eval_lhs_info, eval_rhs
+from qprod.products import (
+    IdentitySpec,
+    eval_lhs,
+    eval_lhs_info,
+    eval_rhs,
+    random_cor2_instance,
+    random_thm1_instance,
+)
 from qprod.qfunc import Precision, as_q, context, gamma_ctx, qgamma, qpoch_inf_ctx
-from qprod.verify import compare, random_cor2_instance, random_thm1_instance, run_identity
+from qprod.verify import compare, run_identity
 
 SEED = 20260818
 

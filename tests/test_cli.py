@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import oracles
 from qprod.characters import DirichletCharacter, enumerate_characters
 from qprod.cli import main
@@ -173,6 +175,22 @@ def test_verify_thm4_default_tolerance_follows_blocks(capsys):
                          "--digits", "30")
     assert code == 0
     assert "(tolerance 3)" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("argv", [
+    "--id thm5 --modulus 4 --char-index 1 --z 0.5 --q 0.5 --digits 30",
+    "--id ex1a --digits 30",
+    "--id cor2 --alphas 0.5,0.5 --betas 0.25,0.75 --terms 100",
+    "--id thm4 --modulus 4 --char-index 1 --z 0.5 --blocks 10 --digits 30",
+    "--id thm4 --modulus 4 --char-index 1 --z 0 --blocks 10",  # an estimate of 0
+    "--id prototype --terms 10 --digits 30",
+])
+def test_verify_default_tolerance_follows_precision_and_estimate(capsys, argv):
+    # the default asks for no more digits than the precision carries, nor
+    # more than the left side's own error estimate backs
+    code, out, err = run(capsys, "verify", *argv.split())
+    assert code == 0, out
+    assert "PASS" in out
 
 
 def test_verify_unknown_id(capsys):

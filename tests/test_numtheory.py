@@ -183,6 +183,34 @@ def test_poly_gcd():
     assert poly_gcd(IntPolynomial.zero(), phi6) == phi6
 
 
+def test_exact_div_non_unit_leading_coefficient():
+    two_x_plus_one = IntPolynomial((1, 2))
+    f = two_x_plus_one * IntPolynomial((3, 1))
+    assert f.exact_div(two_x_plus_one) == IntPolynomial((3, 1))
+    assert (IntPolynomial((3,)) * f).exact_div(IntPolynomial((3, 6))) == IntPolynomial((3, 1))
+    # quotients with a non-integer coefficient, or a nonzero remainder
+    with pytest.raises(ValueError):
+        IntPolynomial((1, 1)).exact_div(IntPolynomial((1, 2)))
+    with pytest.raises(ValueError):
+        IntPolynomial((2, 0, 2)).exact_div(IntPolynomial((1, 2)))
+    # lowest terms through a non-monic common factor
+    g = two_x_plus_one * IntPolynomial((-5, 1))
+    r = RationalPolyFraction(f, g)
+    assert (r.numerator, r.denominator) == (IntPolynomial((3, 1)), IntPolynomial((-5, 1)))
+
+
+def test_poly_gcd_non_monic():
+    two_x_plus_one = IntPolynomial((1, 2))
+    f = two_x_plus_one * IntPolynomial((3, 1))
+    g = two_x_plus_one * IntPolynomial((-5, 1))
+    assert poly_gcd(f, g) == two_x_plus_one
+    # the contents 6 and 4 contribute their gcd 2
+    assert poly_gcd(IntPolynomial((6,)) * f, IntPolynomial((4,)) * g) == IntPolynomial((2, 4))
+    # a remainder sequence whose degree drops by more than one in a step
+    assert poly_gcd(IntPolynomial((0, 0, 0, 4, 0, 3)),
+                    IntPolynomial((-4, 0, 13, -16, 28, -12, 12))) == IntPolynomial((4, 0, 3))
+
+
 # ---------------------------------------------------------------------------
 # Cyclotomic polynomials
 

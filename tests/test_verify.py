@@ -3,20 +3,19 @@ suite determinism, and the perturbation controls that prove the evaluators
 would catch a wrong identity."""
 
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 from qprod import products
 from qprod.characters import enumerate_characters
-from qprod.products import IdentitySpec, eval_rhs
+from qprod.products import IdentitySpec, eval_rhs, random_cor2_instance, random_thm1_instance
 from qprod.qfunc import Precision, context
 from qprod.verify import (
     VerificationReport,
     compare,
     default_suite,
-    random_cor2_instance,
-    random_thm1_instance,
     reports_csv,
     reports_json,
     run_identity,
@@ -253,3 +252,14 @@ def test_default_suite_seeded_and_filterable():
     # smaller knobs produce a smaller run without changing shape
     quick = default_suite(include=("THM4",), thm4_blocks=1000)
     assert all(s.blocks == 1000 for s, _ in quick)
+
+
+def test_default_plan_is_pinned():
+    # sha256 of the plan's sorted (spec, tolerance) rows, 556 entries
+    rows = sorted(json.dumps([spec.to_json(), tol], sort_keys=True) for spec, tol in default_suite())
+    assert len(rows) == 556
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "04740b4c23b120f4722498a0753680795a3a13bd3bd4474d9ee5e5e759ed16b5"
+    # filtering draws the same instances
+    cor2 = [(s.to_json(), t) for s, t in default_suite() if s.id == "COR2"]
+    assert [(s.to_json(), t) for s, t in default_suite(include=("COR2",))] == cor2
