@@ -20,6 +20,7 @@ from .products import (
     IdentitySpec,
     eval_lhs_info,
     eval_rhs_info,
+    identity_id,
 )
 from .qfunc import (
     INFINITY,
@@ -143,7 +144,7 @@ def _character_from_args(args):
 def _spec_from_args(args) -> IdentitySpec:
     if not args.id:
         raise CliError("--id is required")
-    ident = args.id.strip().upper().replace("-", "_")
+    ident = identity_id(args.id)
     if ident not in IDENTITIES:
         raise CliError(f"unknown identity id {args.id!r}; choose from {', '.join(IDENTITY_IDS)}")
     try:
@@ -320,7 +321,7 @@ def _suite_line(report) -> str:
 def _cmd_suite(args) -> int:
     include = _split_list(args.only) if args.only else None
     if include:
-        unknown = [i for i in include if i.upper() not in IDENTITIES]
+        unknown = [i for i in include if identity_id(i) not in IDENTITIES]
         if unknown:
             raise CliError(f"unknown identity id(s) in --only: {', '.join(unknown)}")
     entries = default_suite(

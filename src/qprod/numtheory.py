@@ -110,10 +110,9 @@ def radical(n: int) -> int:
 class ArithValue:
     """Exact value of an arithmetic function, kept symbolic where floats would lie.
 
-    kind is one of "integer", "sign", "prime-power-log".  A prime-power-log
-    value stands for log(prime) and is only produced for inputs of the form
-    prime**exponent; converting it to a number at some working precision is
-    the caller's job.
+    kind is "integer" or "prime-power-log".  A prime-power-log value stands
+    for log(prime) and is only produced for inputs of the form prime**exponent;
+    converting it to a number at some working precision is the caller's job.
     """
 
     kind: str
@@ -126,18 +125,12 @@ class ArithValue:
         return cls(kind="integer", value=value)
 
     @classmethod
-    def sign(cls, value: int) -> "ArithValue":
-        if value not in (-1, 0, 1):
-            raise ValueError(f"sign value must be -1, 0, or 1, got {value}")
-        return cls(kind="sign", value=value)
-
-    @classmethod
     def prime_power_log(cls, prime: int, exponent: int) -> "ArithValue":
         return cls(kind="prime-power-log", prime=prime, exponent=exponent)
 
     @property
     def is_zero(self) -> bool:
-        return self.kind in ("integer", "sign") and self.value == 0
+        return self.kind == "integer" and self.value == 0
 
 
 def von_mangoldt(n: int) -> ArithValue:

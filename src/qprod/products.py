@@ -56,6 +56,7 @@ __all__ = [
     "eval_lhs_info",
     "eval_rhs",
     "eval_rhs_info",
+    "identity_id",
 ]
 
 
@@ -305,9 +306,7 @@ def _char_shift_lhs(chi, z, q, ctx):
 
 def _psi_factor_product(poly, mu, start, ratio, ctx):
     """prod_{j>=1} poly(start * ratio^(j-1)) ** mu, truncated when |poly(t) - 1| < eps."""
-    eps = ctx.mpf(10) ** (-ctx.dps)
-    p, _ = geometric_product(start, ratio, ctx, poly=poly,
-                             pole=(eps, lambda k: "vanishing cyclotomic factor"))
+    p, _ = geometric_product(start, ratio, ctx, poly=poly)
     return p if mu == 1 else 1 / p
 
 
@@ -740,6 +739,11 @@ IDENTITIES: dict = {
 }
 
 IDENTITY_IDS = tuple(IDENTITIES)
+
+
+def identity_id(text: str) -> str:
+    """The catalog spelling of an identity id: case-insensitive, '-' for '_'."""
+    return text.strip().upper().replace("-", "_")
 
 
 def eval_lhs_info(spec: IdentitySpec) -> tuple:

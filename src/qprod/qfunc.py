@@ -212,8 +212,10 @@ def geometric_product(a, q, ctx, n=None, poly=None, pole=None):
     f(t) = 1 - t over exactly n factors, for real or complex a.  Or f is an
     IntPolynomial with f(0) = 1, evaluated by Horner's rule at real a, and
     the product stops before the first factor within 10^-dps of 1.  With
-    pole = (eps, message), a factor k with |f| < eps raises
-    SingularArgumentError(message(k)).
+    pole = (eps, message), a factor 1 - a q^k of modulus below eps raises
+    SingularArgumentError(message(k)).  Polynomial factors take no pole: the
+    callers' f is a cyclotomic polynomial Phi_r, r >= 2, at 0 < t < 1, where
+    it is positive.
 
     Every value is an int scaled by 2^B, a complex value a pair of them, and
     the running product m * 2^e keeps a B-bit mantissa m: it is renormalised
@@ -269,8 +271,6 @@ def _geometric_product(a, q, ctx, n, poly, pole):
             g = unit + (d >= 0)
             if -stop < (d + (1 << (g - 1))) >> g << g < stop:
                 break
-            if -pe < v < pe:
-                raise SingularArgumentError(pole[1](k))
             m *= v
             s = m.bit_length() - B
             m = m >> s if s >= 0 else m << -s
@@ -467,96 +467,21 @@ def qgamma(x, q, prec: Precision = DEFAULT_PRECISION):
 # ---------------------------------------------------------------------------
 # Classical gamma
 
-_BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-
-
-def bernoulli_fraction(m: int) -> Fraction:
-    """Exact Bernoulli number B_m (convention B_1 = -1/2).
-
-    The even ones come from the tangent numbers T_k, computed by Brent and
-    Harvey's in-place recurrence ("Fast computation of Bernoulli, Tangent and
-    Secant numbers", 2011) in O(K^2) small-integer steps for T_1..T_K:
-    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  The cached list at least
-    doubles whenever it grows, so a run of calls m = 2, 4, ... redoes the
-    recurrence only O(log m) times.
-    """
-    if m < 0:
-        raise ValueError("Bernoulli index must be non-negative")
-    if len(_BERNOULLI) <= m:
-        top = max(m // 2, len(_BERNOULLI))  # B_2 .. B_2top
-        t = [0, 1] + [0] * (top - 1)  # t[k] = T_k
-        for k in range(2, top + 1):
-            t[k] = (k - 1) * t[k - 1]
-        for k in range(2, top + 1):
-            for j in range(k, top + 1):
-                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-        for k in range(len(_BERNOULLI) // 2, top + 1):
-            four = 4**k
-            b = Fraction((-1) ** (k - 1) * 2 * k * t[k], four * (four - 1))
-            _BERNOULLI.extend((b, Fraction(0)))  # B_2k, B_2k+1
-    return _BERNOULLI[m]
-
-
-def _log10_abs_bernoulli(m: int) -> float:
-    """Upper estimate of log10 |B_m| for even m >= 2, via |B_m| ~ 2 m!/(2 pi)^m."""
-    return math.log10(2.2) + math.lgamma(m + 1) / math.log(10) - m * math.log10(2 * math.pi)
-
-
-def _stirling_shift(workdps: int, terms: int) -> float:
-    """Radius R such that the truncated series remainder is < 10^-(workdps+2).
-
-    The remainder after the B_2, ..., B_(2J) terms is bounded by
-    |B_(2J+2)| / ((2J+2)(2J+1) R^(2J+1)) * sec(arg/2)^(2J+2); shifting keeps
-    |arg| <= pi/4, so sec(pi/8) applies.
-    """
-    m = 2 * terms + 2
-    log_b = _log10_abs_bernoulli(m)
-    log_sec = m * math.log10(1 / math.cos(math.pi / 8))
-    log_denom = math.log10(m * (m - 1))
-    return 10 ** ((log_b + log_sec - log_denom + workdps + 2) / (m - 1))
-
 
 def gamma_ctx(x, ctx):
     """Gamma(x) inside an existing context; raises at non-positive integers."""
     if isinstance(x, ctx.mpc) and x.imag == 0:
         x = x.real
-    is_complex = isinstance(x, ctx.mpc)
-    re_x = x.real if is_complex else x
-    if not is_complex and re_x <= 0 and re_x == ctx.floor(re_x):
-        raise SingularArgumentError(f"gamma pole at non-positive integer {ctx.nstr(re_x, 8)}")
-    if re_x < ctx.mpf(1) / 2:
-        s = ctx.sinpi(x)
-        if s == 0:
-            raise SingularArgumentError("gamma pole at non-positive integer")
-        return ctx.pi / (s * gamma_ctx(1 - x, ctx))
-
-    terms = max(8, int(0.75 * ctx.dps))
-    radius = _stirling_shift(ctx.dps, terms)
-    im_x = x.imag if is_complex else ctx.mpf(0)
-    shift = max(0, math.ceil(radius - float(re_x)), math.ceil(float(abs(im_x)) - float(re_x)))
-    w = x + shift
-    # log-gamma asymptotic series at w
-    lg = (w - ctx.mpf(1) / 2) * ctx.log(w) - w + ctx.log(2 * ctx.pi) / 2
-    u = 1 / (w * w)
-    pw = 1 / w
-    for j in range(1, terms + 1):
-        b = bernoulli_fraction(2 * j)
-        coeff = ctx.mpf(b.numerator) / b.denominator / ((2 * j) * (2 * j - 1))
-        lg += coeff * pw
-        pw *= u
-    g = ctx.exp(lg)
-    for i in range(shift):
-        g /= x + i
-    return g
+    if not isinstance(x, ctx.mpc) and x <= 0 and ctx.isint(x):
+        raise SingularArgumentError(f"gamma pole at non-positive integer {ctx.nstr(x, 8)}")
+    return ctx.gamma(x)
 
 
 def gamma_classical(x, prec: Precision = DEFAULT_PRECISION):
     """Gamma(x) to the target digits, for complex x away from the non-positive integers.
 
-    Uses the asymptotic log-gamma series with exact Bernoulli coefficients;
-    the argument is shifted right until the explicit remainder bound for the
-    truncated series is below the working epsilon, and Re(x) < 1/2 goes
-    through the reflection formula.
+    The value is mpmath's gamma in the working context; qprod's own rule
+    comes first: a real non-positive integer raises SingularArgumentError.
     """
     ctx = context(prec)
     return gamma_ctx(to_hp(x, ctx), ctx)

@@ -16,7 +16,14 @@ import time
 from dataclasses import dataclass, replace
 from random import Random
 
-from .products import IDENTITIES, IDENTITY_IDS, IdentitySpec, eval_lhs_info, eval_rhs_info
+from .products import (
+    IDENTITIES,
+    IDENTITY_IDS,
+    IdentitySpec,
+    eval_lhs_info,
+    eval_rhs_info,
+    identity_id,
+)
 from .qfunc import Precision, SingularArgumentError, context, hp_str, to_hp
 
 __all__ = [
@@ -215,14 +222,15 @@ def default_suite(
 
     Every identity's record builds its own entries, in catalog order, from
     one seeded generator, so two calls with the same arguments build
-    byte-identical suites.  `include` filters by identity id; every builder
+    byte-identical suites.  `include` filters by identity id, in any
+    spelling products.identity_id accepts; every builder
     still draws, so a filtered plan holds exactly the full plan's entries of
     those ids.  The count arguments replace an identity's default term or
     block count.
     """
     rng = Random(seed)
     counts = {"PROTOTYPE": prototype_terms, "COR2": cor2_terms, "THM4": thm4_blocks}
-    wanted = IDENTITY_IDS if include is None else {i.upper() for i in include}
+    wanted = IDENTITY_IDS if include is None else {identity_id(i) for i in include}
     entries: list = []
     for ident, rec in IDENTITIES.items():
         specs = rec.suite(ident, rng, counts.get(ident) or rec.count)

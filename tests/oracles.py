@@ -1,11 +1,16 @@
 """Independent reference values and alternate-route computations.
 
-The digit strings were produced by library routines that share no code with
-the package (mpmath's qp/gamma and an AGM identity), frozen here so the test
-suite never recomputes its own expectations through the code under test.
+The digit strings were produced by library routines (mpmath's qp and gamma),
+frozen here so the test suite never recomputes its own expectations through
+the code under test.  mpmath's qp shares no code with the package.  Its
+classical gamma does: the package takes Gamma from mpmath's gamma behind its
+own pole rule, so the GAMMA_* strings pin that call (working precision,
+real and complex arguments) rather than check Gamma independently.  The
+independent checks of Gamma are the AGM route to Gamma(1/4) below, the exact
+values Gamma(-1/2), Gamma(9/2) and Gamma(6), and |Gamma(1/2 + it)|^2 and
+|Gamma(1 + it)|^2 against elementary functions (tests/test_qfunc.py).
 """
 
-import math
 from fractions import Fraction
 
 import mpmath
@@ -53,6 +58,26 @@ def cyclotomic_by_mobius(n: int) -> IntPolynomial:
     return num.exact_div(den)
 
 
+def monic_gcd_euclid(f: IntPolynomial, g: IntPolynomial) -> list:
+    """Monic gcd of two nonzero polynomials by Euclid's algorithm over Q.
+
+    Coefficients are Fractions, lowest degree first.  Alternate route to the
+    package's subresultant remainder sequence over Z.
+    """
+    a = [Fraction(c) for c in f.coeffs]
+    b = [Fraction(c) for c in g.coeffs]
+    while b:
+        while len(a) >= len(b):  # a <- a mod b
+            c = a[-1] / b[-1]
+            off = len(a) - len(b)
+            for j, bc in enumerate(b):
+                a[off + j] -= c * bc
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return [c / a[-1] for c in a]
+
+
 def rel_diff(a, b) -> float:
     """Relative difference |a-b|/max(|a|,|b|) as a plain float."""
     hi = max(abs(a), abs(b))
@@ -65,22 +90,6 @@ def parse_hp(digits_string: str, dps: int = 70):
     """Parse a frozen digit string at full stated precision."""
     with mpmath.workdps(dps):
         return mpmath.mpf(digits_string)
-
-
-def bernoulli_fractions_recurrence(m: int) -> list:
-    """Exact B_0 .. B_m (B_1 = -1/2) from sum_{i<=j} C(j+1, i) B_i = 0, in Fractions.
-
-    The recurrence the package used before its tangent-number route.
-    """
-    b = [Fraction(1), Fraction(-1, 2)]
-    while len(b) <= m:
-        j = len(b)
-        if j % 2 == 1:
-            b.append(Fraction(0))
-            continue
-        s = sum(Fraction(math.comb(j + 1, i)) * b[i] for i in range(j))
-        b.append(-s / (j + 1))
-    return b[:m + 1]
 
 
 # ---------------------------------------------------------------------------

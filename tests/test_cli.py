@@ -222,6 +222,13 @@ def test_suite_subset(capsys):
     assert out.count("PASS") == 3
 
 
+def test_suite_only_accepts_the_verify_id_spellings(capsys):
+    # lower case and '-' for '_', as `verify --id thm3-full` takes them
+    code, out, err = run(capsys, "suite", "--only", "thm3-full,Jackson2")
+    assert code == 0, err
+    assert "summary: 34/34 passed, 0 failed" in out
+
+
 def test_suite_unknown_only(capsys):
     code, out, err = run(capsys, "suite", "--only", "BOGUS")
     assert code == 2

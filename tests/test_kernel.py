@@ -128,6 +128,23 @@ def test_thm1_lhs_matches_mpf_loop(qs):
     check_error(value, oracle, reference, ctx)
 
 
+@pytest.mark.parametrize("qs", ["0.3", "0.9"])
+def test_geometric_terms_settles_a_near_integer_solution(qs):
+    # mag = (1 - q) 10^-dps q^-j (1 +- s) puts the rule's threshold at N = j
+    # and j + 1; float logarithms cannot see s, so only the check in working
+    # precision tells the two apart
+    ctx = context(Precision(50))
+    q = ctx.mpf(qs)
+    eps = ctx.mpf(10) ** -ctx.dps
+    s = ctx.mpf(10) ** -30
+    for j in (5, 40):
+        for sign, expect in ((-1, j), (1, j + 1)):
+            mag = (1 - q) * eps / q**j * (1 + sign * s)
+            least = next(n for n in range(2 * j) if mag * q**n / (1 - q) < eps)
+            assert least == expect
+            assert geometric_terms(mag, q, ctx) == expect
+
+
 def test_kernel_complex_and_finite_counts():
     ctx = context(Precision(30))
     q = ctx.mpf("0.5")
@@ -155,6 +172,9 @@ def test_near_pole_raises_with_the_former_message():
     expect = message_of(lambda: oracles.qpoch_inf_mpf(qx, q, ctx, pole_eps=pole_eps))
     assert message_of(lambda: qpoch_inf_ctx(qx, q, ctx, pole_eps=pole_eps)) == expect
     assert message_of(lambda: qgamma(x, q, prec)) == expect
+    # the same pole approached off the real axis, through the complex loop
+    assert message_of(lambda: qgamma("-1+1e-70i", "0.5", prec)) == \
+        "vanishing factor 1 - a*q^k (|factor| < 1.0e-60)"
     # 1 - q^(n - chi(n) z) vanishes at n = 3 for the character mod 4 and z = -3
     z = ctx.mpf(-3)
     expect = message_of(lambda: oracles.char_shift_lhs_mpf(CHI4, z, q, ctx))

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import cyclotomic_by_mobius
+from oracles import cyclotomic_by_mobius, monic_gcd_euclid
+from qprod import numtheory
 from qprod.numtheory import (
     ArithValue,
     IntPolynomial,
@@ -209,6 +210,34 @@ def test_poly_gcd_non_monic():
     # a remainder sequence whose degree drops by more than one in a step
     assert poly_gcd(IntPolynomial((0, 0, 0, 4, 0, 3)),
                     IntPolynomial((-4, 0, 13, -16, 28, -12, 12))) == IntPolynomial((4, 0, 3))
+
+
+def test_poly_gcd_degree_gap_above_one(monkeypatch):
+    # Knuth's pair (TAOCP vol. 2, 4.6.1), whose first remainders drop two
+    # degrees a step, each times 2x + 1
+    u = IntPolynomial((-5, 2, 8, -3, -3, 0, 1, 0, 1))
+    v = IntPolynomial((21, -9, -4, 0, 5, 0, 3))
+    two_x_plus_one = IntPolynomial((1, 2))
+    f, g = two_x_plus_one * u, two_x_plus_one * v
+    assert monic_gcd_euclid(f, g) == [Fraction(1, 2), 1]
+    assert poly_gcd(f, g) == two_x_plus_one
+    assert poly_gcd(g, f) == two_x_plus_one
+    # the pair's own remainder sequence is its published subresultant PRS,
+    # up to sign: v, 15x^4 - 3x^2 + 9, 65x^2 + 125x - 245, 9326x - 12300
+    seen = []
+    pseudo_rem = numtheory._pseudo_rem
+    monkeypatch.setattr(numtheory, "_pseudo_rem", lambda a, b: seen.append(b) or pseudo_rem(a, b))
+    assert poly_gcd(u, v) == IntPolynomial((1,))
+    assert [[c if b[-1] > 0 else -c for c in b] for b in seen] == [
+        list(v.coeffs), [9, 0, -3, 0, 15], [-245, 125, 65], [-12300, 9326]]
+
+
+def test_polynomial_hash_and_repr():
+    p = IntPolynomial((1, -2, 3))
+    assert hash(p) == hash(IntPolynomial([1, -2, 3, 0])) and eval(repr(p)) == p
+    r = RationalPolyFraction(IntPolynomial((2, 2)), IntPolynomial((-4, 0, 4)))
+    same = RationalPolyFraction(IntPolynomial((-1,)), IntPolynomial((2, -2)))
+    assert r == same and hash(r) == hash(same) and eval(repr(r)) == r
 
 
 # ---------------------------------------------------------------------------

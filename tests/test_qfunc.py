@@ -17,7 +17,6 @@ from qprod.qfunc import (
     Precision,
     SingularArgumentError,
     as_q,
-    bernoulli_fraction,
     context,
     gamma_classical,
     gamma_ctx,
@@ -211,6 +210,18 @@ def test_gamma_exact_relatives():
     assert abs(gamma_classical(6, P60) - 120) < tol * 1000
 
 
+def test_gamma_modulus_on_vertical_lines():
+    # |Gamma(1/2 + it)|^2 = pi / cosh(pi t) and |Gamma(1 + it)|^2 = pi t / sinh(pi t):
+    # elementary functions only, none of the gamma routine's own machinery
+    ctx = context(P60)
+    tol = ctx.mpf(10) ** -58
+    for t in (ctx.mpf("0.25"), ctx.mpf(1), ctx.mpf("-2.5"), ctx.mpf("7.125")):
+        half = gamma_ctx(ctx.mpc("0.5", t), ctx)
+        assert abs(abs(half) ** 2 * ctx.cosh(ctx.pi * t) / ctx.pi - 1) < tol
+        one = gamma_ctx(ctx.mpc(1, t), ctx)
+        assert abs(abs(one) ** 2 * ctx.sinh(ctx.pi * t) / (ctx.pi * t) - 1) < tol
+
+
 def test_gamma_agm_crosscheck():
     # Gamma(1/4) against the lemniscatic arithmetic-geometric mean route
     ctx = context(P60)
@@ -244,23 +255,6 @@ def test_gamma_reflection():
         prod = gamma_ctx(x, ctx) * gamma_ctx(1 - x, ctx)
         expect = ctx.pi / ctx.sinpi(x)
         assert abs(prod - expect) / abs(expect) < tol
-
-
-def test_bernoulli_fractions():
-    assert bernoulli_fraction(0) == 1
-    assert bernoulli_fraction(1) == Fraction(-1, 2)
-    assert bernoulli_fraction(2) == Fraction(1, 6)
-    assert bernoulli_fraction(4) == Fraction(-1, 30)
-    assert bernoulli_fraction(12) == Fraction(-691, 2730)
-    for odd in (3, 5, 7, 13):
-        assert bernoulli_fraction(odd) == 0
-    with pytest.raises(ValueError):
-        bernoulli_fraction(-1)
-
-
-def test_bernoulli_matches_the_fraction_recurrence():
-    expect = oracles.bernoulli_fractions_recurrence(200)
-    assert [bernoulli_fraction(m) for m in range(201)] == expect
 
 
 def test_jackson_values_match_qgamma():
