@@ -35,6 +35,7 @@ from .qfunc import (
     SingularArgumentError,
     as_q,
     context,
+    euler_function,
     gamma_ctx,
     geometric_product,
     geometric_terms,
@@ -432,10 +433,9 @@ def _thm3_full_lhs(spec, ctx):
 def _thm3_full_rhs(spec, ctx):
     q = as_q(spec.q, ctx)
     n = spec.n
-    y = ctx.root(q, n)
     euler = qpoch_inf_ctx(q, q, ctx)
     head = ctx.exp(ctx.log(1 - q) * (n - 1) / 2)
-    return head * euler**n / qpoch_inf_ctx(y, y, ctx), EvalInfo()
+    return head * euler**n / euler_function(q, ctx, n), EvalInfo()
 
 
 def _thm3_coprime_lhs(spec, ctx):

@@ -11,6 +11,17 @@ by their exact inputs, and a repeat returns the same bits.
 
 q is restricted to real 0 < q < 1; arguments x may be complex.  q**x always
 means exp(x * log q) with the real (principal) logarithm of q.
+
+The Euler function (q; q)_inf, the numerator of every q-gamma value, has a
+second route (euler_function).  The Dedekind eta transformation
+eta(-1/tau) = sqrt(-i tau) eta(tau) turns it into a closed part times
+(q'; q')_inf with q' = exp(-4 pi^2 / L), L = -log q, and q' is tiny once q
+is near 1 (below 10^-1700 at q = 0.99).  So its cost no longer grows as
+1/(1 - q).  Below _EULER_CROSSOVER direct factors the direct product stays.
+
+No kernel runs past _WORK_BUDGET factors: a product whose factor count
+exceeds it raises ValueError before its loop starts, so q within 10^-9 of 1
+or a term count of 10^12 fails at once instead of running for hours.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ __all__ = [
     "Precision",
     "SingularArgumentError",
     "context",
+    "euler_function",
     "gamma_classical",
     "gamma_ctx",
     "geometric_product",
@@ -179,6 +191,11 @@ def _flog(x) -> float:
     return math.log(man) + exp * _LN2
 
 
+def _float_log(q) -> float:
+    """log q as a float for 0 < q < 1, keeping its relative accuracy for q near 1."""
+    return _flog(q) if q < 0.5 else math.log1p(-float(1 - q))
+
+
 def geometric_terms(mag, q, ctx) -> int:
     """Smallest N >= 0 with mag * q^N / (1 - q) below 10^-dps.
 
@@ -191,15 +208,23 @@ def geometric_terms(mag, q, ctx) -> int:
     if not mag:
         return 0
     one_minus_q = 1 - q
-    # log q from log1p(-(1-q)) keeps its relative accuracy for q near 1
-    lq = _flog(q) if q < 0.5 else math.log1p(-float(one_minus_q))
-    x = (_flog(mag) - _flog(one_minus_q) + ctx.dps * _LN10) / -lq  # N is the least integer > x
+    # N is the least integer > x
+    x = (_flog(mag) - _flog(one_minus_q) + ctx.dps * _LN10) / -_float_log(q)
     n = math.floor(x) + 1
     near = round(x)
     if abs(x - near) <= 1e-9 * (1 + abs(x)):
         eps = ctx.mpf(10) ** (-ctx.dps)
         n = near if mag * q**near / one_minus_q < eps else near + 1
     return max(n, 0)
+
+
+_WORK_BUDGET = 10**8  # factors per kernel call: about 100 s on the pure-Python mpmath backend
+
+
+def _check_budget(count: int):
+    """Refuse a product of more than _WORK_BUDGET factors before its loop starts."""
+    if count > _WORK_BUDGET:
+        raise ValueError(f"{count} factors exceed the work budget of {_WORK_BUDGET} factors")
 
 
 _MEMO_SIZE = 4096
@@ -215,7 +240,10 @@ def geometric_product(a, q, ctx, n=None, poly=None, pole=None):
     pole = (eps, message), a factor 1 - a q^k of modulus below eps raises
     SingularArgumentError(message(k)).  Polynomial factors take no pole: the
     callers' f is a cyclotomic polynomial Phi_r, r >= 2, at 0 < t < 1, where
-    it is positive.
+    it is positive.  More than _WORK_BUDGET factors raise ValueError before
+    the loop; a polynomial product is charged the count of 1 - t at the same
+    a, which its stop rule does not exceed, since Phi_r(t) - 1 = -mu(r) t +
+    O(t^2).
 
     Every value is an int scaled by 2^B, a complex value a pair of them, and
     the running product m * 2^e keeps a B-bit mantissa m: it is renormalised
@@ -250,6 +278,7 @@ def geometric_product(a, q, ctx, n=None, poly=None, pole=None):
 
 def _geometric_product(a, q, ctx, n, poly, pole):
     count = n if n is not None else geometric_terms(abs(a), q, ctx)
+    _check_budget(count)
     B = ctx.prec + 2 * count.bit_length() + 20
     one = 1 << B
     qf = to_fixed(q._mpf_, B)
@@ -334,8 +363,10 @@ def rational_product(shifts, start, stop, ctx):
     n + x is within 2^-B of itself in relative terms: a shift with
     |x| >= 1/2 is exact in B bits, and otherwise |n + x| > 1/2.  The n = 0
     factor a_0 / b_0 is divided in working precision instead, because fixed
-    point would truncate a tiny shift.
+    point would truncate a tiny shift.  More than _WORK_BUDGET factors raise
+    ValueError before the loop.
     """
+    _check_budget(stop - start)
     k = len(shifts)
     B = ctx.prec + 2 * (stop - start).bit_length() + 20
     pairs = [None if s is None else [ctx.convert(x) for x in s] for s in shifts]
@@ -399,13 +430,56 @@ def rational_zeros(values, start, stop, ctx) -> list:
     )
 
 
+# Direct factors below which (q; q)_inf stays a direct product.  Measured
+# with geometric_product against the Euler path on the pure-Python mpmath
+# backend (CPython 3.11, 2 cores): the Euler path costs 0.13-0.15 ms at 40
+# and 60 working digits and 0.17-0.20 ms at 110, about what a direct product
+# of 200 factors costs.  The crossover sits higher, because products shorter
+# than it keep the bits the default suite was pinned with: at 400, the
+# THM3_FULL n = 2 and n = 3 entries at q = 0.6 agree to 59 digits instead of
+# 60, and at 1,000 no suite entry agrees to fewer digits than before.
+_EULER_CROSSOVER = 1000
+
+
+def euler_function(q, ctx, n=1):
+    """The Euler function (y; y)_inf at y = q^(1/n), for real 0 < q < 1 and n >= 1.
+
+    A product of fewer than _EULER_CROSSOVER factors, or one at
+    L = -log(q)/n above 2 pi, where the transformed product below would be
+    the longer one, is multiplied directly: geometric_product at y, with y =
+    ctx.root(q, n) rounded to working precision.  Otherwise the Dedekind eta
+    transformation gives
+
+        (y; y)_inf = sqrt(2 pi / L) exp(L/24 - pi^2 / (6 L)) (y'; y')_inf,
+
+    y' = exp(-4 pi^2 / L).  L comes from log q itself, so y is never rounded.
+    The closed part runs with g more digits, g = log10(pi^2 / (6 L)) plus a
+    margin, because exp(-pi^2 / (6 L)) turns the relative error of its large
+    argument into the same absolute error.  The short product (y'; y')_inf
+    goes through geometric_product in ctx.
+    """
+    y = q if n == 1 else ctx.root(q, n)
+    count = geometric_terms(y, y, ctx)
+    lq = -_float_log(y)
+    if count < _EULER_CROSSOVER or lq > 2 * math.pi:
+        return geometric_product(y, y, ctx, n=count)[0]
+    hi = _context_at(ctx.dps + max(0, math.ceil(math.log10(math.pi**2 / (6 * lq)))) + 5)
+    L = -hi.log(hi.mpf(q)) / n
+    pi = hi.pi
+    closed = hi.sqrt(2 * pi / L) * hi.exp(L / 24 - pi**2 / (6 * L))
+    t = ctx.mpf(hi.exp(-4 * pi**2 / L))
+    return ctx.mpf(closed) * geometric_product(t, t, ctx, n=geometric_terms(t, t, ctx))[0]
+
+
 def qpoch_inf_ctx(a, q, ctx, pole_eps=None):
     """(a; q)_inf inside an existing context.
 
     Truncates at the smallest N with |a| q^N / (1-q) below the working
     epsilon 10^-(dps).  When pole_eps is given, any factor 1 - a q^k smaller
     than it in modulus raises SingularArgumentError (used by qgamma, whose
-    reciprocal factors must stay away from zero).
+    reciprocal factors must stay away from zero).  A real a equal to q is the
+    Euler function and goes to euler_function; its only factor that can
+    vanish is the first, 1 - q.
     """
     if isinstance(q, ctx.mpc):
         if q.imag != 0:
@@ -417,6 +491,10 @@ def qpoch_inf_ctx(a, q, ctx, pole_eps=None):
     pole = None
     if pole_eps is not None:
         pole = (pole_eps, lambda k: f"vanishing factor 1 - a*q^k (|factor| < {pole_eps})")
+    if a == q and not isinstance(a, ctx.mpc):
+        if pole is not None and 1 - q < pole_eps:
+            raise SingularArgumentError(pole[1](0))
+        return euler_function(q, ctx)
     return geometric_product(a, q, ctx, n=geometric_terms(abs(a), q, ctx), pole=pole)[0]
 
 
@@ -442,9 +520,12 @@ def qpochhammer(a, q, n=INFINITY, prec: Precision = DEFAULT_PRECISION):
 
 
 def qgamma_ctx(x, q, ctx):
-    """Gamma_q(x) = (1-q)^(1-x) (q;q)_inf / (q^x;q)_inf inside an existing context."""
-    lq = ctx.log(q)
-    qx = ctx.exp(x * lq)
+    """Gamma_q(x) = (1-q)^(1-x) (q;q)_inf / (q^x;q)_inf inside an existing context.
+
+    At x = 1 the denominator is the numerator's Euler function, so
+    Gamma_q(1) is exactly 1.
+    """
+    qx = q if x == 1 else ctx.exp(x * ctx.log(q))
     pole_eps = ctx.mpf(10) ** (-ctx.dps)
     num = qpoch_inf_ctx(q, q, ctx)
     den = qpoch_inf_ctx(qx, q, ctx, pole_eps=pole_eps)

@@ -6,12 +6,19 @@ reference 40 digits past the working precision over the same factors.  The
 factor count (and for the classical products the whole EvalInfo) must equal
 the former loop's, so the truncation is unchanged, and the kernel's relative
 error against the reference may not exceed the former loop's or 10^-workdps.
+
+The Euler function's second route, euler_function, is checked against a
+direct kernel product 40 digits past the working precision, on both sides of
+its crossover, and the work budget must refuse an oversized product at once.
 """
 
 import dataclasses
+import time
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qprod import products, qfunc
@@ -23,15 +30,17 @@ from qprod.qfunc import (
     Precision,
     SingularArgumentError,
     context,
+    euler_function,
     geometric_product,
     geometric_terms,
     qgamma,
     qpoch_inf_ctx,
+    qpochhammer,
     rational_product,
     rational_zeros,
     to_hp,
 )
-from qprod.verify import default_suite, reports_json, run_suite
+from qprod.verify import default_suite, reports_json, run_identity, run_suite
 
 GRID = [(digits, q) for digits in (50, 100) for q in ("0.5", "0.95", "0.99")]
 CHI5 = next(c for c in enumerate_characters(5) if c.order == 4)  # complex values +-i
@@ -350,3 +359,130 @@ def test_suite_reports_do_not_depend_on_which_entry_filled_the_memo():
     assert frozen(entries[::-1]) == forward  # every product served from the memo
     qfunc._MEMO.clear()
     assert frozen(entries[::-1]) == forward  # each product computed by another entry first
+
+
+# ---------------------------------------------------------------------------
+# euler_function: (q; q)_inf by the Dedekind eta transformation
+
+
+def euler_error(q, digits, n=1):
+    """Relative error of euler_function(q, ctx, n) against a guard+40 direct product.
+
+    The reference takes y = q^(1/n) from the same bits of q, 40 digits past
+    the working precision, and multiplies its factors in that context.
+    """
+    ctx, ref = contexts(digits)
+    value = euler_function(q, ctx, n)
+    y = ref.root(ref.convert(q), n)
+    reference, _ = geometric_product(y, y, ref, n=geometric_terms(y, y, ref))
+    return abs(value - reference) / reference
+
+
+@pytest.mark.parametrize("digits", [50, 100])
+@pytest.mark.parametrize("qs", ["0.5", "0.9", "0.95", "0.99", "0.999"])
+def test_euler_function_matches_a_guard_40_product(digits, qs):
+    ctx = context(Precision(digits))
+    assert euler_error(ctx.mpf(qs), digits) <= ctx.mpf(10) ** -ctx.dps
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=0.3, max_value=0.999))
+def test_euler_function_at_drawn_q(qf):
+    ctx = context(Precision(30))
+    assert euler_error(ctx.mpf(qf), 30) <= ctx.mpf(10) ** -ctx.dps
+
+
+def test_euler_function_agrees_across_the_crossover():
+    ctx = context(Precision(50))
+    crossover = qfunc._EULER_CROSSOVER
+    # bisect for the two neighbouring q whose direct products take
+    # crossover - 1 and crossover factors
+    lo, hi = ctx.mpf("0.5"), ctx.mpf("0.999")
+    while hi - lo > ctx.mpf(10) ** -15:
+        mid = (lo + hi) / 2
+        if geometric_terms(mid, mid, ctx) < crossover:
+            lo = mid
+        else:
+            hi = mid
+    assert geometric_terms(lo, lo, ctx) == crossover - 1
+    assert geometric_terms(hi, hi, ctx) == crossover
+    # below the crossover the direct product's bits are kept
+    direct, _ = geometric_product(lo, lo, ctx, n=crossover - 1)
+    assert euler_function(lo, ctx)._mpf_ == direct._mpf_
+    # above it the eta route differs from the direct product by that
+    # product's truncation, below one unit in the last working digit
+    value = euler_function(hi, ctx)
+    direct, _ = geometric_product(hi, hi, ctx, n=crossover)
+    assert abs(value - direct) / direct <= ctx.mpf(10) ** -ctx.dps
+    assert euler_error(hi, 50) <= ctx.mpf(10) ** -ctx.dps
+
+
+def test_euler_function_stays_direct_where_the_transform_is_longer():
+    # at 3,000 digits, q = 0.001 needs 1,000 direct factors, but with
+    # L = -log q > 2 pi the transformed product would need more
+    ctx = context(Precision(3000))
+    q = ctx.mpf("0.001")
+    count = geometric_terms(q, q, ctx)
+    assert count >= qfunc._EULER_CROSSOVER and -ctx.log(q) > 2 * ctx.pi
+    assert euler_function(q, ctx)._mpf_ == geometric_product(q, q, ctx, n=count)[0]._mpf_
+
+
+@pytest.mark.parametrize("qs", ["0.9", "0.99"])
+def test_qgamma_at_one_is_exactly_one(qs):
+    assert qgamma(1, qs, Precision(50)) == 1
+
+
+def test_pole_guarded_euler_call_raises_the_former_message():
+    prec = Precision(50)
+    ctx = context(prec)
+    pole_eps = ctx.mpf(10) ** -ctx.dps
+    q = 1 - ctx.mpf(10) ** -(ctx.dps + 1)
+    assert 0 < q < 1 and 1 - q < pole_eps
+    expect = message_of(lambda: oracles.qpoch_inf_mpf(q, q, ctx, pole_eps=pole_eps))
+    assert message_of(lambda: qpoch_inf_ctx(q, q, ctx, pole_eps=pole_eps)) == expect
+    assert message_of(lambda: qgamma(1, q, prec)) == expect
+
+
+@pytest.mark.parametrize("n,qs,bound", [(2, "0.99", "1e-60"), (6, "0.6", "1.2e-59")])
+def test_thm3_full_rhs_takes_y_from_log_q(n, qs, bound):
+    # y = q^(1/n) rounded to working precision used to cost 2.5e-57 and
+    # 1.2e-59 here against the guard+40 right side
+    prec = Precision(50)
+    value = products.eval_rhs(IdentitySpec("THM3_FULL", n=n, q=qs, prec=prec))
+    reference = products.eval_rhs(IdentitySpec("THM3_FULL", n=n, q=qs, prec=Precision(50, 50)))
+    assert abs(value - reference) / reference <= mpmath.mpf(bound)
+
+
+# ---------------------------------------------------------------------------
+# The work budget
+
+
+def fails_fast(call):
+    """The ValueError call raises, after checking that it took under a second."""
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        call()
+    assert time.perf_counter() - t0 < 1
+    return str(info.value)
+
+
+def test_work_budget_refuses_oversized_products():
+    budget = f"the work budget of {qfunc._WORK_BUDGET} factors"
+    assert budget in fails_fast(lambda: qgamma("0.5", "0.999999999", Precision(50)))
+    assert budget in fails_fast(lambda: qpochhammer("0.5", "0.5", 10**9, Precision(30)))
+    t0 = time.perf_counter()
+    report = run_identity(IdentitySpec("PROTOTYPE", terms=10**12, prec=Precision(30)), 4)
+    assert time.perf_counter() - t0 < 1
+    assert not report.passed
+    assert report.error == f"ValueError: {10**12} factors exceed {budget}"
+
+
+def test_euler_function_near_one_stays_within_budget():
+    ctx = context(Precision(50))
+    q = ctx.mpf("0.999999999")
+    t0 = time.perf_counter()
+    value = qpochhammer(q, q, prec=Precision(50))
+    assert time.perf_counter() - t0 < 1
+    # log (q; q)_inf = -pi^2 / (6 L) + log(2 pi / L) / 2 + L / 24 + O(e^(-4 pi^2 / L))
+    L = -ctx.log(q)
+    assert abs(ctx.log(value) / (-ctx.pi**2 / (6 * L)) - 1) < ctx.mpf(10) ** -8
