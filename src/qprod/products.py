@@ -28,7 +28,7 @@ from typing import Callable
 import mpmath
 
 from .characters import DirichletCharacter, enumerate_characters
-from .numtheory import cyclotomic, mobius, radical, totient, von_mangoldt
+from .numtheory import radical, totient, von_mangoldt
 from .qfunc import (
     DEFAULT_PRECISION,
     Precision,
@@ -40,6 +40,7 @@ from .qfunc import (
     geometric_product,
     geometric_terms,
     jackson_value,
+    psi_product,
     qgamma_ctx,
     qpoch_inf_ctx,
     rational_product,
@@ -305,12 +306,6 @@ def _char_shift_lhs(chi, z, q, ctx):
     return p, EvalInfo(terms=terms)
 
 
-def _psi_factor_product(poly, mu, start, ratio, ctx):
-    """prod_{j>=1} poly(start * ratio^(j-1)) ** mu, truncated when |poly(t) - 1| < eps."""
-    p, _ = geometric_product(start, ratio, ctx, poly=poly)
-    return p if mu == 1 else 1 / p
-
-
 def _qgamma_coprime(n, q, ctx):
     """prod Gamma_q(j/n) over 1 <= j <= n with gcd(j, n) = 1, and the factor count."""
     p = ctx.mpf(1)
@@ -447,12 +442,9 @@ def _thm3_coprime_rhs(spec, ctx):
     q = as_q(spec.q, ctx)
     n = spec.n
     phi = totient(n)
-    r = radical(n)
-    y = ctx.root(q, n)
     euler = qpoch_inf_ctx(q, q, ctx)
     head = ctx.exp(ctx.log(1 - q) * ctx.mpf(phi) / 2)
-    pp = _psi_factor_product(cyclotomic(r), mobius(r), y, y, ctx)
-    return head * euler**phi / pp, EvalInfo()
+    return head * euler**phi / psi_product(radical(n), q, ctx, n), EvalInfo()
 
 
 def _thm4_estimate(spec, ctx, blocks):
@@ -544,11 +536,10 @@ def _cor6_rhs(spec, ctx):
     chi = spec.chi
     k = chi.modulus
     phi = totient(k)  # even for every modulus >= 3, so phi/2 is an integer power
-    r = radical(k)
     qk = q**k
     head = _front_factor(q, z, ctx) * (1 - qk) ** (phi // 2)
     euler = qpoch_inf_ctx(qk, qk, ctx) ** phi
-    pp = _psi_factor_product(cyclotomic(r), mobius(r), q, q, ctx)
+    pp = psi_product(radical(k), q, ctx)
     gprod = ctx.mpf(1)
     for j in range(1, k + 1):
         if math.gcd(j, k) != 1:
@@ -632,13 +623,14 @@ def _rand_frac(rng: Random, lo: float, hi: float) -> Fraction:
 
 
 def random_thm1_instance(rng: Random):
-    """Equal-sum complex parameter lists: Re in [0.2, 3], Im in [-0.5, 0.5].
+    """Equal-sum complex parameter lists of length 2 to 4: Re in [0.2, 3], Im in [-0.5, 0.5].
 
     The last beta balances the sums exactly (decimal fractions), resampling
-    until it falls back inside the same box.
+    until it falls back inside the same box and the betas are not the alphas
+    reordered, whose two sides would both be exactly 1.
     """
     while True:
-        length = rng.randint(1, 4)
+        length = rng.randint(2, 4)
         re_a = [_rand_frac(rng, 0.2, 3) for _ in range(length)]
         im_a = [_rand_frac(rng, -0.5, 0.5) for _ in range(length)]
         re_b = [_rand_frac(rng, 0.2, 3) for _ in range(length - 1)]
@@ -650,17 +642,18 @@ def random_thm1_instance(rng: Random):
             im_b.append(im_last)
             alphas = tuple(_complex_str(r, i) for r, i in zip(re_a, im_a))
             betas = tuple(_complex_str(r, i) for r, i in zip(re_b, im_b))
-            return alphas, betas
+            if sorted(alphas) != sorted(betas):
+                return alphas, betas
 
 
 def random_cor2_instance(rng: Random):
-    """Equal-sum positive real lists, entries in [0.2, 1.5]."""
+    """Equal-sum positive real lists of length 2 to 4, entries in [0.2, 1.5], not reorderings of each other."""
     while True:
-        length = rng.randint(1, 4)
+        length = rng.randint(2, 4)
         a = [_rand_frac(rng, 0.2, 1.5) for _ in range(length)]
         b = [_rand_frac(rng, 0.2, 1.5) for _ in range(length - 1)]
         last = sum(a) - sum(b)
-        if Fraction(1, 5) <= last <= Fraction(3, 2):
+        if Fraction(1, 5) <= last <= Fraction(3, 2) and sorted(a) != sorted(b + [last]):
             b.append(last)
             return tuple(_dec_str(v) for v in a), tuple(_dec_str(v) for v in b)
 

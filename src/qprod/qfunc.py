@@ -18,6 +18,12 @@ eta(-1/tau) = sqrt(-i tau) eta(tau) turns it into a closed part times
 (q'; q')_inf with q' = exp(-4 pi^2 / L), L = -log q, and q' is tiny once q
 is near 1 (below 10^-1700 at q = 0.99).  So its cost no longer grows as
 1/(1 - q).  Below _EULER_CROSSOVER direct factors the direct product stays.
+The route also gives (y; y)_inf at y = q^(d/n): L = -d log(q) / n comes from
+log q, so y is never rounded.
+The cyclotomic product prod_j Phi_r(q^(j/n))^mu(r) of the THM3_COPRIME and
+COR6 closed forms (psi_product) is, for squarefree r, the Moebius product
+prod_{d|r} (y^d; y^d)_inf^mu(d) of such Euler functions, and takes that route
+at the same crossover.
 
 No kernel runs past _WORK_BUDGET factors: a product whose factor count
 exceeds it raises ValueError before its loop starts, so q within 10^-9 of 1
@@ -34,7 +40,7 @@ from fractions import Fraction
 import mpmath
 from mpmath.libmp import to_fixed
 
-from .numtheory import ArithValue
+from .numtheory import ArithValue, cyclotomic, divisors, mobius
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -51,6 +57,7 @@ __all__ = [
     "hp_str",
     "jackson_value",
     "parse_number",
+    "psi_product",
     "qgamma",
     "qgamma_ctx",
     "qpochhammer",
@@ -441,13 +448,14 @@ def rational_zeros(values, start, stop, ctx) -> list:
 _EULER_CROSSOVER = 1000
 
 
-def euler_function(q, ctx, n=1):
-    """The Euler function (y; y)_inf at y = q^(1/n), for real 0 < q < 1 and n >= 1.
+def euler_function(q, ctx, n=1, d=1):
+    """The Euler function (y; y)_inf at y = q^(d/n), for real 0 < q < 1 and n, d >= 1.
 
     A product of fewer than _EULER_CROSSOVER factors, or one at
-    L = -log(q)/n above 2 pi, where the transformed product below would be
-    the longer one, is multiplied directly: geometric_product at y, with y =
-    ctx.root(q, n) rounded to working precision.  Otherwise the Dedekind eta
+    L = -d log(q) / n above 2 pi, where the transformed product below would
+    be the longer one, is multiplied directly: geometric_product at y, with y
+    rounded to working precision (q itself when d = n, ctx.root(q, n) when
+    d = 1, else exp(d log(q) / n) in ctx).  Otherwise the Dedekind eta
     transformation gives
 
         (y; y)_inf = sqrt(2 pi / L) exp(L/24 - pi^2 / (6 L)) (y'; y')_inf,
@@ -458,17 +466,43 @@ def euler_function(q, ctx, n=1):
     argument into the same absolute error.  The short product (y'; y')_inf
     goes through geometric_product in ctx.
     """
-    y = q if n == 1 else ctx.root(q, n)
+    y = q if d == n else ctx.root(q, n) if d == 1 else ctx.exp(ctx.log(q) * d / n)
     count = geometric_terms(y, y, ctx)
     lq = -_float_log(y)
     if count < _EULER_CROSSOVER or lq > 2 * math.pi:
         return geometric_product(y, y, ctx, n=count)[0]
     hi = _context_at(ctx.dps + max(0, math.ceil(math.log10(math.pi**2 / (6 * lq)))) + 5)
-    L = -hi.log(hi.mpf(q)) / n
+    L = -d * hi.log(hi.mpf(q)) / n
     pi = hi.pi
     closed = hi.sqrt(2 * pi / L) * hi.exp(L / 24 - pi**2 / (6 * L))
     t = ctx.mpf(hi.exp(-4 * pi**2 / L))
     return ctx.mpf(closed) * geometric_product(t, t, ctx, n=geometric_terms(t, t, ctx))[0]
+
+
+def psi_product(r, q, ctx, n=1):
+    """prod_{j>=1} Phi_r(y^j)^mu(r) at y = q^(1/n), for squarefree r >= 2.
+
+    This is the cyclotomic product of the THM3_COPRIME and COR6 closed
+    forms.  Below _EULER_CROSSOVER direct factors of (y; y)_inf it is the
+    direct product of the factors Phi_r(y^j) (Horner's rule in
+    geometric_product, y = ctx.root(q, n) rounded to working precision),
+    which stops before the first factor within 10^-dps of 1.  Otherwise,
+    since Phi_r(x)^mu(r) = prod_{d|r} (1 - x^d)^mu(d) for squarefree r, it is
+
+        prod_{d|r} (y^d; y^d)_inf^mu(d),
+
+    each factor from euler_function(q, ctx, n, d): no factor is dropped from
+    the tail, and above its own crossover no y^d is rounded.
+    """
+    y = q if n == 1 else ctx.root(q, n)
+    if geometric_terms(y, y, ctx) < _EULER_CROSSOVER:
+        p, _ = geometric_product(y, y, ctx, poly=cyclotomic(r))
+        return p if mobius(r) == 1 else 1 / p
+    p = ctx.mpf(1)
+    for d in divisors(r):
+        e = euler_function(q, ctx, n, d)
+        p = p * e if mobius(d) == 1 else p / e
+    return p
 
 
 def qpoch_inf_ctx(a, q, ctx, pole_eps=None):

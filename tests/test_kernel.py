@@ -10,6 +10,9 @@ error against the reference may not exceed the former loop's or 10^-workdps.
 The Euler function's second route, euler_function, is checked against a
 direct kernel product 40 digits past the working precision, on both sides of
 its crossover, and the work budget must refuse an oversized product at once.
+The cyclotomic psi product, psi_product, is checked on both sides of the same
+crossover against a product 40 digits past the working precision that keeps
+its whole tail.
 """
 
 import dataclasses
@@ -24,7 +27,7 @@ import oracles
 from qprod import products, qfunc
 from qprod.products import _omega, eval_lhs_info
 from qprod.characters import enumerate_characters
-from qprod.numtheory import cyclotomic, mobius
+from qprod.numtheory import cyclotomic, divisors, mobius
 from qprod.products import IdentitySpec
 from qprod.qfunc import (
     Precision,
@@ -33,6 +36,7 @@ from qprod.qfunc import (
     euler_function,
     geometric_product,
     geometric_terms,
+    psi_product,
     qgamma,
     qpoch_inf_ctx,
     qpochhammer,
@@ -106,12 +110,17 @@ def test_psi_product_matches_mpf_loop(digits, qs):
     ctx, ref = contexts(digits)
     poly, mu = cyclotomic(3), mobius(3)  # the COR6 right side for modulus 3
     y = ctx.mpf(qs)
-    value = products._psi_factor_product(poly, mu, y, y, ctx)
+    value = psi_product(3, y, ctx)
+    if geometric_terms(y, y, ctx) >= qfunc._EULER_CROSSOVER:
+        # the Euler route drops no tail, so its reference keeps the tail too
+        # (the bound is explained above test_psi_product_matches_a_tail_complete_product)
+        assert psi_error(3, y, 1, digits) <= ctx.mpf(10) ** (2 - ctx.dps)
+        return
     _, factors = geometric_product(y, y, ctx, poly=poly)
     oracle, oracle_factors = oracles.psi_factor_product_mpf(poly, mu, y, y, ctx)
     assert factors == oracle_factors
-    # the stop rule leaves a tail near 10^-dps / (1 - y), so the reference
-    # takes the same factors instead of more
+    # the direct stop rule leaves a tail near 10^-dps / (1 - y), so the
+    # reference takes the same factors instead of more
     reference = ref.fprod(poly.evaluate(t) for t in powers(ref, ref.convert(y), 1, factors))
     check_error(value, oracle, reference ** mu, ctx)
 
@@ -365,15 +374,15 @@ def test_suite_reports_do_not_depend_on_which_entry_filled_the_memo():
 # euler_function: (q; q)_inf by the Dedekind eta transformation
 
 
-def euler_error(q, digits, n=1):
-    """Relative error of euler_function(q, ctx, n) against a guard+40 direct product.
+def euler_error(q, digits, n=1, d=1):
+    """Relative error of euler_function(q, ctx, n, d) against a guard+40 direct product.
 
-    The reference takes y = q^(1/n) from the same bits of q, 40 digits past
+    The reference takes y = q^(d/n) from the same bits of q, 40 digits past
     the working precision, and multiplies its factors in that context.
     """
     ctx, ref = contexts(digits)
-    value = euler_function(q, ctx, n)
-    y = ref.root(ref.convert(q), n)
+    value = euler_function(q, ctx, n, d)
+    y = ref.root(ref.convert(q), n) ** d
     reference, _ = geometric_product(y, y, ref, n=geometric_terms(y, y, ref))
     return abs(value - reference) / reference
 
@@ -441,6 +450,86 @@ def test_pole_guarded_euler_call_raises_the_former_message():
     expect = message_of(lambda: oracles.qpoch_inf_mpf(q, q, ctx, pole_eps=pole_eps))
     assert message_of(lambda: qpoch_inf_ctx(q, q, ctx, pole_eps=pole_eps)) == expect
     assert message_of(lambda: qgamma(1, q, prec)) == expect
+
+
+def test_euler_function_at_a_power_of_y():
+    # (y^d; y^d)_inf with y = q^(1/n): L = -d log(q) / n on the eta route
+    for qs, n, d in (("0.9", 3, 2), ("0.95", 10, 5), ("0.99", 6, 6), ("0.99", 30, 7)):
+        for digits in (50, 100):
+            ctx = context(Precision(digits))
+            q = ctx.mpf(qs)
+            y = ctx.exp(ctx.log(q) * d / n)
+            assert geometric_terms(y, y, ctx) >= qfunc._EULER_CROSSOVER
+            assert euler_error(q, digits, n, d) <= ctx.mpf(10) ** -ctx.dps
+
+
+# ---------------------------------------------------------------------------
+# psi_product: prod_j Phi_r(q^(j/n))^mu(r), directly or by Euler functions
+
+
+def psi_error(r, q, n, digits):
+    """Relative error of psi_product(r, q, ctx, n) against a guard+40 product with its tail.
+
+    The reference takes y = q^(1/n) from the same bits of q, 40 digits past
+    the working precision, and multiplies prod_{d|r} (y^d; y^d)_inf^mu(d)
+    in that context, each Euler function over every factor the geometric
+    tail rule asks for, so no tail is left out.
+    """
+    ctx, ref = contexts(digits)
+    value = psi_product(r, q, ctx, n)
+    y = ref.root(ref.convert(q), n)
+    reference = ref.mpf(1)
+    for d in divisors(r):
+        t = y**d
+        e, _ = geometric_product(t, t, ref, n=geometric_terms(t, t, ref))
+        reference = reference * e if mobius(d) == 1 else reference / e
+    return abs(value - reference) / reference
+
+
+# Below their crossovers psi_product and euler_function round y^d to working
+# precision, and the products amplify that by up to pi^2 / (6 L^2), L = -log y^d,
+# a few hundred at the crossover; the direct psi product also stops about
+# 10^-dps / (1 - y) short of its tail.  So both branches are held to 100 units
+# of 10^-dps here.  Where no y^d is rounded, the tests above and below hold
+# the Euler route to one unit, or to its error at a former fault.
+PSI_R = (2, 3, 6, 10, 30)  # mu(r) = -1, -1, 1, 1, -1; up to 8 divisors
+PSI_Q = {1: ("0.5", "0.95"), 3: ("0.5", "0.9"), 10: ("0.2", "0.5")}  # below, above the crossover
+
+
+@pytest.mark.parametrize("r", PSI_R)
+@pytest.mark.parametrize("n,qs", [(n, qs) for n, pair in PSI_Q.items() for qs in pair])
+def test_psi_product_matches_a_tail_complete_product(r, n, qs):
+    ctx = context(Precision(50))
+    q = ctx.mpf(qs)
+    y = q if n == 1 else ctx.root(q, n)
+    route = geometric_terms(y, y, ctx) >= qfunc._EULER_CROSSOVER
+    assert route == (qs == PSI_Q[n][1])
+    assert psi_error(r, q, n, 50) <= ctx.mpf(10) ** (2 - ctx.dps)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=0.3, max_value=0.98), st.integers(1, 10), st.sampled_from(PSI_R))
+def test_psi_product_at_drawn_q(qf, n, r):
+    ctx = context(Precision(30))
+    assert psi_error(r, ctx.mpf(qf), n, 30) <= ctx.mpf(10) ** (2 - ctx.dps)
+
+
+def test_psi_product_keeps_its_tail():
+    # Phi_6 at y = 0.99^(1/6), 60 working digits: the direct product stopped
+    # at |Phi_6(t) - 1| < 10^-dps and was 1.1e-58 off
+    ctx = context(Precision(50))
+    assert psi_error(6, ctx.mpf("0.99"), 6, 50) <= mpmath.mpf("1e-61")
+
+
+@pytest.mark.parametrize("n,qs", [(3, "0.97"), (6, "0.99"), (10, "0.95")])
+def test_thm3_coprime_rhs_takes_y_from_log_q(n, qs):
+    # y = q^(1/n) rounded to working precision, and the psi product's missing
+    # tail, used to cost 2.1e-58, 1.1e-58 and 5.8e-59 here against the
+    # guard+40 right side
+    prec = Precision(50)
+    value = products.eval_rhs(IdentitySpec("THM3_COPRIME", n=n, q=qs, prec=prec))
+    reference = products.eval_rhs(IdentitySpec("THM3_COPRIME", n=n, q=qs, prec=Precision(50, 50)))
+    assert abs(value - reference) / reference <= mpmath.mpf("1e-60")
 
 
 @pytest.mark.parametrize("n,qs,bound", [(2, "0.99", "1e-60"), (6, "0.6", "1.2e-59")])

@@ -210,8 +210,9 @@ def test_random_thm1_instances_balance_exactly():
         parts_b = [_frac_parts(b) for b in betas]
         assert sum(r for r, _ in parts_a) == sum(r for r, _ in parts_b)
         assert sum(i for _, i in parts_a) == sum(i for _, i in parts_b)
-        assert 1 <= len(alphas) == len(betas) <= 4
+        assert 2 <= len(alphas) == len(betas) <= 4
         assert all(Fraction(1, 5) <= r <= 3 for r, _ in parts_a + parts_b)
+        assert sorted(alphas) != sorted(betas)
 
 
 def test_random_cor2_instances_balance_exactly():
@@ -222,6 +223,34 @@ def test_random_cor2_instances_balance_exactly():
         sb = sum(Fraction(b) for b in betas)
         assert sa == sb
         assert all(Fraction(e) > 0 for e in alphas + betas)
+        assert 2 <= len(alphas) == len(betas) <= 4
+        assert sorted(map(Fraction, alphas)) != sorted(map(Fraction, betas))
+
+
+class ScriptedRandom:
+    """A stand-in for random.Random whose randint returns the scripted values in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randint(self, lo, hi):
+        value = next(self.values)
+        assert lo <= value <= hi
+        return value
+
+
+def test_balanced_draws_redraw_a_reordering():
+    # the first draw balances into the alphas reordered, the second does not
+    e = 10**8  # 0.1 in the generators' units of 10^-9
+    rng = ScriptedRandom([2, 5 * e, 7 * e, 7 * e,
+                          2, 5 * e, 7 * e, 6 * e])
+    assert random_cor2_instance(rng) == (("0.500000000", "0.700000000"),
+                                         ("0.600000000", "0.600000000"))
+    # THM1 draws the real parts, then the imaginary parts
+    rng = ScriptedRandom([2, 5 * e, 7 * e, e, -e, 7 * e, -e,
+                          2, 5 * e, 7 * e, e, -e, 6 * e, 0])
+    assert random_thm1_instance(rng) == (("0.500000000+0.100000000i", "0.700000000-0.100000000i"),
+                                         ("0.600000000", "0.600000000"))
 
 
 def test_default_suite_composition():
@@ -254,12 +283,21 @@ def test_default_suite_seeded_and_filterable():
     assert all(s.blocks == 1000 for s, _ in quick)
 
 
+def test_default_plan_has_no_vacuous_balanced_entry():
+    # betas that reorder the alphas make both sides exactly 1
+    entries = default_suite(include=("THM1", "COR2"))
+    assert len(entries) == 71
+    for spec, _ in entries:
+        assert len(spec.alphas) >= 2
+        assert sorted(spec.alphas) != sorted(spec.betas)
+
+
 def test_default_plan_is_pinned():
     # sha256 of the plan's sorted (spec, tolerance) rows, 556 entries
     rows = sorted(json.dumps([spec.to_json(), tol], sort_keys=True) for spec, tol in default_suite())
     assert len(rows) == 556
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
-    assert digest == "04740b4c23b120f4722498a0753680795a3a13bd3bd4474d9ee5e5e759ed16b5"
+    assert digest == "fffa26ed2b6d9abd6b1f0f743b4820246beef3f8c81eb392bdcac0a715540053"
     # filtering draws the same instances
     cor2 = [(s.to_json(), t) for s, t in default_suite() if s.id == "COR2"]
     assert [(s.to_json(), t) for s, t in default_suite(include=("COR2",))] == cor2
