@@ -319,13 +319,8 @@ def _suite_line(report) -> str:
 
 
 def _cmd_suite(args) -> int:
-    include = _split_list(args.only) if args.only else None
-    if include:
-        unknown = [i for i in include if identity_id(i) not in IDENTITIES]
-        if unknown:
-            raise CliError(f"unknown identity id(s) in --only: {', '.join(unknown)}")
     entries = default_suite(
-        include=include,
+        include=_split_list(args.only) if args.only else None,
         seed=args.seed,
         thm4_blocks=args.blocks,
         prototype_terms=args.prototype_terms,

@@ -102,7 +102,6 @@ class IdentitySpec:
     alphas: tuple = ()
     betas: tuple = ()
     n: int | None = None
-    k: int | None = None
     chi: DirichletCharacter | None = None
     q: object = None
     z: object = None
@@ -142,15 +141,13 @@ class IdentitySpec:
                 raise ValueError(f"{i} needs a Dirichlet character")
             if self.chi.is_principal or self.chi.modulus < 3:
                 raise ValueError(f"{i} needs a non-principal character of modulus > 2")
-            if self.k is not None and self.k != self.chi.modulus:
-                raise ValueError(f"k = {self.k} disagrees with the character modulus {self.chi.modulus}")
-        elif self.chi is not None or self.k is not None:
+        elif self.chi is not None:
             raise ValueError(f"{i} takes no character")
         if "q" in rec.takes:
             if self.q is None:
                 raise ValueError(f"{i} needs q")
         elif self.q is not None:
-            raise ValueError(f"{i} takes no q (it is fixed by the identity)" if rec.fixed_q else f"{i} takes no q")
+            raise ValueError(f"{i} takes no q" if rec.takes else f"{i} takes no q (it is fixed by the identity)")
         if "z" in rec.takes:
             if self.z is None:
                 raise ValueError(f"{i} needs z")
@@ -219,8 +216,9 @@ class Identity:
     lhs and rhs map (spec, ctx) to (value, EvalInfo): the defining product
     and the closed form.  `takes` names the IdentitySpec fields the identity
     needs ("alphas" covers alphas and betas); every other field must be left
-    unset.  suite(id, rng, count) returns the default plan's specs, drawing
-    from the one generator that default_suite shares among all identities.
+    unset, and an identity that takes nothing has its q fixed.
+    suite(id, rng, count) returns the default plan's specs, drawing from the
+    one generator that default_suite shares among all identities.
 
     Identities with a term or block count (`count` is its default) bound
     their tolerance by the left side's own error estimate; the others ask
@@ -233,7 +231,6 @@ class Identity:
     takes: tuple = ()
     n_min: int = 1  # smallest n, when n is taken
     gamma_args: bool = False  # alphas/betas are classical Gamma arguments: no non-positive integers
-    fixed_q: bool = False  # q is a constant of the identity
     count: int | None = None  # default terms or blocks, when either is taken
     step: Callable | None = None  # count -> tolerance, capped by the error estimate
     estimate: Callable | None = None  # (spec, ctx, count) -> the left side's relative error estimate
@@ -300,8 +297,8 @@ def _char_shift_lhs(chi, z, q, ctx):
         def message(i, first=first):
             return f"vanishing factor 1 - q^(n - chi(n) z) at n = {first + i * k}"
 
-        num, _ = geometric_product(t * d, qk, ctx, n=count, pole=(eps, message))
-        den, _ = geometric_product(t, qk, ctx, n=count)
+        num = geometric_product(t * d, qk, ctx, n=count, pole=(eps, message))
+        den = geometric_product(t, qk, ctx, n=count)
         p *= num / den
     return p, EvalInfo(terms=terms)
 
@@ -363,9 +360,9 @@ def _thm1_lhs(spec, ctx):
     terms = geometric_terms(s, q, ctx)
     p = ctx.mpf(1)
     for j, (a, b) in enumerate(zip(ta, tb)):
-        num, _ = geometric_product(a, q, ctx, n=terms)
-        den, _ = geometric_product(b, q, ctx, n=terms,
-                                   pole=(eps, lambda k, j=j: f"vanishing factor 1 - q^(n + beta_{j})"))
+        num = geometric_product(a, q, ctx, n=terms)
+        den = geometric_product(b, q, ctx, n=terms,
+                                pole=(eps, lambda k, j=j: f"vanishing factor 1 - q^(n + beta_{j})"))
         p *= num / den
     return p, EvalInfo(terms=terms)
 
@@ -697,12 +694,12 @@ def _constant_suite(ident, rng, count):
 
 
 def _example(pi_mult, z, rhs):
-    return Identity(partial(_example_lhs, pi_mult=pi_mult, z=z), rhs, _constant_suite, fixed_q=True)
+    return Identity(partial(_example_lhs, pi_mult=pi_mult, z=z), rhs, _constant_suite)
 
 
 def _jackson(pi_mult, n, value_id):
     return Identity(partial(_jackson_lhs, pi_mult=pi_mult, n=n),
-                    partial(_jackson_rhs, value_id=value_id), _constant_suite, fixed_q=True)
+                    partial(_jackson_rhs, value_id=value_id), _constant_suite)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,10 @@ log q, so y is never rounded.
 The cyclotomic product prod_j Phi_r(q^(j/n))^mu(r) of the THM3_COPRIME and
 COR6 closed forms (psi_product) is, for squarefree r, the Moebius product
 prod_{d|r} (y^d; y^d)_inf^mu(d) of such Euler functions, and takes that route
-at the same crossover.
+at the same crossover; below it, it multiplies as many factors Phi_r(y^j) as
+(y; y)_inf takes.  So every geometric product, direct or transformed,
+truncates by one rule: after N factors a q^k the tail |a| q^N / (1 - q) is
+below 10^-dps (geometric_terms).
 
 No kernel runs past _WORK_BUDGET factors: a product whose factor count
 exceeds it raises ValueError before its loop starts, so q within 10^-9 of 1
@@ -238,19 +241,16 @@ _MEMO_SIZE = 4096
 _MEMO: dict = {}  # geometric_product results by exact inputs, oldest first
 
 
-def geometric_product(a, q, ctx, n=None, poly=None, pole=None):
-    """prod_{k>=0} f(a q^k) on fixed-point integers; returns (value, factors).
+def geometric_product(a, q, ctx, n, poly=None, pole=None):
+    """prod_{k=0}^{n-1} f(a q^k) on fixed-point integers.
 
-    f(t) = 1 - t over exactly n factors, for real or complex a.  Or f is an
-    IntPolynomial with f(0) = 1, evaluated by Horner's rule at real a, and
-    the product stops before the first factor within 10^-dps of 1.  With
-    pole = (eps, message), a factor 1 - a q^k of modulus below eps raises
+    f(t) = 1 - t for real or complex a.  Or f is an IntPolynomial with
+    f(0) = 1, evaluated by Horner's rule at real a.  With pole =
+    (eps, message), a factor 1 - a q^k of modulus below eps raises
     SingularArgumentError(message(k)).  Polynomial factors take no pole: the
     callers' f is a cyclotomic polynomial Phi_r, r >= 2, at 0 < t < 1, where
     it is positive.  More than _WORK_BUDGET factors raise ValueError before
-    the loop; a polynomial product is charged the count of 1 - t at the same
-    a, which its stop rule does not exceed, since Phi_r(t) - 1 = -mu(r) t +
-    O(t^2).
+    the loop.
 
     Every value is an int scaled by 2^B, a complex value a pair of them, and
     the running product m * 2^e keeps a B-bit mantissa m: it is renormalised
@@ -272,21 +272,19 @@ def geometric_product(a, q, ctx, n=None, poly=None, pole=None):
     a = ctx.convert(a)
     key = (a._mpc_ if isinstance(a, ctx.mpc) else a._mpf_, q._mpf_, ctx.prec, ctx.dps, n,
            None if poly is None else poly.coeffs, None if pole is None else pole[0]._mpf_)
-    hit = _MEMO.get(key)
-    if hit is None:
-        hit = _geometric_product(a, q, ctx, n, poly, pole)
+    value = _MEMO.get(key)
+    if value is None:
+        value = _geometric_product(a, q, ctx, n, poly, pole)
         if len(_MEMO) >= _MEMO_SIZE:
             del _MEMO[next(iter(_MEMO))]
-        _MEMO[key] = hit
-    value, factors = hit
+        _MEMO[key] = value
     # a context with the same working bits rounds alike, but has its own mpf type
-    return ctx.convert(value), factors
+    return ctx.convert(value)
 
 
 def _geometric_product(a, q, ctx, n, poly, pole):
-    count = n if n is not None else geometric_terms(abs(a), q, ctx)
-    _check_budget(count)
-    B = ctx.prec + 2 * count.bit_length() + 20
+    _check_budget(n)
+    B = ctx.prec + 2 * n.bit_length() + 20
     one = 1 << B
     qf = to_fixed(q._mpf_, B)
     pe = to_fixed(pole[0]._mpf_, B) if pole is not None else 0
@@ -294,26 +292,16 @@ def _geometric_product(a, q, ctx, n, poly, pole):
     if poly is not None:
         t = to_fixed(a._mpf_, B)
         head, *rest = [c << B for c in reversed(poly.coeffs)]
-        stop = one // 10**ctx.dps
-        unit = B - ctx.prec  # log2 of one ulp of a working-precision value in [1/2, 1)
-        k = 0
-        while True:
+        for _ in range(n):
             v = head
             for c in rest:
                 v = (v * t >> B) + c
-            # the stop rule reads f - 1 as f rounds to working precision,
-            # whose ulp doubles at 1
-            d = v - one
-            g = unit + (d >= 0)
-            if -stop < (d + (1 << (g - 1))) >> g << g < stop:
-                break
             m *= v
             s = m.bit_length() - B
             m = m >> s if s >= 0 else m << -s
             e += s - B
             t = t * qf >> B
-            k += 1
-        return ctx.mpf((m, e)), k
+        return ctx.mpf((m, e))
     if isinstance(a, ctx.mpc):
         tr, ti = (to_fixed(part, B) for part in a._mpc_)
         mi = 0
@@ -332,7 +320,7 @@ def _geometric_product(a, q, ctx, n, poly, pole):
             e += s - B
             tr = tr * qf >> B
             ti = ti * qf >> B
-        return ctx.mpc(ctx.mpf((m, e)), ctx.mpf((mi, e))), n
+        return ctx.mpc(ctx.mpf((m, e)), ctx.mpf((mi, e)))
     t = to_fixed(a._mpf_, B)
     for k in range(n):
         f = one - t
@@ -343,7 +331,7 @@ def _geometric_product(a, q, ctx, n, poly, pole):
         m = m >> s if s >= 0 else m << -s
         e += s - B
         t = t * qf >> B
-    return ctx.mpf((m, e)), n
+    return ctx.mpf((m, e))
 
 
 def _fixed_parts(x, B):
@@ -470,13 +458,13 @@ def euler_function(q, ctx, n=1, d=1):
     count = geometric_terms(y, y, ctx)
     lq = -_float_log(y)
     if count < _EULER_CROSSOVER or lq > 2 * math.pi:
-        return geometric_product(y, y, ctx, n=count)[0]
+        return geometric_product(y, y, ctx, n=count)
     hi = _context_at(ctx.dps + max(0, math.ceil(math.log10(math.pi**2 / (6 * lq)))) + 5)
     L = -d * hi.log(hi.mpf(q)) / n
     pi = hi.pi
     closed = hi.sqrt(2 * pi / L) * hi.exp(L / 24 - pi**2 / (6 * L))
     t = ctx.mpf(hi.exp(-4 * pi**2 / L))
-    return ctx.mpf(closed) * geometric_product(t, t, ctx, n=geometric_terms(t, t, ctx))[0]
+    return ctx.mpf(closed) * geometric_product(t, t, ctx, n=geometric_terms(t, t, ctx))
 
 
 def psi_product(r, q, ctx, n=1):
@@ -484,10 +472,13 @@ def psi_product(r, q, ctx, n=1):
 
     This is the cyclotomic product of the THM3_COPRIME and COR6 closed
     forms.  Below _EULER_CROSSOVER direct factors of (y; y)_inf it is the
-    direct product of the factors Phi_r(y^j) (Horner's rule in
-    geometric_product, y = ctx.root(q, n) rounded to working precision),
-    which stops before the first factor within 10^-dps of 1.  Otherwise,
-    since Phi_r(x)^mu(r) = prod_{d|r} (1 - x^d)^mu(d) for squarefree r, it is
+    direct product of the first N factors Phi_r(y^j) (Horner's rule in
+    geometric_product, y = ctx.root(q, n) rounded to working precision), N
+    the tail-rule count geometric_terms(y, y, ctx) of (y; y)_inf.  That
+    count is enough: log Phi_r(t) = sum_{d|r} mu(r/d) log(1 - t^d), so the
+    factors past N move the product by y^(N+1) / (1 - y) to first order,
+    the tail bound of (y; y)_inf, below 10^-dps.  Otherwise, since
+    Phi_r(x)^mu(r) = prod_{d|r} (1 - x^d)^mu(d) for squarefree r, it is
 
         prod_{d|r} (y^d; y^d)_inf^mu(d),
 
@@ -495,8 +486,9 @@ def psi_product(r, q, ctx, n=1):
     the tail, and above its own crossover no y^d is rounded.
     """
     y = q if n == 1 else ctx.root(q, n)
-    if geometric_terms(y, y, ctx) < _EULER_CROSSOVER:
-        p, _ = geometric_product(y, y, ctx, poly=cyclotomic(r))
+    count = geometric_terms(y, y, ctx)
+    if count < _EULER_CROSSOVER:
+        p = geometric_product(y, y, ctx, n=count, poly=cyclotomic(r))
         return p if mobius(r) == 1 else 1 / p
     p = ctx.mpf(1)
     for d in divisors(r):
@@ -529,7 +521,7 @@ def qpoch_inf_ctx(a, q, ctx, pole_eps=None):
         if pole is not None and 1 - q < pole_eps:
             raise SingularArgumentError(pole[1](0))
         return euler_function(q, ctx)
-    return geometric_product(a, q, ctx, n=geometric_terms(abs(a), q, ctx), pole=pole)[0]
+    return geometric_product(a, q, ctx, n=geometric_terms(abs(a), q, ctx), pole=pole)
 
 
 def qpochhammer(a, q, n=INFINITY, prec: Precision = DEFAULT_PRECISION):
@@ -546,7 +538,7 @@ def qpochhammer(a, q, n=INFINITY, prec: Precision = DEFAULT_PRECISION):
         return qpoch_inf_ctx(av, qv, ctx)
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a non-negative integer or INFINITY, got {n!r}")
-    return geometric_product(av, qv, ctx, n=n)[0]
+    return geometric_product(av, qv, ctx, n=n)
 
 
 # ---------------------------------------------------------------------------

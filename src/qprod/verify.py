@@ -223,14 +223,17 @@ def default_suite(
     Every identity's record builds its own entries, in catalog order, from
     one seeded generator, so two calls with the same arguments build
     byte-identical suites.  `include` filters by identity id, in any
-    spelling products.identity_id accepts; every builder
-    still draws, so a filtered plan holds exactly the full plan's entries of
-    those ids.  The count arguments replace an identity's default term or
-    block count.
+    spelling products.identity_id accepts, and an id outside the catalog
+    raises ValueError; every builder still draws, so a filtered plan holds
+    exactly the full plan's entries of those ids.  The count arguments
+    replace an identity's default term or block count.
     """
     rng = Random(seed)
     counts = {"PROTOTYPE": prototype_terms, "COR2": cor2_terms, "THM4": thm4_blocks}
     wanted = IDENTITY_IDS if include is None else {identity_id(i) for i in include}
+    unknown = sorted(set(wanted) - set(IDENTITIES))
+    if unknown:
+        raise ValueError(f"unknown identity id(s): {', '.join(unknown)}")
     entries: list = []
     for ident, rec in IDENTITIES.items():
         specs = rec.suite(ident, rng, counts.get(ident) or rec.count)

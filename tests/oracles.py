@@ -154,24 +154,6 @@ def char_shift_lhs_mpf(chi, z, q, ctx, min_terms=0):
     return p, EvalInfo(terms=terms)
 
 
-def psi_factor_product_mpf(poly, mu, start, ratio, ctx):
-    """prod_{j>=1} poly(start * ratio^(j-1)) ** mu on mpf values; returns (value, factors)."""
-    eps = ctx.mpf(10) ** (-ctx.dps)
-    p = ctx.mpf(1)
-    t = start
-    factors = 0
-    while True:
-        v = poly.evaluate(t)
-        if abs(v - 1) < eps:
-            break
-        if abs(v) < eps:
-            raise SingularArgumentError("vanishing cyclotomic factor")
-        p *= v
-        t *= ratio
-        factors += 1
-    return (p if mu == 1 else 1 / p), factors
-
-
 def thm1_lhs_mpf(spec, ctx, min_terms=0):
     """The THM1 left side prod_n prod_j (1 - q^(n+alpha_j)) / (1 - q^(n+beta_j)) on mpf values."""
     q = as_q(spec.q, ctx)

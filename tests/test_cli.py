@@ -232,6 +232,74 @@ def test_suite_only_accepts_the_verify_id_spellings(capsys):
 def test_suite_unknown_only(capsys):
     code, out, err = run(capsys, "suite", "--only", "BOGUS")
     assert code == 2
+    assert err == "error: unknown identity id(s): BOGUS\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("verify --q 0.5", "--id is required"),
+    ("verify --id thm5 --modulus 4 --char-index 9 --q 0.3 --z 0.5",
+     "--char-index 9 out of range; modulus 4 has 2 characters"),
+    ("verify --id thm1 --q 0.5", "THM1 needs equal-length non-empty alphas and betas"),
+    ("eval qgamma --q 0.5", "qgamma needs --x"),
+    ("eval qgamma --x 0.5", "qgamma needs --q"),
+    ("eval qpoch --q 0.5", "qpoch needs --a and --q"),
+    ("chars --modulus 0", "--modulus must be a positive integer"),
+    ("psi --n 0", "--n must be a positive integer"),
+])
+def test_usage_errors_exit_two_with_a_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_chars_single_character(capsys):
+    code, out, err = run(capsys, "chars", "--modulus", "8", "--char-index", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "modulus 8: 1 character(s)",
+        "  #2: exponents (1, 0), order 2, conductor 4, imprimitive",
+        "      chi(1..8) = 1, 0, -1, 0, 1, 0, -1, 0",
+    ]
+
+
+def test_eval_counted_product_json_has_its_estimate(capsys):
+    code, out, err = run(capsys, "eval", "product-lhs", "--id", "prototype", "--terms", "100",
+                         "--digits", "30", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["terms"] == 100
+    assert obj["rel_error_estimate"] == "0.0062011084"
+
+
+def test_verify_text_report_names_the_error(capsys):
+    # 1 - chi(3) z / 3 vanishes for the character mod 4 at z = -3
+    code, out, err = run(capsys, "verify", "--id", "thm4", "--modulus", "4", "--char-index", "1",
+                         "--z", "-3", "--blocks", "10", "--digits", "30")
+    assert code == 1
+    assert ("error:         SingularArgumentError: factor 1 - chi(n) z / n vanishes at n = 3"
+            in out.splitlines())
+    assert "FAIL" in out
+
+
+def test_suite_text_lines_name_the_character_and_length(capsys):
+    code, out, err = run(capsys, "suite", "--only", "thm4", "--blocks", "1000")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].endswith(" z=0.5 blocks=1000 chi=mod3#[1]")
+    assert lines[1].endswith(" z=0.5 blocks=1000 chi=mod4#[1]")
+    code, out, err = run(capsys, "suite", "--only", "cor2", "--cor2-terms", "1000")
+    assert code == 0
+    lines = out.splitlines()[:-1]
+    assert len(lines) == 11
+    assert all(" terms=1000 len=" in line for line in lines)
+
+
+def test_suite_json_to_stdout(capsys):
+    code, out, err = run(capsys, "suite", "--only", "EX1A,JACKSON2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["summary"] == {"total": 2, "passed": 2, "failed": 0}
+    assert [r["identity"] for r in payload["reports"]] == ["EX1A", "JACKSON2"]
 
 
 def test_out_file(tmp_path, capsys):

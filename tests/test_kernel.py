@@ -12,7 +12,8 @@ direct kernel product 40 digits past the working precision, on both sides of
 its crossover, and the work budget must refuse an oversized product at once.
 The cyclotomic psi product, psi_product, is checked on both sides of the same
 crossover against a product 40 digits past the working precision that keeps
-its whole tail.
+its whole tail, since its direct branch too takes the tail-rule count of
+(y; y)_inf.
 """
 
 import dataclasses
@@ -27,7 +28,7 @@ import oracles
 from qprod import products, qfunc
 from qprod.products import _omega, eval_lhs_info
 from qprod.characters import enumerate_characters
-from qprod.numtheory import cyclotomic, divisors, mobius
+from qprod.numtheory import divisors, mobius
 from qprod.products import IdentitySpec
 from qprod.qfunc import (
     Precision,
@@ -107,22 +108,13 @@ def test_char_shift_matches_mpf_loop(digits, qs):
 
 @pytest.mark.parametrize("digits,qs", GRID)
 def test_psi_product_matches_mpf_loop(digits, qs):
-    ctx, ref = contexts(digits)
-    poly, mu = cyclotomic(3), mobius(3)  # the COR6 right side for modulus 3
+    # the COR6 right side for modulus 3, on both branches held to the
+    # tail-complete reference (the bounds are explained above
+    # test_psi_product_matches_a_tail_complete_product)
+    ctx = context(Precision(digits))
     y = ctx.mpf(qs)
-    value = psi_product(3, y, ctx)
-    if geometric_terms(y, y, ctx) >= qfunc._EULER_CROSSOVER:
-        # the Euler route drops no tail, so its reference keeps the tail too
-        # (the bound is explained above test_psi_product_matches_a_tail_complete_product)
-        assert psi_error(3, y, 1, digits) <= ctx.mpf(10) ** (2 - ctx.dps)
-        return
-    _, factors = geometric_product(y, y, ctx, poly=poly)
-    oracle, oracle_factors = oracles.psi_factor_product_mpf(poly, mu, y, y, ctx)
-    assert factors == oracle_factors
-    # the direct stop rule leaves a tail near 10^-dps / (1 - y), so the
-    # reference takes the same factors instead of more
-    reference = ref.fprod(poly.evaluate(t) for t in powers(ref, ref.convert(y), 1, factors))
-    check_error(value, oracle, reference ** mu, ctx)
+    units = 2 if geometric_terms(y, y, ctx) < qfunc._EULER_CROSSOVER else 100
+    assert psi_error(3, y, 1, digits) <= units * ctx.mpf(10) ** -ctx.dps
 
 
 @pytest.mark.parametrize("qs", ["0.5", "0.95", "0.99"])
@@ -166,12 +158,11 @@ def test_geometric_terms_settles_a_near_integer_solution(qs):
 def test_kernel_complex_and_finite_counts():
     ctx = context(Precision(30))
     q = ctx.mpf("0.5")
-    value, factors = geometric_product(ctx.mpc("0.25", "0.5"), q, ctx, n=3)
     a = ctx.mpc("0.25", "0.5")
+    value = geometric_product(a, q, ctx, n=3)
     expect = (1 - a) * (1 - a * q) * (1 - a * q * q)
-    assert factors == 3
     assert abs(value - expect) < ctx.mpf(10) ** -ctx.dps
-    assert geometric_product(ctx.mpf(1), q, ctx, n=2)[0] == 0
+    assert geometric_product(ctx.mpf(1), q, ctx, n=2) == 0
 
 
 def message_of(call):
@@ -306,19 +297,19 @@ def test_memo_hit_is_bit_identical():
     q = ctx.mpf("0.7")
     a = ctx.mpc("0.123456789", "0.2")
     qfunc._MEMO.clear()
-    cold, cold_factors = geometric_product(a, q, ctx, n=200)
-    warm, warm_factors = geometric_product(a, q, ctx, n=200)
-    assert (warm._mpc_, warm_factors) == (cold._mpc_, cold_factors)
+    cold = geometric_product(a, q, ctx, n=200)
+    warm = geometric_product(a, q, ctx, n=200)
+    assert warm._mpc_ == cold._mpc_
     assert len(qfunc._MEMO) == 1
     # another context with the same working precision gets the bits in its own type
     twin = mpmath.mp.clone()
     twin.dps = ctx.dps
-    value, _ = geometric_product(twin.convert(a), twin.convert(q), twin, n=200)
+    value = geometric_product(twin.convert(a), twin.convert(q), twin, n=200)
     assert isinstance(value, twin.mpc) and value._mpc_ == cold._mpc_
     assert len(qfunc._MEMO) == 1
     # the same inputs at another working precision are another product
     wider = context(Precision(60))
-    value, _ = geometric_product(a, q, wider, n=200)
+    value = geometric_product(a, q, wider, n=200)
     assert value._mpc_ != cold._mpc_ and abs(value - cold) < ctx.mpf(10) ** -ctx.dps
     assert len(qfunc._MEMO) == 2
 
@@ -383,7 +374,7 @@ def euler_error(q, digits, n=1, d=1):
     ctx, ref = contexts(digits)
     value = euler_function(q, ctx, n, d)
     y = ref.root(ref.convert(q), n) ** d
-    reference, _ = geometric_product(y, y, ref, n=geometric_terms(y, y, ref))
+    reference = geometric_product(y, y, ref, n=geometric_terms(y, y, ref))
     return abs(value - reference) / reference
 
 
@@ -416,12 +407,12 @@ def test_euler_function_agrees_across_the_crossover():
     assert geometric_terms(lo, lo, ctx) == crossover - 1
     assert geometric_terms(hi, hi, ctx) == crossover
     # below the crossover the direct product's bits are kept
-    direct, _ = geometric_product(lo, lo, ctx, n=crossover - 1)
+    direct = geometric_product(lo, lo, ctx, n=crossover - 1)
     assert euler_function(lo, ctx)._mpf_ == direct._mpf_
     # above it the eta route differs from the direct product by that
     # product's truncation, below one unit in the last working digit
     value = euler_function(hi, ctx)
-    direct, _ = geometric_product(hi, hi, ctx, n=crossover)
+    direct = geometric_product(hi, hi, ctx, n=crossover)
     assert abs(value - direct) / direct <= ctx.mpf(10) ** -ctx.dps
     assert euler_error(hi, 50) <= ctx.mpf(10) ** -ctx.dps
 
@@ -433,7 +424,7 @@ def test_euler_function_stays_direct_where_the_transform_is_longer():
     q = ctx.mpf("0.001")
     count = geometric_terms(q, q, ctx)
     assert count >= qfunc._EULER_CROSSOVER and -ctx.log(q) > 2 * ctx.pi
-    assert euler_function(q, ctx)._mpf_ == geometric_product(q, q, ctx, n=count)[0]._mpf_
+    assert euler_function(q, ctx)._mpf_ == geometric_product(q, q, ctx, n=count)._mpf_
 
 
 @pytest.mark.parametrize("qs", ["0.9", "0.99"])
@@ -481,17 +472,18 @@ def psi_error(r, q, n, digits):
     reference = ref.mpf(1)
     for d in divisors(r):
         t = y**d
-        e, _ = geometric_product(t, t, ref, n=geometric_terms(t, t, ref))
+        e = geometric_product(t, t, ref, n=geometric_terms(t, t, ref))
         reference = reference * e if mobius(d) == 1 else reference / e
     return abs(value - reference) / reference
 
 
 # Below their crossovers psi_product and euler_function round y^d to working
 # precision, and the products amplify that by up to pi^2 / (6 L^2), L = -log y^d,
-# a few hundred at the crossover; the direct psi product also stops about
-# 10^-dps / (1 - y) short of its tail.  So both branches are held to 100 units
-# of 10^-dps here.  Where no y^d is rounded, the tests above and below hold
-# the Euler route to one unit, or to its error at a former fault.
+# a few hundred at the crossover.  So both branches are held to 100 units of
+# 10^-dps here.  Where no y is rounded (n = 1 on the direct branch) the test
+# below holds the direct product to 2 units, and where no y^d is rounded the
+# tests above and below hold the Euler route to one unit, or to its error at
+# a former fault.
 PSI_R = (2, 3, 6, 10, 30)  # mu(r) = -1, -1, 1, 1, -1; up to 8 divisors
 PSI_Q = {1: ("0.5", "0.95"), 3: ("0.5", "0.9"), 10: ("0.2", "0.5")}  # below, above the crossover
 
@@ -505,6 +497,19 @@ def test_psi_product_matches_a_tail_complete_product(r, n, qs):
     route = geometric_terms(y, y, ctx) >= qfunc._EULER_CROSSOVER
     assert route == (qs == PSI_Q[n][1])
     assert psi_error(r, q, n, 50) <= ctx.mpf(10) ** (2 - ctx.dps)
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+@pytest.mark.parametrize("qs", ["0.1", "0.3", "0.5", "0.7", "0.8"])
+def test_direct_psi_product_keeps_its_tail(digits, qs):
+    # the direct branch multiplies the tail-rule count of (y; y)_inf; it
+    # stopped at the first factor within 10^-dps of 1, 3.3 units off at
+    # r = 11, q = 0.7, 60 digits
+    ctx = context(Precision(digits))
+    q = ctx.mpf(qs)
+    assert geometric_terms(q, q, ctx) < qfunc._EULER_CROSSOVER
+    for r in (2, 3, 5, 6, 7, 10, 11, 30):
+        assert psi_error(r, q, 1, digits) <= 2 * ctx.mpf(10) ** -ctx.dps
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from qprod.characters import enumerate_characters
 from qprod.products import (
+    IDENTITIES,
     IDENTITY_IDS,
     EvalInfo,
     IdentitySpec,
@@ -223,8 +224,6 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         spec_for("THM5", chi=enumerate_characters(2)[0], z="0.5", q="0.5")  # modulus 2
     with pytest.raises(ValueError):
-        spec_for("THM5", chi=CHI4, k=5, z="0.5", q="0.5")  # k disagrees with chi
-    with pytest.raises(ValueError):
         spec_for("EX1A", q="0.5")  # fixed-q identity takes no q
     with pytest.raises(ValueError):
         spec_for("PROTOTYPE", terms=5)
@@ -233,6 +232,43 @@ def test_validation_errors():
     # blocks*k too small for |z| is caught when the series actually runs
     with pytest.raises(ValueError):
         eval_lhs(spec_for("THM4", chi=CHI4, z="40", blocks=10))
+
+
+THM1_ARGS = {"alphas": ("0.5", "1.25"), "betas": ("0.75", "1.0"), "q": "0.5"}
+THM5_ARGS = {"chi": CHI4, "z": "0.5", "q": "0.5"}
+
+
+@pytest.mark.parametrize("identity,kw,message", [
+    ("THM1", dict(THM1_ARGS, alphas=("0", "1.75")), "THM1 entries must be nonzero"),
+    ("THM3_FULL", {"alphas": ("0.5",), "betas": ("0.5",), "n": 2, "q": "0.5"},
+     "THM3_FULL takes no alphas/betas"),
+    ("THM1", dict(THM1_ARGS, n=2), "THM1 takes no n"),
+    ("THM1", dict(THM1_ARGS, chi=CHI4), "THM1 takes no character"),
+    ("THM1", dict(THM1_ARGS, z="0.5"), "THM1 takes no z"),
+    ("THM5", {"z": "0.5", "q": "0.5"}, "THM5 needs a Dirichlet character"),
+    ("THM5", {"chi": CHI4, "z": "0.5"}, "THM5 needs q"),
+    ("THM5", {"chi": CHI4, "q": "0.5"}, "THM5 needs z"),
+    ("PROTOTYPE", {"q": "0.5"}, "PROTOTYPE takes no q"),
+    ("EX1A", {"q": "0.5"}, "EX1A takes no q (it is fixed by the identity)"),
+    ("THM5", dict(THM5_ARGS, terms=100), "THM5 takes no terms parameter"),
+    ("THM5", dict(THM5_ARGS, blocks=100), "THM5 takes no blocks parameter"),
+])
+def test_validation_messages(identity, kw, message):
+    with pytest.raises(ValueError) as info:
+        spec_for(identity, **kw)
+    assert str(info.value) == message
+
+
+def test_cor2_refuses_entries_too_large_for_its_terms():
+    # the largest |entry|, 30, exceeds terms / 4 = 25
+    spec = spec_for("COR2", alphas=("30", "1"), betas=("1", "30"), terms=100)
+    with pytest.raises(ValueError, match="^terms too small for entries of this magnitude$"):
+        eval_lhs(spec)
+
+
+def test_thm4_tolerance_at_ten_thousand_blocks():
+    spec = spec_for("THM4", chi=CHI4, z="0.5", blocks=10**4)
+    assert IDENTITIES["THM4"].tolerance(spec) == 4
 
 
 def test_spec_json_roundtrip():

@@ -8,6 +8,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from qprod import products
 from qprod.characters import enumerate_characters
 from qprod.products import IdentitySpec, eval_rhs, random_cor2_instance, random_thm1_instance
@@ -281,6 +283,13 @@ def test_default_suite_seeded_and_filterable():
     # smaller knobs produce a smaller run without changing shape
     quick = default_suite(include=("THM4",), thm4_blocks=1000)
     assert all(s.blocks == 1000 for s, _ in quick)
+
+
+def test_default_suite_rejects_unknown_ids():
+    with pytest.raises(ValueError, match="^unknown identity id\\(s\\): NOPE, THM9$"):
+        default_suite(include=("THM1", "THM9", "nope"))
+    with pytest.raises(ValueError, match="THM9"):
+        default_suite(include=(i for i in ("thm1", "thm9")))
 
 
 def test_default_plan_has_no_vacuous_balanced_entry():
