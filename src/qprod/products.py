@@ -675,7 +675,7 @@ def _cor2_suite(ident, rng, terms):
 
 def _thm3_suite(ident, rng, count):
     return [IdentitySpec(ident, n=n, q=q, prec=_P50)
-            for n in range(2, 13) for q in ("0.2", "0.6", "0.95")]
+            for n in range(2, 13) for q in ("0.2", "0.6", "0.95", "0.99", "0.999")]
 
 
 def _thm4_suite(ident, rng, blocks):

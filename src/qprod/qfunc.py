@@ -24,13 +24,23 @@ The cyclotomic product prod_j Phi_r(q^(j/n))^mu(r) of the THM3_COPRIME and
 COR6 closed forms (psi_product) is, for squarefree r, the Moebius product
 prod_{d|r} (y^d; y^d)_inf^mu(d) of such Euler functions, and takes that route
 at the same crossover; below it, it multiplies as many factors Phi_r(y^j) as
-(y; y)_inf takes.  So every geometric product, direct or transformed,
-truncates by one rule: after N factors a q^k the tail |a| q^N / (1 - q) is
-below 10^-dps (geometric_terms).
+(y; y)_inf takes.  So every direct geometric product truncates by one
+rule: after N factors a q^k the tail |a| q^N / (1 - q) is below 10^-dps
+(geometric_terms).
 
-No kernel runs past _WORK_BUDGET factors: a product whose factor count
-exceeds it raises ValueError before its loop starts, so q within 10^-9 of 1
-or a term count of 10^12 fails at once instead of running for hours.
+Any other (a; q)_inf of _EULER_CROSSOVER factors or more, the denominator
+(q^x; q)_inf of Gamma_q(x) among them, is split in qpoch_inf_ctx: K direct
+factors, then the tail (w; q)_inf, w = a q^K, from the exact rearrangement
+log (w; q)_inf = -sum_{j>=1} w^j / (j (1 - q^j)) for |w| < 1 (Gasper and
+Rahman, Basic Hypergeometric Series, ch. 1).  K and the J terms summed are
+each about sqrt(dps ln 10 / L), so the cost grows as 1/sqrt(1 - q).  The
+left sides of THM1, THM5/COR6 and the examples call geometric_product
+themselves and stay direct.
+
+No kernel runs past _WORK_BUDGET factors (or head factors plus series
+terms): a product whose count exceeds it raises ValueError before its loop
+starts, so Gamma_q with q within about 10^-13 of 1 at 60 working digits, or
+a term count of 10^12, fails at once instead of running for hours.
 """
 
 from __future__ import annotations
@@ -497,15 +507,79 @@ def psi_product(r, q, ctx, n=1):
     return p
 
 
+def _qpoch_split(a, q, ctx, pole):
+    """(a; q)_inf as K direct factors times exp(-S), the log series of the rest.
+
+    K is the least k with |a| q^k <= e^-c, c = sqrt(dps ln 10 L), L = -log q.
+    The head prod_{k<K} (1 - a q^k) is geometric_product with the caller's
+    pole check; no later factor can vanish, since |a q^k| <= e^-c < 1.  With
+    w = a q^K the tail is exact: log (w; q)_inf = -S,
+
+        S = sum_{j>=1} w^j / (j (1 - q^j)),
+
+    and S is summed to the least J whose bound |w|^(J+1) / ((J+1) (1 - q)
+    (1 - |w|)) on the terms left out is below 10^-(dps+g).  K and J are each
+    about sqrt(dps ln 10 / L), and K + J is charged to the work budget.
+
+    S is about 1/L in size, and exp(-S) turns its absolute error into the
+    same relative error, so w = a exp(K log q) is computed from the exact
+    bits of a and q with g = log10(1/L) + 5 more digits, and exp(-S) too.  S
+    itself runs on ints scaled by 2^B, a complex value a pair of them: a
+    term's 1 - q^j is off by at most min(j, 1/(1-q)) units, about 1/L units
+    relative to its size, so B adds log2(1/L) + 2 log2 J + 20 bits to those
+    digits.
+    """
+    L = -_float_log(q)
+    c = math.sqrt(ctx.dps * _LN10 * L)
+    log_a = _flog(abs(a))
+    K = max(0, math.ceil((log_a + c) / L))
+    lam = K * L - log_a  # -log |w|, at least c
+    g = max(0, math.ceil(-math.log10(L))) + 5
+    # the least J with (J + 1) lam + log(J + 1) >= T, taking log(J + 1) at
+    # the lower bound (T - log(T / lam)) / lam of J + 1
+    T = (ctx.dps + g) * _LN10 - math.log(-math.expm1(-L)) - math.log(-math.expm1(-lam))
+    low = max(1.0, (T - math.log(T / lam)) / lam)
+    J = max(1, math.ceil((T - math.log(low)) / lam) - 1)
+    _check_budget(K + J)
+    head = geometric_product(a, q, ctx, n=K, pole=pole)
+    hi = _context_at(ctx.dps + g)
+    hq = hi.mpf(q)
+    w = hi.convert(a) * hi.exp(K * hi.log(hq))
+    B = hi.prec + max(0, math.ceil(-math.log2(L))) + 2 * J.bit_length() + 20
+    one = 1 << B
+    qf = qj = to_fixed(hq._mpf_, B)
+    wr, wi = _fixed_parts(w, B)
+    if isinstance(w, hi.mpc):
+        pr, pi, sr, si = wr, wi, 0, 0  # w^j and S
+        for j in range(1, J + 1):
+            d = j * (one - qj)
+            sr += (pr << B) // d
+            si += (pi << B) // d
+            pr, pi = (pr * wr - pi * wi) >> B, (pr * wi + pi * wr) >> B
+            qj = qj * qf >> B
+        tail = hi.exp(-hi.mpc(hi.mpf((sr, -B)), hi.mpf((si, -B))))
+        return ctx.mpc(hi.convert(head) * tail)
+    p, s = wr, 0
+    for j in range(1, J + 1):
+        s += (p << B) // (j * (one - qj))
+        p = p * wr >> B
+        qj = qj * qf >> B
+    return ctx.mpf(hi.convert(head) * hi.exp(-hi.mpf((s, -B))))
+
+
 def qpoch_inf_ctx(a, q, ctx, pole_eps=None):
     """(a; q)_inf inside an existing context.
 
-    Truncates at the smallest N with |a| q^N / (1-q) below the working
-    epsilon 10^-(dps).  When pole_eps is given, any factor 1 - a q^k smaller
-    than it in modulus raises SingularArgumentError (used by qgamma, whose
-    reciprocal factors must stay away from zero).  A real a equal to q is the
-    Euler function and goes to euler_function; its only factor that can
-    vanish is the first, 1 - q.
+    A product of fewer than _EULER_CROSSOVER factors multiplies the smallest
+    N factors with |a| q^N / (1-q) below the working epsilon 10^-(dps).  A
+    longer one is K direct factors times the exact log series of its tail
+    (_qpoch_split), K + J about 2 sqrt(dps ln 10 / L), L = -log q, in place
+    of N about dps ln 10 / L.  When pole_eps is given, any factor 1 - a q^k
+    smaller than it in modulus raises SingularArgumentError (used by qgamma,
+    whose reciprocal factors must stay away from zero); on the split only
+    the head's factors can be that small.  A real a equal to q is the Euler
+    function and goes to euler_function; its only factor that can vanish is
+    the first, 1 - q.
     """
     if isinstance(q, ctx.mpc):
         if q.imag != 0:
@@ -521,15 +595,20 @@ def qpoch_inf_ctx(a, q, ctx, pole_eps=None):
         if pole is not None and 1 - q < pole_eps:
             raise SingularArgumentError(pole[1](0))
         return euler_function(q, ctx)
-    return geometric_product(a, q, ctx, n=geometric_terms(abs(a), q, ctx), pole=pole)
+    count = geometric_terms(abs(a), q, ctx)
+    if count < _EULER_CROSSOVER:
+        return geometric_product(a, q, ctx, n=count, pole=pole)
+    return _qpoch_split(a, q, ctx, pole)
 
 
 def qpochhammer(a, q, n=INFINITY, prec: Precision = DEFAULT_PRECISION):
     """(a; q)_n = prod_{k=0}^{n-1} (1 - a q^k); n may be INFINITY.
 
-    The infinite product truncates once the geometric tail bound drops below
-    one unit in the last working digit, so results are deterministic for
-    fixed inputs and Precision.
+    The infinite product is qpoch_inf_ctx: below _EULER_CROSSOVER factors it
+    truncates once the geometric tail bound drops below one unit in the last
+    working digit; above it the Euler route or the head-and-log-series split
+    keeps the whole tail.  Results are deterministic for fixed inputs and
+    Precision.
     """
     ctx = context(prec)
     qv = as_q(q, ctx)
@@ -548,8 +627,11 @@ def qpochhammer(a, q, n=INFINITY, prec: Precision = DEFAULT_PRECISION):
 def qgamma_ctx(x, q, ctx):
     """Gamma_q(x) = (1-q)^(1-x) (q;q)_inf / (q^x;q)_inf inside an existing context.
 
-    At x = 1 the denominator is the numerator's Euler function, so
-    Gamma_q(1) is exactly 1.
+    Both q-products go through qpoch_inf_ctx, so near q = 1 the numerator
+    takes the Euler route and the denominator the head-and-log-series split,
+    and the cost grows as 1/sqrt(1 - q), not 1/(1 - q).  q^x is rounded to
+    working precision first.  At x = 1 the denominator is the numerator's
+    Euler function, so Gamma_q(1) is exactly 1.
     """
     qx = q if x == 1 else ctx.exp(x * ctx.log(q))
     pole_eps = ctx.mpf(10) ** (-ctx.dps)

@@ -226,7 +226,7 @@ def test_suite_only_accepts_the_verify_id_spellings(capsys):
     # lower case and '-' for '_', as `verify --id thm3-full` takes them
     code, out, err = run(capsys, "suite", "--only", "thm3-full,Jackson2")
     assert code == 0, err
-    assert "summary: 34/34 passed, 0 failed" in out
+    assert "summary: 56/56 passed, 0 failed" in out
 
 
 def test_suite_unknown_only(capsys):

@@ -13,7 +13,9 @@ its crossover, and the work budget must refuse an oversized product at once.
 The cyclotomic psi product, psi_product, is checked on both sides of the same
 crossover against a product 40 digits past the working precision that keeps
 its whole tail, since its direct branch too takes the tail-rule count of
-(y; y)_inf.
+(y; y)_inf.  So is the split of a long (a; q)_inf into a direct head and the
+log series of its tail, on drawn q and x, without a head, and at a pole in
+the head.
 """
 
 import dataclasses
@@ -21,7 +23,7 @@ import time
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -81,8 +83,12 @@ def test_qpoch_inf_matches_mpf_loop(digits, qs, a_text):
     value = qpoch_inf_ctx(a, q, ctx)
     oracle, factors = oracles.qpoch_inf_mpf(a, q, ctx)
     assert geometric_terms(abs(a), q, ctx) == factors
-    ar = ref.convert(a)
-    reference = ref.fprod(1 - ar * t for t in powers(ref, ref.convert(q), 0, factors))
+    ar, qr = ref.convert(a), ref.convert(q)
+    # a product of _EULER_CROSSOVER factors or more, a != q, takes the split,
+    # which keeps the tail the former loop dropped: its reference keeps it too
+    split = a_text != "q" and factors >= qfunc._EULER_CROSSOVER
+    count = geometric_terms(abs(ar), qr, ref) if split else factors
+    reference = ref.fprod(1 - ar * t for t in powers(ref, qr, 0, count))
     check_error(value, oracle, reference, ctx)
 
 
@@ -548,6 +554,83 @@ def test_thm3_full_rhs_takes_y_from_log_q(n, qs, bound):
 
 
 # ---------------------------------------------------------------------------
+# The split of (a; q)_inf: a direct head and the log series of its tail
+
+
+def split_error(a, q, digits):
+    """Relative error of qpoch_inf_ctx(a, q) against a guard+40 product with its tail.
+
+    The reference takes the same bits of a and q, 40 digits past the working
+    precision, and multiplies every factor the tail rule asks for there.
+    """
+    ctx, ref = contexts(digits)
+    value = qpoch_inf_ctx(a, q, ctx)
+    ar, qr = ref.convert(a), ref.convert(q)
+    reference = geometric_product(ar, qr, ref, n=geometric_terms(abs(ar), qr, ref))
+    return abs(value - reference) / abs(reference)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=0.9, max_value=0.999), st.floats(min_value=-0.9, max_value=3),
+       st.one_of(st.just(0.0), st.floats(min_value=-1, max_value=1)),
+       st.sampled_from([30, 50, 100]))
+@example(0.999, 0.5, 0.0, 100)
+@example(0.999, -0.9, 0.7, 50)
+def test_split_at_drawn_q_and_x(qf, xr, xi, digits):
+    # (q^x; q)_inf, the denominator of Gamma_q(x), on both sides of the
+    # crossover, 0.05 or more from the pole at x = 0, where the factor
+    # 1 - q^x cancels
+    assume(abs(complex(xr, xi)) >= 0.05)
+    ctx = context(Precision(digits))
+    q = ctx.mpf(qf)
+    x = ctx.mpc(xr, xi) if xi else ctx.mpf(xr)
+    assert split_error(ctx.exp(x * ctx.log(q)), q, digits) <= 2 * ctx.mpf(10) ** -ctx.dps
+
+
+def test_split_without_a_head():
+    # |a| <= e^-c, c = sqrt(dps ln 10 L): K = 0, and the log series is the
+    # whole product; the geometric_product memo sees only the empty head
+    ctx = context(Precision(50))
+    q = ctx.mpf("0.999")
+    c = ctx.sqrt(ctx.dps * ctx.ln10 * -ctx.log(q))
+    for a_text, headless in (("0.3", True), ("0.3+0.4i", True), ("0.9", False)):
+        a = to_hp(a_text, ctx)
+        assert (abs(a) <= ctx.exp(-c)) == headless
+        qfunc._MEMO.clear()
+        qpoch_inf_ctx(a, q, ctx)
+        (key,) = qfunc._MEMO
+        assert (key[4] == 0) == headless
+        assert split_error(a, q, 50) <= 2 * ctx.mpf(10) ** -ctx.dps
+
+
+@pytest.mark.parametrize("x_text", ["-1", "-5"])
+def test_split_pole_raises_with_the_former_message(x_text):
+    # the factor that vanishes lies in the head, whose pole check is the
+    # direct product's
+    prec = Precision(50)
+    ctx = context(prec)
+    q = ctx.mpf("0.99")
+    x = ctx.mpf(x_text) + ctx.mpf(10) ** -70
+    qx = ctx.exp(x * ctx.log(q))
+    pole_eps = ctx.mpf(10) ** -ctx.dps
+    assert geometric_terms(abs(qx), q, ctx) >= qfunc._EULER_CROSSOVER
+    expect = message_of(lambda: oracles.qpoch_inf_mpf(qx, q, ctx, pole_eps=pole_eps))
+    assert expect.startswith("vanishing factor")
+    assert message_of(lambda: qpoch_inf_ctx(qx, q, ctx, pole_eps=pole_eps)) == expect
+    assert message_of(lambda: qgamma(x, q, prec)) == expect
+    assert message_of(lambda: qgamma(x_text + "+1e-70i", "0.99", prec)) == expect
+
+
+def test_thm3_full_at_q_a_ten_millionth_from_one():
+    # Gamma_q(1/2) Gamma_q(1) on the split against the Euler route; the
+    # direct denominator would take 1.5e9 factors, past the work budget
+    t0 = time.perf_counter()
+    report = run_identity(IdentitySpec("THM3_FULL", n=2, q="0.9999999", prec=Precision(50)), 40)
+    assert time.perf_counter() - t0 < 5
+    assert report.passed and report.digits_agreed >= 50
+
+
+# ---------------------------------------------------------------------------
 # The work budget
 
 
@@ -562,7 +645,8 @@ def fails_fast(call):
 
 def test_work_budget_refuses_oversized_products():
     budget = f"the work budget of {qfunc._WORK_BUDGET} factors"
-    assert budget in fails_fast(lambda: qgamma("0.5", "0.999999999", Precision(50)))
+    # Gamma_q(1/2) at q = 1 - 10^-18: about 3e10 head factors and series terms
+    assert budget in fails_fast(lambda: qgamma("0.5", "0.999999999999999999", Precision(50)))
     assert budget in fails_fast(lambda: qpochhammer("0.5", "0.5", 10**9, Precision(30)))
     t0 = time.perf_counter()
     report = run_identity(IdentitySpec("PROTOTYPE", terms=10**12, prec=Precision(30)), 4)

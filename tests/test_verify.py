@@ -257,14 +257,14 @@ def test_balanced_draws_redraw_a_reordering():
 
 def test_default_suite_composition():
     entries = default_suite()
-    assert len(entries) == 556
+    assert len(entries) == 600
     counts: dict = {}
     for spec, tol in entries:
         counts[spec.id] = counts.get(spec.id, 0) + 1
         assert tol >= 4
     assert counts["THM1"] == 60
     assert counts["COR2"] == 11
-    assert counts["THM3_FULL"] == counts["THM3_COPRIME"] == 33
+    assert counts["THM3_FULL"] == counts["THM3_COPRIME"] == 55
     assert counts["THM5"] == counts["COR6"] == 204
     assert counts["THM4"] == 2
     assert counts["PROTOTYPE"] == 1
@@ -302,11 +302,11 @@ def test_default_plan_has_no_vacuous_balanced_entry():
 
 
 def test_default_plan_is_pinned():
-    # sha256 of the plan's sorted (spec, tolerance) rows, 556 entries
+    # sha256 of the plan's sorted (spec, tolerance) rows, 600 entries
     rows = sorted(json.dumps([spec.to_json(), tol], sort_keys=True) for spec, tol in default_suite())
-    assert len(rows) == 556
+    assert len(rows) == 600
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
-    assert digest == "fffa26ed2b6d9abd6b1f0f743b4820246beef3f8c81eb392bdcac0a715540053"
+    assert digest == "41195436a86edc75b9d4a2141528729be9937bee6cd32431adc629a801da28cc"
     # filtering draws the same instances
     cor2 = [(s.to_json(), t) for s, t in default_suite() if s.id == "COR2"]
     assert [(s.to_json(), t) for s, t in default_suite(include=("COR2",))] == cor2
