@@ -34,13 +34,16 @@ factors, then the tail (w; q)_inf, w = a q^K, from the exact rearrangement
 log (w; q)_inf = -sum_{j>=1} w^j / (j (1 - q^j)) for |w| < 1 (Gasper and
 Rahman, Basic Hypergeometric Series, ch. 1).  K and the J terms summed are
 each about sqrt(dps ln 10 / L), so the cost grows as 1/sqrt(1 - q).  The
+split runs with log10(1/L) + 5 more digits and, for Gamma_q, takes q^x
+there from x: it magnifies a rounding of q^x about log(1/L) / L times.  The
 left sides of THM1, THM5/COR6 and the examples call geometric_product
 themselves and stay direct.
 
-No kernel runs past _WORK_BUDGET factors (or head factors plus series
-terms): a product whose count exceeds it raises ValueError before its loop
-starts, so Gamma_q with q within about 10^-13 of 1 at 60 working digits, or
-a term count of 10^12, fails at once instead of running for hours.
+No kernel runs past _WORK_BUDGET factors (the split counts two for each
+head factor and series term): a product whose count exceeds it raises
+ValueError before its loop starts, so Gamma_q with q within about 10^-13 of
+1 at 60 working digits, or a term count of 10^12, fails at once instead of
+running for hours.
 """
 
 from __future__ import annotations
@@ -238,7 +241,12 @@ def geometric_terms(mag, q, ctx) -> int:
     return max(n, 0)
 
 
-_WORK_BUDGET = 10**8  # factors per kernel call: about 100 s on the pure-Python mpmath backend
+# Factors per kernel call: about 100 s on the pure-Python mpmath backend.
+# _qpoch_split charges two factors for each head factor and each series
+# term: per step it costs 1.2 to 1.9 direct factors at working precision
+# (Gamma_q(1/2) at 1 - q = 1e-10 and 1e-8, 10 to 200 digits, CPython 3.11,
+# 2 cores), since its head and its series run with extra digits.
+_WORK_BUDGET = 10**8
 
 
 def _check_budget(count: int):
@@ -442,7 +450,10 @@ def rational_zeros(values, start, stop, ctx) -> list:
 # of 200 factors costs.  The crossover sits higher, because products shorter
 # than it keep the bits the default suite was pinned with: at 400, the
 # THM3_FULL n = 2 and n = 3 entries at q = 0.6 agree to 59 digits instead of
-# 60, and at 1,000 no suite entry agrees to fewer digits than before.
+# 60, and at 1,000 no suite entry agrees to fewer digits than before.  The
+# same count also sends any other (a; q)_inf to _qpoch_split.  That crossover
+# was not measured: the split may well be faster below 1,000 too, but
+# products shorter than it keep the bits the suite was pinned with.
 _EULER_CROSSOVER = 1000
 
 
@@ -507,7 +518,7 @@ def psi_product(r, q, ctx, n=1):
     return p
 
 
-def _qpoch_split(a, q, ctx, pole):
+def _qpoch_split(a, q, ctx, pole, x=None):
     """(a; q)_inf as K direct factors times exp(-S), the log series of the rest.
 
     K is the least k with |a| q^k <= e^-c, c = sqrt(dps ln 10 L), L = -log q.
@@ -519,11 +530,15 @@ def _qpoch_split(a, q, ctx, pole):
 
     and S is summed to the least J whose bound |w|^(J+1) / ((J+1) (1 - q)
     (1 - |w|)) on the terms left out is below 10^-(dps+g).  K and J are each
-    about sqrt(dps ln 10 / L), and K + J is charged to the work budget.
+    about sqrt(dps ln 10 / L), and 2 (K + J) is charged to the work budget.
 
-    S is about 1/L in size, and exp(-S) turns its absolute error into the
-    same relative error, so w = a exp(K log q) is computed from the exact
-    bits of a and q with g = log10(1/L) + 5 more digits, and exp(-S) too.  S
+    Both parts magnify a relative error in a: the head's factors 1 - a q^k
+    by up to sum_k |a q^k| / |1 - a q^k|, about log(1/L) / L for a = q^x,
+    and S, which is about 1/L in size, since exp(-S) turns its absolute
+    error into the same relative error.  So the head, w = a exp(K log q) and
+    exp(-S) run with g = log10(1/L) + 5 more digits, from the exact bits of
+    q and of a, or, given x, of a = exp(x log q) computed there: a rounded
+    to working precision would cost up to log10(log(1/L) / L) digits.  S
     itself runs on ints scaled by 2^B, a complex value a pair of them: a
     term's 1 - q^j is off by at most min(j, 1/(1-q)) units, about 1/L units
     relative to its size, so B adds log2(1/L) + 2 log2 J + 20 bits to those
@@ -540,11 +555,13 @@ def _qpoch_split(a, q, ctx, pole):
     T = (ctx.dps + g) * _LN10 - math.log(-math.expm1(-L)) - math.log(-math.expm1(-lam))
     low = max(1.0, (T - math.log(T / lam)) / lam)
     J = max(1, math.ceil((T - math.log(low)) / lam) - 1)
-    _check_budget(K + J)
-    head = geometric_product(a, q, ctx, n=K, pole=pole)
+    _check_budget(2 * (K + J))
     hi = _context_at(ctx.dps + g)
     hq = hi.mpf(q)
-    w = hi.convert(a) * hi.exp(K * hi.log(hq))
+    log_q = hi.log(hq)
+    a = hi.convert(a) if x is None else hi.exp(hi.convert(x) * log_q)
+    head = geometric_product(a, hq, hi, n=K, pole=pole)
+    w = a * hi.exp(K * log_q)
     B = hi.prec + max(0, math.ceil(-math.log2(L))) + 2 * J.bit_length() + 20
     one = 1 << B
     qf = qj = to_fixed(hq._mpf_, B)
@@ -557,17 +574,16 @@ def _qpoch_split(a, q, ctx, pole):
             si += (pi << B) // d
             pr, pi = (pr * wr - pi * wi) >> B, (pr * wi + pi * wr) >> B
             qj = qj * qf >> B
-        tail = hi.exp(-hi.mpc(hi.mpf((sr, -B)), hi.mpf((si, -B))))
-        return ctx.mpc(hi.convert(head) * tail)
+        return ctx.mpc(head * hi.exp(-hi.mpc(hi.mpf((sr, -B)), hi.mpf((si, -B)))))
     p, s = wr, 0
     for j in range(1, J + 1):
         s += (p << B) // (j * (one - qj))
         p = p * wr >> B
         qj = qj * qf >> B
-    return ctx.mpf(hi.convert(head) * hi.exp(-hi.mpf((s, -B))))
+    return ctx.mpf(head * hi.exp(-hi.mpf((s, -B))))
 
 
-def qpoch_inf_ctx(a, q, ctx, pole_eps=None):
+def qpoch_inf_ctx(a, q, ctx, pole_eps=None, x=None):
     """(a; q)_inf inside an existing context.
 
     A product of fewer than _EULER_CROSSOVER factors multiplies the smallest
@@ -579,7 +595,8 @@ def qpoch_inf_ctx(a, q, ctx, pole_eps=None):
     whose reciprocal factors must stay away from zero); on the split only
     the head's factors can be that small.  A real a equal to q is the Euler
     function and goes to euler_function; its only factor that can vanish is
-    the first, 1 - q.
+    the first, 1 - q.  Given x, a is q^x = exp(x log q) rounded to working
+    precision, and the split recomputes it from x with its extra digits.
     """
     if isinstance(q, ctx.mpc):
         if q.imag != 0:
@@ -598,7 +615,7 @@ def qpoch_inf_ctx(a, q, ctx, pole_eps=None):
     count = geometric_terms(abs(a), q, ctx)
     if count < _EULER_CROSSOVER:
         return geometric_product(a, q, ctx, n=count, pole=pole)
-    return _qpoch_split(a, q, ctx, pole)
+    return _qpoch_split(a, q, ctx, pole, x)
 
 
 def qpochhammer(a, q, n=INFINITY, prec: Precision = DEFAULT_PRECISION):
@@ -629,14 +646,15 @@ def qgamma_ctx(x, q, ctx):
 
     Both q-products go through qpoch_inf_ctx, so near q = 1 the numerator
     takes the Euler route and the denominator the head-and-log-series split,
-    and the cost grows as 1/sqrt(1 - q), not 1/(1 - q).  q^x is rounded to
-    working precision first.  At x = 1 the denominator is the numerator's
-    Euler function, so Gamma_q(1) is exactly 1.
+    and the cost grows as 1/sqrt(1 - q), not 1/(1 - q).  The split takes
+    q^x from x and log q with its extra digits, not from q^x rounded to
+    working precision, which it would magnify.  At x = 1 the denominator is
+    the numerator's Euler function, so Gamma_q(1) is exactly 1.
     """
     qx = q if x == 1 else ctx.exp(x * ctx.log(q))
     pole_eps = ctx.mpf(10) ** (-ctx.dps)
     num = qpoch_inf_ctx(q, q, ctx)
-    den = qpoch_inf_ctx(qx, q, ctx, pole_eps=pole_eps)
+    den = qpoch_inf_ctx(qx, q, ctx, pole_eps=pole_eps, x=x)
     return ctx.exp((1 - x) * ctx.log(1 - q)) * num / den
 
 

@@ -15,7 +15,8 @@ crossover against a product 40 digits past the working precision that keeps
 its whole tail, since its direct branch too takes the tail-rule count of
 (y; y)_inf.  So is the split of a long (a; q)_inf into a direct head and the
 log series of its tail, on drawn q and x, without a head, and at a pole in
-the head.
+the head, and Gamma_q on the split against references that take q^x from x
+and q, not from q^x rounded to working precision.
 """
 
 import dataclasses
@@ -587,6 +588,28 @@ def test_split_at_drawn_q_and_x(qf, xr, xi, digits):
     assert split_error(ctx.exp(x * ctx.log(q)), q, digits) <= 2 * ctx.mpf(10) ** -ctx.dps
 
 
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=0.9, max_value=0.999), st.floats(min_value=-0.9, max_value=3),
+       st.one_of(st.just(0.0), st.floats(min_value=-1, max_value=1)),
+       st.sampled_from([30, 50, 100]))
+@example(0.999, 0.5, 0.0, 100)
+def test_qgamma_at_drawn_q_and_x(qf, xr, xi, digits):
+    # Gamma_q(x) against guard+40 products from the same bits of x and q,
+    # with q^x computed there: the split may not start from q^x rounded to
+    # working precision, which it magnifies up to about 250 units here
+    assume(abs(complex(xr, xi)) >= 0.05)
+    ctx, ref = contexts(digits)
+    q = ctx.mpf(qf)
+    x = ctx.mpc(xr, xi) if xi else ctx.mpf(xr)
+    rq, rx = ref.convert(q), ref.convert(x)
+    a = ref.exp(rx * ref.log(rq))
+    num = geometric_product(rq, rq, ref, n=geometric_terms(rq, rq, ref))
+    den = geometric_product(a, rq, ref, n=geometric_terms(abs(a), rq, ref))
+    reference = ref.exp((1 - rx) * ref.log(1 - rq)) * num / den
+    value = qfunc.qgamma_ctx(x, q, ctx)
+    assert abs(value - reference) / abs(reference) <= 2 * ctx.mpf(10) ** -ctx.dps
+
+
 def test_split_without_a_head():
     # |a| <= e^-c, c = sqrt(dps ln 10 L): K = 0, and the log series is the
     # whole product; the geometric_product memo sees only the empty head
@@ -628,6 +651,29 @@ def test_thm3_full_at_q_a_ten_millionth_from_one():
     report = run_identity(IdentitySpec("THM3_FULL", n=2, q="0.9999999", prec=Precision(50)), 40)
     assert time.perf_counter() - t0 < 5
     assert report.passed and report.digits_agreed >= 50
+
+
+def test_split_takes_q_to_the_x_from_x():
+    # Gamma_q(1/2) at q = 1 - 10^-11 against (1 - q)^(1/2) (q; q)_inf^2 /
+    # (q^(1/2); q^(1/2))_inf, Euler functions that take L from log q, 30
+    # digits past working precision.  q^(1/2) rounded to working precision
+    # and fed to the split is magnified about log(1/L) / L = 2.5e12 times:
+    # 11 units of 10^-digits off, 9 correct digits of 10.
+    prec = Precision(10)
+    ref = context(Precision(10, prec.guard + 30))
+    q = ref.mpf("0.99999999999")
+    reference = ref.sqrt(1 - q) * euler_function(q, ref) ** 2 / euler_function(q, ref, n=2, d=1)
+    value = qgamma("0.5", "0.99999999999", prec)
+    assert abs(value - reference) / reference <= ref.mpf(10) ** -prec.digits
+
+
+def test_split_rounds_a_complex_result_to_working_precision():
+    # ctx.mpc of a value from the split's wider context rounds each part,
+    # as ctx.mpf does for a real one
+    ctx = context(Precision(50))
+    for a_text in ("0.3+0.4i", "0.9+0.1i"):
+        value = qpoch_inf_ctx(to_hp(a_text, ctx), ctx.mpf("0.999"), ctx)
+        assert all(part[1].bit_length() <= ctx.prec for part in value._mpc_)
 
 
 # ---------------------------------------------------------------------------
