@@ -359,32 +359,67 @@ def _fixed_parts(x, B):
     return to_fixed(x._mpf_, B), 0
 
 
+def _block_differences(first, k, x, B):
+    """Forward differences at i = 0, orders 0 .. 4, of P(i) = prod_{t<4} (first + (4i + t) k + x).
+
+    x is a fixed-point pair (real, imag) scaled by 2^B.  P is a polynomial of
+    degree 4 in i with integer coefficients, so its values at i = 0 .. 4 fix
+    it; returns the differences of its real part and of its imaginary part,
+    exact ints scaled by 2^(4B).
+    """
+    xr, xi = x
+    re, im = [], []
+    for i in range(5):
+        pr, pi = 1, 0
+        for t in range(4):
+            nr = ((first + (4 * i + t) * k) << B) + xr
+            pr, pi = pr * nr - pi * xi, pr * xi + pi * nr
+        re.append(pr)
+        im.append(pi)
+    for d in (re, im):
+        for j in range(1, 5):
+            for t in range(4, j - 1, -1):
+                d[t] -= d[t - 1]
+    return re, im
+
+
 def rational_product(shifts, start, stop, ctx):
     """prod_{n=start}^{stop-1} (n + a_r) / (n + b_r), r = n mod k, on fixed-point integers.
 
     shifts[r] is the pair (a_r, b_r) of real or complex values for residue r
-    mod k = len(shifts), or None where every factor is exactly 1; start >= 0.
-    No denominator may vanish (rational_zeros finds those).
+    mod k = len(shifts), or None where every factor is exactly 1; start >= 0,
+    and an empty range gives 1.  No denominator may vanish (rational_zeros
+    finds those).
 
     As in geometric_product, every value is an int scaled by 2^B, a complex
     value a pair of them, and the running product m * 2^e keeps a B-bit
     mantissa, renormalised after every step.  Each residue class is one run
-    n, n + k, ... whose numerator and denominator grow by k * 2^B per step;
-    a step rounds once (a floor division), so N factors are off by at most
-    N units of 2^-B and B = working bits + 2 log2 N + 20 guard bits keeps
-    that far below one unit in the last working digit.  For n >= 1 every
-    n + x is within 2^-B of itself in relative terms: a shift with
-    |x| >= 1/2 is exact in B bits, and otherwise |n + x| > 1/2.  The n = 0
-    factor a_0 / b_0 is divided in working precision instead, because fixed
-    point would truncate a tiny shift.  More than _WORK_BUDGET factors raise
-    ValueError before the loop.
+    n, n + k, ..., taken in blocks of four: the numerator and denominator of
+    block i, prod_{t<4} (n_{4i+t} + a_r) and prod_{t<4} (n_{4i+t} + b_r), are
+    polynomials of degree 4 in i, so their exact values follow from four
+    exact additions each, by forward differences (Knuth, The Art of Computer
+    Programming, vol. 2, sec. 4.6.4).  A block rounds once, in its floor
+    division; the fewer than four factors left over step one at a time and
+    round once each.  So a class of N factors is off by at most
+    floor(N / 4) + 3 units of 2^-B, and B = working bits + 2 log2 N + 20
+    guard bits keeps that far below one unit in the last working digit.  A
+    class with a complex b_r steps one factor at a time throughout (N units
+    at most): its blocks would have to be multiplied through by the
+    conjugate of their denominator, which costs more than four steps.  For
+    n >= 1 every n + x is within 2^-B of itself in relative terms: a shift
+    with |x| >= 1/2 is exact in B bits, and otherwise |n + x| > 1/2.  The
+    n = 0 factor a_0 / b_0 is divided in working precision instead, because
+    fixed point would truncate a tiny shift.  More than _WORK_BUDGET factors
+    raise ValueError before the loop, and so does start < 0.
     """
+    if start < 0:
+        raise ValueError(f"rational_product needs start >= 0, got {start}")
     _check_budget(stop - start)
     k = len(shifts)
     B = ctx.prec + 2 * (stop - start).bit_length() + 20
     pairs = [None if s is None else [ctx.convert(x) for x in s] for s in shifts]
     head = 1
-    if start == 0 and pairs[0] is not None:
+    if start == 0 and stop > 0 and pairs[0] is not None:
         head = pairs[0][0] / pairs[0][1]
     start = max(start, 1)
     m, e = 1 << B, -B  # the running product is m * 2^e
@@ -395,12 +430,40 @@ def rational_product(shifts, start, stop, ctx):
                 continue
             first = start + (r - start) % k
             (ar, ai), (br, bi) = (_fixed_parts(x, B) for x in pair)
+            blocks = 0 if bi else len(range(first, stop, k)) >> 2
+            (p, p1, p2, p3, p4), (u, u1, u2, u3, u4) = _block_differences(first, k, (ar, ai), B)
+            (d, d1, d2, d3, d4), _ = _block_differences(first, k, (br, bi), B)
+            for _ in range(blocks):
+                # (m + i mi) (p + i u) / d
+                m, mi = (m * p - mi * u) // d, (m * u + mi * p) // d
+                s = max(m.bit_length(), mi.bit_length()) - B
+                if s:
+                    if s > 0:
+                        m >>= s
+                        mi >>= s
+                    else:
+                        m <<= -s
+                        mi <<= -s
+                    e += s
+                p += p1
+                p1 += p2
+                p2 += p3
+                p3 += p4
+                u += u1
+                u1 += u2
+                u2 += u3
+                u3 += u4
+                d += d1
+                d1 += d2
+                d2 += d3
+                d3 += d4
+            first += 4 * k * blocks
             num, den, step = (first << B) + ar, (first << B) + br, k << B
             for _ in range(first, stop, k):
                 xr = m * num - mi * ai
                 xi = m * ai + mi * num
-                d2 = den * den + bi * bi
-                m, mi = (xr * den + xi * bi) // d2, (xi * den - xr * bi) // d2
+                dd = den * den + bi * bi
+                m, mi = (xr * den + xi * bi) // dd, (xi * den - xr * bi) // dd
                 s = max(m.bit_length(), mi.bit_length()) - B
                 if s:
                     if s > 0:
@@ -417,7 +480,25 @@ def rational_product(shifts, start, stop, ctx):
         if pair is None:
             continue
         first = start + (r - start) % k
+        blocks = len(range(first, stop, k)) >> 2
         a, b = (to_fixed(x._mpf_, B) for x in pair)
+        (p, p1, p2, p3, p4), _ = _block_differences(first, k, (a, 0), B)
+        (d, d1, d2, d3, d4), _ = _block_differences(first, k, (b, 0), B)
+        for _ in range(blocks):
+            m = m * p // d
+            s = m.bit_length() - B
+            if s:
+                m = m >> s if s > 0 else m << -s
+                e += s
+            p += p1
+            p1 += p2
+            p2 += p3
+            p3 += p4
+            d += d1
+            d1 += d2
+            d2 += d3
+            d3 += d4
+        first += 4 * k * blocks
         num, den, step = (first << B) + a, (first << B) + b, k << B
         for _ in range(first, stop, k):
             m = m * num // den

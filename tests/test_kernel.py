@@ -270,6 +270,45 @@ def test_rational_product_keeps_a_tiny_shift_at_n_zero():
     assert abs(value - reference) / abs(reference) <= ctx.mpf(10) ** -ctx.dps
 
 
+def test_rational_product_of_an_empty_range_is_one():
+    ctx = context(Precision(30))
+    assert rational_product([(ctx.mpf("0.5"), ctx.mpf("0.25"))], 0, 0, ctx) == 1
+
+
+def test_rational_product_refuses_a_negative_start():
+    # the factors n = -3 .. 0 may not be dropped silently
+    ctx = context(Precision(30))
+    with pytest.raises(ValueError, match="start >= 0"):
+        rational_product([(ctx.mpf("0.5"), ctx.mpf("0.25"))], -3, 5, ctx)
+
+
+# a shift 0.05 or more from every integer, so no factor n + x nears 0 for n >= 0
+SHIFT_PART = st.floats(min_value=-3.5, max_value=3.5).filter(lambda x: abs(x - round(x)) >= 0.05)
+SHIFT = st.tuples(SHIFT_PART, st.one_of(st.just(0.0), st.floats(min_value=-2, max_value=2)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.none(), st.tuples(SHIFT, SHIFT)), min_size=1, max_size=6),
+       st.sampled_from([0, 1, 2]), st.integers(0, 30), st.integers(0, 5), st.booleans(),
+       st.sampled_from([30, 50]))
+def test_rational_product_blocks_at_drawn_shifts(shifts, start, count, extra, real, digits):
+    # every class count mod 4, counts 0 to 3 without a full block, and 20 or
+    # more factors a class, so every difference of every block series is used;
+    # real=True drops the imaginary parts, so both paths get long classes
+    k = len(shifts)
+    stop = start + count * k + extra % k
+    ctx, ref = contexts(digits)
+
+    def value(part):
+        return ctx.mpf(part[0]) if real or not part[1] else ctx.mpc(*part)
+
+    pairs = [None if s is None else (value(s[0]), value(s[1])) for s in shifts]
+    result = rational_product(pairs, start, stop, ctx)
+    reference = ref.fprod((n + ref.convert(pairs[n % k][0])) / (n + ref.convert(pairs[n % k][1]))
+                          for n in range(start, stop) if pairs[n % k] is not None)
+    assert abs(result - reference) <= abs(reference) * ctx.mpf(10) ** -ctx.dps
+
+
 def test_rational_zeros_are_exact_integer_roots():
     ctx = context(Precision(30))
     values = [None, ctx.mpf(-7), ctx.mpc(-5, 0), ctx.mpf("-3.5"), ctx.mpc(-4, 1)]
