@@ -101,7 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_identity_flags(p_verify)
     _add_precision_flags(p_verify)
     p_verify.add_argument("--tolerance", type=int,
-                          help="required agreed digits (default: per-identity policy)")
+                          help="required agreed digits (default: the identity's own, capped for "
+                               "PROTOTYPE, COR2 and THM4 at one less than their error estimate backs)")
     p_verify.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p_verify.add_argument("--out", help="write output to this file instead of stdout")
 
@@ -208,6 +209,8 @@ def _cmd_eval(args) -> int:
         obj["terms"] = info.terms
         if info.rel_error_estimate is not None:
             obj["rel_error_estimate"] = info.rel_error_estimate
+        if info.level is not None:
+            obj["extrapolation_level"] = info.level
     obj["value"] = hp_str(value, args.digits)
     if args.format == "json":
         _emit(json.dumps(obj, indent=2, sort_keys=True), args.out)
@@ -288,11 +291,7 @@ def _format_report_text(report) -> str:
 
 
 def _cmd_verify(args) -> int:
-    spec = _spec_from_args(args)
-    tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = IDENTITIES[spec.id].tolerance(spec)
-    report = run_identity(spec, tolerance)
+    report = run_identity(_spec_from_args(args), args.tolerance)
     if args.format == "json":
         _emit(json.dumps(report.to_json(), indent=2, sort_keys=True), args.out)
     elif args.format == "csv":

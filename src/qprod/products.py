@@ -11,9 +11,19 @@ it: the parameters it takes, both evaluators, its default term or block
 count, its tolerance, and its entries in the default suite.
 
 Truncation policy: geometric-tail products stop once the remaining factors
-are provably below one unit in the last working digit; the blocked and
-polynomially-decaying products (THM4, COR2, PROTOTYPE) stop at a configured
-term/block count and record an explicit relative error estimate in EvalInfo.
+are provably below one unit in the last working digit.  The polynomially
+convergent products (PROTOTYPE, COR2, THM4), whose error falls only as
+1/N, stop at a configured term or block count N, but their left side is
+not the raw product at N.  The one pass over their N factors records the
+partial products at checkpoints c_0 ~ N, c_j ~ N / 2^j, each ending a
+whole period of the factors, and Neville's scheme extrapolates those
+partial products, not their logarithms, to 1/count = 0 (Richardson
+extrapolation: L. F. Richardson and J. A. Gaunt, Phil. Trans. R. Soc. A 226
+(1927); A. Sidi, Practical Extrapolation Methods, CUP 2003, ch. 1-2).  Only
+the left side's own partial products enter, never Gamma or the right side.
+EvalInfo records the level taken and a relative error estimate from the
+gaps between neighbouring levels (_extrapolate), at least 10^-dps and at
+most the proven bound on the raw product at N.
 """
 
 from __future__ import annotations
@@ -33,6 +43,8 @@ from .qfunc import (
     DEFAULT_PRECISION,
     Precision,
     SingularArgumentError,
+    _context_at,
+    _fixed_parts,
     as_q,
     context,
     euler_function,
@@ -64,15 +76,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalInfo:
-    """How a product was truncated: factors consumed and the tail estimate.
+    """How a product was truncated: factors consumed and the error estimate.
 
     rel_error_estimate is None for geometric-tail products (tail below one
-    unit in the last working digit) and a decimal string for the
-    polynomially convergent ones (COR2, THM4, PROTOTYPE).
+    unit in the last working digit).  For the polynomially convergent ones
+    (PROTOTYPE, COR2, THM4) it is a decimal string: the relative error
+    estimate of the extrapolated value, and level is the extrapolation level
+    taken (0 for the raw product at N).
     """
 
     terms: int = 0
     rel_error_estimate: str | None = None
+    level: int | None = None
 
 
 def _exact_entry(e) -> Fraction | None:
@@ -220,9 +235,12 @@ class Identity:
     suite(id, rng, count) returns the default plan's specs, drawing from the
     one generator that default_suite shares among all identities.
 
-    Identities with a term or block count (`count` is its default) bound
-    their tolerance by the left side's own error estimate; the others ask
-    for `target` digits, or 8 fewer than the spec's digits if that is less.
+    Every identity asks for `target` digits, or 8 fewer than the spec's
+    digits if that is less; the tolerance is closed-form, so building a plan
+    evaluates no product.  An identity with a term or block count (`count`
+    is its default) extrapolates its left side, and a report of it fails if
+    the left side's own error estimate backs fewer digits than its
+    tolerance (verify.run_identity).
     """
 
     lhs: Callable
@@ -232,19 +250,11 @@ class Identity:
     n_min: int = 1  # smallest n, when n is taken
     gamma_args: bool = False  # alphas/betas are classical Gamma arguments: no non-positive integers
     count: int | None = None  # default terms or blocks, when either is taken
-    step: Callable | None = None  # count -> tolerance, capped by the error estimate
-    estimate: Callable | None = None  # (spec, ctx, count) -> the left side's relative error estimate
     target: int = 40
 
     def tolerance(self, spec: IdentitySpec) -> int:
         """Digits the two sides of `spec` must agree to."""
-        if self.estimate is None:
-            return min(self.target, spec.prec.digits - 8)
-        ctx = context(spec.prec)
-        count = _count(spec)
-        est = self.estimate(spec, ctx, count)  # 0 when the product is exact, as THM4 at z = 0
-        backed = int(ctx.floor(-ctx.log10(est))) if est else self.step(count)
-        return max(0, min(self.step(count), backed))
+        return min(self.target, spec.prec.digits - 8)
 
 
 def _count(spec: IdentitySpec) -> int:
@@ -323,31 +333,121 @@ def _front_factor(q, z, ctx):
 
 
 # ---------------------------------------------------------------------------
-# Per-identity evaluators: fn(spec, ctx) -> (value, EvalInfo); the error
-# estimates of the counted products: fn(spec, ctx, count) -> mpf
+# The counted products: partial products at checkpoints, extrapolated
+
+_LEVELS = 11  # checkpoints below c_0: about N/2, N/4, ..., N/2^11
+_MIN_PERIODS = 4  # the smallest checkpoint lies at least this many periods past the start
+_EXTRA_DIGITS = 5  # carried past the working precision by the partial products and the table
+
+
+def _checkpoints(start, stop, k) -> list:
+    """Ascending checkpoints c_L < ... < c_1 < c_0 of a product over n in [start, stop), period k.
+
+    c_0 ends the last whole period, stop itself unless the range ends in part
+    of one; c_j = start + 4k floor((c_0 - start) / (4k 2^j)) for j = 1 ..
+    _LEVELS, so each of them ends a whole block of four factors in every
+    residue class, and rational_product rounds no more at c_0 than a
+    product over [start, c_0) alone.  The error of a product over whole
+    periods is a smooth series in 1 / count; a part period would add a term
+    that alternates with it.  Only distinct checkpoints at least
+    _MIN_PERIODS periods past start are kept.
+    """
+    whole = start + (stop - start) // k * k
+    marks = []
+    for j in range(_LEVELS, 0, -1):
+        c = start + 4 * k * ((whole - start) // (4 * k << j))
+        if c - start >= _MIN_PERIODS * k and c not in marks:
+            marks.append(c)
+    return marks + [whole] if whole > start else marks
+
+
+def _extrapolate(counts, values, ctx, bound):
+    """(value, relative error estimate, level) of a product from its partial products.
+
+    Neville's scheme interpolates the values, at x = 1 / count, by
+    polynomials in x and evaluates them at x = 0: T_{i,j} = T_{i,j-1} +
+    (T_{i,j-1} - T_{i-1,j-1}) count_{i-j} / (count_i - count_{i-j}).  Its
+    last row, T_{L,j}, j = 0 .. L, is the raw product at the largest count
+    and its extrapolations of level j.  The gap g_j = |T_{L,j} - T_{L,j-1}|
+    alone can mislead: where a term of the error series nearly vanishes,
+    two levels nearly coincide while both are still off.  So level j is
+    judged by the larger of g_j and the next gap g_{j+1} (g_{L-1} at the top
+    level), and the level taken is the one so judged smallest, the last one
+    while the gaps shrink.  The estimate is ten times that gap, relative, at
+    least 10^-dps (a zero gap means the table reached working precision) and
+    at most `bound`, the proven bound on the raw product.  It takes two
+    values or more.
+
+    The table runs on fixed-point integers, a complex value a pair of them,
+    scaled by 2^B relative to the last value, B its precision plus 30 bits:
+    each entry rounds once, in a floor division, and the L(L+1)/2 entries
+    with their growth through the table stay far below one unit of its
+    precision.
+    """
+    last = values[-1]
+    B = last.context.prec + 30 - int(ctx.mag(last))
+    row = []
+    for i, (n, v) in enumerate(zip(counts, values)):
+        new = [_fixed_parts(v, B)]
+        for j in range(1, i + 1):
+            n0 = counts[i - j]
+            (a, b), (c, d) = new[j - 1], row[j - 1]
+            new.append((a + (a - c) * n0 // (n - n0), b + (b - d) * n0 // (n - n0)))
+        row = new
+
+    squares = [ctx.mpf((a - c) ** 2 + (b - d) ** 2) / (a * a + b * b)
+               for (a, b), (c, d) in zip(row[1:], row)]  # g_1^2 .. g_L^2
+    judged = [max(squares[i:i + 2]) for i in range(len(squares) - 1)] + [max(squares[-2:])]
+    i = min(range(len(judged)), key=lambda i: (judged[i], -i))
+    est = min(max(10 * ctx.sqrt(judged[i]), ctx.mpf(10) ** (-ctx.dps)), bound)
+    re, im = row[i + 1]
+    value = ctx.mpc(ctx.mpf((re, -B)), ctx.mpf((im, -B))) if im else ctx.mpf((re, -B))
+    return value, est, i + 1
+
+
+def _counted_lhs(shift_lists, start, stop, ctx, terms, bound, extrapolate):
+    """The product over n in [start, stop) of every shift list's rational factors, and its EvalInfo.
+
+    Each list in shift_lists is rational_product's shifts, all of one period
+    k, taken in working precision plus _EXTRA_DIGITS (hi).  The partial
+    products come from one pass per list, at _checkpoints and at stop, in
+    hi; with `extrapolate` and two checkpoints or more the value is
+    _extrapolate's over the checkpoints, else the raw product at stop with
+    `bound` as its estimate.
+    """
+    hi = _context_at(ctx.dps + _EXTRA_DIGITS)
+    marks = _checkpoints(start, stop, len(shift_lists[0])) if extrapolate else []
+    stops = marks if marks and marks[-1] == stop else marks + [stop]
+    values = [1] * len(stops)
+    for shifts in shift_lists:
+        values = [v * p for v, p in zip(values, rational_product(shifts, start, stops, ctx, hi))]
+    if len(marks) > 1:
+        value, est, level = _extrapolate([c - start for c in marks], values[:len(marks)], ctx, bound)
+    else:
+        value, est, level = +ctx.convert(values[-1]), bound, 0  # + rounds to ctx
+    return value, EvalInfo(terms=terms, rel_error_estimate=mpmath.nstr(est, 8), level=level)
+
+
+# ---------------------------------------------------------------------------
+# Per-identity evaluators: fn(spec, ctx) -> (value, EvalInfo); the proven
+# bounds on the raw counted products at N: fn(spec, ctx, count) -> mpf.  A
+# counted left side takes extrapolate=False for its raw product at N.
 
 
 def _prototype_estimate(spec, ctx, n_terms):
     return ctx.mpf(1) / (2 * n_terms + 3) + ctx.mpf(1) / (8 * n_terms) + ctx.mpf(1) / (4 * n_terms**2)
 
 
-def _prototype_lhs(spec, ctx):
+def _prototype_lhs(spec, ctx, extrapolate=True):
     n_terms = _count(spec)
     # 1 - 1/(2j+1) = j / (j + 1/2) for even j, 1 + 1/(2j+1) = (j + 1) / (j + 1/2) for odd j
     half = ctx.mpf(1) / 2
-    p = rational_product([(0, half), (1, half)], 1, n_terms + 1, ctx)
-    est = _prototype_estimate(spec, ctx, n_terms)
-    return p, EvalInfo(terms=n_terms, rel_error_estimate=mpmath.nstr(est, 8))
+    return _counted_lhs([[(0, half), (1, half)]], 1, n_terms + 1, ctx, n_terms,
+                        _prototype_estimate(spec, ctx, n_terms), extrapolate)
 
 
 def _prototype_rhs(spec, ctx):
     return ctx.pi * ctx.sqrt(2) / 4, EvalInfo()
-
-
-def _prototype_step(terms: int) -> int:
-    if terms >= 10**6:
-        return 6
-    return max(2, int(math.log10(terms)) - 1)
 
 
 def _thm1_lhs(spec, ctx):
@@ -386,10 +486,11 @@ def _cor2_estimate(spec, ctx, n_terms):
     return quad + cubic
 
 
-def _cor2_lhs(spec, ctx):
+def _cor2_lhs(spec, ctx, extrapolate=True):
     n_terms = _count(spec)
-    al = [to_hp(a, ctx) for a in spec.alphas]
-    be = [to_hp(b, ctx) for b in spec.betas]
+    hi = _context_at(ctx.dps + _EXTRA_DIGITS)
+    al = [to_hp(a, hi) for a in spec.alphas]
+    be = [to_hp(b, hi) for b in spec.betas]
     # convergence requires the sums to agree exactly
     mismatch = abs(sum(al) - sum(be))
     scale = max(max(abs(v) for v in al + be), ctx.mpf(1))
@@ -397,14 +498,11 @@ def _cor2_lhs(spec, ctx):
         raise ValueError("sum(alphas) != sum(betas): the product does not converge")
     if scale > n_terms / 4:
         raise ValueError("terms too small for entries of this magnitude")
-    poles = [n for b in be for n in rational_zeros([b], 0, n_terms, ctx)]
+    poles = [n for b in be for n in rational_zeros([b], 0, n_terms, hi)]
     if poles:
         raise SingularArgumentError(f"factor n + beta vanishes at n = {min(poles)}")
-    p = ctx.mpf(1)
-    for a, b in zip(al, be):
-        p *= rational_product([(a, b)], 0, n_terms, ctx)
-    est = _cor2_estimate(spec, ctx, n_terms)
-    return p, EvalInfo(terms=n_terms, rel_error_estimate=mpmath.nstr(est, 8))
+    return _counted_lhs([[(a, b)] for a, b in zip(al, be)], 0, n_terms, ctx, n_terms,
+                        _cor2_estimate(spec, ctx, n_terms), extrapolate)
 
 
 def _cor2_rhs(spec, ctx):
@@ -458,7 +556,7 @@ def _thm4_estimate(spec, ctx, blocks):
     return c_est / (blocks - 1)
 
 
-def _thm4_lhs(spec, ctx):
+def _thm4_lhs(spec, ctx, extrapolate=True):
     blocks = _count(spec)
     chi = spec.chi
     k = chi.modulus
@@ -466,14 +564,15 @@ def _thm4_lhs(spec, ctx):
     if 4 * abs(z) > blocks * k:
         raise ValueError("blocks too small for |z|; tail estimate invalid")
     # 1 - chi(n) z / n = (n - chi(n) z) / n
-    shifts = [None if v is None else -_omega(v, ctx) * z for v in (chi.value(j) for j in range(k))]
+    hi = _context_at(ctx.dps + _EXTRA_DIGITS)
+    zh = to_hp(spec.z, hi)
+    shifts = [None if v is None else -_omega(v, hi) * zh for v in (chi.value(j) for j in range(k))]
     stop = blocks * k + 2  # n runs over 2 .. blocks*k + 1: exactly `blocks` full periods
-    zeros = rational_zeros(shifts, 2, stop, ctx)
+    zeros = rational_zeros(shifts, 2, stop, hi)
     if zeros:
         raise SingularArgumentError(f"factor 1 - chi(n) z / n vanishes at n = {zeros[0]}")
-    p = rational_product([None if a is None else (a, 0) for a in shifts], 2, stop, ctx)
-    est = _thm4_estimate(spec, ctx, blocks)
-    return p, EvalInfo(terms=blocks * k, rel_error_estimate=mpmath.nstr(est, 8))
+    return _counted_lhs([[None if a is None else (a, 0) for a in shifts]], 2, stop, ctx, blocks * k,
+                        _thm4_estimate(spec, ctx, blocks), extrapolate)
 
 
 def _thm4_rhs(spec, ctx):
@@ -494,14 +593,6 @@ def _thm4_rhs(spec, ctx):
         ro = chi.value(j)
         gprod *= gamma_ctx((j - _omega(ro, ctx) * z) / k, ctx)
     return head / gprod, EvalInfo()
-
-
-def _thm4_step(blocks: int) -> int:
-    if blocks >= 10**5:
-        return 5
-    if blocks >= 10**4:
-        return 4
-    return 3
 
 
 def _thm5_lhs(spec, ctx):
@@ -707,15 +798,15 @@ def _jackson(pi_mult, n, value_id):
 
 IDENTITIES: dict = {
     "PROTOTYPE": Identity(_prototype_lhs, _prototype_rhs, _prototype_suite, takes=("terms",),
-                          count=10**6, step=_prototype_step, estimate=_prototype_estimate),
+                          count=10**6),
     "THM1": Identity(_thm1_lhs, _thm1_rhs, _thm1_suite, takes=("alphas", "q"), target=42),
     "COR2": Identity(_cor2_lhs, _cor2_rhs, _cor2_suite, takes=("alphas", "terms"), gamma_args=True,
-                     count=10**5, step=lambda terms: 4, estimate=_cor2_estimate),
+                     count=10**5),
     "THM3_FULL": Identity(_thm3_full_lhs, _thm3_full_rhs, _thm3_suite, takes=("n", "q")),
     "THM3_COPRIME": Identity(_thm3_coprime_lhs, _thm3_coprime_rhs, _thm3_suite, takes=("n", "q"),
                              n_min=2),
     "THM4": Identity(_thm4_lhs, _thm4_rhs, _thm4_suite, takes=("chi", "z", "blocks"),
-                     count=10**6, step=_thm4_step, estimate=_thm4_estimate),
+                     count=10**6),
     "THM5": Identity(_thm5_lhs, _thm5_rhs, _char_shift_suite, takes=("chi", "z", "q")),
     "COR6": Identity(_thm5_lhs, _cor6_rhs, _char_shift_suite, takes=("chi", "z", "q")),
     "EX1A": _example(1, 1, _ex1a_rhs),

@@ -383,107 +383,102 @@ def _block_differences(first, k, x, B):
     return re, im
 
 
-def rational_product(shifts, start, stop, ctx):
-    """prod_{n=start}^{stop-1} (n + a_r) / (n + b_r), r = n mod k, on fixed-point integers.
+def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
+    """The products prod_{n=start}^{c-1} (n + a_r) / (n + b_r), r = n mod k, for each c of stops.
 
     shifts[r] is the pair (a_r, b_r) of real or complex values for residue r
     mod k = len(shifts), or None where every factor is exactly 1; start >= 0,
-    and an empty range gives 1.  No denominator may vanish (rational_zeros
-    finds those).
+    stops ascend from start or above, and an empty range gives 1.  No
+    denominator may vanish (rational_zeros finds those).  The products come
+    from one pass over [start, stops[-1]): the running product is recorded
+    as it passes each c.
 
     As in geometric_product, every value is an int scaled by 2^B, a complex
     value a pair of them, and the running product m * 2^e keeps a B-bit
-    mantissa, renormalised after every step.  Each residue class is one run
-    n, n + k, ..., taken in blocks of four: the numerator and denominator of
-    block i, prod_{t<4} (n_{4i+t} + a_r) and prod_{t<4} (n_{4i+t} + b_r), are
-    polynomials of degree 4 in i, so their exact values follow from four
-    exact additions each, by forward differences (Knuth, The Art of Computer
-    Programming, vol. 2, sec. 4.6.4).  A block rounds once, in its floor
-    division; the fewer than four factors left over step one at a time and
-    round once each.  So a class of N factors is off by at most
-    floor(N / 4) + 3 units of 2^-B, and B = working bits + 2 log2 N + 20
-    guard bits keeps that far below one unit in the last working digit.  A
-    class with a complex b_r steps one factor at a time throughout (N units
-    at most): its blocks would have to be multiplied through by the
-    conjugate of their denominator, which costs more than four steps.  For
-    n >= 1 every n + x is within 2^-B of itself in relative terms: a shift
-    with |x| >= 1/2 is exact in B bits, and otherwise |n + x| > 1/2.  The
-    n = 0 factor a_0 / b_0 is divided in working precision instead, because
-    fixed point would truncate a tiny shift.  More than _WORK_BUDGET factors
-    raise ValueError before the loop, and so does start < 0.
+    mantissa, renormalised after every step.  Between two stops, each
+    residue class is one run n, n + k, ..., taken in blocks of four: the
+    numerator and denominator of block i, prod_{t<4} (n_{4i+t} + a_r) and
+    prod_{t<4} (n_{4i+t} + b_r), are polynomials of degree 4 in i, so their
+    exact values follow from four exact additions each, by forward
+    differences (Knuth, The Art of Computer Programming, vol. 2, sec.
+    4.6.4).  A run that starts where the class's last run ended its blocks
+    takes that run's differences on (they are exact, so this equals
+    starting afresh); any other starts afresh.  A block rounds once,
+    in its floor division; the fewer than four factors left over at the end
+    of a run step one at a time and round once each.  So a class of N
+    factors is off by at most floor(N / 4) + 3 units of 2^-B at a stop c
+    when every earlier stop lies a multiple of 4k past start (no run but the
+    last leaves factors over), and by 3 more units per other earlier stop.
+    B = working bits + 2 log2 N + 20 guard bits keeps that far below one
+    unit in the last working digit.  A class with a complex b_r steps one
+    factor at a time throughout (N units at most): its blocks would have to
+    be multiplied through by the conjugate of their denominator, which costs
+    more than four steps.  For n >= 1 every n + x is within 2^-B of itself
+    in relative terms: a shift with |x| >= 1/2 is exact in B bits, and
+    otherwise |n + x| > 1/2.  The n = 0 factor a_0 / b_0 is divided in
+    the result's precision instead, because fixed point would truncate a
+    tiny shift.  More than _WORK_BUDGET factors raise ValueError before the loop,
+    and so does start < 0.
+
+    The products are rounded to result_ctx, ctx by default.  Those guard
+    bits back a wider result_ctx too: the rounding of N factors stays below
+    2^-(log2 N + 20) units of ctx's last bit, so result_ctx may carry up to
+    6 more digits than ctx.
     """
     if start < 0:
         raise ValueError(f"rational_product needs start >= 0, got {start}")
+    out_ctx = result_ctx or ctx
+    stop = stops[-1]
     _check_budget(stop - start)
     k = len(shifts)
     B = ctx.prec + 2 * (stop - start).bit_length() + 20
     pairs = [None if s is None else [ctx.convert(x) for x in s] for s in shifts]
     head = 1
-    if start == 0 and stop > 0 and pairs[0] is not None:
-        head = pairs[0][0] / pairs[0][1]
-    start = max(start, 1)
-    m, e = 1 << B, -B  # the running product is m * 2^e
+    if start == 0 and pairs[0] is not None:
+        head = out_ctx.convert(pairs[0][0]) / out_ctx.convert(pairs[0][1])
+    lo = max(start, 1)
+    out = []
     if any(isinstance(x, ctx.mpc) for pair in pairs if pair for x in pair):
-        mi = 0
-        for r, pair in enumerate(pairs):
-            if pair is None:
-                continue
-            first = start + (r - start) % k
-            (ar, ai), (br, bi) = (_fixed_parts(x, B) for x in pair)
-            blocks = 0 if bi else len(range(first, stop, k)) >> 2
-            (p, p1, p2, p3, p4), (u, u1, u2, u3, u4) = _block_differences(first, k, (ar, ai), B)
-            (d, d1, d2, d3, d4), _ = _block_differences(first, k, (br, bi), B)
-            for _ in range(blocks):
-                # (m + i mi) (p + i u) / d
-                m, mi = (m * p - mi * u) // d, (m * u + mi * p) // d
-                s = max(m.bit_length(), mi.bit_length()) - B
-                if s:
-                    if s > 0:
-                        m >>= s
-                        mi >>= s
-                    else:
-                        m <<= -s
-                        mi <<= -s
-                    e += s
-                p += p1
-                p1 += p2
-                p2 += p3
-                p3 += p4
-                u += u1
-                u1 += u2
-                u2 += u3
-                u3 += u4
-                d += d1
-                d1 += d2
-                d2 += d3
-                d3 += d4
-            first += 4 * k * blocks
-            num, den, step = (first << B) + ar, (first << B) + br, k << B
-            for _ in range(first, stop, k):
-                xr = m * num - mi * ai
-                xi = m * ai + mi * num
-                dd = den * den + bi * bi
-                m, mi = (xr * den + xi * bi) // dd, (xi * den - xr * bi) // dd
-                s = max(m.bit_length(), mi.bit_length()) - B
-                if s:
-                    if s > 0:
-                        m >>= s
-                        mi >>= s
-                    else:
-                        m <<= -s
-                        mi <<= -s
-                    e += s
-                num += step
-                den += step
-        return head * ctx.mpc(ctx.mpf((m, e)), ctx.mpf((mi, e)))
-    for r, pair in enumerate(pairs):
+        fixed = [None if pair is None else [_fixed_parts(x, B) for x in pair] for pair in pairs]
+        m, mi, e = 1 << B, 0, -B  # the running product is (m + i mi) * 2^e
+        saved = [None] * k  # per class: where its blocks stopped, and their differences
+        for c in stops:
+            if c > lo:
+                m, mi, e = _complex_run(m, mi, e, fixed, lo, c, B, saved)
+                lo = c
+            value = out_ctx.mpc(out_ctx.mpf((m, e)), out_ctx.mpf((mi, e)))
+            out.append(head * value if c > start else value)
+        return out
+    fixed = [None if pair is None else [to_fixed(x._mpf_, B) for x in pair] for pair in pairs]
+    m, e = 1 << B, -B  # the running product is m * 2^e
+    saved = [None] * k  # per class: where its blocks stopped, and their differences
+    for c in stops:
+        if c > lo:
+            m, e = _real_run(m, e, fixed, lo, c, B, saved)
+            lo = c
+        value = out_ctx.mpf((m, e))
+        out.append(head * value if c > start else value)
+    return out
+
+
+def _real_run(m, e, fixed, lo, hi, B, saved):
+    """The product m * 2^e times every factor n in [lo, hi), lo >= 1, all shifts real and fixed.
+
+    saved[r] holds where class r's blocks stopped and their differences; a
+    run from there takes them on, and this one's replace them.
+    """
+    k = len(fixed)
+    for r, pair in enumerate(fixed):
         if pair is None:
             continue
-        first = start + (r - start) % k
-        blocks = len(range(first, stop, k)) >> 2
-        a, b = (to_fixed(x._mpf_, B) for x in pair)
-        (p, p1, p2, p3, p4), _ = _block_differences(first, k, (a, 0), B)
-        (d, d1, d2, d3, d4), _ = _block_differences(first, k, (b, 0), B)
+        first = lo + (r - lo) % k
+        blocks = len(range(first, hi, k)) >> 2
+        a, b = pair
+        if saved[r] is not None and saved[r][0] == first:
+            _, (p, p1, p2, p3, p4), (d, d1, d2, d3, d4) = saved[r]
+        elif blocks:
+            (p, p1, p2, p3, p4), _ = _block_differences(first, k, (a, 0), B)
+            (d, d1, d2, d3, d4), _ = _block_differences(first, k, (b, 0), B)
         for _ in range(blocks):
             m = m * p // d
             s = m.bit_length() - B
@@ -499,8 +494,10 @@ def rational_product(shifts, start, stop, ctx):
             d2 += d3
             d3 += d4
         first += 4 * k * blocks
+        if blocks:
+            saved[r] = (first, (p, p1, p2, p3, p4), (d, d1, d2, d3, d4))
         num, den, step = (first << B) + a, (first << B) + b, k << B
-        for _ in range(first, stop, k):
+        for _ in range(first, hi, k):
             m = m * num // den
             s = m.bit_length() - B
             if s:
@@ -508,7 +505,71 @@ def rational_product(shifts, start, stop, ctx):
                 e += s
             num += step
             den += step
-    return head * ctx.mpf((m, e))
+    return m, e
+
+
+def _complex_run(m, mi, e, fixed, lo, hi, B, saved):
+    """The product (m + i mi) * 2^e times every factor n in [lo, hi), lo >= 1, shifts fixed pairs.
+
+    saved is as in _real_run, the imaginary differences of the numerator included.
+    """
+    k = len(fixed)
+    for r, pair in enumerate(fixed):
+        if pair is None:
+            continue
+        first = lo + (r - lo) % k
+        (ar, ai), (br, bi) = pair
+        blocks = 0 if bi else len(range(first, hi, k)) >> 2
+        if saved[r] is not None and saved[r][0] == first:
+            _, (p, p1, p2, p3, p4), (u, u1, u2, u3, u4), (d, d1, d2, d3, d4) = saved[r]
+        elif blocks:
+            (p, p1, p2, p3, p4), (u, u1, u2, u3, u4) = _block_differences(first, k, (ar, ai), B)
+            (d, d1, d2, d3, d4), _ = _block_differences(first, k, (br, bi), B)
+        for _ in range(blocks):
+            # (m + i mi) (p + i u) / d
+            m, mi = (m * p - mi * u) // d, (m * u + mi * p) // d
+            s = max(m.bit_length(), mi.bit_length()) - B
+            if s:
+                if s > 0:
+                    m >>= s
+                    mi >>= s
+                else:
+                    m <<= -s
+                    mi <<= -s
+                e += s
+            p += p1
+            p1 += p2
+            p2 += p3
+            p3 += p4
+            u += u1
+            u1 += u2
+            u2 += u3
+            u3 += u4
+            d += d1
+            d1 += d2
+            d2 += d3
+            d3 += d4
+        first += 4 * k * blocks
+        if blocks:
+            saved[r] = (first, (p, p1, p2, p3, p4), (u, u1, u2, u3, u4), (d, d1, d2, d3, d4))
+        num, den, step = (first << B) + ar, (first << B) + br, k << B
+        for _ in range(first, hi, k):
+            xr = m * num - mi * ai
+            xi = m * ai + mi * num
+            dd = den * den + bi * bi
+            m, mi = (xr * den + xi * bi) // dd, (xi * den - xr * bi) // dd
+            s = max(m.bit_length(), mi.bit_length()) - B
+            if s:
+                if s > 0:
+                    m >>= s
+                    mi >>= s
+                else:
+                    m <<= -s
+                    mi <<= -s
+                e += s
+            num += step
+            den += step
+    return m, mi, e
 
 
 def rational_zeros(values, start, stop, ctx) -> list:
@@ -599,6 +660,11 @@ def psi_product(r, q, ctx, n=1):
     return p
 
 
+def _split_digits(L) -> int:
+    """Digits past working precision that _qpoch_split runs with, at L = -log q."""
+    return max(0, math.ceil(-math.log10(L))) + 5
+
+
 def _qpoch_split(a, q, ctx, pole, x=None):
     """(a; q)_inf as K direct factors times exp(-S), the log series of the rest.
 
@@ -630,7 +696,7 @@ def _qpoch_split(a, q, ctx, pole, x=None):
     log_a = _flog(abs(a))
     K = max(0, math.ceil((log_a + c) / L))
     lam = K * L - log_a  # -log |w|, at least c
-    g = max(0, math.ceil(-math.log10(L))) + 5
+    g = _split_digits(L)
     # the least J with (J + 1) lam + log(J + 1) >= T, taking log(J + 1) at
     # the lower bound (T - log(T / lam)) / lam of J + 1
     T = (ctx.dps + g) * _LN10 - math.log(-math.expm1(-L)) - math.log(-math.expm1(-lam))
@@ -722,7 +788,11 @@ def qpochhammer(a, q, n=INFINITY, prec: Precision = DEFAULT_PRECISION):
 # q-gamma
 
 
-def qgamma_ctx(x, q, ctx):
+# Digits past the cancellation that a Gamma_q near one of its poles is recomputed with
+_POLE_MARGIN = 5
+
+
+def qgamma_ctx(x, q, ctx, guard=DEFAULT_PRECISION.guard):
     """Gamma_q(x) = (1-q)^(1-x) (q;q)_inf / (q^x;q)_inf inside an existing context.
 
     Both q-products go through qpoch_inf_ctx, so near q = 1 the numerator
@@ -731,7 +801,44 @@ def qgamma_ctx(x, q, ctx):
     q^x from x and log q with its extra digits, not from q^x rounded to
     working precision, which it would magnify.  At x = 1 the denominator is
     the numerator's Euler function, so Gamma_q(1) is exactly 1.
+
+    Near a pole x = -n, n >= 0 the integer nearest to -Re x, the smallest
+    factor 1 - q^(x+n) of the denominator is about |x + n| L, L = -log q,
+    and forming it cancels log10(1 / (|x + n| L)) digits of q^x.  On the
+    split, which takes q^x with _split_digits(L) more digits, that many
+    fewer are lost.  When this float estimate says more than `guard` digits
+    are lost, the value is computed again in a context with that many more
+    digits plus _POLE_MARGIN, from the same bits of x and q; when it says
+    more than the working digits are lost, SingularArgumentError names
+    them.  The value in ctx comes first, so an input that raised before (a
+    factor below 10^-dps, or the work budget) still raises the same error,
+    and away from the poles the check is one float comparison.
     """
+    value = _qgamma(x, q, ctx)
+    xr, qf = float(x.real), float(q)
+    L = -math.log(qf) if 0 < qf < 0.999 else -_float_log(q)
+    if abs(xr) < 2.0**50:
+        # |Re x + n| less the float rounding of Re x is a lower bound on |x + n|
+        if (abs(xr + max(0, round(-xr))) - abs(xr) * 2.0**-50) * L >= 10.0**-guard:
+            return value
+    n = max(0, int(ctx.nint(-x.real)))
+    size = float(abs(x + n)) * L
+    if size >= 10.0**-guard:
+        return value
+    lost = math.ceil(-math.log10(size)) if size else math.inf
+    if geometric_terms(abs(ctx.exp(x * ctx.log(q))), q, ctx) >= _EULER_CROSSOVER:
+        lost -= _split_digits(L)
+    if lost <= guard:
+        return value
+    if lost > ctx.dps:
+        raise SingularArgumentError(
+            f"Gamma_q(x) at {ctx.nstr(abs(x + n), 3)} from its pole at x = {-n}: the factor "
+            f"1 - q^(x + {n}) would cancel {lost} digits, more than the {ctx.dps} working digits")
+    hi = _context_at(ctx.dps + lost + _POLE_MARGIN)
+    return +ctx.convert(_qgamma(hi.convert(x), hi.convert(q), hi))  # + rounds to ctx
+
+
+def _qgamma(x, q, ctx):
     qx = q if x == 1 else ctx.exp(x * ctx.log(q))
     pole_eps = ctx.mpf(10) ** (-ctx.dps)
     num = qpoch_inf_ctx(q, q, ctx)
@@ -744,12 +851,14 @@ def qgamma(x, q, prec: Precision = DEFAULT_PRECISION):
 
     q**x is exp(x log q) with the principal (real) logarithm.  Arguments
     where some 1 - q^(x+n) falls below the working epsilon in modulus are
-    reported as SingularArgumentError.
+    reported as SingularArgumentError.  Near a pole, where forming that
+    factor cancels more than prec.guard digits, the value is recomputed
+    with more digits (qgamma_ctx).
     """
     ctx = context(prec)
     qv = as_q(q, ctx)
     xv = to_hp(x, ctx)
-    return qgamma_ctx(xv, qv, ctx)
+    return qgamma_ctx(xv, qv, ctx, prec.guard)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from random import Random
 
 from .products import (
@@ -139,16 +140,40 @@ def _report_params(spec: IdentitySpec, lhs_info=None) -> dict:
         params["lhs_terms"] = lhs_info.terms
         if lhs_info.rel_error_estimate is not None:
             params["rel_error_estimate"] = lhs_info.rel_error_estimate
+        if lhs_info.level is not None:
+            params["extrapolation_level"] = lhs_info.level
     return params
 
 
-def run_identity(spec: IdentitySpec, tolerance_digits: int) -> VerificationReport:
+def _backed_digits(info) -> int | None:
+    """floor(-log10) of the left side's relative error estimate: the digits it backs.
+
+    None when the left side records no estimate, or an estimate of 0 (an
+    exact product, as THM4 at z = 0).  Exact on the decimal string.
+    """
+    if info.rel_error_estimate is None:
+        return None
+    est = Decimal(info.rel_error_estimate)
+    if not est:
+        return None
+    power = est.adjusted()  # 10^power <= est < 10^(power + 1)
+    return -power if est == Decimal(10) ** power else -power - 1
+
+
+def run_identity(spec: IdentitySpec, tolerance_digits: int | None = None) -> VerificationReport:
     """Evaluate both sides through their independent paths and compare.
 
     Evaluator failures (poles, divergent parameters) become failing reports
     tagged with the error, never exceptions: a suite must always complete.
+    A left side whose own error estimate backs fewer digits than the
+    tolerance fails too, and its report says so.  Without tolerance_digits
+    the identity's own tolerance applies, capped, for a left side with an
+    estimate, at one digit less than the estimate backs.
     """
     t0 = time.perf_counter()
+    own = tolerance_digits is None
+    if own:
+        tolerance_digits = IDENTITIES[spec.id].tolerance(spec)
     try:
         lhs, info = eval_lhs_info(spec)
         rhs, _ = eval_rhs_info(spec)
@@ -166,8 +191,15 @@ def run_identity(spec: IdentitySpec, tolerance_digits: int) -> VerificationRepor
             error=f"{type(exc).__name__}: {exc}",
             elapsed_ms=int(round((time.perf_counter() - t0) * 1000)),
         )
+    backed = _backed_digits(info)
+    if own and backed is not None:
+        tolerance_digits = max(0, min(tolerance_digits, backed - 1))
     report = compare(lhs, rhs, tolerance_digits, spec.prec,
                      identity=spec.id, params=_report_params(spec, info))
+    if backed is not None and backed < tolerance_digits:
+        report = replace(report, passed=False,
+                         error=f"the left side's error estimate {info.rel_error_estimate} backs "
+                               f"{backed} digits, fewer than the tolerance {tolerance_digits}")
     return replace(report, elapsed_ms=int(round((time.perf_counter() - t0) * 1000)))
 
 

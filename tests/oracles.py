@@ -11,6 +11,7 @@ values Gamma(-1/2), Gamma(9/2) and Gamma(6), and |Gamma(1/2 + it)|^2 and
 |Gamma(1 + it)|^2 against elementary functions (tests/test_qfunc.py).
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -263,3 +264,47 @@ def thm4_lhs_mpf(spec, ctx, min_terms=0):
     c_est = (az * abs(weighted) + az**2 * phi / 2 + az**3 * phi * 2 / 3) / k**2
     est = c_est / (blocks - 1)
     return p, EvalInfo(terms=blocks * k, rel_error_estimate=mpmath.nstr(est, 8))
+
+
+# The limit of the COR2 product without Gamma: a direct head and the
+# Hurwitz zeta series of its tail.  It is the Taylor series of log Gamma, the
+# right side's closed form, so it stays here and out of the package.
+
+
+def cor2_tail_log(alphas, betas, start, ctx):
+    """log prod_{n>=start} prod_i (n + alpha_i) / (n + beta_i) for sum(alphas) = sum(betas).
+
+    log(1 + x/n) = sum_{m>=1} (-1)^(m+1) x^m / (m n^m) for |x| < n, summed
+    over n >= start:
+
+        sum_{m>=2} (-1)^(m+1) sum_i (alpha_i^m - beta_i^m) zeta(m, start) / m,
+
+    the m = 1 term cancelling because the sums agree.  Needs every |entry|
+    below start / 2; the series is summed until its terms fall below
+    10^-dps.  mpmath's zeta(m, start) is accurate to about 10^-dps absolute,
+    not relative, so each is taken with m log10(start) + 10 more digits, in
+    a context of its own.
+    """
+    r = max(abs(v) for v in (*alphas, *betas))
+    assert r < start / 2, "the tail series needs |entries| well below start"
+    eps = ctx.mpf(10) ** -ctx.dps
+    wide = mpmath.mp.clone()
+    total = ctx.mpf(0)
+    m = 2
+    while True:
+        wide.dps = ctx.dps + math.ceil(m * math.log10(start)) + 10
+        power = sum(a**m for a in alphas) - sum(b**m for b in betas)
+        term = (-1) ** (m + 1) * power * ctx.convert(wide.zeta(m, start)) / m
+        total += term
+        # the terms left are below (2 r)^m zeta(m, start) (r / start)^j summed over j
+        if (2 * r) ** m * ctx.zeta(m, start) < eps:
+            return total
+        m += 1
+
+
+def cor2_limit(alphas, betas, ctx, head=256):
+    """prod_{n>=0} prod_i (n + alpha_i) / (n + beta_i): `head` factors directly, then the tail series."""
+    al = [to_hp(a, ctx) for a in alphas]
+    be = [to_hp(b, ctx) for b in betas]
+    value = ctx.fprod((n + a) / (n + b) for n in range(head) for a, b in zip(al, be))
+    return value * ctx.exp(cor2_tail_log(al, be, head, ctx))

@@ -175,23 +175,26 @@ def test_criterion_07_classical_limit_products():
     ctx = context(prec)
     spec = IdentitySpec(id="COR2", alphas=("0.5", "0.5"), betas=("0.25", "0.75"),
                         terms=10**5, prec=prec)
-    value = eval_lhs(spec)
-    root_gap = abs(value - ctx.sqrt(2))
-    ok = root_gap < ctx.mpf(10) ** -4
+    raw_gap = abs(products._cor2_lhs(spec, ctx, extrapolate=False)[0] - ctx.sqrt(2))
+    root_gap = abs(eval_lhs(spec) - ctx.sqrt(2))
+    ok = raw_gap < ctx.mpf(10) ** -4 and root_gap < ctx.mpf(10) ** -35
     rng = random.Random(SEED)
     inside = 0
     for _ in range(10):
         alphas, betas = random_cor2_instance(rng)
         s = IdentitySpec(id="COR2", alphas=alphas, betas=betas,
                          terms=10**5, prec=prec)
+        target = eval_rhs(s)
         got, info = eval_lhs_info(s)
-        actual = oracles.rel_diff(got, eval_rhs(s))
-        if actual <= float(info.rel_error_estimate):
+        raw, raw_info = products._cor2_lhs(s, ctx, extrapolate=False)
+        if (oracles.rel_diff(got, target) <= float(info.rel_error_estimate)
+                and oracles.rel_diff(raw, target) <= float(raw_info.rel_error_estimate)):
             inside += 1
     ok = ok and inside == 10
-    _verdict(7, ok, f"COR2: sqrt(2) instance off by {float(root_gap):.2e} < 1e-4 "
-                    f"at 1e5 terms; {inside}/10 random instances within their "
-                    f"recorded error estimates")
+    _verdict(7, ok, f"COR2: sqrt(2) instance off by {float(raw_gap):.2e} < 1e-4 "
+                    f"raw and {float(root_gap):.2e} < 1e-35 extrapolated at 1e5 "
+                    f"terms; {inside}/10 random instances within their recorded "
+                    f"error estimates, raw and extrapolated")
 
 
 def test_criterion_08_conditionally_convergent_gamma_ratio():
@@ -205,26 +208,38 @@ def test_criterion_08_conditionally_convergent_gamma_ratio():
         errs = {}
         for blocks in (10**3, 10**4, 10**5, 10**6):
             s = IdentitySpec(id="THM4", chi=chi, z="0.5", blocks=blocks, prec=prec)
-            errs[blocks] = oracles.rel_diff(eval_lhs(s), target)
+            raw, _ = products._thm4_lhs(s, context(prec), extrapolate=False)
+            errs[blocks] = oracles.rel_diff(raw, target)
         ok = ok and errs[10**6] <= 5e-6
-        # one decade of blocks buys close to one decade of accuracy
+        # one decade of blocks buys close to one decade of accuracy in the raw product
         ok = ok and errs[10**4] < errs[10**3] / 3
         ok = ok and errs[10**5] < errs[10**4] / 3
-        details.append(f"mod {modulus}: 1e6-block error {errs[10**6]:.2e}")
+        # the extrapolated product at 1e4 blocks: within its estimate, 25 digits or more
+        s = IdentitySpec(id="THM4", chi=chi, z="0.5", blocks=10**4, prec=prec)
+        value, info = eval_lhs_info(s)
+        extrapolated = oracles.rel_diff(value, target)
+        ok = ok and extrapolated <= float(info.rel_error_estimate) and extrapolated < 1e-25
+        details.append(f"mod {modulus}: 1e6-block raw error {errs[10**6]:.2e}, "
+                       f"1e4-block extrapolated error {extrapolated:.2e}")
     _verdict(8, ok, f"THM4 truncations track the closed form ({'; '.join(details)}; "
-                    f"error falls ~1/M across three decades)")
+                    f"raw error falls ~1/M across three decades)")
 
 
 def test_criterion_09_prototype_product():
     prec = Precision(30)
     spec = IdentitySpec(id="PROTOTYPE", terms=10**6, prec=prec)
-    value, info = eval_lhs_info(spec)
     target = oracles.parse_hp(oracles.PI_SQRT2_OVER_4, dps=40)
+    raw, raw_info = products._prototype_lhs(spec, context(prec), extrapolate=False)
+    actual_raw = oracles.rel_diff(raw, target)
+    ok = actual_raw <= float(raw_info.rel_error_estimate) and actual_raw < 1e-6
+    value, info = eval_lhs_info(spec)
     actual = oracles.rel_diff(value, target)
-    ok = actual <= float(info.rel_error_estimate) and actual < 1e-6
+    ok = ok and actual <= float(info.rel_error_estimate) and actual < 1e-38
     _verdict(9, ok, f"alternating (1 -+ 1/(2k+1)) product at 1e6 factors: "
-                    f"{actual:.2e} off pi*sqrt(2)/4, within its "
-                    f"{float(info.rel_error_estimate):.2e} estimate, >= 6 digits")
+                    f"{actual_raw:.2e} off pi*sqrt(2)/4 raw, within its "
+                    f"{float(raw_info.rel_error_estimate):.2e} bound, >= 6 digits; "
+                    f"{actual:.2e} extrapolated, within its "
+                    f"{float(info.rel_error_estimate):.2e} estimate, >= 38 digits")
 
 
 class _NudgedRoot:

@@ -168,13 +168,14 @@ def test_verify_mismatch_exits_one(capsys):
 
 
 def test_verify_thm4_default_tolerance_follows_blocks(capsys):
-    # 1e3 blocks agree to 4 digits, inside their own error estimate; the
-    # default tolerance must be the suite's for 1e3 blocks, not for 1e6
+    # 1e3 blocks, extrapolated, agree to 18 digits, inside their own error
+    # estimate of 2.3e-17; the default tolerance is one digit less than that
+    # estimate backs, not the 22 digits the suite asks at 30
     code, out, err = run(capsys, "verify", "--id", "thm4", "--modulus", "4",
                          "--char-index", "1", "--z", "0.5", "--blocks", "1000",
                          "--digits", "30")
     assert code == 0
-    assert "(tolerance 3)" in out and "PASS" in out
+    assert "(tolerance 15)" in out and "PASS" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -268,7 +269,9 @@ def test_eval_counted_product_json_has_its_estimate(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["terms"] == 100
-    assert obj["rel_error_estimate"] == "0.0062011084"
+    # the raw product's bound is 0.0062011084; three levels of extrapolation
+    assert obj["rel_error_estimate"] == "0.00026119954"
+    assert obj["extrapolation_level"] == 3
 
 
 def test_verify_text_report_names_the_error(capsys):
@@ -282,16 +285,27 @@ def test_verify_text_report_names_the_error(capsys):
 
 
 def test_suite_text_lines_name_the_character_and_length(capsys):
-    code, out, err = run(capsys, "suite", "--only", "thm4", "--blocks", "1000")
+    # 1e4 blocks and terms back the suite's 22 digits at 30
+    code, out, err = run(capsys, "suite", "--only", "thm4", "--blocks", "10000")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].endswith(" z=0.5 blocks=1000 chi=mod3#[1]")
-    assert lines[1].endswith(" z=0.5 blocks=1000 chi=mod4#[1]")
-    code, out, err = run(capsys, "suite", "--only", "cor2", "--cor2-terms", "1000")
+    assert lines[0].endswith(" z=0.5 blocks=10000 chi=mod3#[1]")
+    assert lines[1].endswith(" z=0.5 blocks=10000 chi=mod4#[1]")
+    code, out, err = run(capsys, "suite", "--only", "cor2", "--cor2-terms", "10000")
     assert code == 0
     lines = out.splitlines()[:-1]
     assert len(lines) == 11
-    assert all(" terms=1000 len=" in line for line in lines)
+    assert all(" terms=10000 len=" in line for line in lines)
+
+
+def test_suite_at_too_few_blocks_fails_and_says_why(capsys):
+    # 1e3 blocks back 16 digits, fewer than the 22 the suite asks at 30
+    code, out, err = run(capsys, "suite", "--only", "thm4", "--blocks", "1000")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1].startswith("FAIL THM4          agreed= 18 tol=22 ")
+    assert lines[1].endswith(" error=the left side's error estimate 2.2968762e-17 backs 16 digits, "
+                             "fewer than the tolerance 22")
 
 
 def test_suite_json_to_stdout(capsys):

@@ -3,9 +3,11 @@
 Each product is computed three ways: by a kernel (geometric_product or
 rational_product), by its former mpf loop (kept in oracles.py), and by an mpf
 reference 40 digits past the working precision over the same factors.  The
-factor count (and for the classical products the whole EvalInfo) must equal
-the former loop's, so the truncation is unchanged, and the kernel's relative
-error against the reference may not exceed the former loop's or 10^-workdps.
+factor count (and for the classical products' raw product at N the error
+bound too) must equal the former loop's, so the truncation is unchanged, and
+the kernel's relative error against the reference may not exceed the former
+loop's or 10^-workdps.  The partial products rational_product records in
+its one pass are checked against such references at drawn checkpoints.
 
 The Euler function's second route, euler_function, is checked against a
 direct kernel product 40 digits past the working precision, on both sides of
@@ -44,6 +46,7 @@ from qprod.qfunc import (
     qgamma,
     qpoch_inf_ctx,
     qpochhammer,
+    _context_at,
     rational_product,
     rational_zeros,
     to_hp,
@@ -203,23 +206,26 @@ def test_near_pole_raises_with_the_former_message():
 
 
 def check_classical(spec, lhs, oracle, factors):
-    """The kernel-backed left side against its former mpf loop and a reference.
+    """The kernel-backed raw product at N against its former mpf loop and a reference.
 
-    factors(ctx, ref) yields the reference's factors in the reference context,
-    built from the inputs as the working context rounds them.
+    The left side's extrapolate=False value is the raw product the former
+    loop computed, with the same factor count and error bound.  factors(ref)
+    yields the reference's factors in the reference context, built from the
+    spec's exact inputs.
     """
     ctx, ref = contexts(spec.prec.digits)
-    value, info = lhs(spec, ctx)
+    value, info = lhs(spec, ctx, extrapolate=False)
     old, old_info = oracle(spec, ctx)
-    assert info == old_info
-    check_error(value, old, ref.fprod(factors(ctx, ref)), ctx)
+    assert (info.terms, info.rel_error_estimate, info.level) == (
+        old_info.terms, old_info.rel_error_estimate, 0)
+    check_error(value, old, ref.fprod(factors(ref)), ctx)
 
 
 @pytest.mark.parametrize("digits", [30, 60])
 def test_prototype_matches_mpf_loop(digits):
     spec = IdentitySpec("PROTOTYPE", terms=10**4, prec=Precision(digits))
 
-    def factors(ctx, ref):
+    def factors(ref):
         for j in range(1, spec.terms + 1):
             yield ref.mpf(2 * j + 2 if j & 1 else 2 * j) / (2 * j + 1)
 
@@ -234,9 +240,8 @@ def test_prototype_matches_mpf_loop(digits):
 def test_cor2_matches_mpf_loop(alphas, betas):
     spec = IdentitySpec("COR2", alphas=alphas, betas=betas, terms=2000, prec=Precision(30))
 
-    def factors(ctx, ref):
-        pairs = [(ref.convert(to_hp(a, ctx)), ref.convert(to_hp(b, ctx)))
-                 for a, b in zip(alphas, betas)]
+    def factors(ref):
+        pairs = [(to_hp(a, ref), to_hp(b, ref)) for a, b in zip(alphas, betas)]
         for n in range(spec.terms):
             for a, b in pairs:
                 yield (n + a) / (n + b)
@@ -250,10 +255,9 @@ def test_thm4_matches_mpf_loop(chi, z_text):
     spec = IdentitySpec("THM4", chi=chi, z=z_text, blocks=2000, prec=Precision(30))
     k = chi.modulus
 
-    def factors(ctx, ref):
-        z = to_hp(z_text, ctx)
-        cz = {r: ref.convert(_omega(chi.value(r), ctx) * z)
-              for r in range(k) if chi.value(r) is not None}
+    def factors(ref):
+        z = to_hp(z_text, ref)
+        cz = {r: _omega(chi.value(r), ref) * z for r in range(k) if chi.value(r) is not None}
         for n in range(2, spec.blocks * k + 2):
             if n % k in cz:
                 yield (n - cz[n % k]) / n
@@ -265,21 +269,21 @@ def test_rational_product_keeps_a_tiny_shift_at_n_zero():
     # a_0 / b_0 at n = 0 is far below the kernel's fixed-point unit
     ctx, ref = contexts(30)
     a, b = ctx.mpf("1e-40"), ctx.mpf("3e-45")
-    value = rational_product([(a, b)], 0, 50, ctx)
+    value = rational_product([(a, b)], 0, [50], ctx)[0]
     reference = ref.fprod((n + ref.convert(a)) / (n + ref.convert(b)) for n in range(50))
     assert abs(value - reference) / abs(reference) <= ctx.mpf(10) ** -ctx.dps
 
 
 def test_rational_product_of_an_empty_range_is_one():
     ctx = context(Precision(30))
-    assert rational_product([(ctx.mpf("0.5"), ctx.mpf("0.25"))], 0, 0, ctx) == 1
+    assert rational_product([(ctx.mpf("0.5"), ctx.mpf("0.25"))], 0, [0], ctx) == [1]
 
 
 def test_rational_product_refuses_a_negative_start():
     # the factors n = -3 .. 0 may not be dropped silently
     ctx = context(Precision(30))
     with pytest.raises(ValueError, match="start >= 0"):
-        rational_product([(ctx.mpf("0.5"), ctx.mpf("0.25"))], -3, 5, ctx)
+        rational_product([(ctx.mpf("0.5"), ctx.mpf("0.25"))], -3, [5], ctx)
 
 
 # a shift 0.05 or more from every integer, so no factor n + x nears 0 for n >= 0
@@ -303,10 +307,35 @@ def test_rational_product_blocks_at_drawn_shifts(shifts, start, count, extra, re
         return ctx.mpf(part[0]) if real or not part[1] else ctx.mpc(*part)
 
     pairs = [None if s is None else (value(s[0]), value(s[1])) for s in shifts]
-    result = rational_product(pairs, start, stop, ctx)
+    [result] = rational_product(pairs, start, [stop], ctx)
     reference = ref.fprod((n + ref.convert(pairs[n % k][0])) / (n + ref.convert(pairs[n % k][1]))
                           for n in range(start, stop) if pairs[n % k] is not None)
     assert abs(result - reference) <= abs(reference) * ctx.mpf(10) ** -ctx.dps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.none(), st.tuples(SHIFT, SHIFT)), min_size=1, max_size=5),
+       st.sampled_from([0, 1, 2]), st.lists(st.integers(0, 150), min_size=1, max_size=6),
+       st.booleans(), st.sampled_from([30, 50]))
+def test_rational_product_at_drawn_stops(shifts, start, offsets, real, digits):
+    # stops anywhere, aligned to whole blocks or not, repeated or not: each
+    # partial product is the product over [start, c) to 10^-(workdps + 5),
+    # rounded to a context 5 digits wider than the one that sets B
+    k = len(shifts)
+    stops = sorted(start + c for c in offsets)
+    ctx, ref = contexts(digits)
+    wide = _context_at(ctx.dps + 5)
+
+    def value(part):
+        return ctx.mpf(part[0]) if real or not part[1] else ctx.mpc(*part)
+
+    pairs = [None if s is None else (value(s[0]), value(s[1])) for s in shifts]
+    results = rational_product(pairs, start, stops, ctx, wide)
+    assert len(results) == len(stops)
+    for c, result in zip(stops, results):
+        reference = ref.fprod((n + ref.convert(pairs[n % k][0])) / (n + ref.convert(pairs[n % k][1]))
+                              for n in range(start, c) if pairs[n % k] is not None)
+        assert abs(result - reference) <= abs(reference) * wide.mpf(10) ** -wide.dps
 
 
 def test_rational_zeros_are_exact_integer_roots():

@@ -1,11 +1,14 @@
 """Identity evaluators: both sides of every registered identity agree, series
-truncation is stable under refinement, and error estimates bound the truth."""
+truncation is stable under refinement, and error estimates bound the truth:
+for the counted products both the proven bound on the raw product at N and
+the estimate of the extrapolated value."""
 
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from qprod import products
 from qprod.characters import enumerate_characters
 from qprod.products import (
     IDENTITIES,
@@ -18,6 +21,7 @@ from qprod.products import (
     eval_rhs_info,
 )
 from qprod.qfunc import Precision, SingularArgumentError, context
+from qprod.verify import run_identity
 
 CHI4 = enumerate_characters(4)[1]
 CHI5 = enumerate_characters(5)[1]  # quartic, complex values
@@ -57,11 +61,15 @@ def test_prototype_error_estimate_bounds_truth():
     prec = Precision(30)
     target = oracles.parse_hp(oracles.PI_SQRT2_OVER_4, dps=40)
     spec = spec_for("PROTOTYPE", terms=10**4, prec=prec)
+    raw, raw_info = products._prototype_lhs(spec, context(prec), extrapolate=False)
+    actual = oracles.rel_diff(raw, target)
+    assert raw_info.terms == 10**4 and raw_info.level == 0
+    assert actual <= float(raw_info.rel_error_estimate)
+    assert actual > float(raw_info.rel_error_estimate) / 50  # the bound is not absurdly loose
+    # the extrapolated value: the same factors, 24 digits backed
     value, info = eval_lhs_info(spec)
-    actual = oracles.rel_diff(value, target)
-    assert info.terms == 10**4
-    assert actual <= float(info.rel_error_estimate)
-    assert actual > float(info.rel_error_estimate) / 50  # estimate is not absurdly loose
+    assert info.terms == 10**4 and info.level >= 8
+    assert oracles.rel_diff(value, target) <= float(info.rel_error_estimate) < 1e-24
     rhs, rinfo = eval_rhs_info(spec)
     assert oracles.rel_diff(rhs, target) < 1e-35
     assert rinfo.terms == 0 and rinfo.rel_error_estimate is None
@@ -104,11 +112,13 @@ def test_cor2_estimate_scaling():
             "COR2", alphas=("0.5", "0.5"), betas=("0.25", "0.75"),
             terms=n_terms, prec=Precision(40),
         )
-        value, info = eval_lhs_info(spec)
-        actual = oracles.rel_diff(value, target)
-        assert actual <= float(info.rel_error_estimate)
+        raw, raw_info = products._cor2_lhs(spec, context(spec.prec), extrapolate=False)
+        actual = oracles.rel_diff(raw, target)
+        assert actual <= float(raw_info.rel_error_estimate)
         errs[n_terms] = actual
-    # leading error term is O(1/N): doubling N roughly halves it
+        value, info = eval_lhs_info(spec)
+        assert oracles.rel_diff(value, target) <= float(info.rel_error_estimate) < actual / 10**10
+    # the raw product's leading error term is O(1/N): doubling N roughly halves it
     ratio = errs[10**3] / errs[2 * 10**3]
     assert 1.6 < ratio < 2.4
     assert errs[10**4] < errs[10**3] / 8
@@ -155,8 +165,10 @@ def test_thm4_sides_agree_and_estimate_holds():
         target = eval_rhs(spec)
         value, info = eval_lhs_info(spec)
         actual = oracles.rel_diff(value, target)
-        assert actual <= float(info.rel_error_estimate)
-        assert actual < 1e-3
+        assert actual <= float(info.rel_error_estimate) < 1e-18
+        raw, raw_info = products._thm4_lhs(spec, context(spec.prec), extrapolate=False)
+        assert oracles.rel_diff(raw, target) <= float(raw_info.rel_error_estimate)
+        assert oracles.rel_diff(raw, target) < 1e-3
 
 
 def test_thm4_pole_at_z_one():
@@ -266,9 +278,25 @@ def test_cor2_refuses_entries_too_large_for_its_terms():
         eval_lhs(spec)
 
 
-def test_thm4_tolerance_at_ten_thousand_blocks():
+def test_thm4_tolerance_at_ten_thousand_blocks(monkeypatch):
+    # the tolerance is closed-form: building a plan entry evaluates no product
     spec = spec_for("THM4", chi=CHI4, z="0.5", blocks=10**4)
-    assert IDENTITIES["THM4"].tolerance(spec) == 4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tolerance evaluated a product")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(products, "rational_product", refuse)
+        assert IDENTITIES["THM4"].tolerance(spec) == 40
+    # 10^4 blocks back 28 digits at 50: the report at tolerance 40 fails and says why
+    report = run_identity(spec, 40)
+    assert not report.passed and report.digits_agreed >= 30
+    assert report.error == ("the left side's error estimate "
+                            f"{report.params['rel_error_estimate']} backs 28 digits, "
+                            "fewer than the tolerance 40")
+    # its own tolerance is one digit less than its estimate backs
+    own = run_identity(spec)
+    assert own.passed and own.tolerance_digits == 27 and own.error is None
 
 
 def test_spec_json_roundtrip():

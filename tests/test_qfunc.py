@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from qprod import qfunc
 from qprod.characters import enumerate_characters
 from qprod.numtheory import von_mangoldt
 from qprod.products import IdentitySpec, eval_lhs, eval_rhs
@@ -24,6 +27,7 @@ from qprod.qfunc import (
     jackson_value,
     parse_number,
     qgamma,
+    qgamma_ctx,
     qpoch_inf_ctx,
     qpochhammer,
     von_mangoldt_number,
@@ -159,6 +163,64 @@ def test_qgamma_poles():
     for x in (0, -1, -3):
         with pytest.raises(SingularArgumentError):
             qgamma(x, "0.5")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=5, max_value=58), st.sampled_from([0, 1, 2, 5]),
+       st.sampled_from(["0.5", "0.9", "0.99"]), st.floats(min_value=-3.2, max_value=3.2),
+       st.booleans())
+def test_qgamma_near_a_pole_keeps_its_digits_or_raises(decades, n, qs, angle, imag):
+    # x = -n + delta, delta = 10^-decades, on the real axis (either side) or
+    # off it; the reference takes the same bits of x and q, 120 digits further
+    ctx = context(P50)
+    ref = context(Precision(50, P50.guard + 120))
+    delta = ctx.mpf(10) ** -ctx.mpf(decades)
+    if imag:
+        offset = delta * ctx.expj(ctx.mpf(angle))
+    else:
+        offset = delta if angle >= 0 else -delta
+    x, q = -n + offset, ctx.mpf(qs)
+    try:
+        value = qgamma(x, q, P50)
+    except SingularArgumentError:
+        # only where the factor 1 - q^(x+n) is about 10^-workdps
+        assert abs(offset) * -ctx.log(q) < ctx.mpf(10) ** -(ctx.dps - 1)
+        return
+    true = qgamma_ctx(ref.convert(x), ref.convert(q), ref)
+    assert abs(value - true) <= abs(true) * ref.mpf(10) ** -P50.digits
+
+
+def test_qgamma_a_hair_from_its_pole():
+    # 1e-58 from the pole at -1: 58 digits cancel, and the value keeps its 50
+    ctx = context(P50)
+    ref = context(Precision(50, 150))
+    x = ctx.mpf(-1) + ctx.mpf("1e-58")
+    value = qgamma(x, "0.5", P50)
+    true = qgamma_ctx(ref.convert(x), ref.mpf("0.5"), ref)
+    assert abs(value - true) <= abs(true) * ref.mpf(10) ** -P50.digits
+    # with no guard digits, 45 cancelled digits are made up in full as well
+    bare = Precision(50, 0)
+    x = context(bare).mpf(-1) + context(bare).mpf("1e-45")
+    value = qgamma(x, "0.5", bare)
+    true = qgamma_ctx(ref.convert(x), ref.mpf("0.5"), ref)
+    assert abs(value - true) <= abs(true) * ref.mpf(10) ** -bare.digits
+
+
+def test_qgamma_at_a_q_below_the_float_range():
+    # q = 1e-400 is 0.0 as a float; Gamma_q(1/2) is 1 + q^(1/2) + ...
+    assert abs(qgamma("0.5", "1e-400", Precision(30)) - 1) < mpmath.mpf(10) ** -39
+
+
+def test_qgamma_refuses_to_cancel_more_than_its_working_digits(monkeypatch):
+    # the value in ctx raises first wherever the factor is below 10^-dps, so
+    # this cap is reached only if that value passes: here a stand-in passes
+    ctx = context(P50)
+    x = context(Precision(80)).mpf(-2) + context(Precision(80)).mpf("1e-65")
+    monkeypatch.setattr(qfunc, "_qgamma", lambda x, q, ctx: ctx.mpf(1))
+    with pytest.raises(SingularArgumentError) as info:
+        qgamma_ctx(x, ctx.mpf("0.5"), ctx)
+    assert str(info.value) == ("Gamma_q(x) at 1.0e-65 from its pole at x = -2: the factor "
+                               "1 - q^(x + 2) would cancel 66 digits, more than the 60 working digits")
 
 
 def test_qgamma_classical_limit():

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from qprod import products
+from qprod import products, verify
 from qprod.characters import enumerate_characters
 from qprod.products import IdentitySpec, eval_rhs, random_cor2_instance, random_thm1_instance
 from qprod.qfunc import Precision, context
@@ -54,6 +54,13 @@ def test_compare_graded_disagreement():
     r2 = compare(1, b, 25, Precision(50))
     assert r2.passed
     assert r2.tolerance_digits == 25
+
+
+def test_backed_digits_are_exact_on_the_decimal_string():
+    for text, digits in (("1.0e-40", 40), ("9.99e-40", 39), ("1.0000001e-40", 39),
+                         ("0.0062011084", 2), ("1.0", 0), ("0.0", None)):
+        assert verify._backed_digits(products.EvalInfo(rel_error_estimate=text)) == digits
+    assert verify._backed_digits(products.EvalInfo(terms=5)) is None
 
 
 def test_compare_total_disagreement_clips_to_zero():
@@ -302,11 +309,13 @@ def test_default_plan_has_no_vacuous_balanced_entry():
 
 
 def test_default_plan_is_pinned():
-    # sha256 of the plan's sorted (spec, tolerance) rows, 600 entries
+    # sha256 of the plan's sorted (spec, tolerance) rows, 600 entries; the
+    # PROTOTYPE, COR2 and THM4 entries ask for 22 digits at 30 (6, 4 and 5 before
+    # their left sides were extrapolated)
     rows = sorted(json.dumps([spec.to_json(), tol], sort_keys=True) for spec, tol in default_suite())
     assert len(rows) == 600
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
-    assert digest == "41195436a86edc75b9d4a2141528729be9937bee6cd32431adc629a801da28cc"
+    assert digest == "d3c71bf4ec30c98c9c24f764624531fdf8bee8135e097cff9beda9df1a3fb1d3"
     # filtering draws the same instances
     cor2 = [(s.to_json(), t) for s, t in default_suite() if s.id == "COR2"]
     assert [(s.to_json(), t) for s, t in default_suite(include=("COR2",))] == cor2
