@@ -15,7 +15,7 @@ are provably below one unit in the last working digit.  The polynomially
 convergent products (PROTOTYPE, COR2, THM4), whose error falls only as
 1/N, stop at a configured term or block count N, but their left side is
 not the raw product at N.  The one pass over their N factors records the
-partial products at checkpoints c_0 ~ N, c_j ~ N / 2^j, each ending a
+partial products at checkpoints c_0 ~ N, c_j ~ N / 1.5^j, each ending a
 whole period of the factors, and Neville's scheme extrapolates those
 partial products, not their logarithms, to 1/count = 0 (Richardson
 extrapolation: L. F. Richardson and J. A. Gaunt, Phil. Trans. R. Soc. A 226
@@ -335,7 +335,8 @@ def _front_factor(q, z, ctx):
 # ---------------------------------------------------------------------------
 # The counted products: partial products at checkpoints, extrapolated
 
-_LEVELS = 11  # checkpoints below c_0: about N/2, N/4, ..., N/2^11
+_LEVELS = 16  # checkpoints below c_0: about N/r, N/r^2, ..., N/r^16
+_RATIO = (3, 2)  # r = 3/2, as (numerator, denominator)
 _MIN_PERIODS = 4  # the smallest checkpoint lies at least this many periods past the start
 _EXTRA_DIGITS = 5  # carried past the working precision by the partial products and the table
 
@@ -344,18 +345,29 @@ def _checkpoints(start, stop, k) -> list:
     """Ascending checkpoints c_L < ... < c_1 < c_0 of a product over n in [start, stop), period k.
 
     c_0 ends the last whole period, stop itself unless the range ends in part
-    of one; c_j = start + 4k floor((c_0 - start) / (4k 2^j)) for j = 1 ..
-    _LEVELS, so each of them ends a whole block of four factors in every
-    residue class, and rational_product rounds no more at c_0 than a
-    product over [start, c_0) alone.  The error of a product over whole
-    periods is a smooth series in 1 / count; a part period would add a term
-    that alternates with it.  Only distinct checkpoints at least
+    of one; c_j = start + 4k floor((c_0 - start) / (4k r^j)) for j = 1 ..
+    _LEVELS, r = _RATIO = 3/2, so each of them ends a whole block of four
+    factors in every residue class, and rational_product rounds no more at
+    c_0 than a product over [start, c_0) alone.  The error of a product
+    over whole periods is a smooth series in 1 / count; a part period would
+    add a term that alternates with it.  Only distinct checkpoints at least
     _MIN_PERIODS periods past start are kept.
+
+    The ratio sets what the table can reach.  Level L removes the first L
+    terms of the error series and leaves about the next coefficient times
+    the product of the L + 1 values of 1 / count, N^-(L+1) r^(L(L+1)/2):
+    the smallest counts dominate, and the coefficients of this asymptotic
+    series grow.  r = 2 with 11 levels (counts down to N / 2048) leaves COR2
+    at 2 * 10^4 terms 1.5e-34 to 4e-37 off, by instance; r = 3/2 with 16
+    levels (down to N / 657) reaches the rounding of 40 working digits there,
+    as for PROTOTYPE and THM4, while the weights that carry the partial
+    products' rounding into the value sum to 78.
     """
     whole = start + (stop - start) // k * k
+    num, den = _RATIO
     marks = []
     for j in range(_LEVELS, 0, -1):
-        c = start + 4 * k * ((whole - start) // (4 * k << j))
+        c = start + 4 * k * ((whole - start) * den**j // (4 * k * num**j))
         if c - start >= _MIN_PERIODS * k and c not in marks:
             marks.append(c)
     return marks + [whole] if whole > start else marks

@@ -168,14 +168,14 @@ def test_verify_mismatch_exits_one(capsys):
 
 
 def test_verify_thm4_default_tolerance_follows_blocks(capsys):
-    # 1e3 blocks, extrapolated, agree to 18 digits, inside their own error
-    # estimate of 2.3e-17; the default tolerance is one digit less than that
+    # 200 blocks, extrapolated, agree to 16 digits, inside their own error
+    # estimate of 4.3e-15; the default tolerance is one digit less than that
     # estimate backs, not the 22 digits the suite asks at 30
     code, out, err = run(capsys, "verify", "--id", "thm4", "--modulus", "4",
-                         "--char-index", "1", "--z", "0.5", "--blocks", "1000",
+                         "--char-index", "1", "--z", "0.5", "--blocks", "200",
                          "--digits", "30")
     assert code == 0
-    assert "(tolerance 15)" in out and "PASS" in out
+    assert "(tolerance 13)" in out and "PASS" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -269,9 +269,9 @@ def test_eval_counted_product_json_has_its_estimate(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["terms"] == 100
-    # the raw product's bound is 0.0062011084; three levels of extrapolation
-    assert obj["rel_error_estimate"] == "0.00026119954"
-    assert obj["extrapolation_level"] == 3
+    # the raw product's bound is 0.0062011084; five levels of extrapolation
+    assert obj["rel_error_estimate"] == "6.5294275e-8"
+    assert obj["extrapolation_level"] == 5
 
 
 def test_verify_text_report_names_the_error(capsys):
@@ -299,12 +299,12 @@ def test_suite_text_lines_name_the_character_and_length(capsys):
 
 
 def test_suite_at_too_few_blocks_fails_and_says_why(capsys):
-    # 1e3 blocks back 16 digits, fewer than the 22 the suite asks at 30
-    code, out, err = run(capsys, "suite", "--only", "thm4", "--blocks", "1000")
+    # 200 blocks back 14 digits, fewer than the 22 the suite asks at 30
+    code, out, err = run(capsys, "suite", "--only", "thm4", "--blocks", "200")
     assert code == 1
     lines = out.splitlines()
-    assert lines[1].startswith("FAIL THM4          agreed= 18 tol=22 ")
-    assert lines[1].endswith(" error=the left side's error estimate 2.2968762e-17 backs 16 digits, "
+    assert lines[1].startswith("FAIL THM4          agreed= 16 tol=22 ")
+    assert lines[1].endswith(" error=the left side's error estimate 4.285273e-15 backs 14 digits, "
                              "fewer than the tolerance 22")
 
 

@@ -55,7 +55,7 @@ def test_checkpoints_end_whole_blocks(start, stop, k):
     for c in marks[:-1]:
         # whole blocks of four in every class, a few periods past the start
         assert (c - start) % (4 * k) == 0 and c - start >= products._MIN_PERIODS * k
-        assert c - start <= (whole - start) // 2
+        assert c - start <= (whole - start) * 2 // 3
 
 
 def test_neville_is_exact_on_a_polynomial_in_one_over_count():

@@ -288,15 +288,19 @@ def test_thm4_tolerance_at_ten_thousand_blocks(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(products, "rational_product", refuse)
         assert IDENTITIES["THM4"].tolerance(spec) == 40
-    # 10^4 blocks back 28 digits at 50: the report at tolerance 40 fails and says why
+    # 10^4 blocks back 41 digits at 50: the report at tolerance 40 passes
     report = run_identity(spec, 40)
+    assert report.passed and report.digits_agreed >= 40 and report.error is None
+    # 2,000 blocks back 30: the report at tolerance 40 fails and says why
+    short = spec_for("THM4", chi=CHI4, z="0.5", blocks=2000)
+    report = run_identity(short, 40)
     assert not report.passed and report.digits_agreed >= 30
     assert report.error == ("the left side's error estimate "
-                            f"{report.params['rel_error_estimate']} backs 28 digits, "
+                            f"{report.params['rel_error_estimate']} backs 30 digits, "
                             "fewer than the tolerance 40")
     # its own tolerance is one digit less than its estimate backs
-    own = run_identity(spec)
-    assert own.passed and own.tolerance_digits == 27 and own.error is None
+    own = run_identity(short)
+    assert own.passed and own.tolerance_digits == 29 and own.error is None
 
 
 def test_spec_json_roundtrip():
