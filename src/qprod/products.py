@@ -45,6 +45,8 @@ from .qfunc import (
     SingularArgumentError,
     _context_at,
     _fixed_parts,
+    _float_log,
+    _split_digits,
     as_q,
     context,
     euler_function,
@@ -462,29 +464,43 @@ def _prototype_rhs(spec, ctx):
     return ctx.pi * ctx.sqrt(2) / 4, EvalInfo()
 
 
+def _split_context(q, ctx):
+    """The context of _qpoch_split at q: ctx's digits plus _split_digits(L), L = -log q."""
+    return _context_at(ctx.dps + _split_digits(-_float_log(q)))
+
+
 def _thm1_lhs(spec, ctx):
+    # q^alpha and q^beta come from alpha log q with the split's extra digits,
+    # and the products run there: the products magnify a rounding of their
+    # inputs about log(1/L) / L times, as in _qpoch_split
     q = as_q(spec.q, ctx)
-    lq = ctx.log(q)
-    ta = [ctx.exp(to_hp(a, ctx) * lq) for a in spec.alphas]
-    tb = [ctx.exp(to_hp(b, ctx) * lq) for b in spec.betas]
-    eps = ctx.mpf(10) ** (-ctx.dps)
-    s = sum((abs(t) for t in ta), ctx.mpf(0)) + sum((abs(t) for t in tb), ctx.mpf(0))
-    terms = geometric_terms(s, q, ctx)
-    p = ctx.mpf(1)
+    hi = _split_context(q, ctx)
+    hq = hi.convert(q)
+    lq = hi.log(hq)
+    ta = [hi.exp(hi.convert(to_hp(a, ctx)) * lq) for a in spec.alphas]
+    tb = [hi.exp(hi.convert(to_hp(b, ctx)) * lq) for b in spec.betas]
+    eps = hi.convert(ctx.mpf(10) ** (-ctx.dps))
+    terms = geometric_terms(ctx.mpf(sum((abs(t) for t in ta + tb), hi.mpf(0))), q, ctx)
+    p = hi.mpf(1)
     for j, (a, b) in enumerate(zip(ta, tb)):
-        num = geometric_product(a, q, ctx, n=terms)
-        den = geometric_product(b, q, ctx, n=terms,
+        num = geometric_product(a, hq, hi, n=terms)
+        den = geometric_product(b, hq, hi, n=terms,
                                 pole=(eps, lambda k, j=j: f"vanishing factor 1 - q^(n + beta_{j})"))
         p *= num / den
-    return p, EvalInfo(terms=terms)
+    return +ctx.convert(p), EvalInfo(terms=terms)  # + rounds to ctx
 
 
 def _thm1_rhs(spec, ctx):
+    # its Gamma_q values, each a few units of its context off, are multiplied
+    # in the left side's context and rounded once
     q = as_q(spec.q, ctx)
-    p = ctx.mpf(1)
+    hi = _split_context(q, ctx)
+    hq = hi.convert(q)
+    p = hi.mpf(1)
     for a, b in zip(spec.alphas, spec.betas):
-        p *= qgamma_ctx(to_hp(b, ctx), q, ctx) / qgamma_ctx(to_hp(a, ctx), q, ctx)
-    return p, EvalInfo()
+        p *= (qgamma_ctx(hi.convert(to_hp(b, ctx)), hq, hi)
+              / qgamma_ctx(hi.convert(to_hp(a, ctx)), hq, hi))
+    return +ctx.convert(p), EvalInfo()
 
 
 def _cor2_estimate(spec, ctx, n_terms):

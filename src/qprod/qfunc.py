@@ -12,6 +12,17 @@ by their exact inputs, and a repeat returns the same bits.
 q is restricted to real 0 < q < 1; arguments x may be complex.  q**x always
 means exp(x * log q) with the real (principal) logarithm of q.
 
+geometric_product multiplies the factors 1 - a q^k on fixed-point integers:
+one at a time while |a q^k| > 1/2, then in blocks of _BLOCK factors.  By the
+finite q-binomial theorem a block is one polynomial in t = a q^k,
+prod_{j<s} (1 - t q^j) = sum_i c_i t^i (Gasper and Rahman, Basic
+Hypergeometric Series, ch. 1), evaluated by Horner's rule, at a complex t
+with two real multiplies per coefficient (Knuth, The Art of Computer
+Programming, vol. 2, sec. 4.6.4).  Only the grouping of the factors
+changes: every left side stays a product of its own N factors.  Near q = 1
+a factor costs about half as much as one at a time when real, and a third
+when complex.
+
 The Euler function (q; q)_inf, the numerator of every q-gamma value, has a
 second route (euler_function).  The Dedekind eta transformation
 eta(-1/tau) = sqrt(-i tau) eta(tau) turns it into a closed part times
@@ -37,7 +48,8 @@ each about sqrt(dps ln 10 / L), so the cost grows as 1/sqrt(1 - q).  The
 split runs with log10(1/L) + 5 more digits and, for Gamma_q, takes q^x
 there from x: it magnifies a rounding of q^x about log(1/L) / L times.  The
 left sides of THM1, THM5/COR6 and the examples call geometric_product
-themselves and stay direct.
+themselves and stay direct; THM1's runs in the split's wider context, from
+q^alpha and q^beta taken there.
 
 No kernel runs past _WORK_BUDGET factors (the split counts two for each
 head factor and series term): a product whose count exceeds it raises
@@ -241,11 +253,13 @@ def geometric_terms(mag, q, ctx) -> int:
     return max(n, 0)
 
 
-# Factors per kernel call: about 100 s on the pure-Python mpmath backend.
-# _qpoch_split charges two factors for each head factor and each series
-# term: per step it costs 1.2 to 1.9 direct factors at working precision
-# (Gamma_q(1/2) at 1 - q = 1e-10 and 1e-8, 10 to 200 digits, CPython 3.11,
-# 2 cores), since its head and its series run with extra digits.
+# Factors per kernel call.  On the pure-Python mpmath backend (CPython 3.11,
+# 2 cores) a direct factor near q = 1 costs 0.1-0.6 us real and 0.24-1.35 us
+# complex at 20 to 210 working digits, so the budget is about 20 s (real)
+# to 40 s (complex) at 60.  _qpoch_split charges two factors for each head
+# factor and each series term: per step it costs 2.4 to 3.1 real or 1.1 to
+# 1.4 complex direct factors (Gamma_q(1/2) at 1 - q = 1e-8, same digits),
+# since its series terms each take a division and run with extra digits.
 _WORK_BUDGET = 10**8
 
 
@@ -273,11 +287,37 @@ def geometric_product(a, q, ctx, n, poly=None, pole=None):
     Every value is an int scaled by 2^B, a complex value a pair of them, and
     the running product m * 2^e keeps a B-bit mantissa m: it is renormalised
     after every multiply, so a product as small as (q;q)_inf at q = 0.99
-    (about 1e-71) keeps all its bits.  B is the context's working bits plus
-    guard bits.  Each step of t -> t q adds at most one unit of 2^-B, so t_k
-    is off by at most min(k, 1/(1-q)) <= N units and the product of N factors
-    by at most N^2 units; the 2 log2 N + 20 guard bits keep that rounding far
-    below the truncation error 10^-dps.
+    (about 1e-71) keeps all its bits.
+
+    The factors 1 - t, t = a q^k, come in three runs.  The head, from the
+    first factor while |t| > 1/2 (about ln 2 / L factors from |a| = 1,
+    L = -log q), is multiplied one factor at a time with the pole check.
+    Then come blocks of s = _BLOCK factors.  By the finite q-binomial theorem
+    (Gasper and Rahman, Basic Hypergeometric Series, ch. 1),
+    prod_{j<s} (1 - t q^j) = P(t) = sum_{i<=s} c_i t^i, and _block_polynomial
+    computes the real c_i once per (q, B).  A block is P(t) by Horner's
+    rule, then t steps on by Q = q^s.  At a complex t,
+    b_j = c_j + r b_{j+1} - |t|^2 b_{j+2} with r = 2 Re t gives
+    P(t) = c_0 + t b_1 - |t|^2 b_2, two real multiplies per coefficient
+    (Knuth, The Art of Computer Programming, vol. 2, sec. 4.6.4).  A block
+    needs no pole check: each of its factors has modulus at least 1/2.  The
+    fewer than s factors left over go one at a time.  A product too short
+    for one block never asks for the coefficients.
+
+    Rounding, in units of 2^-B.  q is exact in B bits for q >= 2^-62.  Each
+    step t -> t q, and each step t -> t Q with Q rounded once, adds at most
+    1.5 units to t, so t is off by at most d <= 1.5 N units over N factors.
+    A single factor f is then off by (d + 1) / |f| relative units.  A block
+    is off by at most 2 s d relative units from t.  It is off by 3^s s^2
+    more from the rounded c_i, from rounding |t|^2 and from Horner's steps.
+    The terms |c_i t^i| sum to at most prod_j (1 + |t| q^j) <= (3/2)^s, and
+    |P(t)| >= prod_j (1 - |t| q^j) >= 2^-s, so P may cancel s log2 3 bits.
+    With mu the least of 1/2 and the moduli of the factors, the relative
+    error of the product is at most N (3N / mu + s 3^s) units of 2^(1-B).
+    B is the context's working bits plus 2 log2 N + 20 + _BLOCK_GUARD guard
+    bits.  _BLOCK_GUARD = 2s + 8 is at least log2(s 3^s) + 10, so the
+    rounding stays as far below the truncation error 10^-dps as the N^2
+    units of a loop of single factors stay below 2^-(2 log2 N + 20).
 
     Results are remembered for the life of the process, keyed by everything
     the product depends on: the exact bits of a and q, the context's working
@@ -300,10 +340,36 @@ def geometric_product(a, q, ctx, n, poly=None, pole=None):
     return ctx.convert(value)
 
 
+# Factors per block of a direct product with |a q^k| <= 1/2 (geometric_product),
+# and the guard bits the blocks add to B: a block's polynomial may cancel
+# s log2 3 bits.
+_BLOCK = 16
+_BLOCK_GUARD = 2 * _BLOCK + 8
+
+
+@functools.lru_cache(maxsize=256)
+def _block_polynomial(qf, B):
+    """Coefficients c_s, ..., c_0 of prod_{j<s} (1 - x q^j) = sum_i c_i x^i, and q^s.
+
+    q = qf 2^-B, and every value is an int scaled by 2^B.  The coefficients
+    come from the recurrence "multiply by 1 - x q^j", q^j stepping by qf;
+    they cost about as much as 200 direct factors, so the last 256 (q, B)
+    pairs are remembered.
+    """
+    c = [1 << B] + [0] * _BLOCK
+    qj = 1 << B
+    for j in range(_BLOCK):
+        for i in range(j + 1, 0, -1):
+            c[i] -= c[i - 1] * qj >> B
+        qj = qj * qf >> B
+    return tuple(reversed(c)), qf**_BLOCK >> (_BLOCK - 1) * B
+
+
 def _geometric_product(a, q, ctx, n, poly, pole):
     _check_budget(n)
-    B = ctx.prec + 2 * n.bit_length() + 20
+    B = ctx.prec + 2 * n.bit_length() + 20 + (_BLOCK_GUARD if poly is None else 0)
     one = 1 << B
+    half = one >> 1
     qf = to_fixed(q._mpf_, B)
     pe = to_fixed(pole[0]._mpf_, B) if pole is not None else 0
     m, e = one, -B  # the running product is m * 2^e
@@ -323,7 +389,33 @@ def _geometric_product(a, q, ctx, n, poly, pole):
     if isinstance(a, ctx.mpc):
         tr, ti = (to_fixed(part, B) for part in a._mpc_)
         mi = 0
-        for k in range(n):
+        k = 0
+        while k < n:
+            if n - k >= _BLOCK and tr * tr + ti * ti <= half * half:
+                # P(t) = c_0 + t b_1 - |t|^2 b_2, b_j = c_j + r b_{j+1} - |t|^2 b_{j+2}, r = 2 Re t
+                (top, second, *middle, c0), qs = _block_polynomial(qf, B)
+                blocks = (n - k) // _BLOCK
+                for _ in range(blocks):
+                    r = tr << 1
+                    t2 = (tr * tr + ti * ti) >> B
+                    b2, b1 = top, second + (r * top >> B)
+                    for c in middle:
+                        b2, b1 = b1, c + ((r * b1 - t2 * b2) >> B)
+                    pr = c0 + ((tr * b1 - t2 * b2) >> B)
+                    pi = ti * b1 >> B
+                    m, mi = m * pr - mi * pi, m * pi + mi * pr
+                    s = max(m.bit_length(), mi.bit_length()) - B
+                    if s >= 0:
+                        m >>= s
+                        mi >>= s
+                    else:
+                        m <<= -s
+                        mi <<= -s
+                    e += s - B
+                    tr = tr * qs >> B
+                    ti = ti * qs >> B
+                k += blocks * _BLOCK
+                continue
             fr = one - tr
             if -pe < fr < pe and -pe < ti < pe and fr * fr + ti * ti < pe * pe:
                 raise SingularArgumentError(pole[1](k))
@@ -338,9 +430,25 @@ def _geometric_product(a, q, ctx, n, poly, pole):
             e += s - B
             tr = tr * qf >> B
             ti = ti * qf >> B
+            k += 1
         return ctx.mpc(ctx.mpf((m, e)), ctx.mpf((mi, e)))
     t = to_fixed(a._mpf_, B)
-    for k in range(n):
+    k = 0
+    while k < n:
+        if n - k >= _BLOCK and -half <= t <= half:
+            (top, *rest), qs = _block_polynomial(qf, B)
+            blocks = (n - k) // _BLOCK
+            for _ in range(blocks):
+                v = top
+                for c in rest:
+                    v = (v * t >> B) + c
+                m *= v
+                s = m.bit_length() - B
+                m = m >> s if s >= 0 else m << -s
+                e += s - B
+                t = t * qs >> B
+            k += blocks * _BLOCK
+            continue
         f = one - t
         if -pe < f < pe:
             raise SingularArgumentError(pole[1](k))
@@ -349,6 +457,7 @@ def _geometric_product(a, q, ctx, n, poly, pole):
         m = m >> s if s >= 0 else m << -s
         e += s - B
         t = t * qf >> B
+        k += 1
     return ctx.mpf((m, e))
 
 
@@ -587,10 +696,10 @@ def rational_zeros(values, start, stop, ctx) -> list:
 
 # Direct factors below which (q; q)_inf stays a direct product.  Measured
 # with geometric_product against the Euler path on the pure-Python mpmath
-# backend (CPython 3.11, 2 cores): the Euler path costs 0.13-0.15 ms at 40
-# and 60 working digits and 0.17-0.20 ms at 110, about what a direct product
-# of 200 factors costs.  The crossover sits higher, because products shorter
-# than it keep the bits the default suite was pinned with: at 400, the
+# backend (CPython 3.11, 2 cores): the Euler path costs 0.064-0.067 ms at 40
+# and 60 working digits and 0.088 ms at 110, about what a direct product of
+# 350 to 540 factors costs.  The crossover sits higher, because products
+# shorter than it keep the bits the default suite was pinned with: at 400, the
 # THM3_FULL n = 2 and n = 3 entries at q = 0.6 agree to 59 digits instead of
 # 60, and at 1,000 no suite entry agrees to fewer digits than before.  The
 # same count also sends any other (a; q)_inf to _qpoch_split.  That crossover

@@ -124,6 +124,16 @@ def qpoch_inf_mpf(a, q, ctx, pole_eps=None):
     return p, factors
 
 
+def qpoch_mpf(a, q, n, ctx):
+    """(a; q)_n = prod_{k<n} (1 - a q^k) factor by factor on mpf values."""
+    p = ctx.mpf(1)
+    t = a
+    for _ in range(n):
+        p *= 1 - t
+        t *= q
+    return p
+
+
 def char_shift_lhs_mpf(chi, z, q, ctx, min_terms=0):
     """prod_{n>=2} (1 - q^(n - chi(n) z)) / (1 - q^n) on mpf values."""
     k = chi.modulus

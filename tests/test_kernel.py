@@ -148,6 +148,28 @@ def test_thm1_lhs_matches_mpf_loop(qs):
     check_error(value, oracle, reference, ctx)
 
 
+@pytest.mark.parametrize("qs", ["0.9", "0.999"])
+def test_thm1_sides_take_their_inputs_from_log_q(qs):
+    # q^alpha and q^beta from alpha log q with the split's extra digits: both
+    # sides are within 10^-dps of a guard+60 left side with the same bits of
+    # q, alpha and beta that keeps its whole tail
+    prec = Precision(50)
+    ctx = context(prec)
+    ref = context(Precision(prec.digits, prec.guard + 60))
+    spec = IdentitySpec("THM1", alphas=("0.3+0.1i", "1.7"), betas=("0.6", "1.4+0.1i"),
+                        q=qs, prec=prec)
+    q = ref.convert(ctx.mpf(qs))
+    lq = ref.log(q)
+    reference = ref.mpf(1)
+    for a, b in zip(spec.alphas, spec.betas):
+        ta, tb = (ref.exp(ref.convert(to_hp(x, ctx)) * lq) for x in (a, b))
+        reference *= (geometric_product(ta, q, ref, n=geometric_terms(abs(ta), q, ref))
+                      / geometric_product(tb, q, ref, n=geometric_terms(abs(tb), q, ref)))
+    for side in (products._thm1_lhs, products._thm1_rhs):
+        value, _ = side(spec, ctx)
+        assert abs(value - reference) <= abs(reference) * ctx.mpf(10) ** -ctx.dps
+
+
 @pytest.mark.parametrize("qs", ["0.3", "0.9"])
 def test_geometric_terms_settles_a_near_integer_solution(qs):
     # mag = (1 - q) 10^-dps q^-j (1 +- s) puts the rule's threshold at N = j
@@ -199,6 +221,64 @@ def test_near_pole_raises_with_the_former_message():
     expect = message_of(lambda: oracles.char_shift_lhs_mpf(CHI4, z, q, ctx))
     assert expect.endswith("at n = 3")
     assert message_of(lambda: products._char_shift_lhs(CHI4, z, q, ctx)) == expect
+
+
+# ---------------------------------------------------------------------------
+# The direct product in blocks of _BLOCK factors
+
+BLOCK = qfunc._BLOCK
+
+
+def kernel_bound(a, q, n, ctx, ref):
+    """geometric_product's bound on its relative error over n factors, rounding to ctx included.
+
+    N (3N / mu + s 3^s) units of 2^(1-B), mu the least of 1/2 and the
+    moduli of the factors, and 2^(1-prec) for the result's rounding to ctx.
+    """
+    B = ctx.prec + 2 * n.bit_length() + 20 + qfunc._BLOCK_GUARD
+    ar, qr = ref.convert(a), ref.convert(q)
+    mu = min([ref.mpf(1) / 2] + [abs(1 - ar * t) for t in powers(ref, qr, 0, n)])
+    assume(mu > 0)
+    units = n * (3 * n / mu + BLOCK * 3**BLOCK)
+    return ref.mpf(2) ** (1 - ctx.prec) + units * ref.mpf(2) ** (1 - B)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["0.1", "0.5", "0.9", "0.99", "0.999"]),
+       st.floats(min_value=-4, max_value=4),
+       st.one_of(st.just(0.0), st.floats(min_value=-4, max_value=4)),
+       st.integers(0, 3 * BLOCK + 5), st.sampled_from([15, 50]))
+@example("0.999", 0.45, 0.0, 3 * BLOCK + 5, 50)
+@example("0.999", 0.3, 0.35, 3 * BLOCK + 5, 50)
+@example("0.9", 0.2, -0.1, 2 * BLOCK + 1, 15)
+@example("0.5", -3.5, 1.5, 2 * BLOCK + 7, 15)
+@example("0.5", 3.5, 0.0, 2 * BLOCK + 3, 50)
+def test_blocks_at_drawn_a_q_and_count(qs, ar, ai, n, digits):
+    # against the mpf loop 40 digits past the working precision, with |a| up
+    # to 4 * sqrt(2), so that a head of single factors precedes the blocks,
+    # and every count from 0 to three blocks and five factors left over
+    ctx, ref = contexts(digits)
+    q = ctx.mpf(qs)
+    a = ctx.mpc(ar, ai) if ai else ctx.mpf(ar)
+    bound = kernel_bound(a, q, n, ctx, ref)
+    reference = oracles.qpoch_mpf(ref.convert(a), ref.convert(q), n, ref)
+    value = geometric_product(a, q, ctx, n=n)
+    assert abs(value - reference) <= abs(reference) * bound
+
+
+@pytest.mark.parametrize("qs,k0,n", [("0.5", 5, 60), ("0.99", 40, 300)])
+@pytest.mark.parametrize("imag", [None, "1e-45"])
+def test_pole_in_the_head_raises_at_its_factor(qs, k0, n, imag):
+    # 1 - a q^k vanishes at k = k0, in the head of single factors, and blocks
+    # follow it; eps = 10^-30 lies far above the rounding of a = q^-k0
+    ctx = context(Precision(50))
+    q = ctx.mpf(qs)
+    a = ctx.exp(-k0 * ctx.log(q))
+    if imag:
+        a = ctx.mpc(a, ctx.mpf(imag))
+    assert abs(a) * q ** (n - BLOCK) <= ctx.mpf(1) / 2
+    pole = (ctx.mpf(10) ** -30, lambda k: f"k = {k}")
+    assert message_of(lambda: geometric_product(a, q, ctx, n=n, pole=pole)) == f"k = {k0}"
 
 
 # ---------------------------------------------------------------------------
