@@ -318,6 +318,8 @@ def geometric_product(a, q, ctx, n, poly=None, pole=None):
     bits.  _BLOCK_GUARD = 2s + 8 is at least log2(s 3^s) + 10, so the
     rounding stays as far below the truncation error 10^-dps as the N^2
     units of a loop of single factors stay below 2^-(2 log2 N + 20).
+    Polynomial factors, one at a time with t -> t q, take that loop's N^2
+    units and B without _BLOCK_GUARD.
 
     Results are remembered for the life of the process, keyed by everything
     the product depends on: the exact bits of a and q, the context's working

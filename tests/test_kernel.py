@@ -8,6 +8,11 @@ bound too) must equal the former loop's, so the truncation is unchanged, and
 the kernel's relative error against the reference may not exceed the former
 loop's or 10^-workdps.  The partial products rational_product records in
 its one pass are checked against such references at drawn checkpoints.
+geometric_product's blocks of _BLOCK factors are held to the rounding bound
+its docstring derives, on drawn a, q and counts, and a pole in its head of
+single factors must still raise at its own factor.  The THM1 sides, which
+take q^alpha and q^beta from alpha log q, are held to 10^-dps of a guard+60
+left side.
 
 The Euler function's second route, euler_function, is checked against a
 direct kernel product 40 digits past the working precision, on both sides of
