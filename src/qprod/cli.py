@@ -188,7 +188,7 @@ def _cmd_eval(args) -> int:
         if args.operation == "qgamma":
             if args.q is None:
                 raise CliError("qgamma needs --q")
-            value = qgamma_ctx(x, as_q(args.q, ctx), ctx)
+            value = qgamma_ctx(x, as_q(args.q, ctx), ctx, prec.guard)
             obj["q"] = args.q
         else:
             value = gamma_ctx(x, ctx)

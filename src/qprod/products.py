@@ -45,8 +45,6 @@ from .qfunc import (
     SingularArgumentError,
     _context_at,
     _fixed_parts,
-    _float_log,
-    _split_digits,
     as_q,
     context,
     euler_function,
@@ -59,7 +57,9 @@ from .qfunc import (
     qpoch_inf_ctx,
     rational_product,
     rational_zeros,
+    split_context,
     to_hp,
+    working_eps,
 )
 
 __all__ = [
@@ -203,12 +203,7 @@ class IdentitySpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IdentitySpec":
-        chi = None
-        if obj.get("chi") is not None:
-            chi = DirichletCharacter(
-                modulus=int(obj["chi"]["modulus"]),
-                exponents=tuple(obj["chi"]["exponents"]),
-            )
+        chi = None if obj.get("chi") is None else DirichletCharacter.from_json(obj["chi"])
         prec = DEFAULT_PRECISION
         if obj.get("prec"):
             prec = Precision(int(obj["prec"]["digits"]), int(obj["prec"].get("guard", 10)))
@@ -287,7 +282,7 @@ def _char_shift_lhs(chi, z, q, ctx):
     """
     k = chi.modulus
     lq = ctx.log(q)
-    eps = ctx.mpf(10) ** (-ctx.dps)
+    eps = working_eps(ctx)
     shifts: dict = {}
     dev = ctx.mpf(0)
     for j in range(k):
@@ -315,13 +310,13 @@ def _char_shift_lhs(chi, z, q, ctx):
     return p, EvalInfo(terms=terms)
 
 
-def _qgamma_coprime(n, q, ctx):
+def _qgamma_coprime(n, q, ctx, guard):
     """prod Gamma_q(j/n) over 1 <= j <= n with gcd(j, n) = 1, and the factor count."""
     p = ctx.mpf(1)
     count = 0
     for j in range(1, n + 1):
         if math.gcd(j, n) == 1:
-            p *= qgamma_ctx(ctx.mpf(j) / n, q, ctx)
+            p *= qgamma_ctx(ctx.mpf(j) / n, q, ctx, guard)
             count += 1
     return p, count
 
@@ -329,7 +324,7 @@ def _qgamma_coprime(n, q, ctx):
 def _front_factor(q, z, ctx):
     """(1 - q) / (1 - q^(1-z)) with a pole guard on the denominator."""
     den = 1 - ctx.exp((1 - z) * ctx.log(q))
-    if abs(den) < ctx.mpf(10) ** (-ctx.dps):
+    if abs(den) < working_eps(ctx):
         raise SingularArgumentError("1 - q^(1-z) vanishes (z too close to 1)")
     return (1 - q) / den
 
@@ -413,7 +408,7 @@ def _extrapolate(counts, values, ctx, bound):
                for (a, b), (c, d) in zip(row[1:], row)]  # g_1^2 .. g_L^2
     judged = [max(squares[i:i + 2]) for i in range(len(squares) - 1)] + [max(squares[-2:])]
     i = min(range(len(judged)), key=lambda i: (judged[i], -i))
-    est = min(max(10 * ctx.sqrt(judged[i]), ctx.mpf(10) ** (-ctx.dps)), bound)
+    est = min(max(10 * ctx.sqrt(judged[i]), working_eps(ctx)), bound)
     re, im = row[i + 1]
     value = ctx.mpc(ctx.mpf((re, -B)), ctx.mpf((im, -B))) if im else ctx.mpf((re, -B))
     return value, est, i + 1
@@ -464,22 +459,17 @@ def _prototype_rhs(spec, ctx):
     return ctx.pi * ctx.sqrt(2) / 4, EvalInfo()
 
 
-def _split_context(q, ctx):
-    """The context of _qpoch_split at q: ctx's digits plus _split_digits(L), L = -log q."""
-    return _context_at(ctx.dps + _split_digits(-_float_log(q)))
-
-
 def _thm1_lhs(spec, ctx):
     # q^alpha and q^beta come from alpha log q with the split's extra digits,
     # and the products run there: the products magnify a rounding of their
     # inputs about log(1/L) / L times, as in _qpoch_split
     q = as_q(spec.q, ctx)
-    hi = _split_context(q, ctx)
+    hi = split_context(q, ctx)
     hq = hi.convert(q)
     lq = hi.log(hq)
     ta = [hi.exp(hi.convert(to_hp(a, ctx)) * lq) for a in spec.alphas]
     tb = [hi.exp(hi.convert(to_hp(b, ctx)) * lq) for b in spec.betas]
-    eps = hi.convert(ctx.mpf(10) ** (-ctx.dps))
+    eps = hi.convert(working_eps(ctx))
     terms = geometric_terms(ctx.mpf(sum((abs(t) for t in ta + tb), hi.mpf(0))), q, ctx)
     p = hi.mpf(1)
     for j, (a, b) in enumerate(zip(ta, tb)):
@@ -494,12 +484,12 @@ def _thm1_rhs(spec, ctx):
     # its Gamma_q values, each a few units of its context off, are multiplied
     # in the left side's context and rounded once
     q = as_q(spec.q, ctx)
-    hi = _split_context(q, ctx)
+    hi = split_context(q, ctx)
     hq = hi.convert(q)
     p = hi.mpf(1)
     for a, b in zip(spec.alphas, spec.betas):
-        p *= (qgamma_ctx(hi.convert(to_hp(b, ctx)), hq, hi)
-              / qgamma_ctx(hi.convert(to_hp(a, ctx)), hq, hi))
+        p *= (qgamma_ctx(hi.convert(to_hp(b, ctx)), hq, hi, spec.prec.guard)
+              / qgamma_ctx(hi.convert(to_hp(a, ctx)), hq, hi, spec.prec.guard))
     return +ctx.convert(p), EvalInfo()
 
 
@@ -544,7 +534,7 @@ def _thm3_full_lhs(spec, ctx):
     q = as_q(spec.q, ctx)
     p = ctx.mpf(1)
     for j in range(1, spec.n + 1):
-        p *= qgamma_ctx(ctx.mpf(j) / spec.n, q, ctx)
+        p *= qgamma_ctx(ctx.mpf(j) / spec.n, q, ctx, spec.prec.guard)
     return p, EvalInfo(terms=spec.n)
 
 
@@ -557,7 +547,7 @@ def _thm3_full_rhs(spec, ctx):
 
 
 def _thm3_coprime_lhs(spec, ctx):
-    p, count = _qgamma_coprime(spec.n, as_q(spec.q, ctx), ctx)
+    p, count = _qgamma_coprime(spec.n, as_q(spec.q, ctx), ctx, spec.prec.guard)
     return p, EvalInfo(terms=count)
 
 
@@ -608,7 +598,7 @@ def _thm4_rhs(spec, ctx):
     k = chi.modulus
     z = to_hp(spec.z, ctx)
     one_minus_z = 1 - z
-    if abs(one_minus_z) < ctx.mpf(10) ** (-ctx.dps):
+    if abs(one_minus_z) < working_eps(ctx):
         raise SingularArgumentError("z = 1 is a pole of the closed form")
     lam = von_mangoldt(k)
     exp_half_lambda = ctx.sqrt(ctx.mpf(lam.prime)) if lam.kind == "prime-power-log" else ctx.mpf(1)
@@ -640,8 +630,8 @@ def _thm5_rhs(spec, ctx):
         ro = chi.value(j)
         if ro is None:
             continue  # the Gamma_qk ratio is exactly 1
-        num = qgamma_ctx(ctx.mpf(j) / k, qk, ctx)
-        den = qgamma_ctx((j - _omega(ro, ctx) * z) / k, qk, ctx)
+        num = qgamma_ctx(ctx.mpf(j) / k, qk, ctx, spec.prec.guard)
+        den = qgamma_ctx((j - _omega(ro, ctx) * z) / k, qk, ctx, spec.prec.guard)
         p *= num / den
     return p, EvalInfo()
 
@@ -661,7 +651,7 @@ def _cor6_rhs(spec, ctx):
         if math.gcd(j, k) != 1:
             continue
         ro = chi.value(j)
-        gprod *= qgamma_ctx((j - _omega(ro, ctx) * z) / k, qk, ctx)
+        gprod *= qgamma_ctx((j - _omega(ro, ctx) * z) / k, qk, ctx, spec.prec.guard)
     return head * euler / (pp * gprod), EvalInfo()
 
 
@@ -704,7 +694,7 @@ def _ex2b_rhs(spec, ctx):
 
 def _jackson_lhs(spec, ctx, pi_mult, n):
     """Gamma_q(1/2) (n = 2) or Gamma_q(1/4) Gamma_q(3/4) (n = 4) at q = e^(-pi_mult pi)."""
-    p, _ = _qgamma_coprime(n, ctx.exp(-pi_mult * ctx.pi), ctx)
+    p, _ = _qgamma_coprime(n, ctx.exp(-pi_mult * ctx.pi), ctx, spec.prec.guard)
     return p, EvalInfo()
 
 

@@ -7,7 +7,9 @@ shared afterwards; nothing changes its precision, and mpmath's global mp is
 never touched.  So identical inputs at an identical Precision give
 bit-identical results.  That lets geometric_product, the kernel behind every
 q-product, compute each product once per process: it remembers its results
-by their exact inputs, and a repeat returns the same bits.
+by their exact inputs, and a repeat returns the same bits.  Every
+comparison with the working epsilon 10^-dps, a truncation rule's or a pole
+check's, takes it from working_eps(ctx), computed once per context.
 
 q is restricted to real 0 < q < 1; arguments x may be complex.  q**x always
 means exp(x * log q) with the real (principal) logarithm of q.
@@ -45,11 +47,11 @@ factors, then the tail (w; q)_inf, w = a q^K, from the exact rearrangement
 log (w; q)_inf = -sum_{j>=1} w^j / (j (1 - q^j)) for |w| < 1 (Gasper and
 Rahman, Basic Hypergeometric Series, ch. 1).  K and the J terms summed are
 each about sqrt(dps ln 10 / L), so the cost grows as 1/sqrt(1 - q).  The
-split runs with log10(1/L) + 5 more digits and, for Gamma_q, takes q^x
-there from x: it magnifies a rounding of q^x about log(1/L) / L times.  The
-left sides of THM1, THM5/COR6 and the examples call geometric_product
-themselves and stay direct; THM1's runs in the split's wider context, from
-q^alpha and q^beta taken there.
+split runs in split_context(q, ctx), with log10(1/L) + 5 more digits, and,
+for Gamma_q, takes q^x there from x: it magnifies a rounding of q^x about
+log(1/L) / L times.  The left sides of THM1, THM5/COR6 and the examples call
+geometric_product themselves and stay direct; both sides of THM1 run in
+split_context, its left side from q^alpha and q^beta taken there.
 
 No kernel runs past _WORK_BUDGET factors (the split counts two for each
 head factor and series term): a product whose count exceeds it raises
@@ -92,8 +94,10 @@ __all__ = [
     "qpoch_inf_ctx",
     "rational_product",
     "rational_zeros",
+    "split_context",
     "to_hp",
     "von_mangoldt_number",
+    "working_eps",
 ]
 
 INFINITY = math.inf
@@ -138,6 +142,17 @@ def _context_at(workdps: int):
     ctx = mpmath.mp.clone()
     ctx.dps = workdps
     return ctx
+
+
+_EPS: dict = {}  # working_eps by (context, dps)
+
+
+def working_eps(ctx):
+    """The working epsilon 10^-dps of ctx, computed once per context and precision."""
+    eps = _EPS.get((ctx, ctx.dps))
+    if eps is None:
+        eps = _EPS[ctx, ctx.dps] = ctx.mpf(10) ** (-ctx.dps)
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +263,7 @@ def geometric_terms(mag, q, ctx) -> int:
     n = math.floor(x) + 1
     near = round(x)
     if abs(x - near) <= 1e-9 * (1 + abs(x)):
-        eps = ctx.mpf(10) ** (-ctx.dps)
-        n = near if mag * q**near / one_minus_q < eps else near + 1
+        n = near if mag * q**near / one_minus_q < working_eps(ctx) else near + 1
     return max(n, 0)
 
 
@@ -302,7 +316,12 @@ def geometric_product(a, q, ctx, n, poly=None, pole=None):
     (Knuth, The Art of Computer Programming, vol. 2, sec. 4.6.4).  A block
     needs no pole check: each of its factors has modulus at least 1/2.  The
     fewer than s factors left over go one at a time.  A product too short
-    for one block never asks for the coefficients.
+    for one block never asks for the coefficients.  A factor that vanishes
+    exactly, which only a product without a pole check meets, makes the
+    product 0 at once.  Every other single factor is at least one unit of
+    2^-B in modulus (a complex one of exactly one unit is a unit of the
+    Gaussian integers), and a block is at least 2^-s, so no multiply leaves
+    the mantissa with fewer than B bits: renormalising only shifts down.
 
     Rounding, in units of 2^-B.  q is exact in B bits for q >= 2^-62.  Each
     step t -> t q, and each step t -> t Q with Q rounded once, adds at most
@@ -407,12 +426,8 @@ def _geometric_product(a, q, ctx, n, poly, pole):
                     pi = ti * b1 >> B
                     m, mi = m * pr - mi * pi, m * pi + mi * pr
                     s = max(m.bit_length(), mi.bit_length()) - B
-                    if s >= 0:
-                        m >>= s
-                        mi >>= s
-                    else:
-                        m <<= -s
-                        mi <<= -s
+                    m >>= s
+                    mi >>= s
                     e += s - B
                     tr = tr * qs >> B
                     ti = ti * qs >> B
@@ -421,14 +436,12 @@ def _geometric_product(a, q, ctx, n, poly, pole):
             fr = one - tr
             if -pe < fr < pe and -pe < ti < pe and fr * fr + ti * ti < pe * pe:
                 raise SingularArgumentError(pole[1](k))
+            if not (fr or ti):
+                return ctx.mpc(0)
             m, mi = m * fr + mi * ti, mi * fr - m * ti
             s = max(m.bit_length(), mi.bit_length()) - B
-            if s >= 0:
-                m >>= s
-                mi >>= s
-            else:
-                m <<= -s
-                mi <<= -s
+            m >>= s
+            mi >>= s
             e += s - B
             tr = tr * qf >> B
             ti = ti * qf >> B
@@ -446,7 +459,7 @@ def _geometric_product(a, q, ctx, n, poly, pole):
                     v = (v * t >> B) + c
                 m *= v
                 s = m.bit_length() - B
-                m = m >> s if s >= 0 else m << -s
+                m >>= s
                 e += s - B
                 t = t * qs >> B
             k += blocks * _BLOCK
@@ -454,9 +467,11 @@ def _geometric_product(a, q, ctx, n, poly, pole):
         f = one - t
         if -pe < f < pe:
             raise SingularArgumentError(pole[1](k))
+        if not f:
+            return ctx.mpf(0)
         m *= f
         s = m.bit_length() - B
-        m = m >> s if s >= 0 else m << -s
+        m >>= s
         e += s - B
         t = t * qf >> B
         k += 1
@@ -771,9 +786,13 @@ def psi_product(r, q, ctx, n=1):
     return p
 
 
-def _split_digits(L) -> int:
-    """Digits past working precision that _qpoch_split runs with, at L = -log q."""
-    return max(0, math.ceil(-math.log10(L))) + 5
+def split_context(q, ctx):
+    """The context _qpoch_split runs in at q: ctx's digits plus log10(1/L) + 5, L = -log q.
+
+    The split magnifies a rounding of its inputs about log(1/L) / L times;
+    THM1's two sides run here too, for the same reason.
+    """
+    return _context_at(ctx.dps + max(0, math.ceil(-math.log10(-_float_log(q)))) + 5)
 
 
 def _qpoch_split(a, q, ctx, pole, x=None):
@@ -807,14 +826,14 @@ def _qpoch_split(a, q, ctx, pole, x=None):
     log_a = _flog(abs(a))
     K = max(0, math.ceil((log_a + c) / L))
     lam = K * L - log_a  # -log |w|, at least c
-    g = _split_digits(L)
+    hi = split_context(q, ctx)
+    g = hi.dps - ctx.dps
     # the least J with (J + 1) lam + log(J + 1) >= T, taking log(J + 1) at
     # the lower bound (T - log(T / lam)) / lam of J + 1
     T = (ctx.dps + g) * _LN10 - math.log(-math.expm1(-L)) - math.log(-math.expm1(-lam))
     low = max(1.0, (T - math.log(T / lam)) / lam)
     J = max(1, math.ceil((T - math.log(low)) / lam) - 1)
     _check_budget(2 * (K + J))
-    hi = _context_at(ctx.dps + g)
     hq = hi.mpf(q)
     log_q = hi.log(hq)
     a = hi.convert(a) if x is None else hi.exp(hi.convert(x) * log_q)
@@ -903,7 +922,7 @@ def qpochhammer(a, q, n=INFINITY, prec: Precision = DEFAULT_PRECISION):
 _POLE_MARGIN = 5
 
 
-def qgamma_ctx(x, q, ctx, guard=DEFAULT_PRECISION.guard):
+def qgamma_ctx(x, q, ctx, guard):
     """Gamma_q(x) = (1-q)^(1-x) (q;q)_inf / (q^x;q)_inf inside an existing context.
 
     Both q-products go through qpoch_inf_ctx, so near q = 1 the numerator
@@ -916,12 +935,12 @@ def qgamma_ctx(x, q, ctx, guard=DEFAULT_PRECISION.guard):
     Near a pole x = -n, n >= 0 the integer nearest to -Re x, the smallest
     factor 1 - q^(x+n) of the denominator is about |x + n| L, L = -log q,
     and forming it cancels log10(1 / (|x + n| L)) digits of q^x.  On the
-    split, which takes q^x with _split_digits(L) more digits, that many
-    fewer are lost.  When this float estimate says more than `guard` digits
-    are lost, the value is computed again in a context with that many more
-    digits plus _POLE_MARGIN, from the same bits of x and q; when it says
-    more than the working digits are lost, SingularArgumentError names
-    them.  The value in ctx comes first, so an input that raised before (a
+    split, which takes q^x in split_context(q, ctx), as many fewer are lost
+    as that context carries past ctx.  When this float estimate says more
+    than `guard` digits are lost, the caller's guard digits, the value is
+    computed again in a context with that many more digits plus
+    _POLE_MARGIN, from the same bits of x and q; when it says more than the
+    working digits are lost, SingularArgumentError names them.  The value in ctx comes first, so an input that raised before (a
     factor below 10^-dps, or the work budget) still raises the same error,
     and away from the poles the check is one float comparison.
     """
@@ -938,7 +957,7 @@ def qgamma_ctx(x, q, ctx, guard=DEFAULT_PRECISION.guard):
         return value
     lost = math.ceil(-math.log10(size)) if size else math.inf
     if geometric_terms(abs(ctx.exp(x * ctx.log(q))), q, ctx) >= _EULER_CROSSOVER:
-        lost -= _split_digits(L)
+        lost -= split_context(q, ctx).dps - ctx.dps
     if lost <= guard:
         return value
     if lost > ctx.dps:
@@ -951,7 +970,7 @@ def qgamma_ctx(x, q, ctx, guard=DEFAULT_PRECISION.guard):
 
 def _qgamma(x, q, ctx):
     qx = q if x == 1 else ctx.exp(x * ctx.log(q))
-    pole_eps = ctx.mpf(10) ** (-ctx.dps)
+    pole_eps = working_eps(ctx)
     num = qpoch_inf_ctx(q, q, ctx)
     den = qpoch_inf_ctx(qx, q, ctx, pole_eps=pole_eps, x=x)
     return ctx.exp((1 - x) * ctx.log(1 - q)) * num / den

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 from random import Random
 
@@ -38,22 +38,6 @@ __all__ = [
     "summarize",
 ]
 
-_CSV_COLUMNS = (
-    "identity",
-    "params",
-    "lhs",
-    "rhs",
-    "abs_diff",
-    "rel_diff",
-    "digits_agreed",
-    "tolerance_digits",
-    "pass",
-    "vacuous",
-    "error",
-    "elapsed_ms",
-)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """One identity comparison: serialized sides, agreement, and verdict.
@@ -77,20 +61,14 @@ class VerificationReport:
     elapsed_ms: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "identity": self.identity,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_diff": self.abs_diff,
-            "rel_diff": self.rel_diff,
-            "digits_agreed": self.digits_agreed,
-            "tolerance_digits": self.tolerance_digits,
-            "pass": self.passed,
-            "vacuous": self.vacuous,
-            "error": self.error,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return {key: getattr(self, name) for key, name in _REPORT_KEYS}
+
+
+# (JSON key, field name) of every report field, in field order: the JSON
+# object's keys and the CSV columns
+_REPORT_KEYS = tuple(("pass" if f.name == "passed" else f.name, f.name)
+                     for f in fields(VerificationReport))
+_CSV_COLUMNS = tuple(key for key, _ in _REPORT_KEYS)
 
 
 def compare(lhs, rhs, tolerance_digits: int, prec: Precision | None = None,

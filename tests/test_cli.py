@@ -51,6 +51,25 @@ def test_eval_qgamma_matches_api(capsys):
     assert out.strip() == hp_str(qgamma("0.5", "0.5", Precision(50)), 50)
 
 
+# 2^-30 from a pole, exact in binary: forming 1 - q^(x + n) cancels about 9
+# digits, more than a guard of 2, so the value is recomputed with more digits
+NEAR_POLE = [
+    (("eval", "qgamma", "--x=-0.999999999068677425384521484375", "--q", "0.5", "--digits", "30"),
+     "-387270501.643293750183490102158"),
+    (("eval", "product-rhs", "--id", "thm5", "--modulus", "3", "--char-index", "1", "--q", "0.5",
+      "--z=-1.999999999068677425384521484375", "--digits", "30"),
+     "8.10780681233357902976902495091e-10"),
+]
+
+
+@pytest.mark.parametrize("argv,value", NEAR_POLE)
+def test_eval_near_a_pole_recomputes_at_the_given_guard(capsys, argv, value):
+    for guard in ("2", "20"):
+        code, out, err = run(capsys, *argv, "--guard", guard)
+        assert code == 0
+        assert out.strip() == value
+
+
 def test_eval_accepts_exponential_literal(capsys):
     code, out, err = run(capsys, "eval", "qgamma", "--x", "0.5", "--q", "e^-pi",
                          "--digits", "40")

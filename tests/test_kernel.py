@@ -759,7 +759,7 @@ def test_qgamma_at_drawn_q_and_x(qf, xr, xi, digits):
     num = geometric_product(rq, rq, ref, n=geometric_terms(rq, rq, ref))
     den = geometric_product(a, rq, ref, n=geometric_terms(abs(a), rq, ref))
     reference = ref.exp((1 - rx) * ref.log(1 - rq)) * num / den
-    value = qfunc.qgamma_ctx(x, q, ctx)
+    value = qfunc.qgamma_ctx(x, q, ctx, Precision(digits).guard)
     assert abs(value - reference) / abs(reference) <= 2 * ctx.mpf(10) ** -ctx.dps
 
 

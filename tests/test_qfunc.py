@@ -31,6 +31,7 @@ from qprod.qfunc import (
     qpoch_inf_ctx,
     qpochhammer,
     von_mangoldt_number,
+    working_eps,
 )
 
 P50 = Precision(50)
@@ -114,6 +115,34 @@ def test_qpochhammer_rejects_bad_base():
             qpochhammer("0.5", q)
 
 
+def test_qpoch_inf_ctx_checks_its_base():
+    ctx = context(Precision(30))
+    a = ctx.mpf("0.5")
+    with pytest.raises(ValueError, match="must be real"):
+        qpoch_inf_ctx(a, ctx.mpc("0.5", "0.1"), ctx)
+    with pytest.raises(ValueError, match="must lie in"):
+        qpoch_inf_ctx(a, ctx.mpf("1.5"), ctx)
+    # a complex q on the real axis is that real q
+    assert qpoch_inf_ctx(a, ctx.mpc("0.5", 0), ctx) == qpoch_inf_ctx(a, ctx.mpf("0.5"), ctx)
+
+
+def test_an_exactly_vanishing_factor_makes_the_product_zero():
+    # 1 - a q^k is exactly 0 at k = 0 (a = 1) or k = 1 (a = 2), with no pole
+    # check; 40 factors go on to blocks, which the product never reaches
+    for a in (1, 1 + 0j, 2, 2 + 0j):
+        for n in (3, 40):
+            value = qpochhammer(a, 0.5, n)
+            assert value == 0 and type(value) is type(context(P50).convert(a))
+
+
+def test_working_eps_is_one_value_per_context():
+    for prec in (Precision(30), P50, Precision(50, 25)):
+        ctx = context(prec)
+        eps = working_eps(ctx)
+        assert eps == ctx.mpf(10) ** -ctx.dps
+        assert working_eps(ctx) is eps
+
+
 def test_qpochhammer_frozen_values():
     for a, q, frozen in (
         ("0.5", "0.5", oracles.QP_HALF_HALF),
@@ -186,7 +215,7 @@ def test_qgamma_near_a_pole_keeps_its_digits_or_raises(decades, n, qs, angle, im
         # only where the factor 1 - q^(x+n) is about 10^-workdps
         assert abs(offset) * -ctx.log(q) < ctx.mpf(10) ** -(ctx.dps - 1)
         return
-    true = qgamma_ctx(ref.convert(x), ref.convert(q), ref)
+    true = qgamma_ctx(ref.convert(x), ref.convert(q), ref, P50.guard)
     assert abs(value - true) <= abs(true) * ref.mpf(10) ** -P50.digits
 
 
@@ -196,14 +225,28 @@ def test_qgamma_a_hair_from_its_pole():
     ref = context(Precision(50, 150))
     x = ctx.mpf(-1) + ctx.mpf("1e-58")
     value = qgamma(x, "0.5", P50)
-    true = qgamma_ctx(ref.convert(x), ref.mpf("0.5"), ref)
+    true = qgamma_ctx(ref.convert(x), ref.mpf("0.5"), ref, P50.guard)
     assert abs(value - true) <= abs(true) * ref.mpf(10) ** -P50.digits
     # with no guard digits, 45 cancelled digits are made up in full as well
     bare = Precision(50, 0)
     x = context(bare).mpf(-1) + context(bare).mpf("1e-45")
     value = qgamma(x, "0.5", bare)
-    true = qgamma_ctx(ref.convert(x), ref.mpf("0.5"), ref)
+    true = qgamma_ctx(ref.convert(x), ref.mpf("0.5"), ref, P50.guard)
     assert abs(value - true) <= abs(true) * ref.mpf(10) ** -bare.digits
+
+
+def test_qgamma_far_past_the_float_check():
+    # |Re x| >= 2^50 skips the float distance to the nearest pole and takes
+    # the exact one.  (1 - q)^(1 - x) turns the rounding of log(1 - q), about
+    # 10^-dps relative, into |x log 2| times that error of the value
+    for prec in (Precision(30), P50):
+        ctx = context(prec)
+        ref = context(Precision(prec.digits, prec.guard + 20))
+        x = ctx.mpf(2) ** 60 + ctx.mpf(1) / 2
+        for xv in (x, ctx.mpc(x, "0.25")):
+            value = qgamma_ctx(xv, ctx.mpf("0.5"), ctx, prec.guard)
+            true = qgamma_ctx(ref.convert(xv), ref.mpf("0.5"), ref, prec.guard + 20)
+            assert abs(value - true) <= abs(true) * abs(x) * ctx.ln2 * working_eps(ctx)
 
 
 def test_qgamma_at_a_q_below_the_float_range():
@@ -218,7 +261,7 @@ def test_qgamma_refuses_to_cancel_more_than_its_working_digits(monkeypatch):
     x = context(Precision(80)).mpf(-2) + context(Precision(80)).mpf("1e-65")
     monkeypatch.setattr(qfunc, "_qgamma", lambda x, q, ctx: ctx.mpf(1))
     with pytest.raises(SingularArgumentError) as info:
-        qgamma_ctx(x, ctx.mpf("0.5"), ctx)
+        qgamma_ctx(x, ctx.mpf("0.5"), ctx, P50.guard)
     assert str(info.value) == ("Gamma_q(x) at 1.0e-65 from its pole at x = -2: the factor "
                                "1 - q^(x + 2) would cancel 66 digits, more than the 60 working digits")
 

@@ -211,6 +211,15 @@ def test_reports_csv_shape():
     assert lines[1].startswith("EX1B,")
 
 
+def test_csv_columns_are_the_json_keys_in_order():
+    report = compare(1, 1, 40, Precision(50), identity="X")
+    header = reports_csv([report]).splitlines()[0]
+    assert header.split(",") == list(report.to_json())
+    # every field of the report, `passed` written as "pass"
+    assert [f.name for f in dataclasses.fields(VerificationReport)] == [
+        "passed" if k == "pass" else k for k in report.to_json()]
+
+
 def test_random_thm1_instances_balance_exactly():
     rng = random.Random(99)
     for _ in range(50):
@@ -290,6 +299,11 @@ def test_default_suite_seeded_and_filterable():
     # smaller knobs produce a smaller run without changing shape
     quick = default_suite(include=("THM4",), thm4_blocks=1000)
     assert all(s.blocks == 1000 for s, _ in quick)
+
+
+def test_every_default_suite_spec_round_trips_through_json():
+    for spec, _ in default_suite():
+        assert IdentitySpec.from_json(spec.to_json()) == spec
 
 
 def test_default_suite_rejects_unknown_ids():
