@@ -485,20 +485,36 @@ def _fixed_parts(x, B):
     return to_fixed(x._mpf_, B), 0
 
 
-def _block_differences(first, k, x, B):
+def _exact_scale(pair, B):
+    """The pair's parts as fixed-point ints at the least scale beta <= B that holds them all exactly.
+
+    pair is a class's shifts (a, b), mpf or mpc.  An mpf's mantissa is odd,
+    so man * 2^exp is an int scaled by 2^beta exactly when beta >= -exp;
+    beta = min(B, max(0, -exp)) over every part, and a part that needs more
+    than B bits is truncated as to_fixed(x, B) truncates it.  Returns
+    ((ar, ai), (br, bi)) scaled by 2^beta, and beta.
+    """
+    raw = [p for x in pair for p in (x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_,))]
+    beta = min(B, max(0, *(-p[2] for p in raw)))
+    return [_fixed_parts(x, beta) for x in pair], beta
+
+
+def _block_differences(first, k, x, beta):
     """Forward differences at i = 0, orders 0 .. 4, of P(i) = prod_{t<4} (first + (4i + t) k + x).
 
-    x is a fixed-point pair (real, imag) scaled by 2^B.  P is a polynomial of
-    degree 4 in i with integer coefficients, so its values at i = 0 .. 4 fix
-    it; returns the differences of its real part and of its imaginary part,
-    exact ints scaled by 2^(4B).
+    x is a fixed-point pair (real, imag) scaled by 2^beta, its class's exact
+    scale (rational_product).  P is a polynomial of degree 4 in i with
+    integer coefficients, so its values at i = 0 .. 4 fix it; returns the
+    differences of its real part and of its imaginary part, exact ints
+    scaled by 2^(4 beta): those at any scale B >= beta that holds x exactly,
+    divided by 2^(4(B - beta)).
     """
     xr, xi = x
     re, im = [], []
     for i in range(5):
         pr, pi = 1, 0
         for t in range(4):
-            nr = ((first + (4 * i + t) * k) << B) + xr
+            nr = ((first + (4 * i + t) * k) << beta) + xr
             pr, pi = pr * nr - pi * xi, pr * xi + pi * nr
         re.append(pr)
         im.append(pi)
@@ -519,32 +535,49 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
     from one pass over [start, stops[-1]): the running product is recorded
     as it passes each c.
 
-    As in geometric_product, every value is an int scaled by 2^B, a complex
-    value a pair of them, and the running product m * 2^e keeps a B-bit
-    mantissa, renormalised after every step.  Between two stops, each
-    residue class is one run n, n + k, ..., taken in blocks of four: the
-    numerator and denominator of block i, prod_{t<4} (n_{4i+t} + a_r) and
-    prod_{t<4} (n_{4i+t} + b_r), are polynomials of degree 4 in i, so their
-    exact values follow from four exact additions each, by forward
-    differences (Knuth, The Art of Computer Programming, vol. 2, sec.
-    4.6.4).  A run that starts where the class's last run ended its blocks
-    takes that run's differences on (they are exact, so this equals
-    starting afresh); any other starts afresh.  A block rounds once,
-    in its floor division; the fewer than four factors left over at the end
-    of a run step one at a time and round once each.  So a class of N
-    factors is off by at most floor(N / 4) + 3 units of 2^-B at a stop c
-    when every earlier stop lies a multiple of 4k past start (no run but the
-    last leaves factors over), and by 3 more units per other earlier stop.
-    B = working bits + 2 log2 N + 20 guard bits keeps that far below one
-    unit in the last working digit.  A class with a complex b_r steps one
-    factor at a time throughout (N units at most): its blocks would have to
-    be multiplied through by the conjugate of their denominator, which costs
-    more than four steps.  For n >= 1 every n + x is within 2^-B of itself
-    in relative terms: a shift with |x| >= 1/2 is exact in B bits, and
-    otherwise |n + x| > 1/2.  The n = 0 factor a_0 / b_0 is divided in
-    the result's precision instead, because fixed point would truncate a
-    tiny shift.  More than _WORK_BUDGET factors raise ValueError before the loop,
-    and so does start < 0.
+    As in geometric_product, the running product m * 2^e keeps a B-bit
+    mantissa, a complex one a pair of them, renormalised after every step.
+    Between two stops, each residue class is one run n, n + k, ..., taken
+    in blocks of four: the numerator and denominator of block i,
+    prod_{t<4} (n_{4i+t} + a_r) and prod_{t<4} (n_{4i+t} + b_r), are
+    polynomials of degree 4 in i, so their exact values follow from four
+    exact additions each, by forward differences (Knuth, The Art of
+    Computer Programming, vol. 2, sec. 4.6.4).  A run that starts where the
+    class's last run ended its blocks takes that run's differences on (they
+    are exact, so this equals starting afresh); any other starts afresh.
+    The fewer than four factors left over at the end of a run step one at
+    a time.  A class with a complex b_r steps one factor at a time
+    throughout: its blocks would have to be multiplied through by the
+    conjugate of their denominator, which costs more than four steps.
+
+    Each class runs at its own exact scale: its shifts, factors and block
+    values are ints scaled by 2^beta, beta <= B the least scale that holds
+    both shifts exactly (_exact_scale), so a shift 0, 1/2 or 1/4 takes a
+    few bits where 2^B would take B, and a shift that needs more than B
+    bits is truncated at beta = B.  Every such int is the one at 2^B divided
+    by a power of two exactly, 2^(B - beta) for a factor and 2^(4(B - beta))
+    for a block, and the same power divides numerator and denominator.  So
+    the common power cancels in every floor division, m * P // D for a
+    block and its complex and single-factor forms, which returns the very
+    int it would return at 2^B, from shorter operands.
+
+    A step, block or factor, rounds in its floor division and in the shift
+    that renormalises m; together they lose less than one unit of the new
+    B-bit mantissa, 2^(1 - B) relative, when its value f has |f| >= 1, and
+    less than 2^(1 - B) / |f| when it shrinks the product (a complex
+    product: sqrt(2) times as much).  So a class of N factors rounds at
+    most floor(N / 4) + 3 times at a stop c when every earlier stop lies a
+    multiple of 4k past start (no run but the last leaves factors over), 3
+    more times per other earlier stop, and N times with a complex b_r.
+    A shift truncated at B bits moves each n + x, n >= 1, by less than
+    2^(1 - B) relative (sqrt(2) times as much when complex): a shift with
+    |x| >= 1/2 is exact in B bits, and otherwise |n + x| > 1/2.
+    B = working bits + 2 log2 N + 20 guard bits keeps all that far below
+    one unit in the last working digit, unless a step's |f| falls below
+    about 2^-20, which costs as many guard bits.  The n = 0 factor
+    a_0 / b_0 is divided in the result's precision instead, because fixed
+    point would truncate a tiny shift.  More than _WORK_BUDGET factors raise
+    ValueError before the loop, and so does start < 0.
 
     The products are rounded to result_ctx, ctx by default.  Those guard
     bits back a wider result_ctx too: the rounding of N factors stays below
@@ -560,12 +593,12 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
     B = ctx.prec + 2 * (stop - start).bit_length() + 20
     pairs = [None if s is None else [ctx.convert(x) for x in s] for s in shifts]
     head = 1
-    if start == 0 and pairs[0] is not None:
+    if start == 0 < stop and pairs[0] is not None:
         head = out_ctx.convert(pairs[0][0]) / out_ctx.convert(pairs[0][1])
     lo = max(start, 1)
     out = []
+    fixed = [None if pair is None else _exact_scale(pair, B) for pair in pairs]
     if any(isinstance(x, ctx.mpc) for pair in pairs if pair for x in pair):
-        fixed = [None if pair is None else [_fixed_parts(x, B) for x in pair] for pair in pairs]
         m, mi, e = 1 << B, 0, -B  # the running product is (m + i mi) * 2^e
         saved = [None] * k  # per class: where its blocks stopped, and their differences
         for c in stops:
@@ -575,7 +608,6 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
             value = out_ctx.mpc(out_ctx.mpf((m, e)), out_ctx.mpf((mi, e)))
             out.append(head * value if c > start else value)
         return out
-    fixed = [None if pair is None else [to_fixed(x._mpf_, B) for x in pair] for pair in pairs]
     m, e = 1 << B, -B  # the running product is m * 2^e
     saved = [None] * k  # per class: where its blocks stopped, and their differences
     for c in stops:
@@ -588,10 +620,12 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
 
 
 def _real_run(m, e, fixed, lo, hi, B, saved):
-    """The product m * 2^e times every factor n in [lo, hi), lo >= 1, all shifts real and fixed.
+    """The product m * 2^e times every factor n in [lo, hi), lo >= 1, all shifts real.
 
-    saved[r] holds where class r's blocks stopped and their differences; a
-    run from there takes them on, and this one's replace them.
+    fixed[r] is class r's shifts at its exact scale and that scale, as
+    _exact_scale returns them.  saved[r] holds where class r's blocks
+    stopped and their differences; a run from there takes them on, and this
+    one's replace them.
     """
     k = len(fixed)
     for r, pair in enumerate(fixed):
@@ -599,12 +633,12 @@ def _real_run(m, e, fixed, lo, hi, B, saved):
             continue
         first = lo + (r - lo) % k
         blocks = len(range(first, hi, k)) >> 2
-        a, b = pair
+        ((a, _), (b, _)), beta = pair
         if saved[r] is not None and saved[r][0] == first:
             _, (p, p1, p2, p3, p4), (d, d1, d2, d3, d4) = saved[r]
         elif blocks:
-            (p, p1, p2, p3, p4), _ = _block_differences(first, k, (a, 0), B)
-            (d, d1, d2, d3, d4), _ = _block_differences(first, k, (b, 0), B)
+            (p, p1, p2, p3, p4), _ = _block_differences(first, k, (a, 0), beta)
+            (d, d1, d2, d3, d4), _ = _block_differences(first, k, (b, 0), beta)
         for _ in range(blocks):
             m = m * p // d
             s = m.bit_length() - B
@@ -622,7 +656,7 @@ def _real_run(m, e, fixed, lo, hi, B, saved):
         first += 4 * k * blocks
         if blocks:
             saved[r] = (first, (p, p1, p2, p3, p4), (d, d1, d2, d3, d4))
-        num, den, step = (first << B) + a, (first << B) + b, k << B
+        num, den, step = (first << beta) + a, (first << beta) + b, k << beta
         for _ in range(first, hi, k):
             m = m * num // den
             s = m.bit_length() - B
@@ -635,22 +669,23 @@ def _real_run(m, e, fixed, lo, hi, B, saved):
 
 
 def _complex_run(m, mi, e, fixed, lo, hi, B, saved):
-    """The product (m + i mi) * 2^e times every factor n in [lo, hi), lo >= 1, shifts fixed pairs.
+    """The product (m + i mi) * 2^e times every factor n in [lo, hi), lo >= 1, some shifts complex.
 
-    saved is as in _real_run, the imaginary differences of the numerator included.
+    fixed is as in _real_run, one exact scale over a class's four parts;
+    saved too, the imaginary differences of the numerator included.
     """
     k = len(fixed)
     for r, pair in enumerate(fixed):
         if pair is None:
             continue
         first = lo + (r - lo) % k
-        (ar, ai), (br, bi) = pair
+        ((ar, ai), (br, bi)), beta = pair
         blocks = 0 if bi else len(range(first, hi, k)) >> 2
         if saved[r] is not None and saved[r][0] == first:
             _, (p, p1, p2, p3, p4), (u, u1, u2, u3, u4), (d, d1, d2, d3, d4) = saved[r]
         elif blocks:
-            (p, p1, p2, p3, p4), (u, u1, u2, u3, u4) = _block_differences(first, k, (ar, ai), B)
-            (d, d1, d2, d3, d4), _ = _block_differences(first, k, (br, bi), B)
+            (p, p1, p2, p3, p4), (u, u1, u2, u3, u4) = _block_differences(first, k, (ar, ai), beta)
+            (d, d1, d2, d3, d4), _ = _block_differences(first, k, (br, bi), beta)
         for _ in range(blocks):
             # (m + i mi) (p + i u) / d
             m, mi = (m * p - mi * u) // d, (m * u + mi * p) // d
@@ -678,7 +713,7 @@ def _complex_run(m, mi, e, fixed, lo, hi, B, saved):
         first += 4 * k * blocks
         if blocks:
             saved[r] = (first, (p, p1, p2, p3, p4), (u, u1, u2, u3, u4), (d, d1, d2, d3, d4))
-        num, den, step = (first << B) + ar, (first << B) + br, k << B
+        num, den, step = (first << beta) + ar, (first << beta) + br, k << beta
         for _ in range(first, hi, k):
             xr = m * num - mi * ai
             xi = m * ai + mi * num
@@ -945,8 +980,7 @@ def qgamma_ctx(x, q, ctx, guard):
     and away from the poles the check is one float comparison.
     """
     value = _qgamma(x, q, ctx)
-    xr, qf = float(x.real), float(q)
-    L = -math.log(qf) if 0 < qf < 0.999 else -_float_log(q)
+    xr, L = float(x.real), -_float_log(q)
     if abs(xr) < 2.0**50:
         # |Re x + n| less the float rounding of Re x is a lower bound on |x + n|
         if (abs(xr + max(0, round(-xr))) - abs(xr) * 2.0**-50) * L >= 10.0**-guard:

@@ -8,6 +8,9 @@ bound too) must equal the former loop's, so the truncation is unchanged, and
 the kernel's relative error against the reference may not exceed the former
 loop's or 10^-workdps.  The partial products rational_product records in
 its one pass are checked against such references at drawn checkpoints.
+rational_product's results on the counted products' shifts are pinned bit
+for bit, and on drawn dyadic, decimal and past-B shifts (truncated at its B
+bits) its error is held to the rounding bound its docstring derives.
 geometric_product's blocks of _BLOCK factors are held to the rounding bound
 its docstring derives, on drawn a, q and counts, and a pole in its head of
 single factors must still raise at its own factor.  The THM1 sides, which
@@ -362,6 +365,8 @@ def test_rational_product_keeps_a_tiny_shift_at_n_zero():
 def test_rational_product_of_an_empty_range_is_one():
     ctx = context(Precision(30))
     assert rational_product([(ctx.mpf("0.5"), ctx.mpf("0.25"))], 0, [0], ctx) == [1]
+    # the n = 0 factor, whose denominator vanishes here, lies outside [0, 0)
+    assert rational_product([(ctx.mpf("0.5"), ctx.mpf(0))], 0, [0], ctx) == [1]
 
 
 def test_rational_product_refuses_a_negative_start():
@@ -421,6 +426,147 @@ def test_rational_product_at_drawn_stops(shifts, start, offsets, real, digits):
         reference = ref.fprod((n + ref.convert(pairs[n % k][0])) / (n + ref.convert(pairs[n % k][1]))
                               for n in range(start, c) if pairs[n % k] is not None)
         assert abs(result - reference) <= abs(reference) * wide.mpf(10) ** -wide.dps
+
+
+# Every bit of rational_product's results on the counted products' shifts,
+# as (mantissa, exponent) at a 70-digit result context, which holds the
+# whole B-bit running product.  These are the bits of a kernel that scales
+# every shift by 2^B; running each class at its exact scale changes none.
+def pinned_cases(ctx):
+    half = ctx.mpf(1) / 2
+    thm4_mod5 = [None if v is None else (-_omega(v, ctx) * ctx.mpc("0.25", "0.25"), 0)
+                 for v in (CHI5.value(j) for j in range(5))]
+    return {  # name: (shifts, start, stops)
+        "prototype": ([(0, half), (1, half)], 1, [41, 1001, 4003]),
+        "thm4-mod4-z+0.5": ([None, (-half, 0), None, (half, 0)], 2, [402, 8002]),
+        "thm4-mod4-z-0.5": ([None, (half, 0), None, (-half, 0)], 2, [402, 8002]),
+        "cor2-decimal": ([(ctx.mpf("0.3"), ctx.mpf("0.45"))], 0, [2000]),
+        "thm4-mod5-complex-a": (thm4_mod5, 2, [62, 2002, 10002]),
+        "cor2-complex-b": ([(ctx.mpc("0.3", "0.2"), ctx.mpc("0.5", "0.1"))], 0, [2000]),
+        "tiny-past-B": ([(ctx.mpf("1e-40"), ctx.mpf("3e-45"))], 0, [7, 50]),
+    }
+
+
+RATIONAL_PINS = {
+    "cor2-complex-b": [
+        ((0xee906b5010f1dc5fca4a81fd832bcff0a28a63313b762cc5fde6715381, -236),
+         (0x24e4b7126db72f6a9a570f5b7d416d60c98a89bed32b44a0b02b0b622b3, -236)),
+    ],
+    "cor2-decimal": [
+        ((0xd76e04d015f06a5b43ebbfefabee50a56cc78df0688d60762c845b470a5, -238),),
+    ],
+    "prototype": [
+        ((0x8dbd524c6a13ddb06f8c918d1d423dbdd1845594ab4fd, -179),),
+        ((0x8e278d66a249377ccf070547f8d5fea4718dad551d16b, -179),),
+        ((0x8e2af5e4bd06f30bfd8d5d01e3f98be1999895b1d2ba5, -179),),
+    ],
+    "thm4-mod4-z+0.5": [
+        ((0x229ed27b11d573b65be5647bb5ccfe1d2b0f251b951813, -181),),
+        ((0x22a2bfc7a17465709bc1cc8617d67ebd624b74a93e6651, -181),),
+    ],
+    "thm4-mod4-z-0.5": [
+        ((0x37ca3ff78c3ad1d5713eefbe63700afdc9eb8f281f8e9b, -182),),
+        ((0x1bdfdac3395ba187f7c8d757bce59fda32fcf24e5da045, -181),),
+    ],
+    "thm4-mod5-complex-a": [
+        ((0x8ae3a6051145843301bf26dd2453062fd8f37daa909ff7, -183),
+         (0x10058a2a8f26cf74440d46fcdd42da366a063ad70007, -183)),
+        ((0x459bc7cd7562da71458d25ba08d26e7b90f83152dacf4d, -182),
+         (0xaf4de7b140bcdf97120482fbf82353ae66d2db1d53f, -183)),
+        ((0x459cd9385decd25d0404bcb91c1dc75c7be9364cc4df91, -182),
+         (0x5d58e66feb9834d7720951f0ff4be8bdb2ae9193a57, -182)),
+    ],
+    "tiny-past-B": [
+        ((0x1046aaaaaaaaaaaaaaaaaaaaaaaaaaaaabf3530afcb26e83d38deab1b0b, -217),),
+        ((0x1046aaaaaaaaaaaaaaaaaaaaaaaaaaaaad130676fe1d9e83d38deab1b0b, -217),),
+    ],
+}
+
+
+def mantissas(value):
+    """(mantissa, exponent) of a real value, or of both parts of a complex one."""
+    parts = (value.real, value.imag) if hasattr(value, "_mpc_") else (value,)
+    return tuple((int(p.man), int(p.exp)) for p in parts)
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_PINS))
+def test_rational_product_keeps_its_bits(name):
+    ctx = context(Precision(30))
+    shifts, start, stops = pinned_cases(ctx)[name]
+    values = rational_product(shifts, start, stops, ctx, _context_at(70))
+    assert [mantissas(v) for v in values] == RATIONAL_PINS[name]
+
+
+# Shift parts of three kinds: dyadic, so a class runs at a scale of a few
+# bits; four-place decimals, which need their mantissa's bits; and parts so
+# small that they need more than B bits and are truncated at B.  No
+# dyadic part is a negative integer, which would make long products vanish.
+SHIFT_KINDS = {
+    "dyadic": st.integers(-56, 56).filter(lambda i: i >= 0 or i % 16)
+                .map(lambda i: "%.4f" % (i / 16)),
+    "decimal": st.integers(-35000, 35000).map(lambda i: "%.4f" % (i / 10**4)),
+    "past-B": st.tuples(st.integers(-99, 99), st.integers(40, 60)).map("{0[0]}e-{0[1]}".format),
+}
+
+
+def rounding_bound(pairs, start, stop, B, ref):
+    """rational_product's docstring bound on its relative error over [start, stop), first order.
+
+    Each class steps once per block of four and once per factor left over,
+    or once per factor with a complex b; each step rounds by less than
+    2^(1 - B) / min(1, |f|), f its value, sqrt(2) times that when the
+    product is complex.  A shift truncated at B bits moves each factor
+    n + x, n >= 1, by less than 2^(1 - B) relative, sqrt(2) times as much
+    when complex, so each factor (n + a) / (n + b) by twice that.
+    """
+    k = len(pairs)
+    lo = max(start, 1)
+    complex_run = any(hasattr(x, "_mpc_") for pair in pairs for x in pair)
+    unit = ref.mpf(2) ** (1 - B) * (ref.sqrt(2) if complex_run else 1)
+    total = ref.mpf(0)
+    for r, pair in enumerate(pairs):
+        a, b = (ref.convert(x) for x in pair)
+        ns = range(lo + (r - lo) % k, stop, k)
+        size = 1 if ref.im(b) else 4
+        whole = len(ns) // size * size
+        steps = [ns[i:i + size] for i in range(0, whole, size)] + [[n] for n in ns[whole:]]
+        for step in steps:
+            total += unit / min(1, abs(ref.fprod((n + a) / (n + b) for n in step)))
+        if not all(ref.isint(ref.ldexp(part, B)) for x in (a, b) for part in (ref.re(x), ref.im(x))):
+            total += 2 * len(ns) * unit  # some part was truncated at B bits
+    return total
+
+
+@pytest.mark.parametrize("kind", sorted(SHIFT_KINDS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.sampled_from([0, 1, 2]), st.integers(0, 300), st.integers(0, 3), st.booleans(),
+       st.sampled_from([30, 50]))
+def test_rational_product_within_its_rounding_bound(kind, data, start, count, extra, real, digits):
+    # the docstring's own bound, against a guard+40 product over the same
+    # factors: the result context holds every bit of the B-bit running
+    # product, and the three roundings there (the n = 0 factor, the product
+    # with it, the result) and the growth of the first-order bound,
+    # exp(total) - 1, are added
+    parts = SHIFT_KINDS[kind]
+    value = st.tuples(parts, st.one_of(st.just("0"), parts))
+    shifts = data.draw(st.lists(st.tuples(value, value), min_size=1, max_size=4))
+    k = len(shifts)
+    stop = start + count * k + extra % k
+    ctx, ref = contexts(digits)
+    B = ctx.prec + 2 * (stop - start).bit_length() + 20
+    wide = _context_at(mpmath.libmp.prec_to_dps(B) + 10)
+
+    def convert(part):
+        return ctx.mpf(part[0]) if real or part[1] == "0" else ctx.mpc(*part)
+
+    pairs = [(convert(a), convert(b)) for a, b in shifts]
+    # no factor is 0 or has a pole
+    assume(all(n + x != 0 for n in range(start, stop) for x in pairs[n % k]))
+    [result] = rational_product(pairs, start, [stop], ctx, wide)
+    reference = ref.fprod((n + ref.convert(pairs[n % k][0])) / (n + ref.convert(pairs[n % k][1]))
+                          for n in range(start, stop))
+    bound = ref.expm1(rounding_bound(pairs, start, stop, B, ref)) + 3 * ref.mpf(2) ** -(wide.prec - 1)
+    assert abs(result - reference) <= abs(reference) * bound
 
 
 def test_rational_zeros_are_exact_integer_roots():
