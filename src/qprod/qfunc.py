@@ -5,11 +5,24 @@ does its work inside the mpmath context for digits + guard decimal digits.
 There is one such context per working precision, created on first use and
 shared afterwards; nothing changes its precision, and mpmath's global mp is
 never touched.  So identical inputs at an identical Precision give
-bit-identical results.  That lets geometric_product, the kernel behind every
-q-product, compute each product once per process: it remembers its results
-by their exact inputs, and a repeat returns the same bits.  Every
-comparison with the working epsilon 10^-dps, a truncation rule's or a pole
-check's, takes it from working_eps(ctx), computed once per context.
+bit-identical results.  Every comparison with the working epsilon 10^-dps,
+a truncation rule's or a pole check's, takes it from working_eps(ctx),
+computed once per context.
+
+That determinism lets three layers compute each value once per process.
+geometric_product, the kernel behind every q-product, euler_function and
+qgamma_ctx keep their results in one memo, _MEMO, each under a key of
+everything its value depends on: the exact bits of its inputs, converted
+into ctx first (a complex value with a zero imaginary part is not the real
+one), the context's working bits and digits, and its own parameters.
+Those are geometric_product's n, polynomial coefficients and pole eps (the
+pole's message only words an error), euler_function's n and d, and
+qgamma_ctx's guard, which decides whether a value near a pole is computed
+again.  The Euler function's and Gamma_q's keys begin with "euler" and
+"qgamma".  A repeat returns the bits the call would compute, in the
+caller's context's own type.  Only results are stored, never a raised
+error, and past _MEMO_SIZE entries the oldest one goes.  The memo lives in
+the process only.
 
 q is restricted to real 0 < q < 1; arguments x may be complex.  q**x always
 means exp(x * log q) with the real (principal) logarithm of q.
@@ -283,8 +296,20 @@ def _check_budget(count: int):
         raise ValueError(f"{count} factors exceed the work budget of {_WORK_BUDGET} factors")
 
 
-_MEMO_SIZE = 4096
-_MEMO: dict = {}  # geometric_product results by exact inputs, oldest first
+_MEMO_SIZE = 8192
+_MEMO: dict = {}  # geometric_product, euler_function and qgamma_ctx results, oldest first
+
+
+def _remembered(key, ctx, compute, *args):
+    """compute(*args), remembered in _MEMO under key (see the module docstring)."""
+    value = _MEMO.get(key)
+    if value is None:
+        value = compute(*args)
+        if len(_MEMO) >= _MEMO_SIZE:
+            del _MEMO[next(iter(_MEMO))]
+        _MEMO[key] = value
+    # a context with the same working bits rounds alike, but has its own mpf type
+    return ctx.convert(value)
 
 
 def geometric_product(a, q, ctx, n, poly=None, pole=None):
@@ -340,25 +365,12 @@ def geometric_product(a, q, ctx, n, poly=None, pole=None):
     Polynomial factors, one at a time with t -> t q, take that loop's N^2
     units and B without _BLOCK_GUARD.
 
-    Results are remembered for the life of the process, keyed by everything
-    the product depends on: the exact bits of a and q, the context's working
-    bits and digits, n, the polynomial's coefficients and the pole's eps (the
-    message only words an error).  The product is a deterministic function
-    of that key, so a repeated call returns the bits it would compute.  Only
-    results are stored, never a raised error, and past _MEMO_SIZE entries the
-    oldest one goes.
+    Results are remembered in the module's memo.
     """
     a = ctx.convert(a)
     key = (a._mpc_ if isinstance(a, ctx.mpc) else a._mpf_, q._mpf_, ctx.prec, ctx.dps, n,
            None if poly is None else poly.coeffs, None if pole is None else pole[0]._mpf_)
-    value = _MEMO.get(key)
-    if value is None:
-        value = _geometric_product(a, q, ctx, n, poly, pole)
-        if len(_MEMO) >= _MEMO_SIZE:
-            del _MEMO[next(iter(_MEMO))]
-        _MEMO[key] = value
-    # a context with the same working bits rounds alike, but has its own mpf type
-    return ctx.convert(value)
+    return _remembered(key, ctx, _geometric_product, a, q, ctx, n, poly, pole)
 
 
 # Factors per block of a direct product with |a q^k| <= 1/2 (geometric_product),
@@ -777,7 +789,16 @@ def euler_function(q, ctx, n=1, d=1):
     margin, because exp(-pi^2 / (6 L)) turns the relative error of its large
     argument into the same absolute error.  The short product (y'; y')_inf
     goes through geometric_product in ctx.
+
+    q is first converted into ctx, so every step rounds there.  The value
+    is remembered in the module's memo.
     """
+    q = ctx.convert(q)
+    key = ("euler", q._mpf_, ctx.prec, ctx.dps, n, d)
+    return _remembered(key, ctx, _euler_function, q, ctx, n, d)
+
+
+def _euler_function(q, ctx, n, d):
     y = q if d == n else ctx.root(q, n) if d == 1 else ctx.exp(ctx.log(q) * d / n)
     count = geometric_terms(y, y, ctx)
     lq = -_float_log(y)
@@ -975,10 +996,21 @@ def qgamma_ctx(x, q, ctx, guard):
     than `guard` digits are lost, the caller's guard digits, the value is
     computed again in a context with that many more digits plus
     _POLE_MARGIN, from the same bits of x and q; when it says more than the
-    working digits are lost, SingularArgumentError names them.  The value in ctx comes first, so an input that raised before (a
-    factor below 10^-dps, or the work budget) still raises the same error,
-    and away from the poles the check is one float comparison.
+    working digits are lost, SingularArgumentError names them.  The value
+    in ctx comes first, so an input that raised before (a factor below
+    10^-dps, or the work budget) still raises the same error, and away from
+    the poles the check is one float comparison.
+
+    x and q are first converted into ctx, so every step rounds there.  The
+    value is remembered in the module's memo.
     """
+    x, q = ctx.convert(x), ctx.convert(q)
+    key = ("qgamma", x._mpc_ if isinstance(x, ctx.mpc) else x._mpf_, q._mpf_, ctx.prec, ctx.dps,
+           guard)
+    return _remembered(key, ctx, _qgamma_guarded, x, q, ctx, guard)
+
+
+def _qgamma_guarded(x, q, ctx, guard):
     value = _qgamma(x, q, ctx)
     xr, L = float(x.real), -_float_log(q)
     if abs(xr) < 2.0**50:

@@ -595,7 +595,7 @@ def test_thm4_pole_raises_with_the_former_message():
 
 
 # ---------------------------------------------------------------------------
-# The geometric_product memo
+# The memo of geometric_product, euler_function and qgamma_ctx
 
 
 def test_memo_hit_is_bit_identical():
@@ -654,7 +654,94 @@ def test_memo_keeps_its_fixed_size():
     assert list(qfunc._MEMO)[:-1] == keys[1:]
 
 
+def bits(value):
+    return value._mpc_ if hasattr(value, "_mpc_") else value._mpf_
+
+
+def test_qgamma_and_euler_memo_hits_are_bit_identical():
+    prec = Precision(40)
+    ctx = context(prec)
+    q = ctx.mpf("0.95")
+    x = ctx.mpc("0.3", "0.2")
+    twin = mpmath.mp.clone()
+    twin.dps = ctx.dps
+    for call in (lambda c: qfunc.qgamma_ctx(c.convert(x), c.convert(q), c, prec.guard),
+                 lambda c: euler_function(c.convert(q), c, 3, 2)):
+        qfunc._MEMO.clear()
+        cold = call(ctx)
+        entries = list(qfunc._MEMO)
+        assert bits(call(ctx)) == bits(cold)
+        # another context with the same working precision gets the bits in its own type
+        value = call(twin)
+        assert value.context is twin and bits(value) == bits(cold)
+        assert list(qfunc._MEMO) == entries
+    assert list(qfunc._MEMO)[-1] == ("euler", q._mpf_, ctx.prec, ctx.dps, 3, 2)
+
+
+def test_qgamma_memo_keys_the_guard():
+    # Gamma_q(-1 + 10^-5) at q = 1/2 cancels 6 digits: guard 2 recomputes
+    # the value with more digits, guard 10 keeps the value in ctx
+    prec = Precision(40)
+    ctx = context(prec)
+    q = ctx.mpf("0.5")
+    x = ctx.mpf(-1) + ctx.mpf("1e-5")
+    cold = {}
+    for guard in (2, 10):
+        qfunc._MEMO.clear()
+        cold[guard] = qfunc.qgamma_ctx(x, q, ctx, guard)._mpf_
+    assert cold[2] != cold[10]
+    for order in ((2, 10), (10, 2)):
+        qfunc._MEMO.clear()
+        for guard in order + order:
+            assert qfunc.qgamma_ctx(x, q, ctx, guard)._mpf_ == cold[guard]
+
+
+def test_qgamma_memo_keeps_a_complex_x_apart_from_the_real_one():
+    ctx = context(Precision(40))
+    q = ctx.mpf("0.9")
+    qfunc._MEMO.clear()
+    real = qfunc.qgamma_ctx(ctx.mpf("0.3"), q, ctx, 10)
+    cplx = qfunc.qgamma_ctx(ctx.mpc("0.3", 0), q, ctx, 10)
+    assert isinstance(real, ctx.mpf) and isinstance(cplx, ctx.mpc)
+    assert len([key for key in qfunc._MEMO if key[0] == "qgamma"]) == 2
+
+
+@pytest.mark.parametrize("x_text, q_text, error", [
+    ("-2", "0.5", SingularArgumentError),  # the factor 1 - q^(x+2) vanishes
+    ("0.5", "0.999999999999999999", ValueError),  # the split's work budget
+])
+def test_qgamma_memo_stores_nothing_for_a_raising_call(x_text, q_text, error):
+    prec = Precision(50)
+    ctx = context(prec)
+    x, q = ctx.mpf(x_text), ctx.mpf(q_text)
+    qfunc._MEMO.clear()
+    with pytest.raises(error) as first:
+        qfunc.qgamma_ctx(x, q, ctx, prec.guard)
+    assert not any(key[0] == "qgamma" for key in qfunc._MEMO)
+    stored = list(qfunc._MEMO)  # the numerator's Euler function is a result
+    with pytest.raises(error) as again:
+        qfunc.qgamma_ctx(x, q, ctx, prec.guard)
+    assert str(again.value) == str(first.value)
+    assert list(qfunc._MEMO) == stored
+
+
+def test_qgamma_of_a_wider_input_is_the_value_of_its_bits_in_ctx():
+    # x and q from an 80-digit context are taken with all their bits, and
+    # every step rounds in ctx, as for the same bits converted into ctx
+    prec = Precision(30)
+    ctx, wide = context(prec), context(Precision(80))
+    x, q = wide.mpf(5) / 7, wide.mpf(9) / 11
+    qfunc._MEMO.clear()
+    value = qfunc.qgamma_ctx(x, q, ctx, prec.guard)
+    assert isinstance(value, ctx.mpf)
+    qfunc._MEMO.clear()
+    assert value._mpf_ == qfunc.qgamma_ctx(ctx.convert(x), ctx.convert(q), ctx, prec.guard)._mpf_
+
+
 def test_suite_reports_do_not_depend_on_which_entry_filled_the_memo():
+    # one memo holds the geometric products, the Euler functions and the
+    # Gamma_q values, so all three layers are filled by one entry and served
+    # to another here
     entries = default_suite(include=("THM1", "THM3_FULL", "THM3_COPRIME", "THM5", "COR6"))
 
     def frozen(order):
@@ -662,6 +749,8 @@ def test_suite_reports_do_not_depend_on_which_entry_filled_the_memo():
 
     qfunc._MEMO.clear()
     forward = frozen(entries)
+    assert any(key[0] == "qgamma" for key in qfunc._MEMO)
+    assert any(key[0] == "euler" for key in qfunc._MEMO)
     assert frozen(entries[::-1]) == forward  # every product served from the memo
     qfunc._MEMO.clear()
     assert frozen(entries[::-1]) == forward  # each product computed by another entry first
