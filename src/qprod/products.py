@@ -14,8 +14,8 @@ Truncation policy: geometric-tail products stop once the remaining factors
 are provably below one unit in the last working digit.  The polynomially
 convergent products (PROTOTYPE, COR2, THM4), whose error falls only as
 1/N, stop at a configured term or block count N, but their left side is
-not the raw product at N.  The one pass over their N factors records the
-partial products at checkpoints c_0 ~ N, c_j ~ N / 1.5^j, each ending a
+not the raw product at N.  One pass over their N factors, per residue
+class, records the partial products at checkpoints c_0 ~ N, c_j ~ N / 1.5^j, each ending a
 whole period of the factors, and Neville's scheme extrapolates those
 partial products, not their logarithms, to 1/count = 0 (Richardson
 extrapolation: L. F. Richardson and J. A. Gaunt, Phil. Trans. R. Soc. A 226
@@ -344,8 +344,9 @@ def _checkpoints(start, stop, k) -> list:
     c_0 ends the last whole period, stop itself unless the range ends in part
     of one; c_j = start + 4k floor((c_0 - start) / (4k r^j)) for j = 1 ..
     _LEVELS, r = _RATIO = 3/2, so each of them ends a whole block of four
-    factors in every residue class, and rational_product rounds no more at
-    c_0 than a product over [start, c_0) alone.  The error of a product
+    factors in every residue class.  rational_product no longer needs that
+    (a stop's value does not depend on the other stops); the alignment stays
+    only so that the reports keep their bytes.  The error of a product
     over whole periods is a smooth series in 1 / count; a part period would
     add a term that alternates with it.  Only distinct checkpoints at least
     _MIN_PERIODS periods past start are kept.

@@ -66,7 +66,7 @@ log(1/L) / L times.  The left sides of THM1, THM5/COR6 and the examples call
 geometric_product themselves and stay direct; both sides of THM1 run in
 split_context, its left side from q^alpha and q^beta taken there.
 
-No kernel runs past _WORK_BUDGET factors (the split counts two for each
+No kernel runs past _WORK_BUDGET factors (the split counts three for each
 head factor and series term): a product whose count exceeds it raises
 ValueError before its loop starts, so Gamma_q with q within about 10^-13 of
 1 at 60 working digits, or a term count of 10^12, fails at once instead of
@@ -283,7 +283,7 @@ def geometric_terms(mag, q, ctx) -> int:
 # Factors per kernel call.  On the pure-Python mpmath backend (CPython 3.11,
 # 2 cores) a direct factor near q = 1 costs 0.1-0.6 us real and 0.24-1.35 us
 # complex at 20 to 210 working digits, so the budget is about 20 s (real)
-# to 40 s (complex) at 60.  _qpoch_split charges two factors for each head
+# to 40 s (complex) at 60.  _qpoch_split charges three factors for each head
 # factor and each series term: per step it costs 2.4 to 3.1 real or 1.1 to
 # 1.4 complex direct factors (Gamma_q(1/2) at 1 - q = 1e-8, same digits),
 # since its series terms each take a division and run with extra digits.
@@ -511,28 +511,40 @@ def _exact_scale(pair, B):
     return [_fixed_parts(x, beta) for x in pair], beta
 
 
-def _block_differences(first, k, x, beta):
-    """Forward differences at i = 0, orders 0 .. 4, of P(i) = prod_{t<4} (first + (4i + t) k + x).
+# Real classes at an exact scale of at most _PACKED_SCALE bits (rational_product)
+# take blocks of _PACKED_BLOCK factors with their forward differences packed
+# into one int; wider ones take blocks of four with one int per difference.
+# Measured on one class, packed time over blocks-of-four time, on the
+# pure-Python mpmath backend (CPython 3.11, 2 cores): at 2 * 10^4 factors and
+# 30 digits 0.67 at beta = 1, 0.88 at 32, 0.97 at 40, 1.05 at 64 and 1.32 at
+# 137 (a four-place decimal); at 10^5 factors 0.85 at 32 and 1.05 at 48; at
+# 2,000 factors and 60 digits 1.01 at 32.
+_PACKED_BLOCK = 8
+_PACKED_SCALE = 32
+
+
+def _block_differences(first, k, x, beta, s):
+    """Forward differences at i = 0, orders 0 .. s, of P(i) = prod_{t<s} (first + (s i + t) k + x).
 
     x is a fixed-point pair (real, imag) scaled by 2^beta, its class's exact
-    scale (rational_product).  P is a polynomial of degree 4 in i with
-    integer coefficients, so its values at i = 0 .. 4 fix it; returns the
+    scale (rational_product).  P is a polynomial of degree s in i with
+    integer coefficients, so its values at i = 0 .. s fix it; returns the
     differences of its real part and of its imaginary part, exact ints
-    scaled by 2^(4 beta): those at any scale B >= beta that holds x exactly,
-    divided by 2^(4(B - beta)).
+    scaled by 2^(s beta): those at any scale B >= beta that holds x exactly,
+    divided by 2^(s(B - beta)).
     """
     xr, xi = x
     re, im = [], []
-    for i in range(5):
+    for i in range(s + 1):
         pr, pi = 1, 0
-        for t in range(4):
-            nr = ((first + (4 * i + t) * k) << beta) + xr
+        for t in range(s):
+            nr = ((first + (s * i + t) * k) << beta) + xr
             pr, pi = pr * nr - pi * xi, pr * xi + pi * nr
         re.append(pr)
         im.append(pi)
     for d in (re, im):
-        for j in range(1, 5):
-            for t in range(4, j - 1, -1):
+        for j in range(1, s + 1):
+            for t in range(s, j - 1, -1):
                 d[t] -= d[t - 1]
     return re, im
 
@@ -543,53 +555,86 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
     shifts[r] is the pair (a_r, b_r) of real or complex values for residue r
     mod k = len(shifts), or None where every factor is exactly 1; start >= 0,
     stops ascend from start or above, and an empty range gives 1.  No
-    denominator may vanish (rational_zeros finds those).  The products come
-    from one pass over [start, stops[-1]): the running product is recorded
-    as it passes each c.
+    denominator may vanish (rational_zeros finds those).
 
-    As in geometric_product, the running product m * 2^e keeps a B-bit
-    mantissa, a complex one a pair of them, renormalised after every step.
-    Between two stops, each residue class is one run n, n + k, ..., taken
-    in blocks of four: the numerator and denominator of block i,
-    prod_{t<4} (n_{4i+t} + a_r) and prod_{t<4} (n_{4i+t} + b_r), are
-    polynomials of degree 4 in i, so their exact values follow from four
-    exact additions each, by forward differences (Knuth, The Art of
-    Computer Programming, vol. 2, sec. 4.6.4).  A run that starts where the
-    class's last run ended its blocks takes that run's differences on (they
-    are exact, so this equals starting afresh); any other starts afresh.
-    The fewer than four factors left over at the end of a run step one at
-    a time.  A class with a complex b_r steps one factor at a time
-    throughout: its blocks would have to be multiplied through by the
-    conjugate of their denominator, which costs more than four steps.
+    Each residue class r is one pass over its factors n, n + k, ..., from
+    its first at or after max(start, 1) to the last stop, on a running
+    product m * 2^e with a B-bit mantissa, a complex one a pair of them,
+    renormalised after every step.  The pass takes its factors in blocks of
+    s: the numerator and denominator of block i, prod_{t<s} (n_{si+t} + a_r)
+    and prod_{t<s} (n_{si+t} + b_r), are polynomials of degree s in i, so
+    their exact values follow from s exact additions each, by forward
+    differences (Knuth, The Art of Computer Programming, vol. 2, sec.
+    4.6.4); _block_differences seeds them.  At each stop c the class's
+    partial product is the running product up to its last whole block
+    below c times the fewer than s factors left before c, multiplied one
+    at a time onto a copy; the pass goes on from the block boundary.  Then
+    the classes' mantissas at c are multiplied exactly and rounded once to
+    result_ctx.  So a stop's value depends on the other stops only through
+    B, which the last stop sets: it is the value a call with stops [c, ...,
+    stops[-1]] returns, and the value of a call with c alone whenever c -
+    start and stops[-1] - start have the same bit length.
+
+    The block size follows the class.  A class with a complex b_r steps one
+    factor at a time throughout: its blocks would have to be multiplied
+    through by the conjugate of their denominator, which costs more than
+    four steps.  Other complex classes take blocks of four.  A real class
+    at an exact scale beta above _PACKED_SCALE bits (a decimal shift, or
+    one past B) takes blocks of four, each difference its own int.  A real
+    class at beta <= _PACKED_SCALE (0, 1/2, 1/4, ...) first steps one at a
+    time over its factors that are not positive, then takes blocks of s =
+    _PACKED_BLOCK with all s + 1 differences of the numerator packed into
+    one int, D_j = Delta^j P(i) in bits [jW, (j + 1)W), and those of the
+    denominator into another.  A block is then m * (P & M) // (D & M),
+    M = 2^W - 1, and the step to block i + 1 is P += P >> W, D += D >> W:
+    field j of P >> W is D_{j+1}, and D_j + D_{j+1} is Delta^j P(i + 1).
+
+    The packed step is exact while every field lies in [0, 2^W).  With the
+    block's factors L_t(i) = c_t + h i, c_t = (n_t << beta) + a_r > 0 (and
+    so for b_r) and h = s k 2^beta, P(i) = prod_t L_t(i) has non-negative
+    coefficients, and Delta maps such a polynomial to another (Delta i^d =
+    sum_{l<d} C(d, l) i^l), so every D_j is non-negative and grows with i.
+    By the mean value theorem for differences, Delta^j P(i) = P^(j)(xi) for
+    some xi in [i, i + j], and P^(j)(xi) = j! h^j sum_{|T|=j} prod_{t not
+    in T} L_t(xi) <= s! / (s - j)! G^s <= s! G^s, with G at least h and
+    every L_t(xi).  The pass forms Delta^j P(i) for i up to its last block
+    plus one, whose factors lie below the last stop plus k, and xi <= i + s,
+    so every L_t(xi) is below (stops[-1] + s (s + 1) k + max(|a_r|, |b_r|))
+    2^beta; G = g 2^beta, g that bound's integer ceiling, bounds them and h.
+    So W = s (beta + bitlen(g)) + bitlen(s!) keeps every field below 2^W.
+    _PACKED_SCALE was measured (see its comment): at a wide beta the packed
+    ints are long and the four separate differences cost less.
 
     Each class runs at its own exact scale: its shifts, factors and block
     values are ints scaled by 2^beta, beta <= B the least scale that holds
-    both shifts exactly (_exact_scale), so a shift 0, 1/2 or 1/4 takes a
-    few bits where 2^B would take B, and a shift that needs more than B
-    bits is truncated at beta = B.  Every such int is the one at 2^B divided
-    by a power of two exactly, 2^(B - beta) for a factor and 2^(4(B - beta))
-    for a block, and the same power divides numerator and denominator.  So
-    the common power cancels in every floor division, m * P // D for a
-    block and its complex and single-factor forms, which returns the very
-    int it would return at 2^B, from shorter operands.
+    both shifts exactly (_exact_scale; for a complex class, all four
+    parts), so a shift 0, 1/2 or 1/4 takes a few bits where 2^B would take
+    B, and a shift that needs more than B bits is truncated at beta = B.
+    Every such int is the one at 2^B divided by a power of two exactly,
+    2^(B - beta) for a factor and 2^(s(B - beta)) for a block, and the same
+    power divides numerator and denominator.  So the common power cancels
+    in every floor division, m * P // D for a block and its complex and
+    single-factor forms, which returns the very int it would return at 2^B,
+    from shorter operands.
 
     A step, block or factor, rounds in its floor division and in the shift
     that renormalises m; together they lose less than one unit of the new
     B-bit mantissa, 2^(1 - B) relative, when its value f has |f| >= 1, and
-    less than 2^(1 - B) / |f| when it shrinks the product (a complex
-    product: sqrt(2) times as much).  So a class of N factors rounds at
-    most floor(N / 4) + 3 times at a stop c when every earlier stop lies a
-    multiple of 4k past start (no run but the last leaves factors over), 3
-    more times per other earlier stop, and N times with a complex b_r.
-    A shift truncated at B bits moves each n + x, n >= 1, by less than
-    2^(1 - B) relative (sqrt(2) times as much when complex): a shift with
-    |x| >= 1/2 is exact in B bits, and otherwise |n + x| > 1/2.
-    B = working bits + 2 log2 N + 20 guard bits keeps all that far below
-    one unit in the last working digit, unless a step's |f| falls below
-    about 2^-20, which costs as many guard bits.  The n = 0 factor
-    a_0 / b_0 is divided in the result's precision instead, because fixed
-    point would truncate a tiny shift.  More than _WORK_BUDGET factors raise
-    ValueError before the loop, and so does start < 0.
+    less than 2^(1 - B) / |f| when it shrinks the product (a complex class:
+    sqrt(2) times as much).  So at a stop c a class of N factors before c
+    rounds at most h + floor((N - h) / s) + (s - 1) times, h its single
+    steps over factors that are not positive (0 but for a packed class) and
+    s its block size, and N times with a complex b_r; the product of the
+    classes rounds once more, to result_ctx.  A shift truncated at B bits
+    moves each n + x, n >= 1, by less than 2^(1 - B) relative (sqrt(2)
+    times as much when complex): a shift with |x| >= 1/2 is exact in B
+    bits, and otherwise |n + x| > 1/2.  B = working bits + 2 log2 N + 20
+    guard bits keeps all that far below one unit in the last working digit,
+    unless a step's |f| falls below about 2^-20, which costs as many guard
+    bits.  The n = 0 factor a_0 / b_0 is divided in the result's precision
+    instead, because fixed point would truncate a tiny shift.  More than
+    _WORK_BUDGET factors raise ValueError before the loop, and so does
+    start < 0.
 
     The products are rounded to result_ctx, ctx by default.  Those guard
     bits back a wider result_ctx too: the rounding of N factors stays below
@@ -608,141 +653,185 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
     if start == 0 < stop and pairs[0] is not None:
         head = out_ctx.convert(pairs[0][0]) / out_ctx.convert(pairs[0][1])
     lo = max(start, 1)
+    classes = []  # per class, its partial product (m, mi, e) at every stop
+    for r, pair in enumerate(pairs):
+        if pair is None:
+            continue
+        first = lo + (r - lo) % k
+        fixed, beta = _exact_scale(pair, B)
+        if any(isinstance(x, ctx.mpc) and x.imag for x in pair):
+            classes.append(_complex_class(fixed, beta, first, k, stops, B))
+        else:
+            (a, _), (b, _) = fixed
+            classes.append(_real_class(a, b, beta, first, k, stops, B))
+    is_complex = any(isinstance(x, ctx.mpc) for pair in pairs if pair for x in pair)
     out = []
-    fixed = [None if pair is None else _exact_scale(pair, B) for pair in pairs]
-    if any(isinstance(x, ctx.mpc) for pair in pairs if pair for x in pair):
-        m, mi, e = 1 << B, 0, -B  # the running product is (m + i mi) * 2^e
-        saved = [None] * k  # per class: where its blocks stopped, and their differences
-        for c in stops:
-            if c > lo:
-                m, mi, e = _complex_run(m, mi, e, fixed, lo, c, B, saved)
-                lo = c
-            value = out_ctx.mpc(out_ctx.mpf((m, e)), out_ctx.mpf((mi, e)))
-            out.append(head * value if c > start else value)
-        return out
-    m, e = 1 << B, -B  # the running product is m * 2^e
-    saved = [None] * k  # per class: where its blocks stopped, and their differences
-    for c in stops:
-        if c > lo:
-            m, e = _real_run(m, e, fixed, lo, c, B, saved)
-            lo = c
-        value = out_ctx.mpf((m, e))
+    for i, c in enumerate(stops):
+        re, im, e = 1, 0, 0  # the product of the classes, (re + i im) * 2^e, exact
+        for parts in classes:
+            m, mi, f = parts[i]
+            re, im, e = re * m - im * mi, re * mi + im * m, e + f
+        value = out_ctx.mpf((re, e))
+        if is_complex:
+            value = out_ctx.mpc(value, out_ctx.mpf((im, e)))
         out.append(head * value if c > start else value)
     return out
 
 
-def _real_run(m, e, fixed, lo, hi, B, saved):
-    """The product m * 2^e times every factor n in [lo, hi), lo >= 1, all shifts real.
+def _real_steps(m, e, num, den, step, count, B):
+    """m * 2^e times count factors num / den, num and den stepping on by step; returns m, e, num, den."""
+    for _ in range(count):
+        m = m * num // den
+        s = m.bit_length() - B
+        if s:
+            m = m >> s if s > 0 else m << -s
+            e += s
+        num += step
+        den += step
+    return m, e, num, den
 
-    fixed[r] is class r's shifts at its exact scale and that scale, as
-    _exact_scale returns them.  saved[r] holds where class r's blocks
-    stopped and their differences; a run from there takes them on, and this
-    one's replace them.
+
+def _real_class(a, b, beta, first, k, stops, B):
+    """One real class's partial products (m, 0, e), m * 2^e, at every stop (rational_product).
+
+    a and b are its shifts scaled by 2^beta, its exact scale; its factors
+    are n = first, first + k, ....
     """
-    k = len(fixed)
-    for r, pair in enumerate(fixed):
-        if pair is None:
-            continue
-        first = lo + (r - lo) % k
-        blocks = len(range(first, hi, k)) >> 2
-        ((a, _), (b, _)), beta = pair
-        if saved[r] is not None and saved[r][0] == first:
-            _, (p, p1, p2, p3, p4), (d, d1, d2, d3, d4) = saved[r]
-        elif blocks:
-            (p, p1, p2, p3, p4), _ = _block_differences(first, k, (a, 0), beta)
-            (d, d1, d2, d3, d4), _ = _block_differences(first, k, (b, 0), beta)
-        for _ in range(blocks):
-            m = m * p // d
-            s = m.bit_length() - B
-            if s:
-                m = m >> s if s > 0 else m << -s
-                e += s
-            p += p1
-            p1 += p2
-            p2 += p3
-            p3 += p4
-            d += d1
-            d1 += d2
-            d2 += d3
-            d3 += d4
-        first += 4 * k * blocks
+    packed = beta <= _PACKED_SCALE
+    s = _PACKED_BLOCK if packed else 4
+    step = k << beta
+    m, e = 1 << B, -B
+    n, num, den = first, (first << beta) + a, (first << beta) + b
+    # the blocks start at body: a packed class's factors n <= -min(a, b) / 2^beta,
+    # which are not positive, step one at a time first
+    body = first + len(range(first, (-min(a, b) >> beta) + 1, k)) * k if packed else first
+    seeded = False
+    out = []
+    for c in stops:
+        if n < body:
+            count = len(range(n, min(c, body), k))
+            m, e, num, den = _real_steps(m, e, num, den, step, count, B)
+            n += count * k
+        blocks = len(range(n, c, k)) // s
         if blocks:
-            saved[r] = (first, (p, p1, p2, p3, p4), (d, d1, d2, d3, d4))
-        num, den, step = (first << beta) + a, (first << beta) + b, k << beta
-        for _ in range(first, hi, k):
-            m = m * num // den
-            s = m.bit_length() - B
-            if s:
-                m = m >> s if s > 0 else m << -s
-                e += s
-            num += step
-            den += step
-    return m, e
+            if not seeded:
+                if packed:
+                    g = stops[-1] + s * (s + 1) * k + (max(abs(a), abs(b)) >> beta) + 1
+                    W = s * (beta + g.bit_length()) + math.factorial(s).bit_length()
+                    M = (1 << W) - 1
+                    fields = [_block_differences(n, k, (x, 0), beta, s)[0] for x in (a, b)]
+                    P, D = (sum(f << j * W for j, f in enumerate(diffs)) for diffs in fields)
+                else:
+                    (p, p1, p2, p3, p4), _ = _block_differences(n, k, (a, 0), beta, 4)
+                    (d, d1, d2, d3, d4), _ = _block_differences(n, k, (b, 0), beta, 4)
+                seeded = True
+            if packed:
+                for _ in range(blocks):
+                    m = m * (P & M) // (D & M)
+                    t = m.bit_length() - B
+                    if t:
+                        m = m >> t if t > 0 else m << -t
+                        e += t
+                    P += P >> W
+                    D += D >> W
+            else:
+                for _ in range(blocks):
+                    m = m * p // d
+                    t = m.bit_length() - B
+                    if t:
+                        m = m >> t if t > 0 else m << -t
+                        e += t
+                    p += p1
+                    p1 += p2
+                    p2 += p3
+                    p3 += p4
+                    d += d1
+                    d1 += d2
+                    d2 += d3
+                    d3 += d4
+            n += s * k * blocks
+            num, den = (n << beta) + a, (n << beta) + b
+        mc, ec, _, _ = _real_steps(m, e, num, den, step, len(range(n, c, k)), B)
+        out.append((mc, 0, ec))
+    return out
 
 
-def _complex_run(m, mi, e, fixed, lo, hi, B, saved):
-    """The product (m + i mi) * 2^e times every factor n in [lo, hi), lo >= 1, some shifts complex.
+def _complex_steps(m, mi, e, num, den, ai, bi, step, count, B):
+    """(m + i mi) 2^e times count factors (num + i ai) / (den + i bi), num and den stepping by step."""
+    for _ in range(count):
+        xr = m * num - mi * ai
+        xi = m * ai + mi * num
+        dd = den * den + bi * bi
+        m, mi = (xr * den + xi * bi) // dd, (xi * den - xr * bi) // dd
+        s = max(m.bit_length(), mi.bit_length()) - B
+        if s:
+            if s > 0:
+                m >>= s
+                mi >>= s
+            else:
+                m <<= -s
+                mi <<= -s
+            e += s
+        num += step
+        den += step
+    return m, mi, e, num, den
 
-    fixed is as in _real_run, one exact scale over a class's four parts;
-    saved too, the imaginary differences of the numerator included.
+
+def _complex_class(fixed, beta, first, k, stops, B):
+    """One complex class's partial products (m, mi, e), (m + i mi) 2^e, at every stop.
+
+    fixed is its shifts ((ar, ai), (br, bi)) at its exact scale beta, one
+    scale over all four parts (_exact_scale); its factors are n = first,
+    first + k, ....
     """
-    k = len(fixed)
-    for r, pair in enumerate(fixed):
-        if pair is None:
+    ((ar, ai), (br, bi)) = fixed
+    step = k << beta
+    m, mi, e = 1 << B, 0, -B
+    n, num, den = first, (first << beta) + ar, (first << beta) + br
+    seeded = False
+    out = []
+    for c in stops:
+        count = len(range(n, c, k))
+        if bi:  # one factor at a time throughout
+            m, mi, e, num, den = _complex_steps(m, mi, e, num, den, ai, bi, step, count, B)
+            n += count * k
+            out.append((m, mi, e))
             continue
-        first = lo + (r - lo) % k
-        ((ar, ai), (br, bi)), beta = pair
-        blocks = 0 if bi else len(range(first, hi, k)) >> 2
-        if saved[r] is not None and saved[r][0] == first:
-            _, (p, p1, p2, p3, p4), (u, u1, u2, u3, u4), (d, d1, d2, d3, d4) = saved[r]
-        elif blocks:
-            (p, p1, p2, p3, p4), (u, u1, u2, u3, u4) = _block_differences(first, k, (ar, ai), beta)
-            (d, d1, d2, d3, d4), _ = _block_differences(first, k, (br, bi), beta)
-        for _ in range(blocks):
-            # (m + i mi) (p + i u) / d
-            m, mi = (m * p - mi * u) // d, (m * u + mi * p) // d
-            s = max(m.bit_length(), mi.bit_length()) - B
-            if s:
-                if s > 0:
-                    m >>= s
-                    mi >>= s
-                else:
-                    m <<= -s
-                    mi <<= -s
-                e += s
-            p += p1
-            p1 += p2
-            p2 += p3
-            p3 += p4
-            u += u1
-            u1 += u2
-            u2 += u3
-            u3 += u4
-            d += d1
-            d1 += d2
-            d2 += d3
-            d3 += d4
-        first += 4 * k * blocks
+        blocks = count >> 2
         if blocks:
-            saved[r] = (first, (p, p1, p2, p3, p4), (u, u1, u2, u3, u4), (d, d1, d2, d3, d4))
-        num, den, step = (first << beta) + ar, (first << beta) + br, k << beta
-        for _ in range(first, hi, k):
-            xr = m * num - mi * ai
-            xi = m * ai + mi * num
-            dd = den * den + bi * bi
-            m, mi = (xr * den + xi * bi) // dd, (xi * den - xr * bi) // dd
-            s = max(m.bit_length(), mi.bit_length()) - B
-            if s:
-                if s > 0:
-                    m >>= s
-                    mi >>= s
-                else:
-                    m <<= -s
-                    mi <<= -s
-                e += s
-            num += step
-            den += step
-    return m, mi, e
+            if not seeded:
+                (p, p1, p2, p3, p4), (u, u1, u2, u3, u4) = _block_differences(n, k, (ar, ai), beta, 4)
+                (d, d1, d2, d3, d4), _ = _block_differences(n, k, (br, bi), beta, 4)
+                seeded = True
+            for _ in range(blocks):
+                # (m + i mi) (p + i u) / d
+                m, mi = (m * p - mi * u) // d, (m * u + mi * p) // d
+                s = max(m.bit_length(), mi.bit_length()) - B
+                if s:
+                    if s > 0:
+                        m >>= s
+                        mi >>= s
+                    else:
+                        m <<= -s
+                        mi <<= -s
+                    e += s
+                p += p1
+                p1 += p2
+                p2 += p3
+                p3 += p4
+                u += u1
+                u1 += u2
+                u2 += u3
+                u3 += u4
+                d += d1
+                d1 += d2
+                d2 += d3
+                d3 += d4
+            n += 4 * k * blocks
+            num, den = (n << beta) + ar, (n << beta) + br
+        mc, mic, ec, _, _ = _complex_steps(m, mi, e, num, den, ai, bi, step, count - 4 * blocks, B)
+        out.append((mc, mic, ec))
+    return out
 
 
 def rational_zeros(values, start, stop, ctx) -> list:
@@ -851,6 +940,21 @@ def split_context(q, ctx):
     return _context_at(ctx.dps + max(0, math.ceil(-math.log10(-_float_log(q)))) + 5)
 
 
+def _split_sizes(a, q, ctx):
+    """_qpoch_split's K head factors and J series terms for (a; q)_inf in ctx."""
+    L = -_float_log(q)
+    c = math.sqrt(ctx.dps * _LN10 * L)
+    log_a = _flog(abs(a))
+    K = max(0, math.ceil((log_a + c) / L))
+    lam = K * L - log_a  # -log |w|, at least c
+    g = split_context(q, ctx).dps - ctx.dps
+    # the least J with (J + 1) lam + log(J + 1) >= T, taking log(J + 1) at
+    # the lower bound (T - log(T / lam)) / lam of J + 1
+    T = (ctx.dps + g) * _LN10 - math.log(-math.expm1(-L)) - math.log(-math.expm1(-lam))
+    low = max(1.0, (T - math.log(T / lam)) / lam)
+    return K, max(1, math.ceil((T - math.log(low)) / lam) - 1)
+
+
 def _qpoch_split(a, q, ctx, pole, x=None):
     """(a; q)_inf as K direct factors times exp(-S), the log series of the rest.
 
@@ -863,7 +967,8 @@ def _qpoch_split(a, q, ctx, pole, x=None):
 
     and S is summed to the least J whose bound |w|^(J+1) / ((J+1) (1 - q)
     (1 - |w|)) on the terms left out is below 10^-(dps+g).  K and J are each
-    about sqrt(dps ln 10 / L), and 2 (K + J) is charged to the work budget.
+    about sqrt(dps ln 10 / L) (_split_sizes), and 3 (K + J) is charged to
+    the work budget.
 
     Both parts magnify a relative error in a: the head's factors 1 - a q^k
     by up to sum_k |a q^k| / |1 - a q^k|, about log(1/L) / L for a = q^x,
@@ -877,19 +982,10 @@ def _qpoch_split(a, q, ctx, pole, x=None):
     relative to its size, so B adds log2(1/L) + 2 log2 J + 20 bits to those
     digits.
     """
+    K, J = _split_sizes(a, q, ctx)
+    _check_budget(3 * (K + J))
     L = -_float_log(q)
-    c = math.sqrt(ctx.dps * _LN10 * L)
-    log_a = _flog(abs(a))
-    K = max(0, math.ceil((log_a + c) / L))
-    lam = K * L - log_a  # -log |w|, at least c
     hi = split_context(q, ctx)
-    g = hi.dps - ctx.dps
-    # the least J with (J + 1) lam + log(J + 1) >= T, taking log(J + 1) at
-    # the lower bound (T - log(T / lam)) / lam of J + 1
-    T = (ctx.dps + g) * _LN10 - math.log(-math.expm1(-L)) - math.log(-math.expm1(-lam))
-    low = max(1.0, (T - math.log(T / lam)) / lam)
-    J = max(1, math.ceil((T - math.log(low)) / lam) - 1)
-    _check_budget(2 * (K + J))
     hq = hi.mpf(q)
     log_q = hi.log(hq)
     a = hi.convert(a) if x is None else hi.exp(hi.convert(x) * log_q)

@@ -7,10 +7,13 @@ factor count (and for the classical products' raw product at N the error
 bound too) must equal the former loop's, so the truncation is unchanged, and
 the kernel's relative error against the reference may not exceed the former
 loop's or 10^-workdps.  The partial products rational_product records in
-its one pass are checked against such references at drawn checkpoints.
-rational_product's results on the counted products' shifts are pinned bit
-for bit, and on drawn dyadic, decimal and past-B shifts (truncated at its B
-bits) its error is held to the rounding bound its docstring derives.
+its pass per residue class are checked against such references at drawn
+checkpoints, and each must equal, bit for bit, a call with that stop
+alone.  rational_product's results on the counted products' shifts are
+pinned bit for bit, and on drawn dyadic, decimal and past-B shifts
+(truncated at its B bits) its error is held to the rounding bound its
+docstring derives, packed blocks of eight included.  The split's charge to
+the work budget is held to three factors a step.
 geometric_product's blocks of _BLOCK factors are held to the rounding bound
 its docstring derives, on drawn a, q and counts, and a pole in its head of
 single factors must still raise at its own factor.  The THM1 sides, which
@@ -429,9 +432,9 @@ def test_rational_product_at_drawn_stops(shifts, start, offsets, real, digits):
 
 
 # Every bit of rational_product's results on the counted products' shifts,
-# as (mantissa, exponent) at a 70-digit result context, which holds the
-# whole B-bit running product.  These are the bits of a kernel that scales
-# every shift by 2^B; running each class at its exact scale changes none.
+# as signed (mantissa, exponent) at a 70-digit result context, which holds
+# each class's whole B-bit running product; a product of several classes is
+# rounded once there.
 def pinned_cases(ctx):
     half = ctx.mpf(1) / 2
     thm4_mod5 = [None if v is None else (-_omega(v, ctx) * ctx.mpc("0.25", "0.25"), 0)
@@ -456,29 +459,29 @@ RATIONAL_PINS = {
         ((0xd76e04d015f06a5b43ebbfefabee50a56cc78df0688d60762c845b470a5, -238),),
     ],
     "prototype": [
-        ((0x8dbd524c6a13ddb06f8c918d1d423dbdd1845594ab4fd, -179),),
-        ((0x8e278d66a249377ccf070547f8d5fea4718dad551d16b, -179),),
-        ((0x8e2af5e4bd06f30bfd8d5d01e3f98be1999895b1d2ba5, -179),),
+        ((0x8dbd524c6a13ddb06f8c918d1d423dbdd1845594ab4fc4b21efb2021c03, -235),),
+        ((0x8e278d66a249377ccf070547f8d5fea4718dad551d1981a2b71cd61a305, -235),),
+        ((0x8e2af5e4bd06f30bfd8d5d01e3f98be1999895b1d2c5ab04dcafb9c0f59, -235),),
     ],
     "thm4-mod4-z+0.5": [
-        ((0x229ed27b11d573b65be5647bb5ccfe1d2b0f251b951813, -181),),
-        ((0x22a2bfc7a17465709bc1cc8617d67ebd624b74a93e6651, -181),),
+        ((0x8a7b49ec4755ced96f9591eed733f874ac3c946e5460655d26183d96925, -235),),
+        ((0x8a8aff1e85d195c26f0732185f59faf5892dd2a4f99c170c392a780d613, -235),),
     ],
     "thm4-mod4-z-0.5": [
-        ((0x37ca3ff78c3ad1d5713eefbe63700afdc9eb8f281f8e9b, -182),),
-        ((0x1bdfdac3395ba187f7c8d757bce59fda32fcf24e5da045, -181),),
+        ((0xdf28ffde30eb4755c4fbbef98dc02bf727ae3ca07e3a8a03d236e1b3a73, -236),),
+        ((0xdefed619cadd0c3fbe46babde72cfed197e79272ed073413bf7403f0ca9, -236),),
     ],
     "thm4-mod5-complex-a": [
-        ((0x8ae3a6051145843301bf26dd2453062fd8f37daa909ff7, -183),
-         (0x10058a2a8f26cf74440d46fcdd42da366a063ad70007, -183)),
-        ((0x459bc7cd7562da71458d25ba08d26e7b90f83152dacf4d, -182),
-         (0xaf4de7b140bcdf97120482fbf82353ae66d2db1d53f, -183)),
-        ((0x459cd9385decd25d0404bcb91c1dc75c7be9364cc4df91, -182),
-         (0x5d58e66feb9834d7720951f0ff4be8bdb2ae9193a57, -182)),
+        ((0x22b8e9814451610cc06fc9b74914c18bf63cdf6aa427fd502046284030b, -233),
+         (-0x401628aa3c9b3dd110351bf3750b68d9a818eb5c000e947dd5a134159a9, -245)),
+        ((0x8b378f9aeac5b4e28b1a4b7411a4dcf721f062a5b59e7b0a114c590b45f, -235),
+         (0xaf4de7b140bcdf97120482fbf82353ae66d2db1d55ad4dc9f61525ffd27, -247)),
+        ((0x22ce6c9c2ef6692e82025e5c8e0ee3ae3df49b26626ff5c01169dabdc83, -233),
+         (0xbab1ccdfd73069aee412a3e1fe97d17b655d23276187627ecc7fd293be5, -247)),
     ],
     "tiny-past-B": [
         ((0x1046aaaaaaaaaaaaaaaaaaaaaaaaaaaaabf3530afcb26e83d38deab1b0b, -217),),
-        ((0x1046aaaaaaaaaaaaaaaaaaaaaaaaaaaaad130676fe1d9e83d38deab1b0b, -217),),
+        ((0x82355555555555555555555555555555689833b7f1f15ec9471a0038303, -220),),
     ],
 }
 
@@ -486,7 +489,7 @@ RATIONAL_PINS = {
 def mantissas(value):
     """(mantissa, exponent) of a real value, or of both parts of a complex one."""
     parts = (value.real, value.imag) if hasattr(value, "_mpc_") else (value,)
-    return tuple((int(p.man), int(p.exp)) for p in parts)
+    return tuple((-int(p.man) if p < 0 else int(p.man), int(p.exp)) for p in parts)
 
 
 @pytest.mark.parametrize("name", sorted(RATIONAL_PINS))
@@ -512,27 +515,43 @@ SHIFT_KINDS = {
 def rounding_bound(pairs, start, stop, B, ref):
     """rational_product's docstring bound on its relative error over [start, stop), first order.
 
-    Each class steps once per block of four and once per factor left over,
-    or once per factor with a complex b; each step rounds by less than
-    2^(1 - B) / min(1, |f|), f its value, sqrt(2) times that when the
-    product is complex.  A shift truncated at B bits moves each factor
-    n + x, n >= 1, by less than 2^(1 - B) relative, sqrt(2) times as much
-    when complex, so each factor (n + a) / (n + b) by twice that.
+    Each class steps once per block and once per factor left over.  A class
+    with a complex b steps once per factor; other complex classes, and real
+    ones at an exact scale above qfunc._PACKED_SCALE bits, take blocks of
+    four; a real class at that scale or below steps once per factor that is
+    not positive, then takes blocks of qfunc._PACKED_BLOCK.  Each step rounds
+    by less than 2^(1 - B) / min(1, |f|), f its value, sqrt(2) times that in
+    a complex class.  A shift truncated at B bits moves each factor n + x,
+    n >= 1, by less than 2^(1 - B) relative, sqrt(2) times as much when
+    complex, so each factor (n + a) / (n + b) by twice that.  The one
+    rounding of the classes' product to the result context is the caller's.
     """
     k = len(pairs)
     lo = max(start, 1)
-    complex_run = any(hasattr(x, "_mpc_") for pair in pairs for x in pair)
-    unit = ref.mpf(2) ** (1 - B) * (ref.sqrt(2) if complex_run else 1)
     total = ref.mpf(0)
     for r, pair in enumerate(pairs):
+        if pair is None:
+            continue
         a, b = (ref.convert(x) for x in pair)
         ns = range(lo + (r - lo) % k, stop, k)
-        size = 1 if ref.im(b) else 4
-        whole = len(ns) // size * size
-        steps = [ns[i:i + size] for i in range(0, whole, size)] + [[n] for n in ns[whole:]]
+        parts = [part for x in (a, b) for part in (ref.re(x), ref.im(x))]
+        beta = min(B, max([0, *(-int(part.exp) for part in parts if part)]))
+        complex_class = bool(ref.im(a) or ref.im(b))
+        unit = ref.mpf(2) ** (1 - B) * (ref.sqrt(2) if complex_class else 1)
+        head = 0
+        if ref.im(b):
+            size = 1
+        elif complex_class or beta > qfunc._PACKED_SCALE:
+            size = 4
+        else:
+            size = qfunc._PACKED_BLOCK
+            head = sum(1 for n in ns if n + a <= 0 or n + b <= 0)
+        whole = head + (len(ns) - head) // size * size
+        steps = ([[n] for n in ns[:head]] + [ns[i:i + size] for i in range(head, whole, size)]
+                 + [[n] for n in ns[whole:]])
         for step in steps:
             total += unit / min(1, abs(ref.fprod((n + a) / (n + b) for n in step)))
-        if not all(ref.isint(ref.ldexp(part, B)) for x in (a, b) for part in (ref.re(x), ref.im(x))):
+        if not all(ref.isint(ref.ldexp(part, B)) for part in parts):
             total += 2 * len(ns) * unit  # some part was truncated at B bits
     return total
 
@@ -541,15 +560,23 @@ def rounding_bound(pairs, start, stop, B, ref):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(st.data(), st.sampled_from([0, 1, 2]), st.integers(0, 300), st.integers(0, 3), st.booleans(),
        st.sampled_from([30, 50]))
+# packed classes: one whose first two factors are negative, so it steps
+# over them one at a time before its blocks; one whose shift 2^20 + 1/2
+# sets the field width of its packed differences
+@example(data=[(("-2.5", "0"), ("0.5", "0"))], start=1, count=60, extra=0, real=True, digits=30)
+@example(data=[(("1048576.5", "0"), ("0.25", "0")), (("-0.5", "0"), ("1048576.75", "0"))],
+         start=0, count=300, extra=1, real=True, digits=50)
 def test_rational_product_within_its_rounding_bound(kind, data, start, count, extra, real, digits):
     # the docstring's own bound, against a guard+40 product over the same
-    # factors: the result context holds every bit of the B-bit running
-    # product, and the three roundings there (the n = 0 factor, the product
-    # with it, the result) and the growth of the first-order bound,
-    # exp(total) - 1, are added
+    # factors: the result context holds every bit of each class's B-bit
+    # running product, and the three roundings there (the product of the
+    # classes, the n = 0 factor, the product with it) and the growth of the
+    # first-order bound, exp(total) - 1, are added; an @example passes its
+    # shifts in place of data
     parts = SHIFT_KINDS[kind]
     value = st.tuples(parts, st.one_of(st.just("0"), parts))
-    shifts = data.draw(st.lists(st.tuples(value, value), min_size=1, max_size=4))
+    shifts = data if isinstance(data, list) else data.draw(
+        st.lists(st.tuples(value, value), min_size=1, max_size=4))
     k = len(shifts)
     stop = start + count * k + extra % k
     ctx, ref = contexts(digits)
@@ -567,6 +594,36 @@ def test_rational_product_within_its_rounding_bound(kind, data, start, count, ex
                           for n in range(start, stop))
     bound = ref.expm1(rounding_bound(pairs, start, stop, B, ref)) + 3 * ref.mpf(2) ** -(wide.prec - 1)
     assert abs(result - reference) <= abs(reference) * bound
+
+
+@pytest.mark.parametrize("kind", sorted(SHIFT_KINDS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.sampled_from([0, 1, 2]), st.integers(5, 8),
+       st.lists(st.integers(0, 127), min_size=2, max_size=6), st.booleans(), st.sampled_from([30, 50]))
+def test_rational_product_stops_are_independent(kind, data, start, bits, offsets, real, digits):
+    # every value of a call with several stops is, to the bit, the value of
+    # a call with that stop alone, in a result context that holds each
+    # class's whole B-bit product; every c - start has the same bit length,
+    # so both calls run at the same B, and not every stop ends whole blocks
+    parts = SHIFT_KINDS[kind]
+    value = st.tuples(parts, st.one_of(st.just("0"), parts))
+    shifts = data.draw(st.lists(st.tuples(value, value), min_size=1, max_size=4))
+    k = len(shifts)
+    half = 1 << (bits - 1)
+    stops = sorted(start + half + c % half for c in offsets)
+    assume(any((c - start) % (4 * k) for c in stops))
+    ctx = context(Precision(digits))
+    B = ctx.prec + 2 * (stops[-1] - start).bit_length() + 20
+    wide = _context_at(mpmath.libmp.prec_to_dps(B) + 10)
+
+    def convert(part):
+        return ctx.mpf(part[0]) if real or part[1] == "0" else ctx.mpc(*part)
+
+    pairs = [(convert(a), convert(b)) for a, b in shifts]
+    assume(all(n + x != 0 for n in range(start, stops[-1]) for x in pairs[n % k]))
+    values = rational_product(pairs, start, stops, ctx, wide)
+    for c, value in zip(stops, values):
+        assert mantissas(value) == mantissas(rational_product(pairs, start, [c], ctx, wide)[0])
 
 
 def test_rational_zeros_are_exact_integer_roots():
@@ -1087,6 +1144,31 @@ def test_work_budget_refuses_oversized_products():
     assert time.perf_counter() - t0 < 1
     assert not report.passed
     assert report.error == f"ValueError: {10**12} factors exceed {budget}"
+
+
+def test_split_charges_three_factors_a_step(monkeypatch):
+    # one step of the split costs 2.4 to 3.1 real direct factors, so a split
+    # of K + J steps is charged 3 (K + J): refused before its head product
+    # starts when the budget lies in [2 (K + J), 3 (K + J)), run when K + J
+    # is just under a third of it
+    ctx = context(Precision(30))
+    q, x = ctx.mpf("0.999"), ctx.mpf("0.5")
+    a = q**x
+    K, J = qfunc._split_sizes(a, q, ctx)
+    assert K > 0 and J > 0
+    expect = qfunc._qpoch_split(a, q, ctx, None, x=x)
+
+    def no_head(*args, **kwargs):
+        raise AssertionError("the split's head product started")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qfunc, "geometric_product", no_head)
+        for budget in (2 * (K + J), 3 * (K + J) - 1):
+            patch.setattr(qfunc, "_WORK_BUDGET", budget)
+            message = fails_fast(lambda: qfunc._qpoch_split(a, q, ctx, None, x=x))
+            assert message == f"{3 * (K + J)} factors exceed the work budget of {budget} factors"
+    monkeypatch.setattr(qfunc, "_WORK_BUDGET", 3 * (K + J) + 2)
+    assert qfunc._qpoch_split(a, q, ctx, None, x=x) == expect
 
 
 def test_euler_function_near_one_stays_within_budget():
