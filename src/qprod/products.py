@@ -451,7 +451,7 @@ def _prototype_estimate(spec, ctx, n_terms):
 def _prototype_lhs(spec, ctx, extrapolate=True):
     n_terms = _count(spec)
     # 1 - 1/(2j+1) = j / (j + 1/2) for even j, 1 + 1/(2j+1) = (j + 1) / (j + 1/2) for odd j
-    half = ctx.mpf(1) / 2
+    half = Fraction(1, 2)
     return _counted_lhs([[(0, half), (1, half)]], 1, n_terms + 1, ctx, n_terms,
                         _prototype_estimate(spec, ctx, n_terms), extrapolate)
 
@@ -520,7 +520,12 @@ def _cor2_lhs(spec, ctx, extrapolate=True):
     poles = [n for b in be for n in rational_zeros([b], 0, n_terms, hi)]
     if poles:
         raise SingularArgumentError(f"factor n + beta vanishes at n = {min(poles)}")
-    return _counted_lhs([[(a, b)] for a, b in zip(al, be)], 0, n_terms, ctx, n_terms,
+    # a pair of exact entries (decimal strings among them) runs at the lcm of its denominators
+    pairs = []
+    for a, b, ah, bh in zip(spec.alphas, spec.betas, al, be):
+        exact = (_exact_entry(a), _exact_entry(b))
+        pairs.append(exact if None not in exact else (ah, bh))
+    return _counted_lhs([[pair] for pair in pairs], 0, n_terms, ctx, n_terms,
                         _cor2_estimate(spec, ctx, n_terms), extrapolate)
 
 
@@ -584,7 +589,9 @@ def _thm4_lhs(spec, ctx, extrapolate=True):
         raise ValueError("blocks too small for |z|; tail estimate invalid")
     # 1 - chi(n) z / n = (n - chi(n) z) / n
     hi = _context_at(ctx.dps + _EXTRA_DIGITS)
-    zh = to_hp(spec.z, hi)
+    # an exact z with a real character gives exact shifts, which run at the denominator of z
+    zf = _exact_entry(spec.z) if chi.is_real else None
+    zh = to_hp(spec.z, hi) if zf is None else zf
     shifts = [None if v is None else -_omega(v, hi) * zh for v in (chi.value(j) for j in range(k))]
     stop = blocks * k + 2  # n runs over 2 .. blocks*k + 1: exactly `blocks` full periods
     zeros = rational_zeros(shifts, 2, stop, hi)

@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import to_fixed
+from mpmath.libmp import to_fixed, to_rational
 
 from .numtheory import ArithValue, cyclotomic, divisors, mobius
 
@@ -498,47 +498,58 @@ def _fixed_parts(x, B):
 
 
 def _exact_scale(pair, B):
-    """The pair's parts as fixed-point ints at the least scale beta <= B that holds them all exactly.
+    """The pair's parts as ints at the least scale S that holds them all exactly, capped at 2^B, and S.
 
-    pair is a class's shifts (a, b), mpf or mpc.  An mpf's mantissa is odd,
-    so man * 2^exp is an int scaled by 2^beta exactly when beta >= -exp;
-    beta = min(B, max(0, -exp)) over every part, and a part that needs more
-    than B bits is truncated as to_fixed(x, B) truncates it.  Returns
-    ((ar, ai), (br, bi)) scaled by 2^beta, and beta.
+    pair is a class's shifts (a, b): ints or Fractions, or mpf or mpc values.
+    Every part is an exact rational (an mpf man * 2^exp, man odd, has the
+    denominator 2^max(0, -exp)), so S is the lcm of the parts' denominators:
+    a power of two 2^beta for mpf shifts, 100 for (0.31, 0.87) as Fractions.
+    Where that lcm exceeds 2^B, S = 2^B and every part x becomes floor(x
+    2^B), as to_fixed truncates it.  Returns ((ar, ai), (br, bi)) scaled by
+    S, and S.
     """
-    raw = [p for x in pair for p in (x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_,))]
-    beta = min(B, max(0, *(-p[2] for p in raw)))
-    return [_fixed_parts(x, beta) for x in pair], beta
+    parts = []
+    for x in pair:
+        if hasattr(x, "_mpc_"):
+            parts += [Fraction(*to_rational(p)) for p in x._mpc_]
+        else:
+            parts += [Fraction(*to_rational(x._mpf_)) if hasattr(x, "_mpf_") else Fraction(x), Fraction(0)]
+    S = min(math.lcm(*(p.denominator for p in parts)), 1 << B)
+    ar, ai, br, bi = (p.numerator * S // p.denominator for p in parts)
+    return ((ar, ai), (br, bi)), S
 
 
-# Real classes at an exact scale of at most _PACKED_SCALE bits (rational_product)
-# take blocks of _PACKED_BLOCK factors with their forward differences packed
-# into one int; wider ones take blocks of four with one int per difference.
-# Measured on one class, packed time over blocks-of-four time, on the
-# pure-Python mpmath backend (CPython 3.11, 2 cores): at 2 * 10^4 factors and
-# 30 digits 0.67 at beta = 1, 0.88 at 32, 0.97 at 40, 1.05 at 64 and 1.32 at
-# 137 (a four-place decimal); at 10^5 factors 0.85 at 32 and 1.05 at 48; at
-# 2,000 factors and 60 digits 1.01 at 32.
+# Real classes at an exact scale S with ceil(log2 S) of at most _PACKED_SCALE
+# bits (rational_product) take blocks of _PACKED_BLOCK factors with their
+# forward differences packed into one int; wider ones take blocks of four with
+# one int per difference.  Measured on one class, packed time over
+# blocks-of-four time, on the pure-Python mpmath backend (CPython 3.11, 2
+# cores): at 2 * 10^4 factors and 30 digits 0.67 at S = 2, 0.88 at 2^32, 0.97
+# at 2^40, 1.05 at 2^64 and 1.32 at 2^137 (a four-place decimal as an mpf);
+# at 10^5 factors 0.85 at 2^32 and 1.05 at 2^48; at 2,000 factors and 60
+# digits 1.01 at 2^32.  Decimal scales, at 2 * 10^4 and 10^5 factors and 30
+# digits: 0.74 and 0.77 at S = 10^4, 0.91 and 0.86 at 10^9, 0.94 and 0.97 at
+# 10^12.
 _PACKED_BLOCK = 8
 _PACKED_SCALE = 32
 
 
-def _block_differences(first, k, x, beta, s):
+def _block_differences(first, k, x, S, s):
     """Forward differences at i = 0, orders 0 .. s, of P(i) = prod_{t<s} (first + (s i + t) k + x).
 
-    x is a fixed-point pair (real, imag) scaled by 2^beta, its class's exact
-    scale (rational_product).  P is a polynomial of degree s in i with
-    integer coefficients, so its values at i = 0 .. s fix it; returns the
+    x is a pair (real, imag) of ints scaled by S, its class's exact scale
+    (rational_product).  P is a polynomial of degree s in i with integer
+    coefficients, so its values at i = 0 .. s fix it; returns the
     differences of its real part and of its imaginary part, exact ints
-    scaled by 2^(s beta): those at any scale B >= beta that holds x exactly,
-    divided by 2^(s(B - beta)).
+    scaled by S^s: those at any scale S' that S divides, divided by
+    (S' / S)^s.
     """
     xr, xi = x
     re, im = [], []
     for i in range(s + 1):
         pr, pi = 1, 0
         for t in range(s):
-            nr = ((first + (s * i + t) * k) << beta) + xr
+            nr = (first + (s * i + t) * k) * S + xr
             pr, pi = pr * nr - pi * xi, pr * xi + pi * nr
         re.append(pr)
         im.append(pi)
@@ -552,8 +563,9 @@ def _block_differences(first, k, x, beta, s):
 def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
     """The products prod_{n=start}^{c-1} (n + a_r) / (n + b_r), r = n mod k, for each c of stops.
 
-    shifts[r] is the pair (a_r, b_r) of real or complex values for residue r
-    mod k = len(shifts), or None where every factor is exactly 1; start >= 0,
+    shifts[r] is the pair (a_r, b_r) for residue r mod k = len(shifts), or
+    None where every factor is exactly 1.  A shift is an int or a Fraction,
+    taken exactly, or a real or complex value that ctx converts; start >= 0,
     stops ascend from start or above, and an empty range gives 1.  No
     denominator may vanish (rational_zeros finds those).
 
@@ -575,47 +587,49 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
     stops[-1]] returns, and the value of a call with c alone whenever c -
     start and stops[-1] - start have the same bit length.
 
+    Each class runs at its own exact scale S: its shifts, factors and block
+    values are ints scaled by S, the least integer that makes every part of
+    both shifts an int (_exact_scale).  That is the lcm of their
+    denominators: 2^beta for mpf or mpc shifts, whose mantissas are odd,
+    and 10^4 for four-place decimals given as Fractions.  A factor's
+    numerator and denominator are both scaled by S, a block's by S^s, so
+    every floor division, m * P // D for a block and its complex and
+    single-factor forms, returns floor(m f) for the exact value f of its
+    factors, whatever S: exact shifts carry no input rounding, and a dyadic
+    Fraction gives the very ints of the equal mpf.  Where the lcm exceeds
+    2^B, S = 2^B and each part x is truncated to floor(x 2^B).
+
     The block size follows the class.  A class with a complex b_r steps one
     factor at a time throughout: its blocks would have to be multiplied
     through by the conjugate of their denominator, which costs more than
     four steps.  Other complex classes take blocks of four.  A real class
-    at an exact scale beta above _PACKED_SCALE bits (a decimal shift, or
-    one past B) takes blocks of four, each difference its own int.  A real
-    class at beta <= _PACKED_SCALE (0, 1/2, 1/4, ...) first steps one at a
-    time over its factors that are not positive, then takes blocks of s =
-    _PACKED_BLOCK with all s + 1 differences of the numerator packed into
-    one int, D_j = Delta^j P(i) in bits [jW, (j + 1)W), and those of the
-    denominator into another.  A block is then m * (P & M) // (D & M),
-    M = 2^W - 1, and the step to block i + 1 is P += P >> W, D += D >> W:
-    field j of P >> W is D_{j+1}, and D_j + D_{j+1} is Delta^j P(i + 1).
+    with ceil(log2 S) above _PACKED_SCALE (an mpf decimal shift, a 12-place
+    decimal, or a shift past B) takes blocks of four, each difference its
+    own int.  A real class with ceil(log2 S) <= _PACKED_SCALE (0, 1/2, a
+    decimal of up to nine places) first steps one at a time over its
+    factors that are not positive, then takes blocks of s = _PACKED_BLOCK
+    with all s + 1 differences of the numerator packed into one int, D_j =
+    Delta^j P(i) in bits [jW, (j + 1)W), and those of the denominator into
+    another.  A block is then m * (P & M) // (D & M), M = 2^W - 1, and the
+    step to block i + 1 is P += P >> W, D += D >> W: field j of P >> W is
+    D_{j+1}, and D_j + D_{j+1} is Delta^j P(i + 1).
 
     The packed step is exact while every field lies in [0, 2^W).  With the
-    block's factors L_t(i) = c_t + h i, c_t = (n_t << beta) + a_r > 0 (and
-    so for b_r) and h = s k 2^beta, P(i) = prod_t L_t(i) has non-negative
-    coefficients, and Delta maps such a polynomial to another (Delta i^d =
-    sum_{l<d} C(d, l) i^l), so every D_j is non-negative and grows with i.
-    By the mean value theorem for differences, Delta^j P(i) = P^(j)(xi) for
-    some xi in [i, i + j], and P^(j)(xi) = j! h^j sum_{|T|=j} prod_{t not
-    in T} L_t(xi) <= s! / (s - j)! G^s <= s! G^s, with G at least h and
-    every L_t(xi).  The pass forms Delta^j P(i) for i up to its last block
-    plus one, whose factors lie below the last stop plus k, and xi <= i + s,
-    so every L_t(xi) is below (stops[-1] + s (s + 1) k + max(|a_r|, |b_r|))
-    2^beta; G = g 2^beta, g that bound's integer ceiling, bounds them and h.
-    So W = s (beta + bitlen(g)) + bitlen(s!) keeps every field below 2^W.
-    _PACKED_SCALE was measured (see its comment): at a wide beta the packed
-    ints are long and the four separate differences cost less.
-
-    Each class runs at its own exact scale: its shifts, factors and block
-    values are ints scaled by 2^beta, beta <= B the least scale that holds
-    both shifts exactly (_exact_scale; for a complex class, all four
-    parts), so a shift 0, 1/2 or 1/4 takes a few bits where 2^B would take
-    B, and a shift that needs more than B bits is truncated at beta = B.
-    Every such int is the one at 2^B divided by a power of two exactly,
-    2^(B - beta) for a factor and 2^(s(B - beta)) for a block, and the same
-    power divides numerator and denominator.  So the common power cancels
-    in every floor division, m * P // D for a block and its complex and
-    single-factor forms, which returns the very int it would return at 2^B,
-    from shorter operands.
+    block's factors L_t(i) = c_t + h i, c_t = n_t S + a_r S > 0 (and so for
+    b_r) and h = s k S, P(i) = prod_t L_t(i) has non-negative coefficients,
+    and Delta maps such a polynomial to another (Delta i^d = sum_{l<d} C(d,
+    l) i^l), so every D_j is non-negative and grows with i.  By the mean
+    value theorem for differences, Delta^j P(i) = P^(j)(xi) for some xi in
+    [i, i + j], and P^(j)(xi) = j! h^j sum_{|T|=j} prod_{t not in T}
+    L_t(xi) <= s! / (s - j)! G^s <= s! G^s, with G at least h and every
+    L_t(xi).  The pass forms Delta^j P(i) for i up to its last block plus
+    one, whose factors lie below the last stop plus k, and xi <= i + s, so
+    every L_t(xi) is below (stops[-1] + s (s + 1) k + max(|a_r|, |b_r|)) S;
+    G = g S, g that bound's integer ceiling, bounds them and h, and G <
+    2^(ceil(log2 S) + bitlen(g)).  So W = s (ceil(log2 S) + bitlen(g)) +
+    bitlen(s!) keeps every field below 2^W.  _PACKED_SCALE was measured
+    (see its comment): at a wide S the packed ints are long and the four
+    separate differences cost less.
 
     A step, block or factor, rounds in its floor division and in the shift
     that renormalises m; together they lose less than one unit of the new
@@ -625,16 +639,18 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
     rounds at most h + floor((N - h) / s) + (s - 1) times, h its single
     steps over factors that are not positive (0 but for a packed class) and
     s its block size, and N times with a complex b_r; the product of the
-    classes rounds once more, to result_ctx.  A shift truncated at B bits
-    moves each n + x, n >= 1, by less than 2^(1 - B) relative (sqrt(2)
-    times as much when complex): a shift with |x| >= 1/2 is exact in B
-    bits, and otherwise |n + x| > 1/2.  B = working bits + 2 log2 N + 20
-    guard bits keeps all that far below one unit in the last working digit,
-    unless a step's |f| falls below about 2^-20, which costs as many guard
-    bits.  The n = 0 factor a_0 / b_0 is divided in the result's precision
-    instead, because fixed point would truncate a tiny shift.  More than
-    _WORK_BUDGET factors raise ValueError before the loop, and so does
-    start < 0.
+    classes rounds once more, to result_ctx.  A class at an exact scale
+    rounds nowhere else.  A part truncated at 2^B moves n + x by less than
+    2^-B (sqrt(2) times as much when complex), 2^-B / |n + x| relative:
+    below 2^(1 - B) for n >= 1 when |x| <= 1/2, and a part with |x| > 1/2
+    is truncated only if it has more than B bits after the point, which no
+    mpf of ctx has.  B = working bits + 2 log2 N + 20 guard bits keeps all
+    that far below one unit in the last working digit, unless a step's |f|
+    falls below about 2^-20, which costs as many guard bits.  The n = 0
+    factor a_0 / b_0 is divided in the result's precision instead, because
+    fixed point would truncate a tiny shift: exactly, and rounded once,
+    when both shifts are ints or Fractions.  More than _WORK_BUDGET factors
+    raise ValueError before the loop, and so does start < 0.
 
     The products are rounded to result_ctx, ctx by default.  Those guard
     bits back a wider result_ctx too: the rounding of N factors stays below
@@ -648,22 +664,28 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
     _check_budget(stop - start)
     k = len(shifts)
     B = ctx.prec + 2 * (stop - start).bit_length() + 20
-    pairs = [None if s is None else [ctx.convert(x) for x in s] for s in shifts]
+    pairs = [None if s is None else [x if isinstance(x, (int, Fraction)) else ctx.convert(x) for x in s]
+             for s in shifts]
     head = 1
     if start == 0 < stop and pairs[0] is not None:
-        head = out_ctx.convert(pairs[0][0]) / out_ctx.convert(pairs[0][1])
+        a0, b0 = pairs[0]
+        if isinstance(a0, (int, Fraction)) and isinstance(b0, (int, Fraction)):
+            f = Fraction(a0) / b0
+            head = out_ctx.fdiv(f.numerator, f.denominator)  # the exact quotient, rounded once
+        else:
+            head = out_ctx.convert(a0) / out_ctx.convert(b0)
     lo = max(start, 1)
     classes = []  # per class, its partial product (m, mi, e) at every stop
     for r, pair in enumerate(pairs):
         if pair is None:
             continue
         first = lo + (r - lo) % k
-        fixed, beta = _exact_scale(pair, B)
+        fixed, S = _exact_scale(pair, B)
         if any(isinstance(x, ctx.mpc) and x.imag for x in pair):
-            classes.append(_complex_class(fixed, beta, first, k, stops, B))
+            classes.append(_complex_class(fixed, S, first, k, stops, B))
         else:
             (a, _), (b, _) = fixed
-            classes.append(_real_class(a, b, beta, first, k, stops, B))
+            classes.append(_real_class(a, b, S, first, k, stops, B))
     is_complex = any(isinstance(x, ctx.mpc) for pair in pairs if pair for x in pair)
     out = []
     for i, c in enumerate(stops):
@@ -691,20 +713,20 @@ def _real_steps(m, e, num, den, step, count, B):
     return m, e, num, den
 
 
-def _real_class(a, b, beta, first, k, stops, B):
+def _real_class(a, b, S, first, k, stops, B):
     """One real class's partial products (m, 0, e), m * 2^e, at every stop (rational_product).
 
-    a and b are its shifts scaled by 2^beta, its exact scale; its factors
-    are n = first, first + k, ....
+    a and b are its shifts scaled by S, its exact scale; its factors are n =
+    first, first + k, ....
     """
-    packed = beta <= _PACKED_SCALE
+    packed = (S - 1).bit_length() <= _PACKED_SCALE
     s = _PACKED_BLOCK if packed else 4
-    step = k << beta
+    step = k * S
     m, e = 1 << B, -B
-    n, num, den = first, (first << beta) + a, (first << beta) + b
-    # the blocks start at body: a packed class's factors n <= -min(a, b) / 2^beta,
+    n, num, den = first, first * S + a, first * S + b
+    # the blocks start at body: a packed class's factors n <= -min(a, b) / S,
     # which are not positive, step one at a time first
-    body = first + len(range(first, (-min(a, b) >> beta) + 1, k)) * k if packed else first
+    body = first + len(range(first, -min(a, b) // S + 1, k)) * k if packed else first
     seeded = False
     out = []
     for c in stops:
@@ -716,14 +738,14 @@ def _real_class(a, b, beta, first, k, stops, B):
         if blocks:
             if not seeded:
                 if packed:
-                    g = stops[-1] + s * (s + 1) * k + (max(abs(a), abs(b)) >> beta) + 1
-                    W = s * (beta + g.bit_length()) + math.factorial(s).bit_length()
+                    g = stops[-1] + s * (s + 1) * k + max(abs(a), abs(b)) // S + 1
+                    W = s * ((S - 1).bit_length() + g.bit_length()) + math.factorial(s).bit_length()
                     M = (1 << W) - 1
-                    fields = [_block_differences(n, k, (x, 0), beta, s)[0] for x in (a, b)]
+                    fields = [_block_differences(n, k, (x, 0), S, s)[0] for x in (a, b)]
                     P, D = (sum(f << j * W for j, f in enumerate(diffs)) for diffs in fields)
                 else:
-                    (p, p1, p2, p3, p4), _ = _block_differences(n, k, (a, 0), beta, 4)
-                    (d, d1, d2, d3, d4), _ = _block_differences(n, k, (b, 0), beta, 4)
+                    (p, p1, p2, p3, p4), _ = _block_differences(n, k, (a, 0), S, 4)
+                    (d, d1, d2, d3, d4), _ = _block_differences(n, k, (b, 0), S, 4)
                 seeded = True
             if packed:
                 for _ in range(blocks):
@@ -750,7 +772,7 @@ def _real_class(a, b, beta, first, k, stops, B):
                     d2 += d3
                     d3 += d4
             n += s * k * blocks
-            num, den = (n << beta) + a, (n << beta) + b
+            num, den = n * S + a, n * S + b
         mc, ec, _, _ = _real_steps(m, e, num, den, step, len(range(n, c, k)), B)
         out.append((mc, 0, ec))
     return out
@@ -777,17 +799,17 @@ def _complex_steps(m, mi, e, num, den, ai, bi, step, count, B):
     return m, mi, e, num, den
 
 
-def _complex_class(fixed, beta, first, k, stops, B):
+def _complex_class(fixed, S, first, k, stops, B):
     """One complex class's partial products (m, mi, e), (m + i mi) 2^e, at every stop.
 
-    fixed is its shifts ((ar, ai), (br, bi)) at its exact scale beta, one
+    fixed is its shifts ((ar, ai), (br, bi)) at its exact scale S, one
     scale over all four parts (_exact_scale); its factors are n = first,
     first + k, ....
     """
     ((ar, ai), (br, bi)) = fixed
-    step = k << beta
+    step = k * S
     m, mi, e = 1 << B, 0, -B
-    n, num, den = first, (first << beta) + ar, (first << beta) + br
+    n, num, den = first, first * S + ar, first * S + br
     seeded = False
     out = []
     for c in stops:
@@ -800,8 +822,8 @@ def _complex_class(fixed, beta, first, k, stops, B):
         blocks = count >> 2
         if blocks:
             if not seeded:
-                (p, p1, p2, p3, p4), (u, u1, u2, u3, u4) = _block_differences(n, k, (ar, ai), beta, 4)
-                (d, d1, d2, d3, d4), _ = _block_differences(n, k, (br, bi), beta, 4)
+                (p, p1, p2, p3, p4), (u, u1, u2, u3, u4) = _block_differences(n, k, (ar, ai), S, 4)
+                (d, d1, d2, d3, d4), _ = _block_differences(n, k, (br, bi), S, 4)
                 seeded = True
             for _ in range(blocks):
                 # (m + i mi) (p + i u) / d
@@ -828,7 +850,7 @@ def _complex_class(fixed, beta, first, k, stops, B):
                 d2 += d3
                 d3 += d4
             n += 4 * k * blocks
-            num, den = (n << beta) + ar, (n << beta) + br
+            num, den = n * S + ar, n * S + br
         mc, mic, ec, _, _ = _complex_steps(m, mi, e, num, den, ai, bi, step, count - 4 * blocks, B)
         out.append((mc, mic, ec))
     return out

@@ -10,10 +10,13 @@ loop's or 10^-workdps.  The partial products rational_product records in
 its pass per residue class are checked against such references at drawn
 checkpoints, and each must equal, bit for bit, a call with that stop
 alone.  rational_product's results on the counted products' shifts are
-pinned bit for bit, and on drawn dyadic, decimal and past-B shifts
-(truncated at its B bits) its error is held to the rounding bound its
-docstring derives, packed blocks of eight included.  The split's charge to
-the work budget is held to three factors a step.
+pinned bit for bit, as mpf shifts and as dyadic Fractions.  On drawn
+dyadic, decimal and past-B mpf shifts (truncated at its B bits), and on
+exact Fraction shifts of 1 to 12 decimal places or of so many that their
+scale passes 2^B, its error is held to the rounding bound its docstring
+derives, packed blocks of eight included.  The counted left sides must
+hand the kernel exact shifts wherever their inputs are exact.  The split's
+charge to the work budget is held to three factors a step.
 geometric_product's blocks of _BLOCK factors are held to the rounding bound
 its docstring derives, on drawn a, q and counts, and a pole in its head of
 single factors must still raise at its own factor.  The THM1 sides, which
@@ -33,12 +36,15 @@ and q, not from q^x rounded to working precision.
 """
 
 import dataclasses
+import math
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import to_rational
 
 import oracles
 from qprod import products, qfunc
@@ -500,31 +506,73 @@ def test_rational_product_keeps_its_bits(name):
     assert [mantissas(v) for v in values] == RATIONAL_PINS[name]
 
 
-# Shift parts of three kinds: dyadic, so a class runs at a scale of a few
-# bits; four-place decimals, which need their mantissa's bits; and parts so
-# small that they need more than B bits and are truncated at B.  No
-# dyadic part is a negative integer, which would make long products vanish.
+def decimal(i, places):
+    """i / 10^places as a decimal string with that many places."""
+    whole, frac = divmod(abs(i), 10**places)
+    return "%s%d.%0*d" % ("-" if i < 0 else "", whole, places, frac)
+
+
+def exact_places(lo, hi):
+    """Decimal strings in [-3.5, 3.5] with lo to hi places."""
+    return st.integers(lo, hi).flatmap(
+        lambda p: st.integers(-35 * 10 ** (p - 1), 35 * 10 ** (p - 1)).map(lambda i: decimal(i, p)))
+
+
+# Shift parts of five kinds.  As mpf values: dyadic, so a class runs at a
+# scale of a few bits; four-place decimals, which need their mantissa's bits;
+# and parts so small that they need more than B bits and are truncated at B.
+# As Fractions (EXACT_KINDS): decimals of 1 to 12 places, so a class runs at
+# S = 10^12 or less, packed up to nine places and in blocks of four past
+# that; and decimals of 80 to 90 places, whose S passes 2^B, so they are
+# truncated at B.  No dyadic part is a negative integer, which would make
+# long products vanish.
 SHIFT_KINDS = {
     "dyadic": st.integers(-56, 56).filter(lambda i: i >= 0 or i % 16)
                 .map(lambda i: "%.4f" % (i / 16)),
     "decimal": st.integers(-35000, 35000).map(lambda i: "%.4f" % (i / 10**4)),
     "past-B": st.tuples(st.integers(-99, 99), st.integers(40, 60)).map("{0[0]}e-{0[1]}".format),
+    "exact": exact_places(1, 12),
+    "exact-past-B": exact_places(80, 90),
 }
+EXACT_KINDS = ("exact", "exact-past-B")
+
+
+def shift_converter(kind, real, ctx):
+    """A drawn (real, imag) part pair as rational_product's shift.
+
+    An exact kind gives a Fraction of the real part, or, when real is False
+    and the imaginary part is nonzero, the mpf of the real part, so a pair
+    may mix a Fraction with an mpf.  Other kinds give an mpf, or an mpc when
+    real is False and the imaginary part is nonzero.
+    """
+    def convert(part):
+        if real or part[1] == "0":
+            return Fraction(part[0]) if kind in EXACT_KINDS else ctx.mpf(part[0])
+        return ctx.mpf(part[0]) if kind in EXACT_KINDS else ctx.mpc(*part)
+    return convert
+
+
+def exact(x):
+    """A shift part (an int, a Fraction or an mpf) as an exact Fraction."""
+    return Fraction(*to_rational(x._mpf_)) if hasattr(x, "_mpf_") else Fraction(x)
 
 
 def rounding_bound(pairs, start, stop, B, ref):
     """rational_product's docstring bound on its relative error over [start, stop), first order.
 
-    Each class steps once per block and once per factor left over.  A class
-    with a complex b steps once per factor; other complex classes, and real
-    ones at an exact scale above qfunc._PACKED_SCALE bits, take blocks of
-    four; a real class at that scale or below steps once per factor that is
-    not positive, then takes blocks of qfunc._PACKED_BLOCK.  Each step rounds
-    by less than 2^(1 - B) / min(1, |f|), f its value, sqrt(2) times that in
-    a complex class.  A shift truncated at B bits moves each factor n + x,
-    n >= 1, by less than 2^(1 - B) relative, sqrt(2) times as much when
-    complex, so each factor (n + a) / (n + b) by twice that.  The one
-    rounding of the classes' product to the result context is the caller's.
+    Each class runs at the scale S, the lcm of the denominators of its
+    shifts' parts capped at 2^B, where each part x becomes the int floor(x
+    S).  It steps once per block and once per factor left over.  A
+    complex class (a part of a shift has a nonzero imaginary part) steps
+    once per factor when the int of b's imaginary part is not 0, and takes
+    blocks of four otherwise; a real class takes blocks of four when
+    ceil(log2 S) exceeds qfunc._PACKED_SCALE, and else steps once per
+    factor n with n S + min(a, b) <= 0 (a and b its ints), then takes blocks
+    of qfunc._PACKED_BLOCK.  Each step rounds by less than 2^(1 - B) /
+    min(1, |f|), f its value, sqrt(2) times that in a complex class.  A part
+    truncated at B bits moves n + x by less than 2^-B, sqrt(2) times as much
+    when complex; at an exact scale nothing is truncated.  The one rounding
+    of the classes' product to the result context is the caller's.
     """
     k = len(pairs)
     lo = max(start, 1)
@@ -534,25 +582,30 @@ def rounding_bound(pairs, start, stop, B, ref):
             continue
         a, b = (ref.convert(x) for x in pair)
         ns = range(lo + (r - lo) % k, stop, k)
-        parts = [part for x in (a, b) for part in (ref.re(x), ref.im(x))]
-        beta = min(B, max([0, *(-int(part.exp) for part in parts if part)]))
-        complex_class = bool(ref.im(a) or ref.im(b))
-        unit = ref.mpf(2) ** (1 - B) * (ref.sqrt(2) if complex_class else 1)
+        parts = [exact(part) for x in pair for part in ((x.real, x.imag) if hasattr(x, "_mpc_") else (x, 0))]
+        S = math.lcm(*(part.denominator for part in parts))
+        truncated = S > 2**B
+        S = min(S, 2**B)
+        ar, _, br, bi = (math.floor(part * S) for part in parts)
+        complex_class = any(parts[1::2])
+        root = ref.sqrt(2) if complex_class else 1
+        unit = ref.mpf(2) ** (1 - B) * root
         head = 0
-        if ref.im(b):
+        if complex_class and bi:
             size = 1
-        elif complex_class or beta > qfunc._PACKED_SCALE:
+        elif complex_class or (S - 1).bit_length() > qfunc._PACKED_SCALE:
             size = 4
         else:
             size = qfunc._PACKED_BLOCK
-            head = sum(1 for n in ns if n + a <= 0 or n + b <= 0)
+            head = sum(1 for n in ns if n * S + min(ar, br) <= 0)
         whole = head + (len(ns) - head) // size * size
         steps = ([[n] for n in ns[:head]] + [ns[i:i + size] for i in range(head, whole, size)]
                  + [[n] for n in ns[whole:]])
         for step in steps:
             total += unit / min(1, abs(ref.fprod((n + a) / (n + b) for n in step)))
-        if not all(ref.isint(ref.ldexp(part, B)) for part in parts):
-            total += 2 * len(ns) * unit  # some part was truncated at B bits
+        if truncated:
+            cut = ref.mpf(2) ** -B * root
+            total += sum(cut / abs(n + a) + cut / abs(n + b) for n in ns)
     return total
 
 
@@ -568,11 +621,11 @@ def rounding_bound(pairs, start, stop, B, ref):
          start=0, count=300, extra=1, real=True, digits=50)
 def test_rational_product_within_its_rounding_bound(kind, data, start, count, extra, real, digits):
     # the docstring's own bound, against a guard+40 product over the same
-    # factors: the result context holds every bit of each class's B-bit
-    # running product, and the three roundings there (the product of the
-    # classes, the n = 0 factor, the product with it) and the growth of the
-    # first-order bound, exp(total) - 1, are added; an @example passes its
-    # shifts in place of data
+    # factors, built from the shifts' exact values: the result context
+    # holds every bit of each class's B-bit running product, and the three
+    # roundings there (the product of the classes, the n = 0 factor, the
+    # product with it) and the growth of the first-order bound, exp(total)
+    # - 1, are added; an @example passes its shifts in place of data
     parts = SHIFT_KINDS[kind]
     value = st.tuples(parts, st.one_of(st.just("0"), parts))
     shifts = data if isinstance(data, list) else data.draw(
@@ -582,10 +635,7 @@ def test_rational_product_within_its_rounding_bound(kind, data, start, count, ex
     ctx, ref = contexts(digits)
     B = ctx.prec + 2 * (stop - start).bit_length() + 20
     wide = _context_at(mpmath.libmp.prec_to_dps(B) + 10)
-
-    def convert(part):
-        return ctx.mpf(part[0]) if real or part[1] == "0" else ctx.mpc(*part)
-
+    convert = shift_converter(kind, real, ctx)
     pairs = [(convert(a), convert(b)) for a, b in shifts]
     # no factor is 0 or has a pole
     assume(all(n + x != 0 for n in range(start, stop) for x in pairs[n % k]))
@@ -615,15 +665,56 @@ def test_rational_product_stops_are_independent(kind, data, start, bits, offsets
     ctx = context(Precision(digits))
     B = ctx.prec + 2 * (stops[-1] - start).bit_length() + 20
     wide = _context_at(mpmath.libmp.prec_to_dps(B) + 10)
-
-    def convert(part):
-        return ctx.mpf(part[0]) if real or part[1] == "0" else ctx.mpc(*part)
-
+    convert = shift_converter(kind, real, ctx)
     pairs = [(convert(a), convert(b)) for a, b in shifts]
     assume(all(n + x != 0 for n in range(start, stops[-1]) for x in pairs[n % k]))
     values = rational_product(pairs, start, stops, ctx, wide)
     for c, value in zip(stops, values):
         assert mantissas(value) == mantissas(rational_product(pairs, start, [c], ctx, wide)[0])
+
+
+@pytest.mark.parametrize("name", ["prototype", "thm4-mod4-z+0.5", "thm4-mod4-z-0.5"])
+def test_dyadic_fractions_keep_the_pinned_bits(name):
+    # a dyadic Fraction runs at the scale 2^beta of the equal mpf, so its
+    # ints, and so every bit of the result, are the same
+    ctx = context(Precision(30))
+    shifts, start, stops = pinned_cases(ctx)[name]
+    fractions = [None if s is None else tuple(exact(x) for x in s) for s in shifts]
+    values = rational_product(fractions, start, stops, ctx, _context_at(70))
+    assert [mantissas(v) for v in values] == RATIONAL_PINS[name]
+
+
+def test_dyadic_fractions_divide_the_n_zero_factor_to_the_bit():
+    # COR2's fixed instance: a_0 / b_0 = 2 and 2/3, exactly divided and rounded once either way
+    ctx = context(Precision(30))
+    wide = _context_at(70)
+    for a, b in (("0.5", "0.25"), ("0.5", "0.75")):
+        as_mpf = rational_product([(ctx.mpf(a), ctx.mpf(b))], 0, [7, 2000], ctx, wide)
+        as_fraction = rational_product([(Fraction(a), Fraction(b))], 0, [7, 2000], ctx, wide)
+        assert [mantissas(v) for v in as_fraction] == [mantissas(v) for v in as_mpf]
+
+
+@pytest.mark.parametrize("spec,exact_shifts", [
+    (IdentitySpec("PROTOTYPE", terms=100, prec=Precision(30)), True),
+    (IdentitySpec("COR2", alphas=("0.3205", "0.5"), betas=("0.6538", "0.1667"), terms=100,
+                  prec=Precision(30)), True),
+    (IdentitySpec("COR2", alphas=("0.3+0.2i", "0.6-0.1i"), betas=("0.5+0.1i", "0.4"), terms=100,
+                  prec=Precision(30)), False),
+    (IdentitySpec("THM4", chi=CHI4, z="0.3", blocks=100, prec=Precision(30)), True),
+    (IdentitySpec("THM4", chi=CHI5, z="0.25", blocks=100, prec=Precision(30)), False),
+], ids=["prototype", "cor2-decimal", "cor2-complex", "thm4-real", "thm4-complex-chi"])
+def test_counted_sides_pass_exact_shifts_where_their_inputs_are_exact(monkeypatch, spec, exact_shifts):
+    # the decimal classes reach the kernel's exact scale only if their
+    # evaluator hands it ints and Fractions; a complex value stays an mpf or mpc
+    seen = []
+
+    def spy(shifts, *args):
+        seen.extend(x for pair in shifts if pair is not None for x in pair)
+        return rational_product(shifts, *args)
+
+    monkeypatch.setattr(products, "rational_product", spy)
+    eval_lhs_info(spec)
+    assert seen and all(isinstance(x, (int, Fraction)) for x in seen) == exact_shifts
 
 
 def test_rational_zeros_are_exact_integer_roots():
