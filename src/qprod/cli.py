@@ -222,12 +222,10 @@ def _cmd_eval(args) -> int:
 def _cmd_chars(args) -> int:
     if args.modulus < 1:
         raise CliError("--modulus must be a positive integer")
-    chars = enumerate_characters(args.modulus)
-    if args.char_index is not None:
-        if not 0 <= args.char_index < len(chars):
-            raise CliError(f"--char-index out of range; modulus {args.modulus} "
-                           f"has {len(chars)} characters")
-        chars = [chars[args.char_index]]
+    if args.char_index is None:
+        chars = enumerate_characters(args.modulus)
+    else:
+        chars = [_character_from_args(args)]
     if args.format == "json":
         payload = {"modulus": args.modulus, "characters": [c.to_json() for c in chars]}
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)

@@ -589,10 +589,12 @@ def _thm4_lhs(spec, ctx, extrapolate=True):
         raise ValueError("blocks too small for |z|; tail estimate invalid")
     # 1 - chi(n) z / n = (n - chi(n) z) / n
     hi = _context_at(ctx.dps + _EXTRA_DIGITS)
-    # an exact z with a real character gives exact shifts, which run at the denominator of z
-    zf = _exact_entry(spec.z) if chi.is_real else None
-    zh = to_hp(spec.z, hi) if zf is None else zf
-    shifts = [None if v is None else -_omega(v, hi) * zh for v in (chi.value(j) for j in range(k))]
+    # an exact z gives the residues with chi(j) = +-1 exact shifts, which run at the
+    # denominator of z; the others keep the complex -chi(j) zh
+    zf = _exact_entry(spec.z)
+    zh = to_hp(spec.z, hi)
+    shifts = [None if v is None else -_omega(v, hi) * (zf if zf is not None and v.order <= 2 else zh)
+              for v in (chi.value(j) for j in range(k))]
     stop = blocks * k + 2  # n runs over 2 .. blocks*k + 1: exactly `blocks` full periods
     zeros = rational_zeros(shifts, 2, stop, hi)
     if zeros:

@@ -519,19 +519,9 @@ def _exact_scale(pair, B):
     return ((ar, ai), (br, bi)), S
 
 
-# Real classes at an exact scale S with ceil(log2 S) of at most _PACKED_SCALE
-# bits (rational_product) take blocks of _PACKED_BLOCK factors with their
-# forward differences packed into one int; wider ones take blocks of four with
-# one int per difference.  Measured on one class, packed time over
-# blocks-of-four time, on the pure-Python mpmath backend (CPython 3.11, 2
-# cores): at 2 * 10^4 factors and 30 digits 0.67 at S = 2, 0.88 at 2^32, 0.97
-# at 2^40, 1.05 at 2^64 and 1.32 at 2^137 (a four-place decimal as an mpf);
-# at 10^5 factors 0.85 at 2^32 and 1.05 at 2^48; at 2,000 factors and 60
-# digits 1.01 at 2^32.  Decimal scales, at 2 * 10^4 and 10^5 factors and 30
-# digits: 0.74 and 0.77 at S = 10^4, 0.91 and 0.86 at 10^9, 0.94 and 0.97 at
-# 10^12.
+# Real classes (rational_product) take blocks of _PACKED_BLOCK factors with
+# their forward differences packed into one int.
 _PACKED_BLOCK = 8
-_PACKED_SCALE = 32
 
 
 def _block_differences(first, k, x, S, s):
@@ -602,16 +592,13 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
     The block size follows the class.  A class with a complex b_r steps one
     factor at a time throughout: its blocks would have to be multiplied
     through by the conjugate of their denominator, which costs more than
-    four steps.  Other complex classes take blocks of four.  A real class
-    with ceil(log2 S) above _PACKED_SCALE (an mpf decimal shift, a 12-place
-    decimal, or a shift past B) takes blocks of four, each difference its
-    own int.  A real class with ceil(log2 S) <= _PACKED_SCALE (0, 1/2, a
-    decimal of up to nine places) first steps one at a time over its
-    factors that are not positive, then takes blocks of s = _PACKED_BLOCK
-    with all s + 1 differences of the numerator packed into one int, D_j =
-    Delta^j P(i) in bits [jW, (j + 1)W), and those of the denominator into
-    another.  A block is then m * (P & M) // (D & M), M = 2^W - 1, and the
-    step to block i + 1 is P += P >> W, D += D >> W: field j of P >> W is
+    four steps.  Other complex classes take blocks of four.  A real class,
+    at any scale S, first steps one at a time over its factors that are not
+    positive, then takes blocks of s = _PACKED_BLOCK with all s + 1
+    differences of the numerator packed into one int, D_j = Delta^j P(i) in
+    bits [jW, (j + 1)W), and those of the denominator into another.  A
+    block is then m * (P & M) // (D & M), M = 2^W - 1, and the step to
+    block i + 1 is P += P >> W, D += D >> W: field j of P >> W is
     D_{j+1}, and D_j + D_{j+1} is Delta^j P(i + 1).
 
     The packed step is exact while every field lies in [0, 2^W).  With the
@@ -627,9 +614,7 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
     every L_t(xi) is below (stops[-1] + s (s + 1) k + max(|a_r|, |b_r|)) S;
     G = g S, g that bound's integer ceiling, bounds them and h, and G <
     2^(ceil(log2 S) + bitlen(g)).  So W = s (ceil(log2 S) + bitlen(g)) +
-    bitlen(s!) keeps every field below 2^W.  _PACKED_SCALE was measured
-    (see its comment): at a wide S the packed ints are long and the four
-    separate differences cost less.
+    bitlen(s!) keeps every field below 2^W.
 
     A step, block or factor, rounds in its floor division and in the shift
     that renormalises m; together they lose less than one unit of the new
@@ -637,7 +622,7 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
     less than 2^(1 - B) / |f| when it shrinks the product (a complex class:
     sqrt(2) times as much).  So at a stop c a class of N factors before c
     rounds at most h + floor((N - h) / s) + (s - 1) times, h its single
-    steps over factors that are not positive (0 but for a packed class) and
+    steps over factors that are not positive (0 in a complex class) and
     s its block size, and N times with a complex b_r; the product of the
     classes rounds once more, to result_ctx.  A class at an exact scale
     rounds nowhere else.  A part truncated at 2^B moves n + x by less than
@@ -719,15 +704,14 @@ def _real_class(a, b, S, first, k, stops, B):
     a and b are its shifts scaled by S, its exact scale; its factors are n =
     first, first + k, ....
     """
-    packed = (S - 1).bit_length() <= _PACKED_SCALE
-    s = _PACKED_BLOCK if packed else 4
+    s = _PACKED_BLOCK
     step = k * S
     m, e = 1 << B, -B
     n, num, den = first, first * S + a, first * S + b
-    # the blocks start at body: a packed class's factors n <= -min(a, b) / S,
-    # which are not positive, step one at a time first
-    body = first + len(range(first, -min(a, b) // S + 1, k)) * k if packed else first
-    seeded = False
+    # the blocks start at body: the factors n <= -min(a, b) / S, which are
+    # not positive, step one at a time first
+    body = first + len(range(first, -min(a, b) // S + 1, k)) * k
+    P = None
     out = []
     for c in stops:
         if n < body:
@@ -736,41 +720,20 @@ def _real_class(a, b, S, first, k, stops, B):
             n += count * k
         blocks = len(range(n, c, k)) // s
         if blocks:
-            if not seeded:
-                if packed:
-                    g = stops[-1] + s * (s + 1) * k + max(abs(a), abs(b)) // S + 1
-                    W = s * ((S - 1).bit_length() + g.bit_length()) + math.factorial(s).bit_length()
-                    M = (1 << W) - 1
-                    fields = [_block_differences(n, k, (x, 0), S, s)[0] for x in (a, b)]
-                    P, D = (sum(f << j * W for j, f in enumerate(diffs)) for diffs in fields)
-                else:
-                    (p, p1, p2, p3, p4), _ = _block_differences(n, k, (a, 0), S, 4)
-                    (d, d1, d2, d3, d4), _ = _block_differences(n, k, (b, 0), S, 4)
-                seeded = True
-            if packed:
-                for _ in range(blocks):
-                    m = m * (P & M) // (D & M)
-                    t = m.bit_length() - B
-                    if t:
-                        m = m >> t if t > 0 else m << -t
-                        e += t
-                    P += P >> W
-                    D += D >> W
-            else:
-                for _ in range(blocks):
-                    m = m * p // d
-                    t = m.bit_length() - B
-                    if t:
-                        m = m >> t if t > 0 else m << -t
-                        e += t
-                    p += p1
-                    p1 += p2
-                    p2 += p3
-                    p3 += p4
-                    d += d1
-                    d1 += d2
-                    d2 += d3
-                    d3 += d4
+            if P is None:
+                g = stops[-1] + s * (s + 1) * k + max(abs(a), abs(b)) // S + 1
+                W = s * ((S - 1).bit_length() + g.bit_length()) + math.factorial(s).bit_length()
+                M = (1 << W) - 1
+                fields = [_block_differences(n, k, (x, 0), S, s)[0] for x in (a, b)]
+                P, D = (sum(f << j * W for j, f in enumerate(diffs)) for diffs in fields)
+            for _ in range(blocks):
+                m = m * (P & M) // (D & M)
+                t = m.bit_length() - B
+                if t:
+                    m = m >> t if t > 0 else m << -t
+                    e += t
+                P += P >> W
+                D += D >> W
             n += s * k * blocks
             num, den = n * S + a, n * S + b
         mc, ec, _, _ = _real_steps(m, e, num, den, step, len(range(n, c, k)), B)

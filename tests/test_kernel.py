@@ -462,7 +462,7 @@ RATIONAL_PINS = {
          (0x24e4b7126db72f6a9a570f5b7d416d60c98a89bed32b44a0b02b0b622b3, -236)),
     ],
     "cor2-decimal": [
-        ((0xd76e04d015f06a5b43ebbfefabee50a56cc78df0688d60762c845b470a5, -238),),
+        ((0x6bb702680af8352da1f5dff7d5f72852b663c6f8345a5ae5c0ecd84e2fd, -237),),
     ],
     "prototype": [
         ((0x8dbd524c6a13ddb06f8c918d1d423dbdd1845594ab4fc4b21efb2021c03, -235),),
@@ -486,8 +486,8 @@ RATIONAL_PINS = {
          (0xbab1ccdfd73069aee412a3e1fe97d17b655d23276187627ecc7fd293be5, -247)),
     ],
     "tiny-past-B": [
-        ((0x1046aaaaaaaaaaaaaaaaaaaaaaaaaaaaabf3530afcb26e83d38deab1b0b, -217),),
-        ((0x82355555555555555555555555555555689833b7f1f15ec9471a0038303, -220),),
+        ((0x411aaaaaaaaaaaaaaaaaaaaaaaaaaaaaafcd4c2bf24784b9f8e255716d7, -219),),
+        ((0x1046aaaaaaaaaaaaaaaaaaaaaaaaaaaaad130676fee0ee83d38deab1b0b, -217),),
     ],
 }
 
@@ -522,10 +522,9 @@ def exact_places(lo, hi):
 # scale of a few bits; four-place decimals, which need their mantissa's bits;
 # and parts so small that they need more than B bits and are truncated at B.
 # As Fractions (EXACT_KINDS): decimals of 1 to 12 places, so a class runs at
-# S = 10^12 or less, packed up to nine places and in blocks of four past
-# that; and decimals of 80 to 90 places, whose S passes 2^B, so they are
-# truncated at B.  No dyadic part is a negative integer, which would make
-# long products vanish.
+# S = 10^12 or less; and decimals of 80 to 90 places, whose S passes 2^B, so
+# they are truncated at B.  A real class of any kind runs packed.  No dyadic
+# part is a negative integer, which would make long products vanish.
 SHIFT_KINDS = {
     "dyadic": st.integers(-56, 56).filter(lambda i: i >= 0 or i % 16)
                 .map(lambda i: "%.4f" % (i / 16)),
@@ -565,10 +564,9 @@ def rounding_bound(pairs, start, stop, B, ref):
     S).  It steps once per block and once per factor left over.  A
     complex class (a part of a shift has a nonzero imaginary part) steps
     once per factor when the int of b's imaginary part is not 0, and takes
-    blocks of four otherwise; a real class takes blocks of four when
-    ceil(log2 S) exceeds qfunc._PACKED_SCALE, and else steps once per
-    factor n with n S + min(a, b) <= 0 (a and b its ints), then takes blocks
-    of qfunc._PACKED_BLOCK.  Each step rounds by less than 2^(1 - B) /
+    blocks of four otherwise; a real class steps once per factor n with n S
+    + min(a, b) <= 0 (a and b its ints), then takes blocks of
+    qfunc._PACKED_BLOCK.  Each step rounds by less than 2^(1 - B) /
     min(1, |f|), f its value, sqrt(2) times that in a complex class.  A part
     truncated at B bits moves n + x by less than 2^-B, sqrt(2) times as much
     when complex; at an exact scale nothing is truncated.  The one rounding
@@ -593,7 +591,7 @@ def rounding_bound(pairs, start, stop, B, ref):
         head = 0
         if complex_class and bi:
             size = 1
-        elif complex_class or (S - 1).bit_length() > qfunc._PACKED_SCALE:
+        elif complex_class:
             size = 4
         else:
             size = qfunc._PACKED_BLOCK
@@ -614,9 +612,12 @@ def rounding_bound(pairs, start, stop, B, ref):
 @given(st.data(), st.sampled_from([0, 1, 2]), st.integers(0, 300), st.integers(0, 3), st.booleans(),
        st.sampled_from([30, 50]))
 # packed classes: one whose first two factors are negative, so it steps
-# over them one at a time before its blocks; one whose shift 2^20 + 1/2
-# sets the field width of its packed differences
+# over them one at a time before its blocks; the same with a four-place
+# decimal, whose class runs at a wide S as an mpf (decimal, past-B) and at
+# 10^4 as a Fraction; one whose shift 2^20 + 1/2 sets the field width of
+# its packed differences
 @example(data=[(("-2.5", "0"), ("0.5", "0"))], start=1, count=60, extra=0, real=True, digits=30)
+@example(data=[(("-2.3205", "0"), ("0.5", "0"))], start=1, count=200, extra=0, real=True, digits=30)
 @example(data=[(("1048576.5", "0"), ("0.25", "0")), (("-0.5", "0"), ("1048576.75", "0"))],
          start=0, count=300, extra=1, real=True, digits=50)
 def test_rational_product_within_its_rounding_bound(kind, data, start, count, extra, real, digits):
@@ -705,16 +706,21 @@ def test_dyadic_fractions_divide_the_n_zero_factor_to_the_bit():
 ], ids=["prototype", "cor2-decimal", "cor2-complex", "thm4-real", "thm4-complex-chi"])
 def test_counted_sides_pass_exact_shifts_where_their_inputs_are_exact(monkeypatch, spec, exact_shifts):
     # the decimal classes reach the kernel's exact scale only if their
-    # evaluator hands it ints and Fractions; a complex value stays an mpf or mpc
-    seen = []
+    # evaluator hands it ints and Fractions; a complex value stays an mpf or
+    # mpc, but a THM4 residue with chi(n) = +-1 is exact beside the others
+    calls = []
 
     def spy(shifts, *args):
-        seen.extend(x for pair in shifts if pair is not None for x in pair)
+        calls.append(shifts)
         return rational_product(shifts, *args)
 
     monkeypatch.setattr(products, "rational_product", spy)
     eval_lhs_info(spec)
+    seen = [x for shifts in calls for pair in shifts if pair is not None for x in pair]
     assert seen and all(isinstance(x, (int, Fraction)) for x in seen) == exact_shifts
+    if spec.chi is not None:
+        assert all(isinstance(x, (int, Fraction)) for shifts in calls for j, pair in enumerate(shifts)
+                   if pair is not None and spec.chi.value(j).order <= 2 for x in pair)
 
 
 def test_rational_zeros_are_exact_integer_roots():
