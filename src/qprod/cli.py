@@ -222,15 +222,16 @@ def _cmd_eval(args) -> int:
 def _cmd_chars(args) -> int:
     if args.modulus < 1:
         raise CliError("--modulus must be a positive integer")
-    if args.char_index is None:
-        chars = enumerate_characters(args.modulus)
-    else:
+    chars = enumerate_characters(args.modulus)
+    header = f"modulus {args.modulus}: {len(chars)} character(s)"
+    if args.char_index is not None:
         chars = [_character_from_args(args)]
+        header += f", showing #{args.char_index}"
     if args.format == "json":
         payload = {"modulus": args.modulus, "characters": [c.to_json() for c in chars]}
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
         return 0
-    lines = [f"modulus {args.modulus}: {len(chars)} character(s)"]
+    lines = [header]
     for c in chars:
         values = []
         for n in range(1, c.modulus + 1):

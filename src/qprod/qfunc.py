@@ -33,10 +33,11 @@ finite q-binomial theorem a block is one polynomial in t = a q^k,
 prod_{j<s} (1 - t q^j) = sum_i c_i t^i (Gasper and Rahman, Basic
 Hypergeometric Series, ch. 1), evaluated by Horner's rule, at a complex t
 with two real multiplies per coefficient (Knuth, The Art of Computer
-Programming, vol. 2, sec. 4.6.4).  Only the grouping of the factors
-changes: every left side stays a product of its own N factors.  Near q = 1
-a factor costs about half as much as one at a time when real, and a third
-when complex.
+Programming, vol. 2, sec. 4.6.4).  Horner's rule stops at the least degree
+whose dropped terms stay below one unit of the fixed point, which falls as t
+does.  Only the grouping of the factors changes: every left side stays a
+product of its own N factors.  Near q = 1 a factor costs about a fifth as
+much as one at a time when real, and a sixth when complex.
 
 The Euler function (q; q)_inf, the numerator of every q-gamma value, has a
 second route (euler_function).  The Dedekind eta transformation
@@ -75,6 +76,7 @@ running for hours.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -281,12 +283,14 @@ def geometric_terms(mag, q, ctx) -> int:
 
 
 # Factors per kernel call.  On the pure-Python mpmath backend (CPython 3.11,
-# 2 cores) a direct factor near q = 1 costs 0.1-0.6 us real and 0.24-1.35 us
-# complex at 20 to 210 working digits, so the budget is about 20 s (real)
-# to 40 s (complex) at 60.  _qpoch_split charges three factors for each head
-# factor and each series term: per step it costs 2.4 to 3.1 real or 1.1 to
-# 1.4 complex direct factors (Gamma_q(1/2) at 1 - q = 1e-8, same digits),
-# since its series terms each take a division and run with extra digits.
+# 2 cores) a direct factor in blocks costs 44-132 ns real and 97-315 ns
+# complex at 20 to 210 working digits (q = 0.99, from |a| = 1/2 to the tail
+# rule), so the budget is about 5 s (real) to 12 s (complex) at 60.
+# _qpoch_split charges three factors for each head factor and each series
+# term: per step it costs 5.9 to 8.7 real or 2.7 to 3.7 complex direct
+# factors (Gamma_q(1/2) at 1 - q = 1e-8, same digits), since its series
+# terms each take a division and run with extra digits, so a split at the
+# budget runs about 13 s at 60 digits.
 _WORK_BUDGET = 10**8
 
 
@@ -338,15 +342,23 @@ def geometric_product(a, q, ctx, n, poly=None, pole=None):
     rule, then t steps on by Q = q^s.  At a complex t,
     b_j = c_j + r b_{j+1} - |t|^2 b_{j+2} with r = 2 Re t gives
     P(t) = c_0 + t b_1 - |t|^2 b_2, two real multiplies per coefficient
-    (Knuth, The Art of Computer Programming, vol. 2, sec. 4.6.4).  A block
-    needs no pole check: each of its factors has modulus at least 1/2.  The
-    fewer than s factors left over go one at a time.  A product too short
-    for one block never asks for the coefficients.  A factor that vanishes
-    exactly, which only a product without a pole check meets, makes the
-    product 0 at once.  Every other single factor is at least one unit of
-    2^-B in modulus (a complex one of exactly one unit is a unit of the
-    Gaussian integers), and a block is at least 2^-s, so no multiply leaves
-    the mantissa with fewer than B bits: renormalising only shifts down.
+    (Knuth, The Art of Computer Programming, vol. 2, sec. 4.6.4).  Both
+    start at the least degree h >= 1 whose dropped terms cannot move the
+    block: |c_i| <= C(s, i), so with |t| < 2^-j the terms of degree
+    d = h + 1 and above sum to at most 2^s |t|^d, below one unit of 2^-B
+    once d j >= B + s.  _block_polynomial gives, beside the c_i, the most
+    bits t may have for each h.  |t| only falls along a product, so h only
+    falls; t falls log-uniformly to about 10^-dps, so most blocks of a long
+    product stop at a low degree, and the last ones at P = c_0 + c_1 t.
+    A block needs no pole check: each of its factors has modulus at least
+    1/2.  The fewer than s factors left over go one at a time.  A product
+    too short for one block never asks for the coefficients.  A factor that
+    vanishes exactly, which only a product without a pole check meets,
+    makes the product 0 at once.  Every other single factor is at least one
+    unit of 2^-B in modulus (a complex one of exactly one unit is a unit of
+    the Gaussian integers), and a block is at least 2^-s, so no multiply
+    leaves the mantissa with fewer than B bits: renormalising only shifts
+    down.
 
     Rounding, in units of 2^-B.  q is exact in B bits for q >= 2^-62.  Each
     step t -> t q, and each step t -> t Q with Q rounded once, adds at most
@@ -358,6 +370,12 @@ def geometric_product(a, q, ctx, n, poly=None, pole=None):
     |P(t)| >= prod_j (1 - |t| q^j) >= 2^-s, so P may cancel s log2 3 bits.
     With mu the least of 1/2 and the moduli of the factors, the relative
     error of the product is at most N (3N / mu + s 3^s) units of 2^(1-B).
+    A block that stops below degree s adds at most one unit more.  It
+    stops only at |t| < 2^-ceil((B + s) / s) <= 1/64, where |P(t)| >= 3/4,
+    so the N / s blocks add at most 2N / s relative units.  They fit in the
+    bound's slack: its 6N^2 / mu units of 2^-B for the steps of t are used
+    at most N (d + 1) / mu <= (1.5 N^2 + N) / mu, since 2 s d per block is
+    at most the (d + 1) / mu per factor of single factors.
     B is the context's working bits plus 2 log2 N + 20 + _BLOCK_GUARD guard
     bits.  _BLOCK_GUARD = 2s + 8 is at least log2(s 3^s) + 10, so the
     rounding stays as far below the truncation error 10^-dps as the N^2
@@ -382,12 +400,15 @@ _BLOCK_GUARD = 2 * _BLOCK + 8
 
 @functools.lru_cache(maxsize=256)
 def _block_polynomial(qf, B):
-    """Coefficients c_s, ..., c_0 of prod_{j<s} (1 - x q^j) = sum_i c_i x^i, and q^s.
+    """Coefficients c_s, ..., c_0 of prod_{j<s} (1 - x q^j) = sum_i c_i x^i, q^s, and widths.
 
     q = qf 2^-B, and every value is an int scaled by 2^B.  The coefficients
     come from the recurrence "multiply by 1 - x q^j", q^j stepping by qf;
     they cost about as much as 200 direct factors, so the last 256 (q, B)
-    pairs are remembered.
+    pairs are remembered.  widths[h], h < s, is the most bits a t may have
+    for P(t) to keep only its terms of degree h and below: then |t| < 2^-j,
+    j = ceil((B + s) / (h + 1)), and the terms of degree d = h + 1 and
+    above, at most 2^s |t|^d in all, stay below one unit since d j >= B + s.
     """
     c = [1 << B] + [0] * _BLOCK
     qj = 1 << B
@@ -395,7 +416,19 @@ def _block_polynomial(qf, B):
         for i in range(j + 1, 0, -1):
             c[i] -= c[i - 1] * qj >> B
         qj = qj * qf >> B
-    return tuple(reversed(c)), qf**_BLOCK >> (_BLOCK - 1) * B
+    widths = tuple(B + (-(B + _BLOCK) // (h + 1)) for h in range(_BLOCK))
+    return tuple(reversed(c)), qf**_BLOCK >> (_BLOCK - 1) * B, widths
+
+
+def _block_degree(bits, coeffs, widths):
+    """The coefficients c_h, ..., c_0 of P to keep at a t of at most bits bits, and widths[h - 1].
+
+    h is the least degree that widths allows, at least 1 since widths[0] =
+    -s is below every bit count.  The width returned is the most bits at
+    which the next lower degree would do.
+    """
+    h = bisect.bisect_left(widths, bits)
+    return coeffs[_BLOCK - h:], widths[h - 1]
 
 
 def _geometric_product(a, q, ctx, n, poly, pole):
@@ -426,11 +459,17 @@ def _geometric_product(a, q, ctx, n, poly, pole):
         while k < n:
             if n - k >= _BLOCK and tr * tr + ti * ti <= half * half:
                 # P(t) = c_0 + t b_1 - |t|^2 b_2, b_j = c_j + r b_{j+1} - |t|^2 b_{j+2}, r = 2 Re t
-                (top, second, *middle, c0), qs = _block_polynomial(qf, B)
+                coeffs, qs, widths = _block_polynomial(qf, B)
+                fall = B  # |t| <= 1/2 has at most B bits: the first block takes its degree
                 blocks = (n - k) // _BLOCK
                 for _ in range(blocks):
+                    tt = tr * tr + ti * ti
+                    if tt.bit_length() <= 2 * fall:  # |t| < 2^(ceil(bits(tt) / 2) - B)
+                        kept, fall = _block_degree((tt.bit_length() + 1) >> 1, coeffs, widths)
+                        # the degree-1 block P = c_0 + c_1 t runs as b_2 = 0, b_1 = c_1
+                        top, second, *middle, c0 = kept if len(kept) > 2 else (0, *kept)
                     r = tr << 1
-                    t2 = (tr * tr + ti * ti) >> B
+                    t2 = tt >> B
                     b2, b1 = top, second + (r * top >> B)
                     for c in middle:
                         b2, b1 = b1, c + ((r * b1 - t2 * b2) >> B)
@@ -463,9 +502,12 @@ def _geometric_product(a, q, ctx, n, poly, pole):
     k = 0
     while k < n:
         if n - k >= _BLOCK and -half <= t <= half:
-            (top, *rest), qs = _block_polynomial(qf, B)
+            coeffs, qs, widths = _block_polynomial(qf, B)
+            fall = B  # |t| <= 1/2 has at most B bits: the first block takes its degree
             blocks = (n - k) // _BLOCK
             for _ in range(blocks):
+                if t.bit_length() <= fall:
+                    (top, *rest), fall = _block_degree(t.bit_length(), coeffs, widths)
                 v = top
                 for c in rest:
                     v = (v * t >> B) + c

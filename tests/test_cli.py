@@ -276,7 +276,7 @@ def test_chars_single_character(capsys):
     code, out, err = run(capsys, "chars", "--modulus", "8", "--char-index", "2")
     assert code == 0
     assert out.splitlines() == [
-        "modulus 8: 1 character(s)",
+        "modulus 8: 4 character(s), showing #2",
         "  #2: exponents (1, 0), order 2, conductor 4, imprimitive",
         "      chi(1..8) = 1, 0, -1, 0, 1, 0, -1, 0",
     ]

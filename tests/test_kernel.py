@@ -18,8 +18,9 @@ derives, packed blocks of eight included.  The counted left sides must
 hand the kernel exact shifts wherever their inputs are exact.  The split's
 charge to the work budget is held to three factors a step.
 geometric_product's blocks of _BLOCK factors are held to the rounding bound
-its docstring derives, on drawn a, q and counts, and a pole in its head of
-single factors must still raise at its own factor.  The THM1 sides, which
+its docstring derives, on drawn a, q and counts, and so are its blocks of
+lower degree, on a drawn |a| <= 1/2 as small as 2^-200 and up to 40 blocks;
+a pole in its head of single factors must still raise at its own factor.  The THM1 sides, which
 take q^alpha and q^beta from alpha log q, are held to 10^-dps of a guard+60
 left side.
 
@@ -277,6 +278,31 @@ def test_blocks_at_drawn_a_q_and_count(qs, ar, ai, n, digits):
     ctx, ref = contexts(digits)
     q = ctx.mpf(qs)
     a = ctx.mpc(ar, ai) if ai else ctx.mpf(ar)
+    bound = kernel_bound(a, q, n, ctx, ref)
+    reference = oracles.qpoch_mpf(ref.convert(a), ref.convert(q), n, ref)
+    value = geometric_product(a, q, ctx, n=n)
+    assert abs(value - reference) <= abs(reference) * bound
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["0.5", "0.9", "0.99"]),
+       st.floats(min_value=-200, max_value=-1),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=-1, max_value=1)),
+       st.integers(0, 40 * BLOCK + 15), st.sampled_from([15, 50, 100]))
+@example("0.9", -1.0, 0.0, 40 * BLOCK + 7, 50)
+@example("0.5", -1.0, 0.25, 20 * BLOCK + 3, 100)
+@example("0.9", -math.inf, 0.5, 2 * BLOCK + 1, 15)
+@example("0.9", -math.inf, 1.0, 2 * BLOCK + 1, 15)
+def test_low_degree_blocks_at_drawn_a_q_and_count(qs, log2_mag, turn, n, digits):
+    # |a| = 2^log2_mag <= 1/2, real (turn 0 or 1) or at the angle turn * pi, so
+    # that blocks start at once and |t| falls through the degrees at which a
+    # block drops its terms that cannot move it.  The examples: the degree
+    # falls from 16 to 3 in one run of 40 blocks; a complex run falls to the
+    # degree-1 block P = c_0 + c_1 t; t = 0, complex and real.
+    ctx, ref = contexts(digits)
+    q = ctx.mpf(qs)
+    mag = ctx.mpf(2) ** log2_mag
+    a = (mag if turn == 0 else -mag) if turn in (0, 1) else mag * ctx.expjpi(turn)
     bound = kernel_bound(a, q, n, ctx, ref)
     reference = oracles.qpoch_mpf(ref.convert(a), ref.convert(q), n, ref)
     value = geometric_product(a, q, ctx, n=n)
