@@ -23,9 +23,7 @@ from .numtheory import divisors, factorize, totient
 __all__ = [
     "DirichletCharacter",
     "RootOfUnity",
-    "conductor",
     "enumerate_characters",
-    "evaluate",
     "legendre_character",
 ]
 
@@ -315,17 +313,6 @@ def enumerate_characters(k: int) -> tuple[DirichletCharacter, ...]:
     )
     assert len(out) == totient(k)
     return out
-
-
-def evaluate(chi: DirichletCharacter, n: int) -> RootOfUnity | None:
-    """chi(n); None stands for the zero value off the coprime residues."""
-    return chi.value(n)
-
-
-def conductor(chi: DirichletCharacter) -> tuple[int, bool]:
-    """(smallest inducing modulus f, whether chi is primitive, i.e. f = k)."""
-    f = chi.conductor()
-    return f, f == chi.modulus
 
 
 def legendre_character(p: int) -> DirichletCharacter:

@@ -317,8 +317,11 @@ def _suite_line(report) -> str:
 
 
 def _cmd_suite(args) -> int:
+    include = None if args.only is None else _split_list(args.only)
+    if include == ():
+        raise CliError(f"--only {args.only!r} names no identity id")
     entries = default_suite(
-        include=_split_list(args.only) if args.only else None,
+        include=include,
         seed=args.seed,
         thm4_blocks=args.blocks,
         prototype_terms=args.prototype_terms,

@@ -111,8 +111,8 @@ class IdentitySpec:
     """Parameters for one identity verification.
 
     Numeric parameters (q, z, alphas, betas) are best given as decimal
-    strings; they are converted at evaluation time under the working
-    precision, so one spec evaluates identically at any Precision.
+    strings; they are converted at evaluation time in each side's context
+    (_side), so one spec evaluates identically at any Precision.
     """
 
     id: str
@@ -149,7 +149,7 @@ class IdentitySpec:
         elif self.alphas or self.betas:
             raise ValueError(f"{i} takes no alphas/betas")
         if "n" in rec.takes:
-            if not isinstance(self.n, int) or self.n < rec.n_min:
+            if type(self.n) is not int or self.n < rec.n_min:  # a bool is no n
                 raise ValueError(f"{i} needs integer n >= {rec.n_min}, got {self.n!r}")
         elif self.n is not None:
             raise ValueError(f"{i} takes no n")
@@ -174,9 +174,9 @@ class IdentitySpec:
             raise ValueError(f"{i} takes no terms parameter")
         if self.blocks is not None and "blocks" not in rec.takes:
             raise ValueError(f"{i} takes no blocks parameter")
-        if self.terms is not None and (not isinstance(self.terms, int) or self.terms < 10):
+        if self.terms is not None and (type(self.terms) is not int or self.terms < 10):
             raise ValueError(f"terms must be an integer >= 10, got {self.terms!r}")
-        if self.blocks is not None and (not isinstance(self.blocks, int) or self.blocks < 2):
+        if self.blocks is not None and (type(self.blocks) is not int or self.blocks < 2):
             raise ValueError(f"blocks must be an integer >= 2, got {self.blocks!r}")
 
     # -- serialization
@@ -259,6 +259,11 @@ def _count(spec: IdentitySpec) -> int:
     return spec.terms or spec.blocks or IDENTITIES[spec.id].count
 
 
+def _pole_eps(spec: IdentitySpec, ctx):
+    """The spec's working epsilon in ctx, the threshold of every pole check in any side's context."""
+    return ctx.convert(working_eps(context(spec.prec)))
+
+
 # ---------------------------------------------------------------------------
 # Shared product kernels
 
@@ -270,7 +275,7 @@ def _omega(ro, ctx):
     return ro.as_int() if ro.order <= 2 else ro.to_complex(ctx)
 
 
-def _char_shift_lhs(chi, z, q, ctx):
+def _char_shift_lhs(chi, z, q, ctx, eps):
     """prod_{n>=2} (1 - q^(n - chi(n) z)) / (1 - q^n).
 
     The per-residue constants d_j = q^(-chi(j) z) are precomputed; the
@@ -278,11 +283,10 @@ def _char_shift_lhs(chi, z, q, ctx):
     epsilon (every remaining factor is then within that bound of 1).  The n
     with chi(n) != 0 in one residue class j mod k form the pair of
     geometric products (q^n_j d_j; q^k) / (q^n_j; q^k), n_j the class's
-    first n >= 2.
+    first n >= 2.  A shifted factor below `eps` raises SingularArgumentError.
     """
     k = chi.modulus
     lq = ctx.log(q)
-    eps = working_eps(ctx)
     shifts: dict = {}
     dev = ctx.mpf(0)
     for j in range(k):
@@ -321,10 +325,10 @@ def _qgamma_coprime(n, q, ctx, guard):
     return p, count
 
 
-def _front_factor(q, z, ctx):
-    """(1 - q) / (1 - q^(1-z)) with a pole guard on the denominator."""
+def _front_factor(q, z, ctx, eps):
+    """(1 - q) / (1 - q^(1-z)) with a pole guard, `eps`, on the denominator."""
     den = 1 - ctx.exp((1 - z) * ctx.log(q))
-    if abs(den) < working_eps(ctx):
+    if abs(den) < eps:
         raise SingularArgumentError("1 - q^(1-z) vanishes (z too close to 1)")
     return (1 - q) / den
 
@@ -461,37 +465,27 @@ def _prototype_rhs(spec, ctx):
 
 
 def _thm1_lhs(spec, ctx):
-    # q^alpha and q^beta come from alpha log q with the split's extra digits,
-    # and the products run there: the products magnify a rounding of their
-    # inputs about log(1/L) / L times, as in _qpoch_split
     q = as_q(spec.q, ctx)
-    hi = split_context(q, ctx)
-    hq = hi.convert(q)
-    lq = hi.log(hq)
-    ta = [hi.exp(hi.convert(to_hp(a, ctx)) * lq) for a in spec.alphas]
-    tb = [hi.exp(hi.convert(to_hp(b, ctx)) * lq) for b in spec.betas]
-    eps = hi.convert(working_eps(ctx))
-    terms = geometric_terms(ctx.mpf(sum((abs(t) for t in ta + tb), hi.mpf(0))), q, ctx)
-    p = hi.mpf(1)
+    lq = ctx.log(q)
+    ta = [ctx.exp(to_hp(a, ctx) * lq) for a in spec.alphas]
+    tb = [ctx.exp(to_hp(b, ctx) * lq) for b in spec.betas]
+    terms = geometric_terms(sum((abs(t) for t in ta + tb), ctx.mpf(0)), q, ctx)
+    p = ctx.mpf(1)
     for j, (a, b) in enumerate(zip(ta, tb)):
-        num = geometric_product(a, hq, hi, n=terms)
-        den = geometric_product(b, hq, hi, n=terms,
-                                pole=(eps, lambda k, j=j: f"vanishing factor 1 - q^(n + beta_{j})"))
+        num = geometric_product(a, q, ctx, n=terms)
+        den = geometric_product(b, q, ctx, n=terms, pole=(
+            _pole_eps(spec, ctx), lambda k, j=j: f"vanishing factor 1 - q^(n + beta_{j})"))
         p *= num / den
-    return +ctx.convert(p), EvalInfo(terms=terms)  # + rounds to ctx
+    return p, EvalInfo(terms=terms)
 
 
 def _thm1_rhs(spec, ctx):
-    # its Gamma_q values, each a few units of its context off, are multiplied
-    # in the left side's context and rounded once
     q = as_q(spec.q, ctx)
-    hi = split_context(q, ctx)
-    hq = hi.convert(q)
-    p = hi.mpf(1)
+    p = ctx.mpf(1)
     for a, b in zip(spec.alphas, spec.betas):
-        p *= (qgamma_ctx(hi.convert(to_hp(b, ctx)), hq, hi, spec.prec.guard)
-              / qgamma_ctx(hi.convert(to_hp(a, ctx)), hq, hi, spec.prec.guard))
-    return +ctx.convert(p), EvalInfo()
+        p *= (qgamma_ctx(to_hp(b, ctx), q, ctx, spec.prec.guard)
+              / qgamma_ctx(to_hp(a, ctx), q, ctx, spec.prec.guard))
+    return p, EvalInfo()
 
 
 def _cor2_estimate(spec, ctx, n_terms):
@@ -626,7 +620,7 @@ def _thm4_rhs(spec, ctx):
 def _thm5_lhs(spec, ctx):
     q = as_q(spec.q, ctx)
     z = to_hp(spec.z, ctx)
-    return _char_shift_lhs(spec.chi, z, q, ctx)
+    return _char_shift_lhs(spec.chi, z, q, ctx, _pole_eps(spec, ctx))
 
 
 def _thm5_rhs(spec, ctx):
@@ -635,7 +629,7 @@ def _thm5_rhs(spec, ctx):
     chi = spec.chi
     k = chi.modulus
     qk = q**k
-    p = _front_factor(q, z, ctx)
+    p = _front_factor(q, z, ctx, _pole_eps(spec, ctx))
     for j in range(1, k + 1):
         ro = chi.value(j)
         if ro is None:
@@ -653,7 +647,7 @@ def _cor6_rhs(spec, ctx):
     k = chi.modulus
     phi = totient(k)  # even for every modulus >= 3, so phi/2 is an integer power
     qk = q**k
-    head = _front_factor(q, z, ctx) * (1 - qk) ** (phi // 2)
+    head = _front_factor(q, z, ctx, _pole_eps(spec, ctx)) * (1 - qk) ** (phi // 2)
     euler = qpoch_inf_ctx(qk, qk, ctx) ** phi
     pp = psi_product(radical(k), q, ctx)
     gprod = ctx.mpf(1)
@@ -668,7 +662,7 @@ def _cor6_rhs(spec, ctx):
 def _example_lhs(spec, ctx, pi_mult, z):
     """The THM5 product for the character mod 4 at q = e^(-pi_mult pi)."""
     q = ctx.exp(-pi_mult * ctx.pi)
-    return _char_shift_lhs(_CHI4, ctx.mpf(z), q, ctx)
+    return _char_shift_lhs(_CHI4, ctx.mpf(z), q, ctx, _pole_eps(spec, ctx))
 
 
 def _ex1a_rhs(spec, ctx):
@@ -855,9 +849,24 @@ def identity_id(text: str) -> str:
     return text.strip().upper().replace("-", "_")
 
 
+def _side(evaluate, spec: IdentitySpec) -> tuple:
+    """One side of `spec`, (value, EvalInfo), in the context chosen for it.
+
+    A side whose identity takes q runs in split_context(q, ctx), ctx the
+    spec's context, and is rounded once to ctx; every other side runs in
+    ctx.  The evaluator parses its inputs and truncates in the context it is
+    handed, and its pole checks keep the spec's epsilon (_pole_eps).
+    """
+    ctx = context(spec.prec)
+    if "q" not in IDENTITIES[spec.id].takes:
+        return evaluate(spec, ctx)
+    value, info = evaluate(spec, split_context(as_q(spec.q, ctx), ctx))
+    return +ctx.convert(value), info  # + rounds to ctx
+
+
 def eval_lhs_info(spec: IdentitySpec) -> tuple:
     """Left side of the identity plus truncation info."""
-    return IDENTITIES[spec.id].lhs(spec, context(spec.prec))
+    return _side(IDENTITIES[spec.id].lhs, spec)
 
 
 def eval_lhs(spec: IdentitySpec):
@@ -867,7 +876,7 @@ def eval_lhs(spec: IdentitySpec):
 
 def eval_rhs_info(spec: IdentitySpec) -> tuple:
     """Right side (closed form) of the identity plus trivial info."""
-    return IDENTITIES[spec.id].rhs(spec, context(spec.prec))
+    return _side(IDENTITIES[spec.id].rhs, spec)
 
 
 def eval_rhs(spec: IdentitySpec):

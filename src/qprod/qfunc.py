@@ -64,8 +64,8 @@ each about sqrt(dps ln 10 / L), so the cost grows as 1/sqrt(1 - q).  The
 split runs in split_context(q, ctx), with log10(1/L) + 5 more digits, and,
 for Gamma_q, takes q^x there from x: it magnifies a rounding of q^x about
 log(1/L) / L times.  The left sides of THM1, THM5/COR6 and the examples call
-geometric_product themselves and stay direct; both sides of THM1 run in
-split_context, its left side from q^alpha and q^beta taken there.
+geometric_product themselves and stay direct.  Every side of an identity
+that takes q runs in split_context too and is rounded once (products._side).
 
 No kernel runs past _WORK_BUDGET factors (the split counts three for each
 head factor and series term): a product whose count exceeds it raises
@@ -962,7 +962,7 @@ def split_context(q, ctx):
     """The context _qpoch_split runs in at q: ctx's digits plus log10(1/L) + 5, L = -log q.
 
     The split magnifies a rounding of its inputs about log(1/L) / L times;
-    THM1's two sides run here too, for the same reason.
+    every side of an identity that takes q runs here too (products._side).
     """
     return _context_at(ctx.dps + max(0, math.ceil(-math.log10(-_float_log(q)))) + 5)
 

@@ -27,7 +27,7 @@ from qprod.products import (
     random_cor2_instance,
     random_thm1_instance,
 )
-from qprod.qfunc import Precision, as_q, context, gamma_ctx, qgamma, qpoch_inf_ctx
+from qprod.qfunc import Precision, as_q, context, gamma_ctx, qgamma, qpoch_inf_ctx, working_eps
 from qprod.verify import compare, run_identity
 
 SEED = 20260818
@@ -314,7 +314,8 @@ def test_criterion_10_property_suites_and_controls():
     ok = ok and not compare(lhs_true, eval_rhs(nudged_q), 40, prec).passed
     ok = ok and not compare(lhs_true, eval_rhs(nudged_z), 40, prec).passed
     fake = _NudgedCharacter(chi4, 3, "1e-10")
-    bent, _ = products._char_shift_lhs(fake, ctx.mpf(1) / 2, ctx.mpf(3) / 10, ctx)
+    bent, _ = products._char_shift_lhs(fake, ctx.mpf(1) / 2, ctx.mpf(3) / 10, ctx,
+                                       working_eps(ctx))
     ok = ok and not compare(bent, eval_rhs(base), 40, prec).passed
     ok = ok and compare(lhs_true, eval_rhs(base), 40, prec).passed
 

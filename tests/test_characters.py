@@ -9,9 +9,7 @@ import pytest
 from qprod.characters import (
     DirichletCharacter,
     RootOfUnity,
-    conductor,
     enumerate_characters,
-    evaluate,
     legendre_character,
 )
 from qprod.numtheory import jacobi_symbol, totient
@@ -58,13 +56,13 @@ def test_mod4_character_table():
     assert len(chars) == 2
     principal, chi = chars
     assert principal.is_principal and principal.index == 0
-    assert [evaluate(principal, n) for n in range(1, 5)] == [
+    assert [principal.value(n) for n in range(1, 5)] == [
         RootOfUnity.one(), None, RootOfUnity.one(), None]
-    assert [evaluate(chi, n) for n in range(1, 5)] == [
+    assert [chi.value(n) for n in range(1, 5)] == [
         RootOfUnity.one(), None, RootOfUnity.minus_one(), None]
     assert chi.order == 2 and chi.is_real
-    assert conductor(chi) == (4, True)
-    assert conductor(principal) == (1, False)
+    assert (chi.conductor(), chi.is_primitive) == (4, True)
+    assert (principal.conductor(), principal.is_primitive) == (1, False)
 
 
 def test_mod1_trivial_character():
@@ -73,8 +71,8 @@ def test_mod1_trivial_character():
     chi = chars[0]
     assert chi.is_principal
     for n in range(7):
-        assert evaluate(chi, n) == RootOfUnity.one()
-    assert conductor(chi) == (1, True)
+        assert chi.value(n) == RootOfUnity.one()
+    assert (chi.conductor(), chi.is_primitive) == (1, True)
 
 
 def test_mod5_orders():

@@ -255,6 +255,13 @@ def test_suite_unknown_only(capsys):
     assert err == "error: unknown identity id(s): BOGUS\n"
 
 
+@pytest.mark.parametrize("only", [",", " ", ""])
+def test_suite_only_naming_no_identity_is_usage_error(capsys, only):
+    code, out, err = run(capsys, "suite", "--only", only)
+    assert code == 2 and out == ""
+    assert err == f"error: --only {only!r} names no identity id\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     ("verify --q 0.5", "--id is required"),
     ("verify --id thm5 --modulus 4 --char-index 9 --q 0.3 --z 0.5",

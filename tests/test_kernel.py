@@ -49,7 +49,7 @@ from mpmath.libmp import to_rational
 
 import oracles
 from qprod import products, qfunc
-from qprod.products import _omega, eval_lhs_info
+from qprod.products import _omega, eval_lhs_info, eval_rhs_info
 from qprod.characters import enumerate_characters
 from qprod.numtheory import divisors, mobius
 from qprod.products import IdentitySpec
@@ -67,7 +67,9 @@ from qprod.qfunc import (
     _context_at,
     rational_product,
     rational_zeros,
+    split_context,
     to_hp,
+    working_eps,
 )
 from qprod.verify import default_suite, reports_json, run_identity, run_suite
 
@@ -119,7 +121,7 @@ def test_char_shift_matches_mpf_loop(digits, qs):
     ctx, ref = contexts(digits)
     q = ctx.mpf(qs)
     z = to_hp("0.25+0.25i", ctx)
-    value, info = products._char_shift_lhs(CHI5, z, q, ctx)
+    value, info = products._char_shift_lhs(CHI5, z, q, ctx, working_eps(ctx))
     oracle, oracle_info = oracles.char_shift_lhs_mpf(CHI5, z, q, ctx)
     assert info.terms == oracle_info.terms
     # the shifts d_j = q^(-chi(j) z) are inputs both loops round alike
@@ -168,23 +170,24 @@ def test_thm1_lhs_matches_mpf_loop(qs):
 
 @pytest.mark.parametrize("qs", ["0.9", "0.999"])
 def test_thm1_sides_take_their_inputs_from_log_q(qs):
-    # q^alpha and q^beta from alpha log q with the split's extra digits: both
-    # sides are within 10^-dps of a guard+60 left side with the same bits of
-    # q, alpha and beta that keeps its whole tail
+    # both sides run in split_context and take q^alpha and q^beta from alpha
+    # log q there: each is within 10^-dps of a guard+60 left side with the
+    # side context's bits of q, alpha and beta that keeps its whole tail
     prec = Precision(50)
     ctx = context(prec)
+    side = split_context(ctx.mpf(qs), ctx)
     ref = context(Precision(prec.digits, prec.guard + 60))
     spec = IdentitySpec("THM1", alphas=("0.3+0.1i", "1.7"), betas=("0.6", "1.4+0.1i"),
                         q=qs, prec=prec)
-    q = ref.convert(ctx.mpf(qs))
+    q = ref.convert(side.mpf(qs))
     lq = ref.log(q)
     reference = ref.mpf(1)
     for a, b in zip(spec.alphas, spec.betas):
-        ta, tb = (ref.exp(ref.convert(to_hp(x, ctx)) * lq) for x in (a, b))
+        ta, tb = (ref.exp(ref.convert(to_hp(x, side)) * lq) for x in (a, b))
         reference *= (geometric_product(ta, q, ref, n=geometric_terms(abs(ta), q, ref))
                       / geometric_product(tb, q, ref, n=geometric_terms(abs(tb), q, ref)))
-    for side in (products._thm1_lhs, products._thm1_rhs):
-        value, _ = side(spec, ctx)
+    for evaluate in (eval_lhs_info, eval_rhs_info):
+        value, _ = evaluate(spec)
         assert abs(value - reference) <= abs(reference) * ctx.mpf(10) ** -ctx.dps
 
 
@@ -238,7 +241,7 @@ def test_near_pole_raises_with_the_former_message():
     z = ctx.mpf(-3)
     expect = message_of(lambda: oracles.char_shift_lhs_mpf(CHI4, z, q, ctx))
     assert expect.endswith("at n = 3")
-    assert message_of(lambda: products._char_shift_lhs(CHI4, z, q, ctx)) == expect
+    assert message_of(lambda: products._char_shift_lhs(CHI4, z, q, ctx, working_eps(ctx))) == expect
 
 
 # ---------------------------------------------------------------------------

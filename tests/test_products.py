@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from qprod import products
+from qprod import products, verify
 from qprod.characters import enumerate_characters
 from qprod.products import (
     IDENTITIES,
@@ -200,6 +200,44 @@ def test_thm5_pole_at_z_one():
         eval_rhs(spec)
 
 
+NEAR_POLE = [
+    # beta_0 + 2 = 10^-64 and 1 - q^(1-z) about 7e-63 at q = 0.5: both below the
+    # spec's epsilon 10^-60, though not below that of the side's wider context
+    ("THM1", dict(alphas=("0.5", "0.5"), betas=("-1." + "9" * 64, "2." + "9" * 64), q="0.5"),
+     eval_lhs, "vanishing factor 1 - q^(n + beta_0)"),
+    ("THM5", dict(chi=CHI4, z="0." + "9" * 62, q="0.5"), eval_rhs,
+     "1 - q^(1-z) vanishes (z too close to 1)"),
+    ("COR6", dict(chi=CHI4, z="0." + "9" * 62, q="0.5"), eval_rhs,
+     "1 - q^(1-z) vanishes (z too close to 1)"),
+    # 1 - q^(n - chi(n) z) at n = 5, chi(5) = 1, is about 7e-63
+    ("THM5", dict(chi=CHI4, z="4." + "9" * 62, q="0.5"), eval_lhs,
+     "vanishing factor 1 - q^(n - chi(n) z) at n = 5"),
+]
+
+
+@pytest.mark.parametrize("identity,kw,side,message", NEAR_POLE)
+def test_near_pole_checks_keep_the_spec_epsilon(identity, kw, side, message):
+    # the sides run in split_context, but their pole checks keep the working
+    # epsilon of the spec's own context
+    spec = spec_for(identity, **kw)
+    with pytest.raises(SingularArgumentError) as info:
+        side(spec)
+    assert str(info.value) == message
+    assert run_identity(spec).error == f"SingularArgumentError: {message}"
+
+
+def test_q_family_classes_agree_to_their_working_digits():
+    # every side that takes q runs in split_context and is rounded once: the
+    # last default-suite entry of each (identity, q) class agrees to every
+    # working digit (rounded at every step, five THM3 classes' lost one)
+    last = {}
+    for spec, _ in verify.default_suite(("THM1", "THM3_FULL", "THM3_COPRIME", "THM5", "COR6")):
+        last[spec.id, spec.q] = spec
+    assert len(last) == 17
+    digits = {key: (run_identity(spec).digits_agreed, spec.prec.workdps) for key, spec in last.items()}
+    assert {key: d for key, d in digits.items() if d[0] != d[1]} == {}
+
+
 def test_cor6_matches_thm5_rhs():
     # two closed forms for the same left-hand side
     for chi in (CHI4, CHI5):
@@ -268,6 +306,22 @@ THM5_ARGS = {"chi": CHI4, "z": "0.5", "q": "0.5"}
 def test_validation_messages(identity, kw, message):
     with pytest.raises(ValueError) as info:
         spec_for(identity, **kw)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("identity,kw,message", [
+    ("THM3_FULL", {"n": True, "q": "0.5"}, "THM3_FULL needs integer n >= 1, got True"),
+    ("PROTOTYPE", {"terms": True}, "terms must be an integer >= 10, got True"),
+    ("THM4", {"chi": CHI4, "z": "0.5", "blocks": True}, "blocks must be an integer >= 2, got True"),
+])
+def test_bool_counts_are_rejected(identity, kw, message):
+    # a bool is an int to Python; True would run as 1
+    with pytest.raises(ValueError) as info:
+        spec_for(identity, **kw)
+    assert str(info.value) == message
+    obj = spec_for(identity, **{k: 12 if v is True else v for k, v in kw.items()}).to_json()
+    with pytest.raises(ValueError) as info:
+        IdentitySpec.from_json(dict(obj, **{k: True for k, v in kw.items() if v is True}))
     assert str(info.value) == message
 
 

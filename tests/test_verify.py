@@ -13,7 +13,7 @@ import pytest
 from qprod import products, verify
 from qprod.characters import enumerate_characters
 from qprod.products import IdentitySpec, eval_rhs, random_cor2_instance, random_thm1_instance
-from qprod.qfunc import Precision, context
+from qprod.qfunc import Precision, context, working_eps
 from qprod.verify import (
     VerificationReport,
     compare,
@@ -176,12 +176,13 @@ def test_perturbed_character_value_fails():
     fake = _NudgedCharacter(CHI4, 3, "1e-10")
     q = ctx.mpf(3) / 10
     z = ctx.mpf(1) / 2
-    lhs, _ = products._char_shift_lhs(fake, z, q, ctx)
+    lhs, _ = products._char_shift_lhs(fake, z, q, ctx, working_eps(ctx))
     r = compare(lhs, rhs, 40, prec, identity="THM5")
     assert not r.passed
     assert r.digits_agreed < 15
     # sanity: the same call with delta 0 reproduces the true left side
-    clean, _ = products._char_shift_lhs(_NudgedCharacter(CHI4, 3, "0"), z, q, ctx)
+    clean, _ = products._char_shift_lhs(_NudgedCharacter(CHI4, 3, "0"), z, q, ctx,
+                                        working_eps(ctx))
     assert compare(clean, rhs, 40, prec).passed
 
 
