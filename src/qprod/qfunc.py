@@ -28,7 +28,8 @@ q is restricted to real 0 < q < 1; arguments x may be complex.  q**x always
 means exp(x * log q) with the real (principal) logarithm of q.
 
 geometric_product multiplies the factors 1 - a q^k on fixed-point integers:
-one at a time while |a q^k| > 1/2, then in blocks of _BLOCK factors.  By the
+one at a time while |a q^k| > 1/2, then in blocks of _BLOCK factors, and
+once |a q^k| < 1/(2s) in long blocks of s = 64 to 4096 factors.  By the
 finite q-binomial theorem a block is one polynomial in t = a q^k,
 prod_{j<s} (1 - t q^j) = sum_i c_i t^i (Gasper and Rahman, Basic
 Hypergeometric Series, ch. 1), evaluated by Horner's rule, at a complex t
@@ -36,8 +37,10 @@ with two real multiplies per coefficient (Knuth, The Art of Computer
 Programming, vol. 2, sec. 4.6.4).  Horner's rule stops at the least degree
 whose dropped terms stay below one unit of the fixed point, which falls as t
 does.  Only the grouping of the factors changes: every left side stays a
-product of its own N factors.  Near q = 1 a factor costs about a fifth as
-much as one at a time when real, and a sixth when complex.
+product of its own N factors.  At q = 0.99, from |a| = 1/2 over the tail
+rule's count, a factor costs 7.5 to 12.4 ns real and 15 to 24 ns complex at
+20 to 210 working digits, 16 to 85 times less than one at a time when real
+and 21 to 112 times less when complex.
 
 The Euler function (q; q)_inf, the numerator of every q-gamma value, has a
 second route (euler_function).  The Dedekind eta transformation
@@ -251,9 +254,12 @@ _LN10 = math.log(10)
 
 
 def _flog(x) -> float:
-    """log of a positive mpf as a float, read off its mantissa and exponent (no overflow)."""
+    """log of a positive mpf as a float, from its mantissa and exponent; +-inf past the float range."""
     _, man, exp, _ = x._mpf_
-    return math.log(man) + exp * _LN2
+    try:
+        return math.log(man) + exp * _LN2
+    except OverflowError:  # exp itself is too large for a float
+        return math.inf if exp > 0 else -math.inf
 
 
 def _float_log(q) -> float:
@@ -268,13 +274,26 @@ def geometric_terms(mag, q, ctx) -> int:
     terms a q^k with |a| = mag are that small, all remaining factors together
     move the product by less than one unit in the last working digit.  N is
     solved from float logarithms; a solution within float error of an
-    integer is settled in working precision.
+    integer is settled in working precision.  A magnitude whose logarithm
+    passes the float range is decided from its exponent as an int: below
+    10^-dps (1 - q) it needs 0 factors, and a count too large for a float
+    raises the work budget's ValueError.
     """
     if not mag:
         return 0
     one_minus_q = 1 - q
+    rest = ctx.dps * _LN10 - _flog(one_minus_q)
+    top = _flog(mag) + rest
+    if top == -math.inf:
+        return 0
+    lq = -_float_log(q)
     # N is the least integer > x
-    x = (_flog(mag) - _flog(one_minus_q) + ctx.dps * _LN10) / -_float_log(q)
+    x = top / lq
+    if x == math.inf:  # x itself, at least 10^308, as an exact rational: the budget refuses it
+        _, man, exp, _ = mag._mpf_
+        if top == math.inf:
+            top = exp * Fraction(_LN2) + Fraction(math.log(man) + rest)
+        _check_budget(math.floor(Fraction(top) / Fraction(lq)) + 1)
     n = math.floor(x) + 1
     near = round(x)
     if abs(x - near) <= 1e-9 * (1 + abs(x)):
@@ -283,14 +302,16 @@ def geometric_terms(mag, q, ctx) -> int:
 
 
 # Factors per kernel call.  On the pure-Python mpmath backend (CPython 3.11,
-# 2 cores) a direct factor in blocks costs 44-132 ns real and 97-315 ns
+# 2 cores) a direct factor in blocks costs 7.5-12.4 ns real and 15-24 ns
 # complex at 20 to 210 working digits (q = 0.99, from |a| = 1/2 to the tail
-# rule), so the budget is about 5 s (real) to 12 s (complex) at 60.
-# _qpoch_split charges three factors for each head factor and each series
-# term: per step it costs 5.9 to 8.7 real or 2.7 to 3.7 complex direct
-# factors (Gamma_q(1/2) at 1 - q = 1e-8, same digits), since its series
-# terms each take a division and run with extra digits, so a split at the
-# budget runs about 13 s at 60 digits.
+# rule), and 6.5 and 12.8 ns over the 1.5e7 factors at q = 0.99999 and 60
+# digits, so a direct product at the budget runs about 0.65 s (real) to
+# 1.3 s (complex) at 60.  _qpoch_split charges three factors for each head
+# factor and each series term, but a step costs 260-1150 ns, 22 to 131 real
+# or 11 to 62 complex direct factors (Gamma_q(1/2) at 1 - q = 1e-8, same
+# digits), since its series terms each take a division and run with extra
+# digits: a split at the budget runs about 13 s at 60 digits (9 s at 20,
+# 38 s at 210).
 _WORK_BUDGET = 10**8
 
 
@@ -335,47 +356,84 @@ def geometric_product(a, q, ctx, n, poly=None, pole=None):
     The factors 1 - t, t = a q^k, come in three runs.  The head, from the
     first factor while |t| > 1/2 (about ln 2 / L factors from |a| = 1,
     L = -log q), is multiplied one factor at a time with the pole check.
-    Then come blocks of s = _BLOCK factors.  By the finite q-binomial theorem
-    (Gasper and Rahman, Basic Hypergeometric Series, ch. 1),
-    prod_{j<s} (1 - t q^j) = P(t) = sum_{i<=s} c_i t^i, and _block_polynomial
-    computes the real c_i once per (q, B).  A block is P(t) by Horner's
-    rule, then t steps on by Q = q^s.  At a complex t,
+    Then come blocks.  By the finite q-binomial theorem (Gasper and Rahman,
+    Basic Hypergeometric Series, ch. 1), s factors make one polynomial,
+    prod_{j<s} (1 - t q^j) = P_s(t) = sum_{i<=s} c_i t^i with
+    c_i = (-1)^i q^(i(i-1)/2) [s choose i]_q.  A block is P_s(t), then t
+    steps on by Q = q^s.  Its size is s = _BLOCK = 16 until |t| < 1/(2s)
+    for a long size s of _LONG_BLOCKS (64, 256, 1024, 4096): from there on
+    each block is the largest long size whose bound on |t| holds and that
+    still fits in the factors left, and smaller ones as they run out
+    (_block_size).  P_s(t) is evaluated by Horner's rule; at a complex t,
     b_j = c_j + r b_{j+1} - |t|^2 b_{j+2} with r = 2 Re t gives
-    P(t) = c_0 + t b_1 - |t|^2 b_2, two real multiplies per coefficient
+    P_s(t) = c_0 + t b_1 - |t|^2 b_2, two real multiplies per coefficient
     (Knuth, The Art of Computer Programming, vol. 2, sec. 4.6.4).  Both
     start at the least degree h >= 1 whose dropped terms cannot move the
-    block: |c_i| <= C(s, i), so with |t| < 2^-j the terms of degree
-    d = h + 1 and above sum to at most 2^s |t|^d, below one unit of 2^-B
-    once d j >= B + s.  _block_polynomial gives, beside the c_i, the most
-    bits t may have for each h.  |t| only falls along a product, so h only
-    falls; t falls log-uniformly to about 10^-dps, so most blocks of a long
-    product stop at a low degree, and the last ones at P = c_0 + c_1 t.
-    A block needs no pole check: each of its factors has modulus at least
-    1/2.  The fewer than s factors left over go one at a time.  A product
-    too short for one block never asks for the coefficients.  A factor that
-    vanishes exactly, which only a product without a pole check meets,
-    makes the product 0 at once.  Every other single factor is at least one
-    unit of 2^-B in modulus (a complex one of exactly one unit is a unit of
-    the Gaussian integers), and a block is at least 2^-s, so no multiply
-    leaves the mantissa with fewer than B bits: renormalising only shifts
-    down.
+    block.  With |t| < 2^-j, the terms of degree d = h + 1 and above of a
+    block of 16 sum to at most 2^s |t|^d, since |c_i| <= C(s, i), below one
+    unit of 2^-B once d j >= B + s.  In a long block each term is at most
+    half the one before, since |c_(i+1) / c_i| <= (s - i) / (i + 1) and
+    s |t| <= 1/2, so they sum to at most 2 |c_d| |t|^d, below one unit once
+    d j >= B + 1 + log2 |c_d|; log2 |c_d|, taken as a float plus a bit, is
+    at most log2 C(s, d) and falls far below it as q^s falls.  _Blocks
+    holds, per (q, B) and size, Q, the c_i and the most bits t may have for
+    each h, and computes the c_i only up to the highest degree a block has
+    asked for: a size that a product takes only at a tiny t costs a few
+    coefficients.  |t| only falls along a product, so h only falls; t falls
+    log-uniformly to about 10^-dps, so most factors of a long product sit
+    in long blocks that stop at a low degree, and the last blocks at
+    P = c_0 + c_1 t.  A long block's terms
+    sum to |P_s(t) - 1| <= (1 + |t|)^s - 1 < e^(1/2) - 1, so it cancels
+    almost nothing.  A block needs no pole check: each of its factors has
+    modulus at least 1/2.  The fewer than 16 factors left over go one at a
+    time.  A product too short for one block never asks for coefficients.
+    A factor that vanishes exactly, which only a product without a pole
+    check meets, makes the product 0 at once.  Every other single factor is
+    at least one unit of 2^-B in modulus (a complex one of exactly one unit
+    is a unit of the Gaussian integers), a block of 16 is at least 2^-16
+    and a long block at least 1/2, so no multiply leaves the mantissa with
+    fewer than B bits: renormalising only shifts down.
 
     Rounding, in units of 2^-B.  q is exact in B bits for q >= 2^-62.  Each
     step t -> t q, and each step t -> t Q with Q rounded once, adds at most
     1.5 units to t, so t is off by at most d <= 1.5 N units over N factors.
     A single factor f is then off by (d + 1) / |f| relative units.  A block
-    is off by at most 2 s d relative units from t.  It is off by 3^s s^2
-    more from the rounded c_i, from rounding |t|^2 and from Horner's steps.
-    The terms |c_i t^i| sum to at most prod_j (1 + |t| q^j) <= (3/2)^s, and
+    is off by at most 2 s d relative units from t, since |P_s'(t) / P_s(t)|
+    <= s / (1 - |t|).  A block of s = 16 is off by 3^s s^2 more from the
+    rounded c_i, from rounding |t|^2 and from Horner's steps.  The terms
+    |c_i t^i| sum to at most prod_j (1 + |t| q^j) <= (3/2)^s, and
     |P(t)| >= prod_j (1 - |t| q^j) >= 2^-s, so P may cancel s log2 3 bits.
     With mu the least of 1/2 and the moduli of the factors, the relative
-    error of the product is at most N (3N / mu + s 3^s) units of 2^(1-B).
-    A block that stops below degree s adds at most one unit more.  It
-    stops only at |t| < 2^-ceil((B + s) / s) <= 1/64, where |P(t)| >= 3/4,
-    so the N / s blocks add at most 2N / s relative units.  They fit in the
-    bound's slack: its 6N^2 / mu units of 2^-B for the steps of t are used
-    at most N (d + 1) / mu <= (1.5 N^2 + N) / mu, since 2 s d per block is
-    at most the (d + 1) / mu per factor of single factors.
+    error of the product is at most N (3N / mu + s 3^s) units of 2^(1-B),
+    s = _BLOCK.  A block of 16 that stops below degree 16 adds at most one
+    unit more.  It stops only at |t| < 2^-ceil((B + s) / s) <= 1/64, where
+    |P(t)| >= 3/4, so the N / s blocks add at most 2N / s relative units.
+    They fit in the bound's slack: its 6N^2 / mu units of 2^-B for the
+    steps of t are used at most N (d + 1) / mu <= (1.5 N^2 + N) / mu, since
+    2 s d per block is at most the (d + 1) / mu per factor of single
+    factors.
+    A long block of s factors has |P_s(t)| >= 1 - s |t| >= 1/2.  The c_i
+    of every block come from the closed form c_i = -c_(i-1) (q^(i-1) - q^s)
+    / (1 - q^i) on ints scaled by 2^W, W = B + g, g = 2 bits(s) + lambda + 2
+    with 1 / (1 - q) <= 2^lambda, and are rounded once to B bits.  Every
+    power q^m there is off by less than m units of 2^-W (a multiply adds
+    less than one unit to its factors' errors), so a step adds less than
+    (2s C(s, i - 1) + i C(s, i)) 2^lambda + 1 units to c_i: the division by
+    1 - q^i >= 1 - q magnifies a unit up to 1 / (1 - q) times, which the
+    lambda bits of g absorb.  An error in c_i reaches c_j, j > i, at most
+    C(s, j) / C(s, i) times, since |c_l / c_(l-1)| <= (s - l + 1) / l.  In a
+    long block sum_{j>=i} C(s, j) |t|^j <= 2 C(s, i) |t|^i, so the c_i move
+    P_s(t) by less than 4 s^2 2^lambda units of 2^-W, a quarter of a unit
+    of 2^-B, and their rounding to B bits by less than 1 / (2s - 1) units;
+    in a block of 16 at |t| <= 1/2, by less than 1,400 units, inside its
+    3^s s^2.  Q, from log2 s squarings at W bits, is off by less than
+    1 + s 2^-g units, and a long block's |t| Q by less than 1.5 units.
+    Horner's steps add less than 2 units to a long block: an error in b_j
+    reaches P as t^j times it.  Rounding |t|^2 moves a complex P by at most
+    sum_i |c_i| |t|^(i-2) i (i - 1) / 2 <= s^2 units.
+    Dropped terms add less than one unit.  So a long block is off by at
+    most 2 s d + 2 s^2 + 10 relative units, at most 2 d + 2s + 1 per
+    factor, inside the per-factor (d + 1) / mu + 16 3^16 of the bound.
     B is the context's working bits plus 2 log2 N + 20 + _BLOCK_GUARD guard
     bits.  _BLOCK_GUARD = 2s + 8 is at least log2(s 3^s) + 10, so the
     rounding stays as far below the truncation error 10^-dps as the N^2
@@ -396,39 +454,97 @@ def geometric_product(a, q, ctx, n, poly=None, pole=None):
 # s log2 3 bits.
 _BLOCK = 16
 _BLOCK_GUARD = 2 * _BLOCK + 8
+# Sizes of the long blocks, each taken once |a q^k| < 1/(2s) (geometric_product)
+_LONG_BLOCKS = (64, 256, 1024, 4096)
 
 
-@functools.lru_cache(maxsize=256)
-def _block_polynomial(qf, B):
-    """Coefficients c_s, ..., c_0 of prod_{j<s} (1 - x q^j) = sum_i c_i x^i, q^s, and widths.
+class _Blocks:
+    """prod_{j<s} (1 - x q^j) = sum_i c_i x^i for blocks of s factors at q = qf 2^-B.
 
-    q = qf 2^-B, and every value is an int scaled by 2^B.  The coefficients
-    come from the recurrence "multiply by 1 - x q^j", q^j stepping by qf;
-    they cost about as much as 200 direct factors, so the last 256 (q, B)
-    pairs are remembered.  widths[h], h < s, is the most bits a t may have
-    for P(t) to keep only its terms of degree h and below: then |t| < 2^-j,
-    j = ceil((B + s) / (h + 1)), and the terms of degree d = h + 1 and
-    above, at most 2^s |t|^d in all, stay below one unit since d j >= B + s.
+    Q = q^s and the c_i are ints scaled by 2^B; kept holds c_h, ..., c_0,
+    computed as far as the blocks so far have needed, and widths[i], i <= h,
+    the most bits a t may have for P(t) to keep only its terms of degree i
+    and below.  A block of 16 at |t| <= 1/2 drops terms of degree d and
+    above, at most 2^s |t|^d in all, only once |t| < 2^-j, d j >= B + s.  A
+    long block, at |t| < 1/(2s), drops them once d j >= B + 1 + log2 |c_d|:
+    each term is at most half the one before, so they sum to at most
+    2 |c_d| |t|^d; log2 |c_d| is taken as a float, plus a bit, from
+    |c_d / c_(d-1)| = q^(d-1) (1 - q^(s-d+1)) / (1 - q^d).  The coefficients
+    come from the closed form c_d = -c_(d-1) (q^(d-1) - q^s) / (1 - q^d) on
+    ints scaled by 2^W, W = B + g (see geometric_product for g), each
+    rounded once to B bits.  A product's first blocks of a size keep the most
+    terms, and a long size's last ones, at a tiny t, only c_0 + c_1 t.
     """
-    c = [1 << B] + [0] * _BLOCK
-    qj = 1 << B
-    for j in range(_BLOCK):
-        for i in range(j + 1, 0, -1):
-            c[i] -= c[i - 1] * qj >> B
-        qj = qj * qf >> B
-    widths = tuple(B + (-(B + _BLOCK) // (h + 1)) for h in range(_BLOCK))
-    return tuple(reversed(c)), qf**_BLOCK >> (_BLOCK - 1) * B, widths
+
+    def __init__(self, qf, B, s):
+        self.B, self.s = B, s
+        # -log q as a float; 2^64 stands for q = 0, a q below 2^-B
+        self.L = (-math.log1p(-((1 << B) - qf) / (1 << B)) if 2 * qf > 1 << B
+                  else B * _LN2 - math.log(qf) if qf else 2.0**64)
+        self.g = 2 * s.bit_length() + B + 3 - ((1 << B) - qf).bit_length()
+        self.W = W = B + self.g
+        self.q_w = qs = qf << self.g  # q and q^s at W bits
+        for _ in range(s.bit_length() - 1):  # q^s by squaring, s a power of two
+            qs = qs * qs >> W
+        self.qs_w, self.Q = qs, qs >> self.g
+        self.c = [1 << W]  # c_0, ..., c_h at W bits
+        self.qh = 1 << W  # q^h at W bits
+        self.log_c = 0.0  # log2 |c_(h+1)|
+        self.kept = (1 << B,)
+        self.widths = []
+        self._width()
+
+    def _width(self):
+        """Append widths[h], h the degree of the last coefficient, from the terms past degree h."""
+        d, s, B = len(self.c), self.s, self.B
+        if d > s:  # degree s keeps every term
+            self.widths.append(B)
+        elif s == _BLOCK:
+            self.widths.append(B + (-(B + s) // d))
+        else:
+            L = self.L
+            self.log_c += (math.log(-math.expm1((d - s - 1) * L)) - math.log(-math.expm1(-d * L))
+                           - (d - 1) * L) / _LN2
+            width = B + (-(B + 3 + math.floor(self.log_c)) // d)
+            # a degree that suffices, with one more term, does too
+            self.widths.append(max(width, self.widths[-1]) if self.widths else width)
+
+    def degree(self, bits):
+        """The coefficients c_h, ..., c_0 to keep at a t of at most bits bits, and widths[h - 1].
+
+        h is the least degree that widths allows, at least 1 since widths[0]
+        is below every bit count.  The width returned is the most bits at
+        which the next lower degree would do.
+        """
+        if self.widths[-1] < bits:
+            c, W = self.c, self.W
+            while self.widths[-1] < bits:
+                qn = self.qh * self.q_w >> W
+                c.append(-(c[-1] * (self.qh - self.qs_w)) // ((1 << W) - qn))
+                self.qh = qn
+                self._width()
+            self.kept = tuple(x >> self.g for x in reversed(c))
+        h = bisect.bisect_left(self.widths, bits)
+        return self.kept[len(self.kept) - 1 - h:], self.widths[h - 1]
 
 
-def _block_degree(bits, coeffs, widths):
-    """The coefficients c_h, ..., c_0 of P to keep at a t of at most bits bits, and widths[h - 1].
+_blocks = functools.lru_cache(maxsize=1024)(_Blocks)  # the last 1024 (q, B, s)
 
-    h is the least degree that widths allows, at least 1 since widths[0] =
-    -s is below every bit count.  The width returned is the most bits at
-    which the next lower degree would do.
+
+def _block_size(bits, left, qf, B):
+    """The size s of the next blocks at a t of at most bits bits with left factors to go.
+
+    s is the largest long size with s <= left and 2^bits <= 2^B / (2s), else
+    _BLOCK.  Returns s, its _Blocks, and up, the most bits at which the next
+    larger size would start: -1 when it does not fit in the factors left.
     """
-    h = bisect.bisect_left(widths, bits)
-    return coeffs[_BLOCK - h:], widths[h - 1]
+    s = _BLOCK
+    for size in _LONG_BLOCKS:
+        if size > left or bits > B - size.bit_length():
+            break
+        s = size
+    up = B - (4 * s).bit_length() if s < _LONG_BLOCKS[-1] and 4 * s <= left else -1
+    return s, _blocks(qf, B, s), up
 
 
 def _geometric_product(a, q, ctx, n, poly, pole):
@@ -458,31 +574,39 @@ def _geometric_product(a, q, ctx, n, poly, pole):
         k = 0
         while k < n:
             if n - k >= _BLOCK and tr * tr + ti * ti <= half * half:
-                # P(t) = c_0 + t b_1 - |t|^2 b_2, b_j = c_j + r b_{j+1} - |t|^2 b_{j+2}, r = 2 Re t
-                coeffs, qs, widths = _block_polynomial(qf, B)
-                fall = B  # |t| <= 1/2 has at most B bits: the first block takes its degree
-                blocks = (n - k) // _BLOCK
-                for _ in range(blocks):
-                    tt = tr * tr + ti * ti
-                    if tt.bit_length() <= 2 * fall:  # |t| < 2^(ceil(bits(tt) / 2) - B)
-                        kept, fall = _block_degree((tt.bit_length() + 1) >> 1, coeffs, widths)
-                        # the degree-1 block P = c_0 + c_1 t runs as b_2 = 0, b_1 = c_1
-                        top, second, *middle, c0 = kept if len(kept) > 2 else (0, *kept)
-                    r = tr << 1
-                    t2 = tt >> B
-                    b2, b1 = top, second + (r * top >> B)
-                    for c in middle:
-                        b2, b1 = b1, c + ((r * b1 - t2 * b2) >> B)
-                    pr = c0 + ((tr * b1 - t2 * b2) >> B)
-                    pi = ti * b1 >> B
-                    m, mi = m * pr - mi * pi, m * pi + mi * pr
-                    s = max(m.bit_length(), mi.bit_length()) - B
-                    m >>= s
-                    mi >>= s
-                    e += s - B
-                    tr = tr * qs >> B
-                    ti = ti * qs >> B
-                k += blocks * _BLOCK
+                while n - k >= _BLOCK:
+                    # |t| < 2^(ceil(bits(|t|^2) / 2) - B)
+                    size, table, up = _block_size(((tr * tr + ti * ti).bit_length() + 1) >> 1, n - k, qf, B)
+                    qs = table.Q
+                    fall = B  # the first block takes its degree
+                    blocks = (n - k) // size
+                    for done in range(blocks):
+                        # P(t) = c_0 + t b_1 - |t|^2 b_2, b_j = c_j + r b_{j+1} - |t|^2 b_{j+2}, r = 2 Re t
+                        tt = tr * tr + ti * ti
+                        if tt.bit_length() <= 2 * fall:
+                            if tt.bit_length() <= 2 * up:
+                                break  # a larger block starts
+                            kept, fall = table.degree((tt.bit_length() + 1) >> 1)
+                            fall = max(fall, up)
+                            # the degree-1 block P = c_0 + c_1 t runs as b_2 = 0, b_1 = c_1
+                            top, second, *middle, c0 = kept if len(kept) > 2 else (0, *kept)
+                        r = tr << 1
+                        t2 = tt >> B
+                        b2, b1 = top, second + (r * top >> B)
+                        for c in middle:
+                            b2, b1 = b1, c + ((r * b1 - t2 * b2) >> B)
+                        pr = c0 + ((tr * b1 - t2 * b2) >> B)
+                        pi = ti * b1 >> B
+                        m, mi = m * pr - mi * pi, m * pi + mi * pr
+                        s = max(m.bit_length(), mi.bit_length()) - B
+                        m >>= s
+                        mi >>= s
+                        e += s - B
+                        tr = tr * qs >> B
+                        ti = ti * qs >> B
+                    else:
+                        done = blocks
+                    k += done * size
                 continue
             fr = one - tr
             if -pe < fr < pe and -pe < ti < pe and fr * fr + ti * ti < pe * pe:
@@ -502,21 +626,28 @@ def _geometric_product(a, q, ctx, n, poly, pole):
     k = 0
     while k < n:
         if n - k >= _BLOCK and -half <= t <= half:
-            coeffs, qs, widths = _block_polynomial(qf, B)
-            fall = B  # |t| <= 1/2 has at most B bits: the first block takes its degree
-            blocks = (n - k) // _BLOCK
-            for _ in range(blocks):
-                if t.bit_length() <= fall:
-                    (top, *rest), fall = _block_degree(t.bit_length(), coeffs, widths)
-                v = top
-                for c in rest:
-                    v = (v * t >> B) + c
-                m *= v
-                s = m.bit_length() - B
-                m >>= s
-                e += s - B
-                t = t * qs >> B
-            k += blocks * _BLOCK
+            while n - k >= _BLOCK:
+                size, table, up = _block_size(t.bit_length(), n - k, qf, B)
+                qs = table.Q
+                fall = B  # the first block takes its degree
+                blocks = (n - k) // size
+                for done in range(blocks):
+                    if t.bit_length() <= fall:
+                        if t.bit_length() <= up:
+                            break  # a larger block starts
+                        (top, *rest), fall = table.degree(t.bit_length())
+                        fall = max(fall, up)
+                    v = top
+                    for c in rest:
+                        v = (v * t >> B) + c
+                    m *= v
+                    s = m.bit_length() - B
+                    m >>= s
+                    e += s - B
+                    t = t * qs >> B
+                else:
+                    done = blocks
+                k += done * size
             continue
         f = one - t
         if -pe < f < pe:
@@ -876,15 +1007,17 @@ def rational_zeros(values, start, stop, ctx) -> list:
 
 # Direct factors below which (q; q)_inf stays a direct product.  Measured
 # with geometric_product against the Euler path on the pure-Python mpmath
-# backend (CPython 3.11, 2 cores): the Euler path costs 0.064-0.067 ms at 40
-# and 60 working digits and 0.088 ms at 110, about what a direct product of
-# 350 to 540 factors costs.  The crossover sits higher, because products
-# shorter than it keep the bits the default suite was pinned with: at 400, the
-# THM3_FULL n = 2 and n = 3 entries at q = 0.6 agree to 59 digits instead of
-# 60, and at 1,000 no suite entry agrees to fewer digits than before.  The
-# same count also sends any other (a; q)_inf to _qpoch_split.  That crossover
-# was not measured: the split may well be faster below 1,000 too, but
-# products shorter than it keep the bits the suite was pinned with.
+# backend (CPython 3.11, 2 cores): the Euler path costs 0.052-0.060 ms at 40
+# and 60 working digits and 0.072-0.076 ms at 110, about what a direct
+# (q; q)_inf of its whole tail-rule count costs at 4,000 to 6,000 factors
+# (0.050 ms for 3,138 and 0.061 ms for 4,752 at 40 digits, 0.052 ms for
+# 4,650 at 60, 0.070 ms for 4,996 at 110).  The crossover sits lower, because
+# products shorter than it keep the bits the default suite was pinned with:
+# at 400, the THM3_FULL n = 2 and n = 3 entries at q = 0.6 agree to 59
+# digits instead of 60, and at 1,000 no suite entry agrees to fewer digits
+# than before; what a higher crossover does to those bits was not measured.
+# The same count also sends any other (a; q)_inf to _qpoch_split.  That
+# crossover was not measured either.
 _EULER_CROSSOVER = 1000
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 from qprod.characters import DirichletCharacter, enumerate_characters
+from qprod import cli, qfunc
 from qprod.cli import main
 from qprod.numtheory import psi_by_definition
 from qprod.qfunc import Precision, qgamma, qpochhammer
@@ -277,6 +278,34 @@ def test_usage_errors_exit_two_with_a_message(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("error", [OverflowError("int too large to convert to float"),
+                                   ZeroDivisionError("division by zero")])
+def test_evaluator_arithmetic_errors_exit_two_with_a_message(capsys, monkeypatch, error):
+    # exit code 1 is kept for a failed verification, so an evaluator's
+    # arithmetic error is reported like any other argument error
+    def raises(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "qgamma_ctx", raises)
+    code, out, err = run(capsys, "eval", "qgamma", "--x", "0.5", "--q", "0.5")
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+def test_extreme_magnitudes_decide_their_factor_counts(capsys):
+    # q^x about 2^(-1.4e400) needs no factor of (q^x; q)_inf; at x = -1e400 the
+    # count, about 10^400, is refused by the work budget
+    code, out, err = run(capsys, "eval", "qgamma", "--x", "1e400", "--q", "0.5")
+    assert code == 0 and err == "" and "e+3010299956639811952137388947244930267681898814621085" in out
+    code, out, err = run(capsys, "eval", "qgamma", "--x=-1e400", "--q", "0.5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: 9999999999") and err.endswith(" factors exceed the work budget of "
+                                                                f"{qfunc._WORK_BUDGET} factors\n")
+    code, out, err = run(capsys, "verify", "--id", "thm1", "--alphas", "1e400,1", "--betas", "1e400,1",
+                         "--q", "0.5", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["pass"] and report["digits_agreed"] == 60
 
 
 def test_chars_single_character(capsys):

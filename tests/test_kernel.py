@@ -19,10 +19,12 @@ hand the kernel exact shifts wherever their inputs are exact.  The split's
 charge to the work budget is held to three factors a step.
 geometric_product's blocks of _BLOCK factors are held to the rounding bound
 its docstring derives, on drawn a, q and counts, and so are its blocks of
-lower degree, on a drawn |a| <= 1/2 as small as 2^-200 and up to 40 blocks;
-a pole in its head of single factors must still raise at its own factor.  The THM1 sides, which
-take q^alpha and q^beta from alpha log q, are held to 10^-dps of a guard+60
-left side.
+lower degree, on a drawn |a| <= 1/2 as small as 2^-200 and up to 40 blocks,
+and its long blocks of 64 to 4096 factors, on drawn a at q = 0.99 and 0.999
+and counts up to three blocks of 4096 and more, down to the single factors
+left over; a pole in its head of single factors must still raise at its own
+factor.  The THM1 sides, which take q^alpha and q^beta from alpha log q, are
+held to 10^-dps of a guard+60 left side.
 
 The Euler function's second route, euler_function, is checked against a
 direct kernel product 40 digits past the working precision, on both sides of
@@ -302,6 +304,46 @@ def test_low_degree_blocks_at_drawn_a_q_and_count(qs, log2_mag, turn, n, digits)
     # block drops its terms that cannot move it.  The examples: the degree
     # falls from 16 to 3 in one run of 40 blocks; a complex run falls to the
     # degree-1 block P = c_0 + c_1 t; t = 0, complex and real.
+    ctx, ref = contexts(digits)
+    q = ctx.mpf(qs)
+    mag = ctx.mpf(2) ** log2_mag
+    a = (mag if turn == 0 else -mag) if turn in (0, 1) else mag * ctx.expjpi(turn)
+    bound = kernel_bound(a, q, n, ctx, ref)
+    reference = oracles.qpoch_mpf(ref.convert(a), ref.convert(q), n, ref)
+    value = geometric_product(a, q, ctx, n=n)
+    assert abs(value - reference) <= abs(reference) * bound
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["0.99", "0.999"]),
+       st.floats(min_value=-120, max_value=-1),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=-1, max_value=1)),
+       st.integers(0, 3 * 4096 + 100), st.sampled_from([15, 50]))
+@example("0.99", -1.0, 0.0, 2 * 4096 + 2000 + 7, 50)
+@example("0.999", -14.0, 0.3, 2 * 4096 + 1024 + 256 + 64 + 16 + 3, 15)
+@example("0.999", -8.0, 1.0, 3 * 4096 + 700, 100)
+@example("0.99", -1.0, 0.5, 4096 + 1800, 50)
+@example("0.999", -99.5, 0.0, 64 + 3, 50)
+@example("0.999", -102.5, 0.3, 256 + 3, 50)
+@example("0.999", -105.5, 1.0, 1024 + 3, 50)
+@example("0.999", -107.5, 0.3, 4096 + 3, 50)
+@example("1e-20", -1.0, 0.0, 1000, 50)
+@example("1e-100", -1.0, 0.3, 1000, 50)
+def test_long_blocks_at_drawn_a_q_and_count(qs, log2_mag, turn, n, digits):
+    # Near q = 1, once |t| < 1/(2s), blocks of s = 64, 256, 1024 and 4096
+    # factors follow, each the largest that fits in the factors left, and
+    # then, as they run out, smaller blocks and single factors.  The
+    # examples: from |t| = 1/2, real, blocks of 16, 64, 256 and 4096
+    # factors, then 1024, 64 and 16 and seven single factors; a complex run
+    # that starts with two blocks of 4096 and ends with one block of each
+    # smaller size and three single factors; a real run at 100 digits whose
+    # first blocks of 64 keep all 64 degrees, through every size and back;
+    # a complex run from |t| = 1/2 whose last blocks stop at degree 3.  The
+    # next four start one block of each size just below the most bits at
+    # which it stops at degree 2, where its term of degree 2 is 60 to 2 10^4
+    # times the bound: a block that kept one degree fewer would fail there.
+    # At a tiny q, t falls far below 1/128 within the first block of 16, and
+    # q = 1e-100 is 0 to the kernel's B bits.
     ctx, ref = contexts(digits)
     q = ctx.mpf(qs)
     mag = ctx.mpf(2) ** log2_mag
