@@ -48,10 +48,6 @@ class RootOfUnity:
         return cls(0, 1)
 
     @classmethod
-    def minus_one(cls) -> "RootOfUnity":
-        return cls(1, 2)
-
-    @classmethod
     def from_fraction(cls, f: Fraction) -> "RootOfUnity":
         return cls(f.numerator % f.denominator, f.denominator)
 
@@ -210,11 +206,6 @@ class DirichletCharacter:
     def value(self, n: int) -> RootOfUnity | None:
         """chi(n) as an exact root of unity, or None when gcd(n, k) > 1."""
         return _value_table(self.modulus, self.exponents).get(n % self.modulus)
-
-    def complex_value(self, n: int, ctx):
-        """chi(n) in the given mpmath context; exact zero off the units."""
-        v = self.value(n)
-        return ctx.mpf(0) if v is None else v.to_complex(ctx)
 
     # -- classification
 

@@ -165,6 +165,18 @@ def _spec_from_args(args) -> IdentitySpec:
         raise CliError(str(exc)) from exc
 
 
+def _pochhammer_count(text: str):
+    if text.lower() in ("inf", "infinity"):
+        return INFINITY
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise CliError("--pochhammer-n must be a non-negative integer or 'inf'")
+    return n
+
+
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -196,7 +208,7 @@ def _cmd_eval(args) -> int:
     elif args.operation == "qpoch":
         if args.a is None or args.q is None:
             raise CliError("qpoch needs --a and --q")
-        n = INFINITY if args.pochhammer_n.lower() in ("inf", "infinity") else int(args.pochhammer_n)
+        n = _pochhammer_count(args.pochhammer_n)
         value = qpochhammer(to_hp(args.a, ctx), to_hp(args.q, ctx), n, prec)
         obj.update({"a": args.a, "q": args.q, "n": args.pochhammer_n})
     else:

@@ -88,7 +88,7 @@ from fractions import Fraction
 import mpmath
 from mpmath.libmp import to_fixed, to_rational
 
-from .numtheory import ArithValue, cyclotomic, divisors, mobius
+from .numtheory import cyclotomic, divisors, mobius
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -114,7 +114,6 @@ __all__ = [
     "rational_zeros",
     "split_context",
     "to_hp",
-    "von_mangoldt_number",
     "working_eps",
 ]
 
@@ -697,29 +696,30 @@ def _exact_scale(pair, B):
 _PACKED_BLOCK = 8
 
 
-def _block_differences(first, k, x, S, s):
-    """Forward differences at i = 0, orders 0 .. s, of P(i) = prod_{t<s} (first + (s i + t) k + x).
+def _block_differences(first, k, xs, S, s):
+    """Forward differences at i = 0, orders 0 .. d, of P(i) = prod_{t<s} prod_{x in xs} (first + (s i + t) k + x).
 
-    x is a pair (real, imag) of ints scaled by S, its class's exact scale
-    (rational_product).  P is a polynomial of degree s in i with integer
-    coefficients, so its values at i = 0 .. s fix it; returns the
-    differences of its real part and of its imaginary part, exact ints
-    scaled by S^s: those at any scale S' that S divides, divided by
-    (S' / S)^s.
+    Each x of xs is a pair (real, imag) of ints scaled by S, its class's
+    exact scale (rational_product).  P is a polynomial of degree d = s
+    len(xs) in i with integer coefficients, so its values at i = 0 .. d fix
+    it; returns the differences of its real part and of its imaginary part,
+    exact ints scaled by S^d: those at any scale S' that S divides, divided
+    by (S' / S)^d.
     """
-    xr, xi = x
+    d = s * len(xs)
     re, im = [], []
-    for i in range(s + 1):
+    for i in range(d + 1):
         pr, pi = 1, 0
         for t in range(s):
-            nr = (first + (s * i + t) * k) * S + xr
-            pr, pi = pr * nr - pi * xi, pr * xi + pi * nr
+            for xr, xi in xs:
+                nr = (first + (s * i + t) * k) * S + xr
+                pr, pi = pr * nr - pi * xi, pr * xi + pi * nr
         re.append(pr)
         im.append(pi)
-    for d in (re, im):
-        for j in range(1, s + 1):
-            for t in range(s, j - 1, -1):
-                d[t] -= d[t - 1]
+    for diffs in (re, im):
+        for j in range(1, d + 1):
+            for t in range(d, j - 1, -1):
+                diffs[t] -= diffs[t - 1]
     return re, im
 
 
@@ -735,44 +735,49 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
     Each residue class r is one pass over its factors n, n + k, ..., from
     its first at or after max(start, 1) to the last stop, on a running
     product m * 2^e with a B-bit mantissa, a complex one a pair of them,
-    renormalised after every step.  The pass takes its factors in blocks of
-    s: the numerator and denominator of block i, prod_{t<s} (n_{si+t} + a_r)
-    and prod_{t<s} (n_{si+t} + b_r), are polynomials of degree s in i, so
-    their exact values follow from s exact additions each, by forward
-    differences (Knuth, The Art of Computer Programming, vol. 2, sec.
-    4.6.4); _block_differences seeds them.  At each stop c the class's
-    partial product is the running product up to its last whole block
-    below c times the fewer than s factors left before c, multiplied one
-    at a time onto a copy; the pass goes on from the block boundary.  Then
-    the classes' mantissas at c are multiplied exactly and rounded once to
-    result_ctx.  So a stop's value depends on the other stops only through
-    B, which the last stop sets: it is the value a call with stops [c, ...,
-    stops[-1]] returns, and the value of a call with c alone whenever c -
-    start and stops[-1] - start have the same bit length.
+    renormalised after every step.  The pass first steps one factor at a
+    time over its factors whose real part is not positive, n + min(Re a_r,
+    Re b_r) <= 0, then takes the rest in blocks of s: the numerator and
+    denominator of block i, prod_{t<s} (n_{si+t} + a_r) and prod_{t<s}
+    (n_{si+t} + b_r), are polynomials of degree s in i (2s with a complex
+    b_r, below), so their exact values follow from that many exact additions
+    each, by forward differences (Knuth, The Art of Computer Programming,
+    vol. 2, sec. 4.6.4); _block_differences seeds them.  At each stop c the
+    class's partial product is the running product up to its last whole
+    block below c times the fewer than s factors left before c, multiplied
+    one at a time onto a copy; the pass goes on from the block boundary.
+    Then the classes' mantissas at c are multiplied exactly and rounded once
+    to result_ctx.  So a stop's value depends on the other stops only
+    through B, which the last stop sets: it is the value a call with stops
+    [c, ..., stops[-1]] returns, and the value of a call with c alone
+    whenever c - start and stops[-1] - start have the same bit length.
 
     Each class runs at its own exact scale S: its shifts, factors and block
     values are ints scaled by S, the least integer that makes every part of
     both shifts an int (_exact_scale).  That is the lcm of their
-    denominators: 2^beta for mpf or mpc shifts, whose mantissas are odd,
-    and 10^4 for four-place decimals given as Fractions.  A factor's
-    numerator and denominator are both scaled by S, a block's by S^s, so
-    every floor division, m * P // D for a block and its complex and
+    denominators: 2^beta for mpf or mpc shifts, whose mantissas are odd, and
+    10^4 for four-place decimals given as Fractions.  A factor's numerator
+    and denominator are both scaled by S, a block's by S^d, d their degree,
+    so every floor division, m * P // D for a block and its complex and
     single-factor forms, returns floor(m f) for the exact value f of its
     factors, whatever S: exact shifts carry no input rounding, and a dyadic
     Fraction gives the very ints of the equal mpf.  Where the lcm exceeds
     2^B, S = 2^B and each part x is truncated to floor(x 2^B).
 
-    The block size follows the class.  A class with a complex b_r steps one
-    factor at a time throughout: its blocks would have to be multiplied
-    through by the conjugate of their denominator, which costs more than
-    four steps.  Other complex classes take blocks of four.  A real class,
-    at any scale S, first steps one at a time over its factors that are not
-    positive, then takes blocks of s = _PACKED_BLOCK with all s + 1
-    differences of the numerator packed into one int, D_j = Delta^j P(i) in
-    bits [jW, (j + 1)W), and those of the denominator into another.  A
-    block is then m * (P & M) // (D & M), M = 2^W - 1, and the step to
-    block i + 1 is P += P >> W, D += D >> W: field j of P >> W is
-    D_{j+1}, and D_j + D_{j+1} is Delta^j P(i + 1).
+    The block size follows the class, complex where an imaginary part is not
+    0 at S.  A class with a complex a_r and a real b_r takes blocks of four,
+    their differences unpacked: five for the real and five for the imaginary
+    part of the numerator, and five for the real denominator.  A class with
+    a complex b_r takes blocks of two, each factor multiplied through by the
+    conjugate of its denominator, (n + a_r)(n + conj b_r) / |n + b_r|^2: a
+    numerator of degree four over a real denominator of degree four, in the
+    same loop of five differences.  A real class, at any scale S, takes
+    blocks of s = _PACKED_BLOCK with all s + 1 differences of the numerator
+    packed into one int, D_j = Delta^j P(i) in bits [jW, (j + 1)W), and
+    those of the denominator into another.  A block is then
+    m * (P & M) // (D & M), M = 2^W - 1, and the step to block i + 1 is
+    P += P >> W, D += D >> W: field j of P >> W is D_{j+1}, and
+    D_j + D_{j+1} is Delta^j P(i + 1).
 
     The packed step is exact while every field lies in [0, 2^W).  With the
     block's factors L_t(i) = c_t + h i, c_t = n_t S + a_r S > 0 (and so for
@@ -795,20 +800,21 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
     less than 2^(1 - B) / |f| when it shrinks the product (a complex class:
     sqrt(2) times as much).  So at a stop c a class of N factors before c
     rounds at most h + floor((N - h) / s) + (s - 1) times, h its single
-    steps over factors that are not positive (0 in a complex class) and
-    s its block size, and N times with a complex b_r; the product of the
-    classes rounds once more, to result_ctx.  A class at an exact scale
-    rounds nowhere else.  A part truncated at 2^B moves n + x by less than
-    2^-B (sqrt(2) times as much when complex), 2^-B / |n + x| relative:
-    below 2^(1 - B) for n >= 1 when |x| <= 1/2, and a part with |x| > 1/2
-    is truncated only if it has more than B bits after the point, which no
-    mpf of ctx has.  B = working bits + 2 log2 N + 20 guard bits keeps all
-    that far below one unit in the last working digit, unless a step's |f|
-    falls below about 2^-20, which costs as many guard bits.  The n = 0
-    factor a_0 / b_0 is divided in the result's precision instead, because
-    fixed point would truncate a tiny shift: exactly, and rounded once,
-    when both shifts are ints or Fractions.  More than _WORK_BUDGET factors
-    raise ValueError before the loop, and so does start < 0.
+    steps over factors whose real part is not positive and s its block size:
+    _PACKED_BLOCK = 8 for a real class, 4 for a complex a_r and 2 for a
+    complex b_r.  The product of the classes rounds once more, to
+    result_ctx.  A class at an exact scale rounds nowhere else.  A part
+    truncated at 2^B moves n + x by less than 2^-B (sqrt(2) times as much
+    when complex), 2^-B / |n + x| relative: below 2^(1 - B) for n >= 1 when
+    |x| <= 1/2, and a part with |x| > 1/2 is truncated only if it has more
+    than B bits after the point, which no mpf of ctx has.  B = working bits
+    + 2 log2 N + 20 guard bits keeps all that far below one unit in the last
+    working digit, unless a step's |f| falls below about 2^-20, which costs
+    as many guard bits.  The n = 0 factor a_0 / b_0 is divided in the
+    result's precision instead, because fixed point would truncate a tiny
+    shift: exactly, and rounded once, when both shifts are ints or
+    Fractions.  More than _WORK_BUDGET factors raise ValueError before the
+    loop, and so does start < 0.
 
     The products are rounded to result_ctx, ctx by default.  Those guard
     bits back a wider result_ctx too: the rounding of N factors stays below
@@ -839,11 +845,7 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
             continue
         first = lo + (r - lo) % k
         fixed, S = _exact_scale(pair, B)
-        if any(isinstance(x, ctx.mpc) and x.imag for x in pair):
-            classes.append(_complex_class(fixed, S, first, k, stops, B))
-        else:
-            (a, _), (b, _) = fixed
-            classes.append(_real_class(a, b, S, first, k, stops, B))
+        classes.append(_class_products(fixed, S, first, k, stops, B))
     is_complex = any(isinstance(x, ctx.mpc) for pair in pairs if pair for x in pair)
     out = []
     for i, c in enumerate(stops):
@@ -858,121 +860,70 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
     return out
 
 
-def _real_steps(m, e, num, den, step, count, B):
-    """m * 2^e times count factors num / den, num and den stepping on by step; returns m, e, num, den."""
-    for _ in range(count):
-        m = m * num // den
-        s = m.bit_length() - B
-        if s:
-            m = m >> s if s > 0 else m << -s
-            e += s
-        num += step
-        den += step
-    return m, e, num, den
+def _single_steps(m, mi, e, n, fixed, S, k, count, B):
+    """(m + i mi) 2^e times count factors (n S + a) / (n S + b), n stepping by k; returns m, mi, e.
 
-
-def _real_class(a, b, S, first, k, stops, B):
-    """One real class's partial products (m, 0, e), m * 2^e, at every stop (rational_product).
-
-    a and b are its shifts scaled by S, its exact scale; its factors are n =
-    first, first + k, ....
+    fixed is the shifts ((ar, ai), (br, bi)) scaled by S (rational_product).
+    Each part of a step is the floor of its exact value: over |n S + b|^2
+    when bi is not 0, else over n S + br alone.
     """
-    s = _PACKED_BLOCK
-    step = k * S
-    m, e = 1 << B, -B
-    n, num, den = first, first * S + a, first * S + b
-    # the blocks start at body: the factors n <= -min(a, b) / S, which are
-    # not positive, step one at a time first
-    body = first + len(range(first, -min(a, b) // S + 1, k)) * k
-    P = None
-    out = []
-    for c in stops:
-        if n < body:
-            count = len(range(n, min(c, body), k))
-            m, e, num, den = _real_steps(m, e, num, den, step, count, B)
-            n += count * k
-        blocks = len(range(n, c, k)) // s
-        if blocks:
-            if P is None:
-                g = stops[-1] + s * (s + 1) * k + max(abs(a), abs(b)) // S + 1
-                W = s * ((S - 1).bit_length() + g.bit_length()) + math.factorial(s).bit_length()
-                M = (1 << W) - 1
-                fields = [_block_differences(n, k, (x, 0), S, s)[0] for x in (a, b)]
-                P, D = (sum(f << j * W for j, f in enumerate(diffs)) for diffs in fields)
-            for _ in range(blocks):
-                m = m * (P & M) // (D & M)
-                t = m.bit_length() - B
-                if t:
-                    m = m >> t if t > 0 else m << -t
-                    e += t
-                P += P >> W
-                D += D >> W
-            n += s * k * blocks
-            num, den = n * S + a, n * S + b
-        mc, ec, _, _ = _real_steps(m, e, num, den, step, len(range(n, c, k)), B)
-        out.append((mc, 0, ec))
-    return out
-
-
-def _complex_steps(m, mi, e, num, den, ai, bi, step, count, B):
-    """(m + i mi) 2^e times count factors (num + i ai) / (den + i bi), num and den stepping by step."""
+    (ar, ai), (br, bi) = fixed
+    num, den, step = n * S + ar, n * S + br, k * S
     for _ in range(count):
         xr = m * num - mi * ai
         xi = m * ai + mi * num
-        dd = den * den + bi * bi
-        m, mi = (xr * den + xi * bi) // dd, (xi * den - xr * bi) // dd
+        if bi:
+            dd = den * den + bi * bi
+            m, mi = (xr * den + xi * bi) // dd, (xi * den - xr * bi) // dd
+        else:
+            m, mi = xr // den, xi // den
         s = max(m.bit_length(), mi.bit_length()) - B
-        if s:
-            if s > 0:
-                m >>= s
-                mi >>= s
-            else:
-                m <<= -s
-                mi <<= -s
-            e += s
+        if s > 0:
+            m, mi, e = m >> s, mi >> s, e + s
+        elif s:
+            m, mi, e = m << -s, mi << -s, e + s
         num += step
         den += step
-    return m, mi, e, num, den
+    return m, mi, e
 
 
-def _complex_class(fixed, S, first, k, stops, B):
-    """One complex class's partial products (m, mi, e), (m + i mi) 2^e, at every stop.
+def _class_products(fixed, S, first, k, stops, B):
+    """One class's partial products (m, mi, e), (m + i mi) 2^e, at every stop (rational_product).
 
     fixed is its shifts ((ar, ai), (br, bi)) at its exact scale S, one
     scale over all four parts (_exact_scale); its factors are n = first,
     first + k, ....
     """
-    ((ar, ai), (br, bi)) = fixed
-    step = k * S
+    (ar, ai), (br, bi) = a, b = fixed
+    if bi:  # (n + a) (n + conj b) / |n + b|^2
+        s, tops, bottoms = 2, (a, (br, -bi)), (b, (br, -bi))
+    else:
+        s, tops, bottoms = 4 if ai else _PACKED_BLOCK, (a,), (b,)
     m, mi, e = 1 << B, 0, -B
-    n, num, den = first, first * S + ar, first * S + br
+    n = first
+    # the blocks start at body: the factors with n S + min(ar, br) <= 0 step one at a time first
+    body = first + len(range(first, -min(ar, br) // S + 1, k)) * k
     seeded = False
     out = []
     for c in stops:
-        count = len(range(n, c, k))
-        if bi:  # one factor at a time throughout
-            m, mi, e, num, den = _complex_steps(m, mi, e, num, den, ai, bi, step, count, B)
+        if n < body:
+            count = len(range(n, min(c, body), k))
+            m, mi, e = _single_steps(m, mi, e, n, fixed, S, k, count, B)
             n += count * k
-            out.append((m, mi, e))
-            continue
-        blocks = count >> 2
-        if blocks:
+        blocks = len(range(n, c, k)) // s
+        if blocks and (ai or bi):
             if not seeded:
-                (p, p1, p2, p3, p4), (u, u1, u2, u3, u4) = _block_differences(n, k, (ar, ai), S, 4)
-                (d, d1, d2, d3, d4), _ = _block_differences(n, k, (br, bi), S, 4)
+                (p, p1, p2, p3, p4), (u, u1, u2, u3, u4) = _block_differences(n, k, tops, S, s)
+                (d, d1, d2, d3, d4), _ = _block_differences(n, k, bottoms, S, s)
                 seeded = True
             for _ in range(blocks):
                 # (m + i mi) (p + i u) / d
                 m, mi = (m * p - mi * u) // d, (m * u + mi * p) // d
-                s = max(m.bit_length(), mi.bit_length()) - B
-                if s:
-                    if s > 0:
-                        m >>= s
-                        mi >>= s
-                    else:
-                        m <<= -s
-                        mi <<= -s
-                    e += s
+                t = max(m.bit_length(), mi.bit_length()) - B
+                if t > 0:
+                    m, mi, e = m >> t, mi >> t, e + t
+                elif t:
+                    m, mi, e = m << -t, mi << -t, e + t
                 p += p1
                 p1 += p2
                 p2 += p3
@@ -985,10 +936,24 @@ def _complex_class(fixed, S, first, k, stops, B):
                 d1 += d2
                 d2 += d3
                 d3 += d4
-            n += 4 * k * blocks
-            num, den = n * S + ar, n * S + br
-        mc, mic, ec, _, _ = _complex_steps(m, mi, e, num, den, ai, bi, step, count - 4 * blocks, B)
-        out.append((mc, mic, ec))
+        elif blocks:
+            if not seeded:
+                g = stops[-1] + s * (s + 1) * k + max(abs(ar), abs(br)) // S + 1
+                W = s * ((S - 1).bit_length() + g.bit_length()) + math.factorial(s).bit_length()
+                M = (1 << W) - 1
+                P, D = (sum(f << j * W for j, f in enumerate(_block_differences(n, k, xs, S, s)[0]))
+                        for xs in (tops, bottoms))
+                seeded = True
+            for _ in range(blocks):
+                m = m * (P & M) // (D & M)
+                t = m.bit_length() - B
+                if t:
+                    m = m >> t if t > 0 else m << -t
+                    e += t
+                P += P >> W
+                D += D >> W
+        n += s * k * blocks
+        out.append(_single_steps(m, mi, e, n, fixed, S, k, len(range(n, c, k)), B))
     return out
 
 
@@ -1373,11 +1338,3 @@ def jackson_value(value_id: str, prec: Precision = DEFAULT_PRECISION):
             / (16 * pi ** (ctx.mpf(3) / 2) * ctx.sqrt(1 + ctx.sqrt(two)))
         )
     raise ValueError(f"unknown Jackson value id {value_id!r}; expected one of {JACKSON_IDS}")
-
-
-def von_mangoldt_number(value: ArithValue, prec: Precision = DEFAULT_PRECISION):
-    """Numeric value of a von Mangoldt ArithValue: log p for p^a, else 0."""
-    ctx = context(prec)
-    if value.kind == "prime-power-log":
-        return ctx.log(value.prime)
-    return ctx.mpf(value.value)

@@ -271,6 +271,7 @@ def test_suite_only_naming_no_identity_is_usage_error(capsys, only):
     ("eval qgamma --q 0.5", "qgamma needs --x"),
     ("eval qgamma --x 0.5", "qgamma needs --q"),
     ("eval qpoch --q 0.5", "qpoch needs --a and --q"),
+    ("eval qpoch --a 0.5 --q 0.5 --pochhammer-n 1.5", "--pochhammer-n must be a non-negative integer or 'inf'"),
     ("chars --modulus 0", "--modulus must be a positive integer"),
     ("psi --n 0", "--n must be a positive integer"),
 ])

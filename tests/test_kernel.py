@@ -529,8 +529,8 @@ def pinned_cases(ctx):
 
 RATIONAL_PINS = {
     "cor2-complex-b": [
-        ((0xee906b5010f1dc5fca4a81fd832bcff0a28a63313b762cc5fde6715381, -236),
-         (0x24e4b7126db72f6a9a570f5b7d416d60c98a89bed32b44a0b02b0b622b3, -236)),
+        ((0xee906b5010f1dc5fca4a81fd832bcff0a28a63313c11056387bf0edd599, -240),
+         (0x12725b8936db97b54d2b87adbea0b6b064c544df69a35c28f59f5e4e9f7, -235)),
     ],
     "cor2-decimal": [
         ((0x6bb702680af8352da1f5dff7d5f72852b663c6f8345a5ae5c0ecd84e2fd, -237),),
@@ -632,16 +632,15 @@ def rounding_bound(pairs, start, stop, B, ref):
 
     Each class runs at the scale S, the lcm of the denominators of its
     shifts' parts capped at 2^B, where each part x becomes the int floor(x
-    S).  It steps once per block and once per factor left over.  A
-    complex class (a part of a shift has a nonzero imaginary part) steps
-    once per factor when the int of b's imaginary part is not 0, and takes
-    blocks of four otherwise; a real class steps once per factor n with n S
-    + min(a, b) <= 0 (a and b its ints), then takes blocks of
-    qfunc._PACKED_BLOCK.  Each step rounds by less than 2^(1 - B) /
-    min(1, |f|), f its value, sqrt(2) times that in a complex class.  A part
-    truncated at B bits moves n + x by less than 2^-B, sqrt(2) times as much
-    when complex; at an exact scale nothing is truncated.  The one rounding
-    of the classes' product to the result context is the caller's.
+    S).  Every class steps once per factor n with n S + min(ar, br) <= 0
+    (ar, ai, br, bi those ints), then once per block, then once per factor
+    left over.  It takes blocks of two when bi is not 0, of four when ai
+    is not 0, and of qfunc._PACKED_BLOCK otherwise.  Each step rounds by
+    less than 2^(1 - B) / min(1, |f|), f its value, sqrt(2) times that in
+    a complex class (a shift has a nonzero imaginary part).  A part
+    truncated at B bits moves n + x by less than 2^-B, sqrt(2) times as
+    much when complex; at an exact scale nothing is truncated.  The one
+    rounding of the classes' product to the result context is the caller's.
     """
     k = len(pairs)
     lo = max(start, 1)
@@ -655,18 +654,12 @@ def rounding_bound(pairs, start, stop, B, ref):
         S = math.lcm(*(part.denominator for part in parts))
         truncated = S > 2**B
         S = min(S, 2**B)
-        ar, _, br, bi = (math.floor(part * S) for part in parts)
+        ar, ai, br, bi = (math.floor(part * S) for part in parts)
         complex_class = any(parts[1::2])
         root = ref.sqrt(2) if complex_class else 1
         unit = ref.mpf(2) ** (1 - B) * root
-        head = 0
-        if complex_class and bi:
-            size = 1
-        elif complex_class:
-            size = 4
-        else:
-            size = qfunc._PACKED_BLOCK
-            head = sum(1 for n in ns if n * S + min(ar, br) <= 0)
+        size = 2 if bi else 4 if ai else qfunc._PACKED_BLOCK
+        head = sum(1 for n in ns if n * S + min(ar, br) <= 0)
         whole = head + (len(ns) - head) // size * size
         steps = ([[n] for n in ns[:head]] + [ns[i:i + size] for i in range(head, whole, size)]
                  + [[n] for n in ns[whole:]])
@@ -686,11 +679,19 @@ def rounding_bound(pairs, start, stop, B, ref):
 # over them one at a time before its blocks; the same with a four-place
 # decimal, whose class runs at a wide S as an mpf (decimal, past-B) and at
 # 10^4 as a Fraction; one whose shift 2^20 + 1/2 sets the field width of
-# its packed differences
+# its packed differences.  Complex classes (real=False; an exact kind keeps
+# only the real parts): a complex b beside a complex a, 101 factors each,
+# so the blocks of two leave one over, and the n = 0 factor; a complex b
+# and a complex a whose first factors have a negative real part, so they
+# step over them one at a time before their blocks
 @example(data=[(("-2.5", "0"), ("0.5", "0"))], start=1, count=60, extra=0, real=True, digits=30)
 @example(data=[(("-2.3205", "0"), ("0.5", "0"))], start=1, count=200, extra=0, real=True, digits=30)
 @example(data=[(("1048576.5", "0"), ("0.25", "0")), (("-0.5", "0"), ("1048576.75", "0"))],
          start=0, count=300, extra=1, real=True, digits=50)
+@example(data=[(("0.3", "0.2"), ("0.5", "0.1")), (("-0.25", "0.5"), ("0.75", "0"))],
+         start=0, count=101, extra=1, real=False, digits=30)
+@example(data=[(("-2.5", "0.25"), ("0.5", "-0.5")), (("-3.25", "0.5"), ("0.5", "0"))],
+         start=1, count=60, extra=0, real=False, digits=30)
 def test_rational_product_within_its_rounding_bound(kind, data, start, count, extra, real, digits):
     # the docstring's own bound, against a guard+40 product over the same
     # factors, built from the shifts' exact values: the result context

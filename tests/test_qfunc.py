@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import oracles
 from qprod import qfunc
 from qprod.characters import enumerate_characters
-from qprod.numtheory import von_mangoldt
 from qprod.products import IdentitySpec, eval_lhs, eval_rhs
 from qprod.qfunc import (
     INFINITY,
@@ -30,7 +29,6 @@ from qprod.qfunc import (
     qgamma_ctx,
     qpoch_inf_ctx,
     qpochhammer,
-    von_mangoldt_number,
     working_eps,
 )
 
@@ -380,13 +378,6 @@ def test_jackson_values_match_qgamma():
         assert abs(closed - direct[vid]) / abs(closed) < tol
     with pytest.raises(ValueError):
         jackson_value("J_BOGUS")
-
-
-def test_von_mangoldt_number():
-    ctx = context(Precision(30))
-    assert von_mangoldt_number(von_mangoldt(6), Precision(30)) == 0
-    assert abs(von_mangoldt_number(von_mangoldt(8), Precision(30)) - ctx.log(2)) == 0
-    assert abs(von_mangoldt_number(von_mangoldt(7), Precision(30)) - ctx.log(7)) == 0
 
 
 def test_determinism():
