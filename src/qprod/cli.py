@@ -26,13 +26,10 @@ from .qfunc import (
     INFINITY,
     Precision,
     SingularArgumentError,
-    as_q,
-    context,
-    gamma_ctx,
+    gamma_classical,
     hp_str,
-    qgamma_ctx,
+    qgamma,
     qpochhammer,
-    to_hp,
 )
 from .verify import (
     default_suite,
@@ -191,25 +188,23 @@ def _emit(text: str, out: str | None):
 
 def _cmd_eval(args) -> int:
     prec = Precision(args.digits, args.guard)
-    ctx = context(prec)
     obj: dict = {"operation": args.operation, "digits": args.digits}
     if args.operation in ("qgamma", "gamma"):
         if args.x is None:
             raise CliError(f"{args.operation} needs --x")
-        x = to_hp(args.x, ctx)
         if args.operation == "qgamma":
             if args.q is None:
                 raise CliError("qgamma needs --q")
-            value = qgamma_ctx(x, as_q(args.q, ctx), ctx, prec.guard)
+            value = qgamma(args.x, args.q, prec)
             obj["q"] = args.q
         else:
-            value = gamma_ctx(x, ctx)
+            value = gamma_classical(args.x, prec)
         obj["x"] = args.x
     elif args.operation == "qpoch":
         if args.a is None or args.q is None:
             raise CliError("qpoch needs --a and --q")
         n = _pochhammer_count(args.pochhammer_n)
-        value = qpochhammer(to_hp(args.a, ctx), to_hp(args.q, ctx), n, prec)
+        value = qpochhammer(args.a, args.q, n, prec)
         obj.update({"a": args.a, "q": args.q, "n": args.pochhammer_n})
     else:
         spec = _spec_from_args(args)

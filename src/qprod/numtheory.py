@@ -2,8 +2,8 @@
 
 Everything in this module is integer-exact: multiplicative functions computed
 from trial-division factorizations, dense integer-coefficient polynomials with
-exact division and gcd, cyclotomic polynomials Phi_n, and the modified
-cyclotomic rational functions prod_{d|n} (1 - x^d)^mu(d).
+exact division, cyclotomic polynomials Phi_n, and the modified cyclotomic
+rational functions prod_{d|n} (1 - x^d)^mu(d), reduced by exact division.
 
 Intended argument range is n <= 10**6 (trial division dominates beyond that).
 All functions are pure; caches are append-only, so concurrent use is safe.
@@ -11,7 +11,6 @@ All functions are pure; caches are append-only, so concurrent use is safe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -26,7 +25,6 @@ __all__ = [
     "jacobi_symbol",
     "mobius",
     "one_minus_x_power",
-    "poly_gcd",
     "psi_by_definition",
     "psi_reduced",
     "radical",
@@ -221,8 +219,6 @@ class IntPolynomial:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPolynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self == IntPolynomial((other,))
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -305,10 +301,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def content(self) -> int:
-        """gcd of the coefficients (0 for the zero polynomial)."""
-        return math.gcd(*(abs(c) for c in self.coeffs)) if self.coeffs else 0
-
     # -- presentation
 
     def __str__(self) -> str:
@@ -348,92 +340,17 @@ def one_minus_x_power(d: int) -> IntPolynomial:
     return IntPolynomial((1,) + (0,) * (d - 1) + (-1,))
 
 
-# -- gcd machinery
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, integer arithmetic."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    e = len(a) - db  # scalings by lc(b) still owed
-    while len(r) - 1 >= db:
-        lr = r[-1]
-        off = len(r) - 1 - db
-        r = [c * lb for c in r]
-        for j, c in enumerate(b):
-            r[off + j] -= lr * c
-        e -= 1
-        while r and r[-1] == 0:
-            r.pop()
-    return [c * lb**e for c in r]
-
-
-def _subresultant_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd via the subresultant PRS; correct for any integer inputs."""
-    def primitive(cs: list[int]) -> list[int]:
-        g = math.gcd(*(abs(c) for c in cs))
-        return [c // g for c in cs]
-
-    if len(a) < len(b):
-        a, b = b, a
-    a, b = primitive(a), primitive(b)
-    g, h = 1, 1
-    while True:
-        delta = (len(a) - 1) - (len(b) - 1)
-        r = _pseudo_rem(a, b)
-        if not r:
-            result = primitive(b)
-            break
-        if len(r) == 1:
-            result = [1]
-            break
-        scale = g * h**delta
-        a, b = b, [c // scale for c in r]
-        g = a[-1]
-        if delta == 0:
-            pass
-        elif delta == 1:
-            h = g
-        else:
-            h = g**delta // h ** (delta - 1)
-    if result[-1] < 0:
-        result = [-c for c in result]
-    return result
-
-
-def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Greatest common divisor in Z[x], normalized to a positive leading coefficient.
-
-    The gcd of the contents times the gcd of the primitive parts, which the
-    subresultant remainder sequence computes exactly.
-    """
-    if f.is_zero and g.is_zero:
-        return IntPolynomial(())
-    if f.is_zero or g.is_zero:
-        h = g if f.is_zero else f
-        cs = h.coeffs
-        return IntPolynomial(cs) if cs[-1] > 0 else IntPolynomial(tuple(-c for c in cs))
-    cf, cg = f.content(), g.content()
-    cont = math.gcd(cf, cg)
-    a = [c // cf for c in f.coeffs]
-    b = [c // cg for c in g.coeffs]
-    if len(a) == 1 or len(b) == 1:
-        return IntPolynomial((cont,))
-    return IntPolynomial([c * cont for c in _subresultant_gcd(a, b)])
-
-
 # ---------------------------------------------------------------------------
 # Rational functions
 
 
 class RationalPolyFraction:
-    """Quotient of two integer polynomials, kept in lowest terms.
+    """Quotient of two integer polynomials, kept as given.
 
-    Normalization divides out the polynomial gcd (integer content included)
-    and flips signs so the denominator has a positive leading coefficient.
-    Equality is decided by cross-multiplication, so it holds for any two
-    representations of the same rational function.
+    No gcd is divided out and no sign is moved: the numerator and the
+    denominator are the ones passed in.  Equality is decided by
+    cross-multiplication, so it holds for any two representations of the
+    same rational function.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -441,27 +358,13 @@ class RationalPolyFraction:
     def __init__(self, numerator: IntPolynomial, denominator: IntPolynomial = IntPolynomial((1,))):
         if denominator.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if numerator.is_zero:
-            self.numerator = IntPolynomial(())
-            self.denominator = IntPolynomial((1,))
-            return
-        g = poly_gcd(numerator, denominator)
-        num = numerator.exact_div(g)
-        den = denominator.exact_div(g)
-        if den.leading < 0:
-            num, den = -num, -den
-        self.numerator = num
-        self.denominator = den
+        self.numerator = numerator
+        self.denominator = denominator
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalPolyFraction):
             return (self.numerator * other.denominator) == (other.numerator * self.denominator)
-        if isinstance(other, IntPolynomial):
-            return self == RationalPolyFraction(other)
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.numerator.coeffs, self.denominator.coeffs))
 
     def __mul__(self, other: "RationalPolyFraction") -> "RationalPolyFraction":
         return RationalPolyFraction(
@@ -469,8 +372,6 @@ class RationalPolyFraction:
         )
 
     def __truediv__(self, other: "RationalPolyFraction") -> "RationalPolyFraction":
-        if other.numerator.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
         return RationalPolyFraction(
             self.numerator * other.denominator, self.denominator * other.numerator
         )
@@ -528,8 +429,10 @@ def psi_by_definition(n: int) -> RationalPolyFraction:
     """The modified cyclotomic rational function prod_{d|n} (1 - x**d)**mu(d).
 
     Built literally from the divisor product, with Moebius +1 factors in the
-    numerator and -1 factors in the denominator, then normalized to lowest
-    terms.  For n = 1 this is simply 1 - x.
+    numerator and -1 factors in the denominator.  One of the two always
+    divides the other: the result is their exact quotient, a polynomial over
+    1 or 1 over a polynomial, and exact_div's remainder check proves it.
+    For n = 1 this is simply 1 - x.
     """
     _check_positive(n)
     num = IntPolynomial.one()
@@ -540,7 +443,9 @@ def psi_by_definition(n: int) -> RationalPolyFraction:
             num = num * one_minus_x_power(d)
         elif m == -1:
             den = den * one_minus_x_power(d)
-    return RationalPolyFraction(num, den)
+    if num.degree >= den.degree:
+        return RationalPolyFraction(num.exact_div(den))
+    return RationalPolyFraction(IntPolynomial.one(), den.exact_div(num))
 
 
 def psi_reduced(n: int) -> tuple[IntPolynomial, int]:

@@ -146,7 +146,8 @@ def run_identity(spec: IdentitySpec, tolerance_digits: int | None = None) -> Ver
     A left side whose own error estimate backs fewer digits than the
     tolerance fails too, and its report says so.  Without tolerance_digits
     the identity's own tolerance applies, capped, for a left side with an
-    estimate, at one digit less than the estimate backs.
+    estimate, at one digit less than the estimate backs, but never below one
+    digit: a tolerance of 0 would pass sides that agree to nothing.
     """
     t0 = time.perf_counter()
     own = tolerance_digits is None
@@ -171,7 +172,7 @@ def run_identity(spec: IdentitySpec, tolerance_digits: int | None = None) -> Ver
         )
     backed = _backed_digits(info)
     if own and backed is not None:
-        tolerance_digits = max(0, min(tolerance_digits, backed - 1))
+        tolerance_digits = max(1, min(tolerance_digits, backed - 1))
     report = compare(lhs, rhs, tolerance_digits, spec.prec,
                      identity=spec.id, params=_report_params(spec, info))
     if backed is not None and backed < tolerance_digits:

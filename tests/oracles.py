@@ -12,7 +12,6 @@ values Gamma(-1/2), Gamma(9/2) and Gamma(6), and |Gamma(1/2 + it)|^2 and
 """
 
 import math
-from fractions import Fraction
 
 import mpmath
 
@@ -57,26 +56,6 @@ def cyclotomic_by_mobius(n: int) -> IntPolynomial:
         elif mu == -1:
             den = den * IntPolynomial.x_power_minus_one(n // d)
     return num.exact_div(den)
-
-
-def monic_gcd_euclid(f: IntPolynomial, g: IntPolynomial) -> list:
-    """Monic gcd of two nonzero polynomials by Euclid's algorithm over Q.
-
-    Coefficients are Fractions, lowest degree first.  Alternate route to the
-    package's subresultant remainder sequence over Z.
-    """
-    a = [Fraction(c) for c in f.coeffs]
-    b = [Fraction(c) for c in g.coeffs]
-    while b:
-        while len(a) >= len(b):  # a <- a mod b
-            c = a[-1] / b[-1]
-            off = len(a) - len(b)
-            for j, bc in enumerate(b):
-                a[off + j] -= c * bc
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return [c / a[-1] for c in a]
 
 
 def rel_diff(a, b) -> float:

@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from qprod import characters
 from qprod.characters import (
     DirichletCharacter,
     RootOfUnity,
     enumerate_characters,
     legendre_character,
 )
-from qprod.numtheory import jacobi_symbol, totient
+from qprod.numtheory import factorize, jacobi_symbol, totient
 from qprod.qfunc import Precision, context
 
 
@@ -22,6 +23,8 @@ def test_root_of_unity_normalization():
     assert RootOfUnity(-1, 4) == RootOfUnity(3, 4)
     assert RootOfUnity.one() == RootOfUnity(0, 1)
     assert RootOfUnity.from_fraction(Fraction(3, 12)) == RootOfUnity(1, 4)
+    with pytest.raises(ValueError, match="order must be positive"):
+        RootOfUnity(1, 0)
 
 
 def test_root_of_unity_algebra():
@@ -108,6 +111,18 @@ def test_legendre_character():
         legendre_character(2)
     with pytest.raises(ValueError):
         legendre_character(9)
+
+
+def test_primitive_root_lifts_to_the_prime_square():
+    # 5 is the least primitive root mod 40487, but 5^40486 = 1 mod 40487^2,
+    # so the generator mod 40487^2 is 5 + 40487
+    p = 40487
+    assert characters._primitive_root_mod_prime_power(p, 1) == 5
+    assert pow(5, p - 1, p * p) == 1
+    g = characters._primitive_root_mod_prime_power(p, 2)
+    assert g == 40492
+    order = p * (p - 1)
+    assert all(pow(g, order // r, p * p) != 1 for r, _ in factorize(order))
 
 
 def test_enumeration_counts_and_distinctness():
@@ -240,6 +255,8 @@ def test_character_json_roundtrip():
 def test_character_validation():
     with pytest.raises(ValueError):
         DirichletCharacter(0, ())
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        enumerate_characters(0)
     with pytest.raises(ValueError):
         DirichletCharacter(4, (1, 1))  # wrong exponent arity
 

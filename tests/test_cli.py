@@ -198,6 +198,27 @@ def test_verify_thm4_default_tolerance_follows_blocks(capsys):
     assert "(tolerance 13)" in out and "PASS" in out
 
 
+def test_verify_default_tolerance_is_at_least_one_digit(capsys):
+    # at z = 1000 a thousand blocks leave an estimate of 0.41, which backs no
+    # digit; the sides are e+186 against -0.001, so a default of 0 digits
+    # would pass them
+    code, out, err = run(capsys, "verify", "--id", "thm4", "--modulus", "4",
+                         "--char-index", "1", "--z", "1000", "--blocks", "1000",
+                         "--digits", "30")
+    assert code == 1
+    assert "digits agreed: 0 (tolerance 1)" in out
+    assert "backs 0 digits, fewer than the tolerance 1" in out and "FAIL" in out
+
+
+def test_verify_vacuous_comparison_says_so(capsys):
+    # Gamma(50)^2 / Gamma(99), about 3.9e-29, is below 10^-20 on both sides
+    code, out, err = run(capsys, "verify", "--id", "cor2", "--alphas", "1,99",
+                         "--betas", "50,50", "--terms", "100000", "--digits", "20")
+    assert code == 0
+    assert "note:          vacuous comparison (both sides ~ 0)" in out.splitlines()
+    assert "PASS" in out
+
+
 @pytest.mark.parametrize("argv", [
     "--id thm5 --modulus 4 --char-index 1 --z 0.5 --q 0.5 --digits 30",
     "--id ex1a --digits 30",
@@ -289,7 +310,7 @@ def test_evaluator_arithmetic_errors_exit_two_with_a_message(capsys, monkeypatch
     def raises(*args):
         raise error
 
-    monkeypatch.setattr(cli, "qgamma_ctx", raises)
+    monkeypatch.setattr(cli, "qgamma", raises)
     code, out, err = run(capsys, "eval", "qgamma", "--x", "0.5", "--q", "0.5")
     assert (code, out, err) == (2, "", f"error: {error}\n")
 

@@ -208,6 +208,10 @@ def test_geometric_terms_settles_a_near_integer_solution(qs):
             least = next(n for n in range(2 * j) if mag * q**n / (1 - q) < eps)
             assert least == expect
             assert geometric_terms(mag, q, ctx) == expect
+    # a zero magnitude, and one whose logarithm is below the float range,
+    # need no factor
+    assert geometric_terms(ctx.mpf(0), q, ctx) == 0
+    assert geometric_terms(ctx.mpf(2) ** -(10**400), q, ctx) == 0
 
 
 def test_kernel_complex_and_finite_counts():

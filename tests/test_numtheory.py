@@ -7,8 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import cyclotomic_by_mobius, monic_gcd_euclid
-from qprod import numtheory
+from oracles import cyclotomic_by_mobius
 from qprod.numtheory import (
     ArithValue,
     IntPolynomial,
@@ -19,7 +18,6 @@ from qprod.numtheory import (
     jacobi_symbol,
     mobius,
     one_minus_x_power,
-    poly_gcd,
     psi_by_definition,
     psi_reduced,
     radical,
@@ -39,6 +37,9 @@ def test_factorize():
         factorize(0)
     with pytest.raises(ValueError):
         factorize(-6)
+    for not_int in (2.0, True):
+        with pytest.raises(ValueError, match="positive integer"):
+            factorize(not_int)
 
 
 def test_divisors():
@@ -106,6 +107,8 @@ def test_jacobi_symbol():
         jacobi_symbol(2, 4)
     with pytest.raises(ValueError):
         jacobi_symbol(2, -3)
+    with pytest.raises(ValueError, match="numerator"):
+        jacobi_symbol(1.5, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +126,11 @@ def test_polynomial_basics():
     assert one_minus_x_power(3).coeffs == (1, 0, 0, -1)
     with pytest.raises(ValueError):
         IntPolynomial((1, Fraction(1, 2)))
+    with pytest.raises(ValueError, match="no leading coefficient"):
+        IntPolynomial.zero().leading
+    assert IntPolynomial.zero().substitute_power(3).is_zero
+    # a polynomial equals only a polynomial, never an int
+    assert IntPolynomial.one() != 1
 
 
 def test_polynomial_arithmetic():
@@ -136,6 +144,11 @@ def test_polynomial_arithmetic():
         x3m1.exact_div(IntPolynomial((1, 1)))
     with pytest.raises(ZeroDivisionError):
         x3m1.exact_div(IntPolynomial.zero())
+    assert IntPolynomial((1,)) + xm1 == IntPolynomial((0, 1))
+    assert (x3m1 * IntPolynomial.zero()).is_zero
+    assert IntPolynomial.zero().exact_div(xm1).is_zero
+    with pytest.raises(ValueError):
+        xm1.exact_div(x3m1)
 
 
 def test_polynomial_evaluate_and_substitute():
@@ -159,31 +172,6 @@ def test_polynomial_str_and_json():
     assert IntPolynomial.from_json(p.to_json()) == p
 
 
-def test_polynomial_content():
-    assert IntPolynomial((6, -9, 12)).content() == 3
-    assert IntPolynomial((5,)).content() == 5
-    assert IntPolynomial.zero().content() == 0
-
-
-def test_poly_gcd():
-    phi6 = cyclotomic(6)
-    f = phi6 * IntPolynomial((1, 1))
-    g = phi6 * IntPolynomial((-1, 1))
-    assert poly_gcd(f, g) == phi6
-    # coprime inputs give a constant gcd with the content
-    assert poly_gcd(IntPolynomial((1, 1)), IntPolynomial((-1, 1))) == IntPolynomial.one()
-    assert poly_gcd(IntPolynomial((2, 2)), IntPolynomial((-4, 4))) == IntPolynomial((2,))
-    # gcd divides both inputs exactly
-    for n in (4, 9, 15, 30):
-        a = cyclotomic(n) * IntPolynomial.x_power_minus_one(2)
-        b = cyclotomic(n) * IntPolynomial((3, 0, 1))
-        gg = poly_gcd(a, b)
-        a.exact_div(gg)
-        b.exact_div(gg)
-        assert gg.leading > 0
-    assert poly_gcd(IntPolynomial.zero(), phi6) == phi6
-
-
 def test_exact_div_non_unit_leading_coefficient():
     two_x_plus_one = IntPolynomial((1, 2))
     f = two_x_plus_one * IntPolynomial((3, 1))
@@ -194,42 +182,6 @@ def test_exact_div_non_unit_leading_coefficient():
         IntPolynomial((1, 1)).exact_div(IntPolynomial((1, 2)))
     with pytest.raises(ValueError):
         IntPolynomial((2, 0, 2)).exact_div(IntPolynomial((1, 2)))
-    # lowest terms through a non-monic common factor
-    g = two_x_plus_one * IntPolynomial((-5, 1))
-    r = RationalPolyFraction(f, g)
-    assert (r.numerator, r.denominator) == (IntPolynomial((3, 1)), IntPolynomial((-5, 1)))
-
-
-def test_poly_gcd_non_monic():
-    two_x_plus_one = IntPolynomial((1, 2))
-    f = two_x_plus_one * IntPolynomial((3, 1))
-    g = two_x_plus_one * IntPolynomial((-5, 1))
-    assert poly_gcd(f, g) == two_x_plus_one
-    # the contents 6 and 4 contribute their gcd 2
-    assert poly_gcd(IntPolynomial((6,)) * f, IntPolynomial((4,)) * g) == IntPolynomial((2, 4))
-    # a remainder sequence whose degree drops by more than one in a step
-    assert poly_gcd(IntPolynomial((0, 0, 0, 4, 0, 3)),
-                    IntPolynomial((-4, 0, 13, -16, 28, -12, 12))) == IntPolynomial((4, 0, 3))
-
-
-def test_poly_gcd_degree_gap_above_one(monkeypatch):
-    # Knuth's pair (TAOCP vol. 2, 4.6.1), whose first remainders drop two
-    # degrees a step, each times 2x + 1
-    u = IntPolynomial((-5, 2, 8, -3, -3, 0, 1, 0, 1))
-    v = IntPolynomial((21, -9, -4, 0, 5, 0, 3))
-    two_x_plus_one = IntPolynomial((1, 2))
-    f, g = two_x_plus_one * u, two_x_plus_one * v
-    assert monic_gcd_euclid(f, g) == [Fraction(1, 2), 1]
-    assert poly_gcd(f, g) == two_x_plus_one
-    assert poly_gcd(g, f) == two_x_plus_one
-    # the pair's own remainder sequence is its published subresultant PRS,
-    # up to sign: v, 15x^4 - 3x^2 + 9, 65x^2 + 125x - 245, 9326x - 12300
-    seen = []
-    pseudo_rem = numtheory._pseudo_rem
-    monkeypatch.setattr(numtheory, "_pseudo_rem", lambda a, b: seen.append(b) or pseudo_rem(a, b))
-    assert poly_gcd(u, v) == IntPolynomial((1,))
-    assert [[c if b[-1] > 0 else -c for c in b] for b in seen] == [
-        list(v.coeffs), [9, 0, -3, 0, 15], [-245, 125, 65], [-12300, 9326]]
 
 
 def test_polynomial_hash_and_repr():
@@ -237,7 +189,7 @@ def test_polynomial_hash_and_repr():
     assert hash(p) == hash(IntPolynomial([1, -2, 3, 0])) and eval(repr(p)) == p
     r = RationalPolyFraction(IntPolynomial((2, 2)), IntPolynomial((-4, 0, 4)))
     same = RationalPolyFraction(IntPolynomial((-1,)), IntPolynomial((2, -2)))
-    assert r == same and hash(r) == hash(same) and eval(repr(r)) == r
+    assert r == same and eval(repr(r)) == r
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +239,6 @@ def test_cyclotomic_105_has_coefficient_two():
 # RationalPolyFraction and the Psi reduction
 
 
-def test_rational_fraction_normalization():
-    one = IntPolynomial.one()
-    x2m1 = IntPolynomial.x_power_minus_one(2)
-    xm1 = IntPolynomial.x_power_minus_one(1)
-    f = RationalPolyFraction(xm1, x2m1)  # (x-1)/(x^2-1) = 1/(x+1)
-    assert f.numerator == one
-    assert f.denominator == IntPolynomial((1, 1))
-    # denominator leading coefficient is kept positive
-    g = RationalPolyFraction(one, -x2m1)
-    assert g.denominator.leading > 0
-    assert RationalPolyFraction(IntPolynomial.zero(), x2m1).numerator.is_zero
-    assert RationalPolyFraction(IntPolynomial.zero(), x2m1).denominator == one
-
-
 def test_rational_fraction_algebra():
     one = IntPolynomial.one()
     a = RationalPolyFraction(IntPolynomial((1, 1)), one)
@@ -312,6 +250,17 @@ def test_rational_fraction_algebra():
     rt = RationalPolyFraction.from_json(b.to_json())
     assert rt == b
     assert str(b) == "(1) / (1 + x)"
+    # kept as given: no common factor is divided out and no sign moves
+    r = RationalPolyFraction(IntPolynomial((1, -1)), IntPolynomial((-1, 0, 1)))
+    assert (r.numerator, r.denominator) == (IntPolynomial((1, -1)), IntPolynomial((-1, 0, 1)))
+    assert r == RationalPolyFraction(-one, IntPolynomial((1, 1)))
+    assert r != IntPolynomial((1, -1))
+    with pytest.raises(TypeError):
+        hash(r)
+    with pytest.raises(ZeroDivisionError):
+        RationalPolyFraction(one, IntPolynomial.zero())
+    with pytest.raises(ZeroDivisionError):
+        a / RationalPolyFraction(IntPolynomial.zero())
 
 
 def test_psi_by_definition_small():
@@ -334,6 +283,10 @@ def test_psi_reduced_matches_definition():
             assert direct == RationalPolyFraction(poly, IntPolynomial.one())
         else:
             assert direct == RationalPolyFraction(IntPolynomial.one(), poly)
+        # the exact quotient is the reduced form, coefficient for coefficient
+        one = IntPolynomial.one()
+        parts = (poly, one) if exponent == 1 else (one, poly)
+        assert (direct.numerator, direct.denominator) == parts, n
 
 
 def test_psi_n1_sign_case():

@@ -29,6 +29,7 @@ from qprod.qfunc import (
     qgamma_ctx,
     qpoch_inf_ctx,
     qpochhammer,
+    to_hp,
     working_eps,
 )
 
@@ -76,6 +77,9 @@ def test_parse_number():
     assert z.real == ctx.mpf("1.2") and z.imag == ctx.mpf("-0.5")
     assert parse_number("2i", ctx) == ctx.mpc(0, 2)
     assert parse_number("-i", ctx) == ctx.mpc(0, -1)
+    # a bare sign before the i is an imaginary part of one
+    assert parse_number("0.5+i", ctx) == ctx.mpc("0.5", 1)
+    assert parse_number("2-i", ctx) == ctx.mpc(2, -1)
     assert parse_number("1e-3", ctx) == ctx.mpf("0.001")
     lit = parse_number("e^-pi", ctx)
     assert abs(lit - ctx.exp(-ctx.pi)) == 0
@@ -83,11 +87,18 @@ def test_parse_number():
     for junk in ("", "zebra", "1+2", "e^-3pi"):
         with pytest.raises(ValueError):
             parse_number(junk, ctx)
+    with pytest.raises(ValueError, match="cannot interpret"):
+        to_hp(object(), ctx)
+    with pytest.raises(ValueError, match="non-finite"):
+        to_hp("inf", ctx)
 
 
 def test_as_q_domain():
     ctx = context(Precision(20))
     assert as_q("0.5", ctx) == ctx.mpf("0.5")
+    # a zero imaginary part leaves a real q
+    q = as_q("0.5+0i", ctx)
+    assert q == ctx.mpf("0.5") and not isinstance(q, ctx.mpc)
     for bad in ("0", "1", "1.5", "-0.2", "0.5+0.1i"):
         with pytest.raises(ValueError):
             as_q(bad, ctx)
