@@ -281,14 +281,11 @@ def _value_table(k: int, exponents: tuple[int, ...]) -> dict[int, RootOfUnity]:
 @lru_cache(maxsize=None)
 def _conductor(k: int, exponents: tuple[int, ...]) -> int:
     chi_table = _value_table(k, exponents)
-    for f in divisors(k):
-        if all(
-            chi_table[a % k].is_one
-            for a in range(1, k + 1)
-            if a % f == 1 % f and math.gcd(a, k) == 1
-        ):
-            return f
-    return k  # unreachable: f = k always qualifies
+    # f = k always qualifies
+    return next(
+        f for f in divisors(k)
+        if all(chi_table[a % k].is_one for a in range(1, k + 1) if a % f == 1 % f and math.gcd(a, k) == 1)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,14 @@ does its work inside the mpmath context for digits + guard decimal digits.
 There is one such context per working precision, created on first use and
 shared afterwards; nothing changes its precision, and mpmath's global mp is
 never touched.  So identical inputs at an identical Precision give
-bit-identical results.  Every comparison with the working epsilon 10^-dps,
-a truncation rule's or a pole check's, takes it from working_eps(ctx),
-computed once per context.
+bit-identical results.  A kernel that needs more digits than its caller's
+context, the split and the Euler function's eta route below, takes them as a
+bit precision on mpmath.libmp, calling the mpf_ and mpc_ functions mpmath's
+own operators would, in the same order, and rounds its result once into the
+caller's context: creating a context costs 0.2 to 0.8 ms (CPython 3.11),
+since mpmath wraps every function anew.  Every comparison with the working
+epsilon 10^-dps, a truncation rule's or a pole check's, takes it from
+working_eps(ctx), computed once per context.
 
 That determinism lets three layers compute each value once per process.
 geometric_product, the kernel behind every q-product, euler_function and
@@ -18,11 +23,12 @@ one), the context's working bits and digits, and its own parameters.
 Those are geometric_product's n, polynomial coefficients and pole eps (the
 pole's message only words an error), euler_function's n and d, and
 qgamma_ctx's guard, which decides whether a value near a pole is computed
-again.  The Euler function's and Gamma_q's keys begin with "euler" and
-"qgamma".  A repeat returns the bits the call would compute, in the
-caller's context's own type.  Only results are stored, never a raised
-error, and past _MEMO_SIZE entries the oldest one goes.  The memo lives in
-the process only.
+again.  The split's head runs geometric_product's loop outside the memo:
+over the default suite no head is asked for twice.  The Euler function's
+and Gamma_q's keys begin with "euler" and "qgamma".  A repeat returns the
+bits the call would compute, in the caller's context's own type.  Only
+results are stored, never a raised error, and past _MEMO_SIZE entries the
+oldest one goes.  The memo lives in the process only.
 
 q is restricted to real 0 < q < 1; arguments x may be complex.  q**x always
 means exp(x * log q) with the real (principal) logarithm of q.
@@ -64,10 +70,11 @@ factors, then the tail (w; q)_inf, w = a q^K, from the exact rearrangement
 log (w; q)_inf = -sum_{j>=1} w^j / (j (1 - q^j)) for |w| < 1 (Gasper and
 Rahman, Basic Hypergeometric Series, ch. 1).  K and the J terms summed are
 each about sqrt(dps ln 10 / L), so the cost grows as 1/sqrt(1 - q).  The
-split runs in split_context(q, ctx), with log10(1/L) + 5 more digits, and,
-for Gamma_q, takes q^x there from x: it magnifies a rounding of q^x about
-log(1/L) / L times.  The left sides of THM1, THM5/COR6 and the examples call
-geometric_product themselves and stay direct.  Every side of an identity
+split runs with log10(1/L) + 5 more digits (_split_digits), as bits on
+mpmath.libmp, and, for Gamma_q, takes q^x there from x: it magnifies a
+rounding of q^x about log(1/L) / L times.  The left sides of THM1,
+THM5/COR6 and the examples call geometric_product themselves and stay
+direct.  Every side of an identity
 that takes q runs in split_context too and is rounded once (products._side).
 
 No kernel runs past _WORK_BUDGET factors (the split counts three for each
@@ -86,7 +93,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import to_fixed, to_rational
+from mpmath.libmp import (
+    dps_to_prec,
+    from_int,
+    from_man_exp,
+    mpc_exp,
+    mpc_mul,
+    mpc_mul_mpf,
+    mpc_pos,
+    mpf_div,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pi,
+    mpf_pos,
+    mpf_pow_int,
+    mpf_sqrt,
+    mpf_sub,
+    round_nearest,
+    to_fixed,
+    to_rational,
+)
 
 from .numtheory import cyclotomic, divisors, mobius
 
@@ -262,8 +290,17 @@ def _flog(x) -> float:
 
 
 def _float_log(q) -> float:
-    """log q as a float for 0 < q < 1, keeping its relative accuracy for q near 1."""
-    return _flog(q) if q < 0.5 else math.log1p(-float(1 - q))
+    """log q as a float for 0 < q < 1, keeping its relative accuracy for q near 1.
+
+    From the bits of q = man 2^exp: below 1/2 (bc + exp < 0) it is _flog(q);
+    from 1/2 on, 1 - q = (2^-exp - man) 2^exp is exact, and the int division
+    rounds it once to a float, as float(1 - q) does.
+    """
+    _, man, exp, bc = q._mpf_
+    if bc + exp < 0:
+        return _flog(q)
+    one = 1 << -exp
+    return math.log1p(-(one - man) / one)
 
 
 def geometric_terms(mag, q, ctx) -> int:
@@ -440,12 +477,22 @@ def geometric_product(a, q, ctx, n, poly=None, pole=None):
     Polynomial factors, one at a time with t -> t q, take that loop's N^2
     units and B without _BLOCK_GUARD.
 
-    Results are remembered in the module's memo.
+    Results are remembered in the module's memo; the loop itself,
+    _geometric_product, works on the bits of a and q at ctx's working bits.
     """
     a = ctx.convert(a)
-    key = (a._mpc_ if isinstance(a, ctx.mpc) else a._mpf_, q._mpf_, ctx.prec, ctx.dps, n,
+    bits = a._mpc_ if isinstance(a, ctx.mpc) else a._mpf_
+    key = (bits, q._mpf_, ctx.prec, ctx.dps, n,
            None if poly is None else poly.coeffs, None if pole is None else pole[0]._mpf_)
-    return _remembered(key, ctx, _geometric_product, a, q, ctx, n, poly, pole)
+    return _remembered(key, ctx, _geometric_value, bits, q._mpf_, ctx, n, poly, pole)
+
+
+def _geometric_value(a, q, ctx, n, poly, pole):
+    """_geometric_product at ctx's working bits, as an mpf or mpc of ctx."""
+    m, mi, e = _geometric_product(a, q, ctx.prec, n, poly, pole)
+    if mi is None:
+        return ctx.mpf((m, e))
+    return ctx.mpc(ctx.mpf((m, e)), ctx.mpf((mi, e)))
 
 
 # Factors per block of a direct product with |a q^k| <= 1/2 (geometric_product),
@@ -546,16 +593,21 @@ def _block_size(bits, left, qf, B):
     return s, _blocks(qf, B, s), up
 
 
-def _geometric_product(a, q, ctx, n, poly, pole):
+def _geometric_product(a, q, prec, n, poly, pole):
+    """geometric_product's loop at prec working bits; returns (m, mi, e), the product (m + i mi) 2^e.
+
+    a is an mpf's bits, a 4-tuple, or an mpc's, a pair of them; q an mpf's
+    bits.  mi is None for a real a.
+    """
     _check_budget(n)
-    B = ctx.prec + 2 * n.bit_length() + 20 + (_BLOCK_GUARD if poly is None else 0)
+    B = prec + 2 * n.bit_length() + 20 + (_BLOCK_GUARD if poly is None else 0)
     one = 1 << B
     half = one >> 1
-    qf = to_fixed(q._mpf_, B)
+    qf = to_fixed(q, B)
     pe = to_fixed(pole[0]._mpf_, B) if pole is not None else 0
     m, e = one, -B  # the running product is m * 2^e
     if poly is not None:
-        t = to_fixed(a._mpf_, B)
+        t = to_fixed(a, B)
         head, *rest = [c << B for c in reversed(poly.coeffs)]
         for _ in range(n):
             v = head
@@ -566,9 +618,9 @@ def _geometric_product(a, q, ctx, n, poly, pole):
             m = m >> s if s >= 0 else m << -s
             e += s - B
             t = t * qf >> B
-        return ctx.mpf((m, e))
-    if isinstance(a, ctx.mpc):
-        tr, ti = (to_fixed(part, B) for part in a._mpc_)
+        return m, None, e
+    if len(a) == 2:  # an mpc's parts
+        tr, ti = (to_fixed(part, B) for part in a)
         mi = 0
         k = 0
         while k < n:
@@ -611,7 +663,7 @@ def _geometric_product(a, q, ctx, n, poly, pole):
             if -pe < fr < pe and -pe < ti < pe and fr * fr + ti * ti < pe * pe:
                 raise SingularArgumentError(pole[1](k))
             if not (fr or ti):
-                return ctx.mpc(0)
+                return 0, 0, 0
             m, mi = m * fr + mi * ti, mi * fr - m * ti
             s = max(m.bit_length(), mi.bit_length()) - B
             m >>= s
@@ -620,8 +672,8 @@ def _geometric_product(a, q, ctx, n, poly, pole):
             tr = tr * qf >> B
             ti = ti * qf >> B
             k += 1
-        return ctx.mpc(ctx.mpf((m, e)), ctx.mpf((mi, e)))
-    t = to_fixed(a._mpf_, B)
+        return m, mi, e
+    t = to_fixed(a, B)
     k = 0
     while k < n:
         if n - k >= _BLOCK and -half <= t <= half:
@@ -652,14 +704,14 @@ def _geometric_product(a, q, ctx, n, poly, pole):
         if -pe < f < pe:
             raise SingularArgumentError(pole[1](k))
         if not f:
-            return ctx.mpf(0)
+            return 0, None, 0
         m *= f
         s = m.bit_length() - B
         m >>= s
         e += s - B
         t = t * qf >> B
         k += 1
-    return ctx.mpf((m, e))
+    return m, None, e
 
 
 def _fixed_parts(x, B):
@@ -970,19 +1022,23 @@ def rational_zeros(values, start, stop, ctx) -> list:
     )
 
 
-# Direct factors below which (q; q)_inf stays a direct product.  Measured
-# with geometric_product against the Euler path on the pure-Python mpmath
-# backend (CPython 3.11, 2 cores): the Euler path costs 0.052-0.060 ms at 40
-# and 60 working digits and 0.072-0.076 ms at 110, about what a direct
-# (q; q)_inf of its whole tail-rule count costs at 4,000 to 6,000 factors
-# (0.050 ms for 3,138 and 0.061 ms for 4,752 at 40 digits, 0.052 ms for
-# 4,650 at 60, 0.070 ms for 4,996 at 110).  The crossover sits lower, because
-# products shorter than it keep the bits the default suite was pinned with:
-# at 400, the THM3_FULL n = 2 and n = 3 entries at q = 0.6 agree to 59
-# digits instead of 60, and at 1,000 no suite entry agrees to fewer digits
-# than before; what a higher crossover does to those bits was not measured.
-# The same count also sends any other (a; q)_inf to _qpoch_split.  That
-# crossover was not measured either.
+# Direct factors below which (q; q)_inf stays a direct product; the same
+# count sends any other (a; q)_inf to _qpoch_split.  Measured on the
+# pure-Python mpmath backend (CPython 3.11, 2 cores, best of 7, the direct
+# product's block tables warm), against a direct product of the whole
+# tail-rule count: the eta route costs 0.033 ms at 40 working digits, 0.036
+# ms at 60 and 0.051 ms at 110, and breaks even at about 2,100, 2,750 and
+# 3,100 factors (0.037 ms for 2,335 at 40 digits, 0.037 ms for 2,751 at 60,
+# 0.050 ms for 3,067 at 110).  The split of (q^(1/2); q)_inf breaks even at
+# about 3,700, 7,000 and 14,000 factors (0.051 ms against 0.053 ms for
+# 3,784 at 40, 0.076 ms for both at 7,032 at 60, 0.143 ms against 0.135 ms
+# for 12,731 and 0.157 ms against 0.168 ms for 17,037 at 110).  The
+# crossover sits lower, because products shorter than it keep the bits the
+# default suite was pinned with: at 400, the THM3_FULL n = 2 and n = 3
+# entries at q = 0.6 agree to 59 digits instead of 60, and at 1,000 no suite
+# entry agrees to fewer digits than before; what a higher crossover does to
+# those bits was not measured.  A higher one would also hand more Gamma_q
+# denominators the same direct kernel calls the left sides make.
 _EULER_CROSSOVER = 1000
 
 
@@ -1001,11 +1057,12 @@ def euler_function(q, ctx, n=1, d=1):
     y' = exp(-4 pi^2 / L).  L comes from log q itself, so y is never rounded.
     The closed part runs with g more digits, g = log10(pi^2 / (6 L)) plus a
     margin, because exp(-pi^2 / (6 L)) turns the relative error of its large
-    argument into the same absolute error.  The short product (y'; y')_inf
-    goes through geometric_product in ctx.
+    argument into the same absolute error; they are a bit precision on
+    mpmath.libmp, and the closed part and y' are each rounded once to ctx.
+    The short product (y'; y')_inf goes through geometric_product in ctx.
 
-    q is first converted into ctx, so every step rounds there.  The value
-    is remembered in the module's memo.
+    q is first converted into ctx, so every step outside the closed part
+    rounds there.  The value is remembered in the module's memo.
     """
     q = ctx.convert(q)
     key = ("euler", q._mpf_, ctx.prec, ctx.dps, n, d)
@@ -1018,11 +1075,18 @@ def _euler_function(q, ctx, n, d):
     lq = -_float_log(y)
     if count < _EULER_CROSSOVER or lq > 2 * math.pi:
         return geometric_product(y, y, ctx, n=count)
-    hi = _context_at(ctx.dps + max(0, math.ceil(math.log10(math.pi**2 / (6 * lq)))) + 5)
-    L = -d * hi.log(hi.mpf(q)) / n
-    pi = hi.pi
-    closed = hi.sqrt(2 * pi / L) * hi.exp(L / 24 - pi**2 / (6 * L))
-    t = ctx.mpf(hi.exp(-4 * pi**2 / L))
+    prec = dps_to_prec(ctx.dps + max(0, math.ceil(math.log10(math.pi**2 / (6 * lq)))) + 5)
+    rnd = round_nearest
+    log_q = mpf_log(mpf_pos(q._mpf_, prec, rnd), prec, rnd)
+    L = mpf_div(mpf_mul_int(log_q, -d, prec, rnd), from_int(n), prec, rnd)  # -d log(q) / n
+    pi = mpf_pi(prec, rnd)
+    pi2 = mpf_pow_int(pi, 2, prec, rnd)
+    root = mpf_sqrt(mpf_div(mpf_mul_int(pi, 2, prec, rnd), L, prec, rnd), prec, rnd)  # sqrt(2 pi / L)
+    # L/24 - pi^2 / (6 L)
+    power = mpf_sub(mpf_div(L, from_int(24), prec, rnd), mpf_div(pi2, mpf_mul_int(L, 6, prec, rnd), prec, rnd),
+                    prec, rnd)
+    closed = mpf_mul(root, mpf_exp(power, prec, rnd), prec, rnd)
+    t = ctx.mpf(mpf_exp(mpf_div(mpf_mul_int(pi2, -4, prec, rnd), L, prec, rnd), prec, rnd))  # y'
     return ctx.mpf(closed) * geometric_product(t, t, ctx, n=geometric_terms(t, t, ctx))
 
 
@@ -1057,12 +1121,18 @@ def psi_product(r, q, ctx, n=1):
 
 
 def split_context(q, ctx):
-    """The context _qpoch_split runs in at q: ctx's digits plus log10(1/L) + 5, L = -log q.
+    """The context of _split_digits(q, ctx) digits: ctx's digits plus log10(1/L) + 5, L = -log q.
 
-    The split magnifies a rounding of its inputs about log(1/L) / L times;
-    every side of an identity that takes q runs here too (products._side).
+    The split magnifies a rounding of its inputs about log(1/L) / L times,
+    and takes those digits as bits on mpmath.libmp; every side of an
+    identity that takes q runs in this context (products._side).
     """
-    return _context_at(ctx.dps + max(0, math.ceil(-math.log10(-_float_log(q)))) + 5)
+    return _context_at(_split_digits(q, ctx))
+
+
+def _split_digits(q, ctx) -> int:
+    """The working digits of the split at q: ctx's digits plus log10(1/L) + 5, L = -log q."""
+    return ctx.dps + max(0, math.ceil(-math.log10(-_float_log(q)))) + 5
 
 
 def _split_sizes(a, q, ctx):
@@ -1072,10 +1142,9 @@ def _split_sizes(a, q, ctx):
     log_a = _flog(abs(a))
     K = max(0, math.ceil((log_a + c) / L))
     lam = K * L - log_a  # -log |w|, at least c
-    g = split_context(q, ctx).dps - ctx.dps
     # the least J with (J + 1) lam + log(J + 1) >= T, taking log(J + 1) at
     # the lower bound (T - log(T / lam)) / lam of J + 1
-    T = (ctx.dps + g) * _LN10 - math.log(-math.expm1(-L)) - math.log(-math.expm1(-lam))
+    T = _split_digits(q, ctx) * _LN10 - math.log(-math.expm1(-L)) - math.log(-math.expm1(-lam))
     low = max(1.0, (T - math.log(T / lam)) / lam)
     return K, max(1, math.ceil((T - math.log(low)) / lam) - 1)
 
@@ -1084,8 +1153,9 @@ def _qpoch_split(a, q, ctx, pole, x=None):
     """(a; q)_inf as K direct factors times exp(-S), the log series of the rest.
 
     K is the least k with |a| q^k <= e^-c, c = sqrt(dps ln 10 L), L = -log q.
-    The head prod_{k<K} (1 - a q^k) is geometric_product with the caller's
-    pole check; no later factor can vanish, since |a q^k| <= e^-c < 1.  With
+    The head prod_{k<K} (1 - a q^k) is geometric_product's loop with the
+    caller's pole check, outside the memo; no later factor can vanish, since
+    |a q^k| <= e^-c < 1.  With
     w = a q^K the tail is exact: log (w; q)_inf = -S,
 
         S = sum_{j>=1} w^j / (j (1 - q^j)),
@@ -1101,7 +1171,10 @@ def _qpoch_split(a, q, ctx, pole, x=None):
     error into the same relative error.  So the head, w = a exp(K log q) and
     exp(-S) run with g = log10(1/L) + 5 more digits, from the exact bits of
     q and of a, or, given x, of a = exp(x log q) computed there: a rounded
-    to working precision would cost up to log10(log(1/L) / L) digits.  S
+    to working precision would cost up to log10(log(1/L) / L) digits.  Those
+    digits are prec = dps_to_prec(dps + g) bits on mpmath.libmp, the
+    functions and the order mpmath's operators would take in a context of
+    dps + g digits, and the result is rounded once to ctx.  S
     itself runs on ints scaled by 2^B, a complex value a pair of them: a
     term's 1 - q^j is off by at most min(j, 1/(1-q)) units, about 1/L units
     relative to its size, so B adds log2(1/L) + 2 log2 J + 20 bits to those
@@ -1110,17 +1183,24 @@ def _qpoch_split(a, q, ctx, pole, x=None):
     K, J = _split_sizes(a, q, ctx)
     _check_budget(3 * (K + J))
     L = -_float_log(q)
-    hi = split_context(q, ctx)
-    hq = hi.mpf(q)
-    log_q = hi.log(hq)
-    a = hi.convert(a) if x is None else hi.exp(hi.convert(x) * log_q)
-    head = geometric_product(a, hq, hi, n=K, pole=pole)
-    w = a * hi.exp(K * log_q)
-    B = hi.prec + max(0, math.ceil(-math.log2(L))) + 2 * J.bit_length() + 20
+    prec, rnd = dps_to_prec(_split_digits(q, ctx)), round_nearest
+    hq = mpf_pos(q._mpf_, prec, rnd)
+    log_q = mpf_log(hq, prec, rnd)
+    is_complex = isinstance(a, ctx.mpc)
+    if x is None:
+        a = a._mpc_ if is_complex else a._mpf_
+    elif is_complex:
+        a = mpc_exp(mpc_mul_mpf(x._mpc_, log_q, prec, rnd), prec, rnd)
+    else:
+        a = mpf_exp(mpf_mul(x._mpf_, log_q, prec, rnd), prec, rnd)
+    m, mi, e = _geometric_product(a, hq, prec, K, None, pole)
+    qK = mpf_exp(mpf_mul_int(log_q, K, prec, rnd), prec, rnd)  # q^K; w = a q^K
+    B = prec + max(0, math.ceil(-math.log2(L))) + 2 * J.bit_length() + 20
     one = 1 << B
-    qf = qj = to_fixed(hq._mpf_, B)
-    wr, wi = _fixed_parts(w, B)
-    if isinstance(w, hi.mpc):
+    qf = qj = to_fixed(hq, B)
+    if is_complex:
+        head = from_man_exp(m, e, prec, rnd), from_man_exp(mi, e, prec, rnd)
+        wr, wi = (to_fixed(part, B) for part in mpc_mul_mpf(a, qK, prec, rnd))
         pr, pi, sr, si = wr, wi, 0, 0  # w^j and S
         for j in range(1, J + 1):
             d = j * (one - qj)
@@ -1128,13 +1208,16 @@ def _qpoch_split(a, q, ctx, pole, x=None):
             si += (pi << B) // d
             pr, pi = (pr * wr - pi * wi) >> B, (pr * wi + pi * wr) >> B
             qj = qj * qf >> B
-        return ctx.mpc(head * hi.exp(-hi.mpc(hi.mpf((sr, -B)), hi.mpf((si, -B)))))
-    p, s = wr, 0
+        minus_s = from_man_exp(-sr, -B, prec, rnd), from_man_exp(-si, -B, prec, rnd)
+        return ctx.make_mpc(mpc_pos(mpc_mul(head, mpc_exp(minus_s, prec, rnd), prec, rnd), ctx.prec, rnd))
+    head = from_man_exp(m, e, prec, rnd)
+    p = wr = to_fixed(mpf_mul(a, qK, prec, rnd), B)
+    s = 0
     for j in range(1, J + 1):
         s += (p << B) // (j * (one - qj))
         p = p * wr >> B
         qj = qj * qf >> B
-    return ctx.mpf(head * hi.exp(-hi.mpf((s, -B))))
+    return ctx.mpf(mpf_mul(head, mpf_exp(from_man_exp(-s, -B, prec, rnd), prec, rnd), prec, rnd))
 
 
 def qpoch_inf_ctx(a, q, ctx, pole_eps=None, x=None):
@@ -1212,8 +1295,8 @@ def qgamma_ctx(x, q, ctx, guard):
     Near a pole x = -n, n >= 0 the integer nearest to -Re x, the smallest
     factor 1 - q^(x+n) of the denominator is about |x + n| L, L = -log q,
     and forming it cancels log10(1 / (|x + n| L)) digits of q^x.  On the
-    split, which takes q^x in split_context(q, ctx), as many fewer are lost
-    as that context carries past ctx.  When this float estimate says more
+    split, which takes q^x with _split_digits(q, ctx) digits, as many fewer
+    are lost as they carry past ctx.  When this float estimate says more
     than `guard` digits are lost, the caller's guard digits, the value is
     computed again in a context with that many more digits plus
     _POLE_MARGIN, from the same bits of x and q; when it says more than the
@@ -1244,7 +1327,7 @@ def _qgamma_guarded(x, q, ctx, guard):
         return value
     lost = math.ceil(-math.log10(size)) if size else math.inf
     if geometric_terms(abs(ctx.exp(x * ctx.log(q))), q, ctx) >= _EULER_CROSSOVER:
-        lost -= split_context(q, ctx).dps - ctx.dps
+        lost -= _split_digits(q, ctx) - ctx.dps
     if lost <= guard:
         return value
     if lost > ctx.dps:

@@ -35,10 +35,13 @@ its whole tail, since its direct branch too takes the tail-rule count of
 (y; y)_inf.  So is the split of a long (a; q)_inf into a direct head and the
 log series of its tail, on drawn q and x, without a head, and at a pole in
 the head, and Gamma_q on the split against references that take q^x from x
-and q, not from q^x rounded to working precision.
+and q, not from q^x rounded to working precision.  The split and the eta
+route keep pinned bits and create no mpmath context, and _float_log, which
+both size their work by, is the float log1p of the exact 1 - q.
 """
 
 import dataclasses
+import functools
 import math
 import time
 from fractions import Fraction
@@ -1230,18 +1233,146 @@ def test_qgamma_at_drawn_q_and_x(qf, xr, xi, digits):
 
 def test_split_without_a_head():
     # |a| <= e^-c, c = sqrt(dps ln 10 L): K = 0, and the log series is the
-    # whole product; the geometric_product memo sees only the empty head
+    # whole product
     ctx = context(Precision(50))
     q = ctx.mpf("0.999")
     c = ctx.sqrt(ctx.dps * ctx.ln10 * -ctx.log(q))
     for a_text, headless in (("0.3", True), ("0.3+0.4i", True), ("0.9", False)):
         a = to_hp(a_text, ctx)
+        assert geometric_terms(abs(a), q, ctx) >= qfunc._EULER_CROSSOVER
         assert (abs(a) <= ctx.exp(-c)) == headless
-        qfunc._MEMO.clear()
-        qpoch_inf_ctx(a, q, ctx)
-        (key,) = qfunc._MEMO
-        assert (key[4] == 0) == headless
+        assert (qfunc._split_sizes(a, q, ctx)[0] == 0) == headless
         assert split_error(a, q, 50) <= 2 * ctx.mpf(10) ** -ctx.dps
+
+
+def hexbits(value):
+    """The bits of an mpf or mpc as hexadecimal m * 2^e, one per part."""
+    parts = value._mpc_ if hasattr(value, "_mpc_") else (value._mpf_,)
+    return " ".join(f"{'-' if sign else ''}0x{man:x}p{exp}" for sign, man, exp, _ in parts)
+
+
+# Gamma_q on the split and (y; y)_inf on the eta route, bit for bit: the
+# values mpmath's operators give in a context of the kernels' extra digits
+SPLIT_PINS = {
+    (60, "0.97", "0.3"): (
+        "0xbdbd1185f76bc9572a3304d4981aa706d0d04ca4bb55f1fea0385610ce1p-234"
+    ),
+    (60, "0.97", "1.8+0.2i"): (
+        "0x757780ccbbe3865c5440f260b89895a31073ba642526df11ddd2d9017c3p-235 0x1ab5a3ac216"
+        "81a6fb35bd299e1c5d963fa088cae7c6007381f6dc99c83bp-237"
+    ),
+    (60, "0.97", 1, 1): (
+        "0xf48fbbae6192692ad23091f0453a58ef278f284ed118044a663ecc98be7p-310"
+    ),
+    (60, "0.97", 3, 2): (
+        "0x9a55a213c2c5fe539f31454c232520cf665f08173ae131c9ff63b35c03dp-348"
+    ),
+    (60, "0.99", "0.3"): (
+        "0x5f71d744b58309cd255921929af6b2fab7ddf35105a6cc65584099fe1afp-233"
+    ),
+    (60, "0.99", "1.8+0.2i"): (
+        "0xeab00c730dd26e5cc519335638c096c0dda2731b149eeb99ec040e46357p-236 0x6bdf3259d1c"
+        "3ab680dd24a3b473612f0613c21b697f776e639a9d12ae6dp-239"
+    ),
+    (60, "0.99", 1, 1): (
+        "0xb77814decf3a4379a2bee0e5480d0b10e7dc89f8297dd1b269c2ec1b0cdp-467"
+    ),
+    (60, "0.99", 3, 2): (
+        "0xd7205644711f1629b0436723e3700ceab5d660ac118160152ca3846ac77p-585"
+    ),
+    (110, "0.97", "0.3"): (
+        "0x2f6f44617ddaf255ca8cc1352606a9c1b43413292ed57c7fa80e15843383f02ab945a00310478e"
+        "a94d2ac45768e5734155f07p-400"
+    ),
+    (110, "0.97", "1.8+0.2i"): (
+        "0x1d5de0332ef8e19715103c982e262568c41cee990949b7c47774b6405f0724112b0bce4320d5ed"
+        "07477402b7ee6709cc981fdp-401 0x1ab5a3ac21681a6fb35bd299e1c5d963fa088cae7c6007381"
+        "f6dc99c839bee0aba3333501ad927ec42199177a9b13f5a5c4f9p-405"
+    ),
+    (110, "0.97", 1, 1): (
+        "0x3d23eeeb98649a4ab48c247c114e963bc9e3ca13b4460112998fb32631c6ad7703f9888131026a"
+        "c66bbd819b05877d1863977p-476"
+    ),
+    (110, "0.97", 3, 2): (
+        "0x9a55a213c2c5fe539f31454c232520cf665f08173ae131c9ff63b35c0c083050d9036a48c26c90"
+        "5a22972524a381b7777d41p-512"
+    ),
+    (110, "0.99", "0.3"): (
+        "0x17dc75d12d60c27349564864a6bdacbeadf77cd44169b3195610267f86c28aa0704567ad5973d8"
+        "c1c496989864ed2e7175f13p-399"
+    ),
+    (110, "0.99", "1.8+0.2i"): (
+        "0x1d56018e61ba4dcb98a3266ac71812d81bb44e636293dd733d8081c8c6a8c714bc5a534018c374"
+        "1322e95d350e9cd2222a631p-401 0xd7be64b3a38756d01ba494768e6c25e0c278436d2feeedcc7"
+        "353a255cd2740204d044ff210d0e4d1b8ce69ade5260c4cad91p-404"
+    ),
+    (110, "0.99", 1, 1): (
+        "0x2dde0537b3ce90de68afb839520342c439f7227e0a5f746c9a70bb07055070115e84c8d8eae172"
+        "e7ce910240bc6c3ea6ee96dp-633"
+    ),
+    (110, "0.99", 3, 2): (
+        "0x35c815911c47c58a6c10d9c8f8dc033aad75982b046058054b28e11b26429689494ae66649bb50"
+        "819c5e7b18e1fa62318d953p-751"
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SPLIT_PINS, key=str))
+def test_split_and_eta_route_keep_their_bits(key):
+    digits, qs, *args = key
+    prec = Precision(digits)
+    ctx = context(prec)
+    q = ctx.mpf(qs)
+    if len(args) == 1:
+        x = to_hp(args[0], ctx)
+        assert geometric_terms(abs(ctx.exp(x * ctx.log(q))), q, ctx) >= qfunc._EULER_CROSSOVER
+        value = qfunc.qgamma_ctx(x, q, ctx, prec.guard)
+    else:
+        n, d = args
+        y = ctx.exp(ctx.log(q) * d / n)
+        assert geometric_terms(y, y, ctx) >= qfunc._EULER_CROSSOVER
+        value = euler_function(q, ctx, n, d)
+    assert hexbits(value) == SPLIT_PINS[key]
+
+
+def test_split_and_eta_route_create_no_context(monkeypatch):
+    # once the working context and the split context exist, the split, real
+    # and complex, with and without x, and the eta route add no context; a
+    # cache of contexts of the test's own holds only those two
+    monkeypatch.setattr(qfunc, "_context_at", functools.cache(_context_at.__wrapped__))
+    prec = Precision(60)
+    ctx = context(prec)
+    q = ctx.mpf("0.99")
+    split_context(q, ctx)
+    before = qfunc._context_at.cache_info().currsize
+    assert before == 2
+    qfunc._MEMO.clear()
+    for x_text in ("0.3", "1.8+0.2i"):
+        x = to_hp(x_text, ctx)
+        a = ctx.exp(x * ctx.log(q))
+        assert geometric_terms(abs(a), q, ctx) >= qfunc._EULER_CROSSOVER
+        qpoch_inf_ctx(a, q, ctx)
+        qfunc.qgamma_ctx(x, q, ctx, prec.guard)
+    for n, d in ((1, 1), (3, 2)):
+        euler_function(q, ctx, n, d)
+    assert qfunc._context_at.cache_info().currsize == before
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(20, 300), st.integers(0, 2**1100), st.integers(0, 2**1100))
+@example(20, 0, 0)  # q = 1/2
+def test_float_log_reads_the_bits_of_q(digits, low, shift):
+    # from 1/2 on, log1p of the exact 1 - q rounded once to a float; below
+    # it, log from the mantissa and the exponent
+    ctx = context(Precision(digits))
+    P = ctx.prec
+    man = (1 << P - 1) + low % (1 << P - 1)  # P bits
+    j = 1 + shift % (P - 1)
+    q = ctx.mpf((man, -P - j))  # below 2^-j
+    assert qfunc._float_log(q) == qfunc._flog(q)
+    q = ctx.mpf(((1 << P + j) - man, -P - j))  # 1 - man 2^(-P-j), rounded to P bits
+    assert 0.5 <= q < 1
+    assert qfunc._float_log(q) == math.log1p(-float(1 - q))
 
 
 @pytest.mark.parametrize("x_text", ["-1", "-5"])
@@ -1335,7 +1466,7 @@ def test_split_charges_three_factors_a_step(monkeypatch):
         raise AssertionError("the split's head product started")
 
     with monkeypatch.context() as patch:
-        patch.setattr(qfunc, "geometric_product", no_head)
+        patch.setattr(qfunc, "_geometric_product", no_head)
         for budget in (2 * (K + J), 3 * (K + J) - 1):
             patch.setattr(qfunc, "_WORK_BUDGET", budget)
             message = fails_fast(lambda: qfunc._qpoch_split(a, q, ctx, None, x=x))

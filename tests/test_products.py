@@ -379,3 +379,10 @@ def test_exact_fraction_entries():
         q=Fraction(1, 2), prec=Precision(60),
     )
     assert agree(spec, 58)
+
+
+@pytest.mark.parametrize("entry", [True, 0.5, context(Precision(30)).mpf("0.5")])
+def test_inexact_entries_are_not_taken_as_fractions(entry):
+    # a bool is not a count, and a float or an mpf is not an exact decimal:
+    # none of them is taken as a Fraction
+    assert products._exact_entry(entry) is None
