@@ -290,7 +290,7 @@ def _format_report_text(report) -> str:
     if report.error:
         lines.append(f"error:         {report.error}")
     if report.vacuous:
-        lines.append("note:          vacuous comparison (both sides ~ 0)")
+        lines.append("note:          vacuous comparison (both sides exactly 0)")
     verdict = "PASS" if report.passed else "FAIL"
     lines.append(f"result:        {verdict} ({report.elapsed_ms} ms)")
     return "\n".join(lines)

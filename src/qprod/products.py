@@ -45,6 +45,7 @@ from .qfunc import (
     SingularArgumentError,
     _context_at,
     _fixed_parts,
+    _remembered,
     as_q,
     context,
     euler_function,
@@ -52,6 +53,7 @@ from .qfunc import (
     geometric_product,
     geometric_terms,
     jackson_value,
+    log_ctx,
     psi_product,
     qgamma_ctx,
     qpoch_inf_ctx,
@@ -271,8 +273,10 @@ _CHI4 = DirichletCharacter(modulus=4, exponents=(1,))
 
 
 def _omega(ro, ctx):
-    """A character value as an exact int when real, else a unit-modulus complex."""
-    return ro.as_int() if ro.order <= 2 else ro.to_complex(ctx)
+    """A character value as an exact int when real, else a unit-modulus complex from the memo."""
+    if ro.order <= 2:
+        return ro.as_int()
+    return _remembered(("omega", ro, ctx.prec, ctx.dps), ctx, ro.to_complex, ctx)
 
 
 def _char_shift_lhs(chi, z, q, ctx, eps):
@@ -286,7 +290,7 @@ def _char_shift_lhs(chi, z, q, ctx, eps):
     first n >= 2.  A shifted factor below `eps` raises SingularArgumentError.
     """
     k = chi.modulus
-    lq = ctx.log(q)
+    lq = log_ctx(q, ctx)
     shifts: dict = {}
     dev = ctx.mpf(0)
     for j in range(k):
@@ -327,7 +331,7 @@ def _qgamma_coprime(n, q, ctx, guard):
 
 def _front_factor(q, z, ctx, eps):
     """(1 - q) / (1 - q^(1-z)) with a pole guard, `eps`, on the denominator."""
-    den = 1 - ctx.exp((1 - z) * ctx.log(q))
+    den = 1 - ctx.exp((1 - z) * log_ctx(q, ctx))
     if abs(den) < eps:
         raise SingularArgumentError("1 - q^(1-z) vanishes (z too close to 1)")
     return (1 - q) / den
@@ -466,7 +470,7 @@ def _prototype_rhs(spec, ctx):
 
 def _thm1_lhs(spec, ctx):
     q = as_q(spec.q, ctx)
-    lq = ctx.log(q)
+    lq = log_ctx(q, ctx)
     ta = [ctx.exp(to_hp(a, ctx) * lq) for a in spec.alphas]
     tb = [ctx.exp(to_hp(b, ctx) * lq) for b in spec.betas]
     terms = geometric_terms(sum((abs(t) for t in ta + tb), ctx.mpf(0)), q, ctx)
@@ -542,7 +546,7 @@ def _thm3_full_rhs(spec, ctx):
     q = as_q(spec.q, ctx)
     n = spec.n
     euler = qpoch_inf_ctx(q, q, ctx)
-    head = ctx.exp(ctx.log(1 - q) * (n - 1) / 2)
+    head = ctx.exp(log_ctx(1 - q, ctx) * (n - 1) / 2)
     return head * euler**n / euler_function(q, ctx, n), EvalInfo()
 
 
@@ -556,7 +560,7 @@ def _thm3_coprime_rhs(spec, ctx):
     n = spec.n
     phi = totient(n)
     euler = qpoch_inf_ctx(q, q, ctx)
-    head = ctx.exp(ctx.log(1 - q) * ctx.mpf(phi) / 2)
+    head = ctx.exp(log_ctx(1 - q, ctx) * ctx.mpf(phi) / 2)
     return head * euler**phi / psi_product(radical(n), q, ctx, n), EvalInfo()
 
 
@@ -856,7 +860,31 @@ def _side(evaluate, spec: IdentitySpec) -> tuple:
     spec's context, and is rounded once to ctx; every other side runs in
     ctx.  The evaluator parses its inputs and truncates in the context it is
     handed, and its pole checks keep the spec's epsilon (_pole_eps).
+
+    The pair is remembered in qfunc's memo under the evaluator itself and
+    every field of the spec but its id, each input with its type (0.5 and
+    0.5+0j are equal in Python, but run as a real and a complex value).  So
+    COR6's left side, THM5's evaluator on the same inputs, is THM5's stored
+    pair, and one evaluator never answers for another.  The value is
+    already rounded into the spec's shared context, and is returned as
+    stored; a side that raises stores nothing, and one whose inputs cannot
+    be hashed is evaluated, or raises, outside the memo.
     """
+    key = ("side", evaluate, tuple(map(_typed, spec.alphas)), tuple(map(_typed, spec.betas)), spec.n,
+           spec.chi, _typed(spec.q), _typed(spec.z), spec.prec, spec.terms, spec.blocks)
+    try:
+        hash(key)
+    except TypeError:  # an unhashable input, as a list: the evaluator says why it cannot take it
+        return _evaluate_side(evaluate, spec)
+    return _remembered(key, None, _evaluate_side, evaluate, spec)
+
+
+def _typed(value) -> tuple:
+    """A spec input and its type, a part of a side's memo key."""
+    return type(value), value
+
+
+def _evaluate_side(evaluate, spec: IdentitySpec) -> tuple:
     ctx = context(spec.prec)
     if "q" not in IDENTITIES[spec.id].takes:
         return evaluate(spec, ctx)

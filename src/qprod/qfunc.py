@@ -14,9 +14,11 @@ since mpmath wraps every function anew.  Every comparison with the working
 epsilon 10^-dps, a truncation rule's or a pole check's, takes it from
 working_eps(ctx), computed once per context.
 
-That determinism lets three layers compute each value once per process.
-geometric_product, the kernel behind every q-product, euler_function and
-qgamma_ctx keep their results in one memo, _MEMO, each under a key of
+That determinism lets a process compute each value once.  One memo, _MEMO,
+holds the results of geometric_product, the kernel behind every q-product,
+euler_function and qgamma_ctx, and beside them whole identity sides
+(products._side), parsed inputs (parse_number), logarithms (_log) and
+complex character values (products._omega).  Each is kept under a key of
 everything its value depends on: the exact bits of its inputs, converted
 into ctx first (a complex value with a zero imaginary part is not the real
 one), the context's working bits and digits, and its own parameters.
@@ -24,11 +26,16 @@ Those are geometric_product's n, polynomial coefficients and pole eps (the
 pole's message only words an error), euler_function's n and d, and
 qgamma_ctx's guard, which decides whether a value near a pole is computed
 again.  The split's head runs geometric_product's loop outside the memo:
-over the default suite no head is asked for twice.  The Euler function's
-and Gamma_q's keys begin with "euler" and "qgamma".  A repeat returns the
-bits the call would compute, in the caller's context's own type.  Only
-results are stored, never a raised error, and past _MEMO_SIZE entries the
-oldest one goes.  The memo lives in the process only.
+over the default suite no head is asked for twice.  Every other key begins
+with its kind: "euler", "qgamma", "side", "parse", "log" or "omega".  A
+side's key holds its evaluator itself and every field of its spec but the
+id, so COR6's left side, THM5's product, is computed once per (chi, q, z,
+prec), and a left side never answers a right side.  A repeat returns the
+bits the call would compute, an mpf or mpc in the caller's context's own
+type, a side as it was stored: its value is already rounded into the
+spec's shared context.  Only results are stored, never a raised error,
+and past _MEMO_SIZE entries the oldest one goes.  The memo lives in the
+process only.
 
 q is restricted to real 0 < q < 1; arguments x may be complex.  q**x always
 means exp(x * log q) with the real (principal) logarithm of q.
@@ -132,6 +139,7 @@ __all__ = [
     "geometric_terms",
     "hp_str",
     "jackson_value",
+    "log_ctx",
     "parse_number",
     "psi_product",
     "qgamma",
@@ -210,8 +218,13 @@ def parse_number(text: str, ctx):
     """Parse a decimal string, optionally complex ("0.25+0.25i"), in ctx.
 
     The exponential literals e^-pi, e^-2pi, e^-4pi, e^-8pi are accepted and
-    evaluated at the context's working precision.
+    evaluated at the context's working precision.  The value is remembered
+    in the module's memo.
     """
+    return _remembered(("parse", text, ctx.prec, ctx.dps), ctx, _parse_number, text, ctx)
+
+
+def _parse_number(text, ctx):
     t = text.strip().replace(" ", "")
     if not t:
         raise ValueError("empty numeric string")
@@ -358,11 +371,15 @@ def _check_budget(count: int):
 
 
 _MEMO_SIZE = 8192
-_MEMO: dict = {}  # geometric_product, euler_function and qgamma_ctx results, oldest first
+_MEMO: dict = {}  # remembered results of every kind (module docstring), oldest first
 
 
 def _remembered(key, ctx, compute, *args):
-    """compute(*args), remembered in _MEMO under key (see the module docstring)."""
+    """compute(*args), remembered in _MEMO under key (see the module docstring).
+
+    An mpf or mpc result comes back converted into ctx; with ctx None, the
+    result is returned as it was stored.
+    """
     value = _MEMO.get(key)
     if value is None:
         value = compute(*args)
@@ -370,7 +387,21 @@ def _remembered(key, ctx, compute, *args):
             del _MEMO[next(iter(_MEMO))]
         _MEMO[key] = value
     # a context with the same working bits rounds alike, but has its own mpf type
-    return ctx.convert(value)
+    return value if ctx is None else ctx.convert(value)
+
+
+def _log(x, prec):
+    """log x at prec bits, rounded to nearest, for the bits x of a positive mpf; remembered in the memo.
+
+    This is mpf_log(x, prec), the bits ctx.log(v) gives for v with v._mpf_
+    = x in a context of prec working bits.
+    """
+    return _remembered(("log", x, prec), None, mpf_log, x, prec, round_nearest)
+
+
+def log_ctx(x, ctx):
+    """ctx.log(x) for a positive mpf x, bit for bit, from _log's memo."""
+    return ctx.make_mpf(_log(x._mpf_, ctx.prec))
 
 
 def geometric_product(a, q, ctx, n, poly=None, pole=None):
@@ -1070,14 +1101,14 @@ def euler_function(q, ctx, n=1, d=1):
 
 
 def _euler_function(q, ctx, n, d):
-    y = q if d == n else ctx.root(q, n) if d == 1 else ctx.exp(ctx.log(q) * d / n)
+    y = q if d == n else ctx.root(q, n) if d == 1 else ctx.exp(log_ctx(q, ctx) * d / n)
     count = geometric_terms(y, y, ctx)
     lq = -_float_log(y)
     if count < _EULER_CROSSOVER or lq > 2 * math.pi:
         return geometric_product(y, y, ctx, n=count)
     prec = dps_to_prec(ctx.dps + max(0, math.ceil(math.log10(math.pi**2 / (6 * lq)))) + 5)
     rnd = round_nearest
-    log_q = mpf_log(mpf_pos(q._mpf_, prec, rnd), prec, rnd)
+    log_q = _log(mpf_pos(q._mpf_, prec, rnd), prec)
     L = mpf_div(mpf_mul_int(log_q, -d, prec, rnd), from_int(n), prec, rnd)  # -d log(q) / n
     pi = mpf_pi(prec, rnd)
     pi2 = mpf_pow_int(pi, 2, prec, rnd)
@@ -1185,7 +1216,7 @@ def _qpoch_split(a, q, ctx, pole, x=None):
     L = -_float_log(q)
     prec, rnd = dps_to_prec(_split_digits(q, ctx)), round_nearest
     hq = mpf_pos(q._mpf_, prec, rnd)
-    log_q = mpf_log(hq, prec, rnd)
+    log_q = _log(hq, prec)
     is_complex = isinstance(a, ctx.mpc)
     if x is None:
         a = a._mpc_ if is_complex else a._mpf_
@@ -1326,7 +1357,7 @@ def _qgamma_guarded(x, q, ctx, guard):
     if size >= 10.0**-guard:
         return value
     lost = math.ceil(-math.log10(size)) if size else math.inf
-    if geometric_terms(abs(ctx.exp(x * ctx.log(q))), q, ctx) >= _EULER_CROSSOVER:
+    if geometric_terms(abs(ctx.exp(x * log_ctx(q, ctx))), q, ctx) >= _EULER_CROSSOVER:
         lost -= _split_digits(q, ctx) - ctx.dps
     if lost <= guard:
         return value
@@ -1339,11 +1370,11 @@ def _qgamma_guarded(x, q, ctx, guard):
 
 
 def _qgamma(x, q, ctx):
-    qx = q if x == 1 else ctx.exp(x * ctx.log(q))
+    qx = q if x == 1 else ctx.exp(x * log_ctx(q, ctx))
     pole_eps = working_eps(ctx)
     num = qpoch_inf_ctx(q, q, ctx)
     den = qpoch_inf_ctx(qx, q, ctx, pole_eps=pole_eps, x=x)
-    return ctx.exp((1 - x) * ctx.log(1 - q)) * num / den
+    return ctx.exp((1 - x) * log_ctx(1 - q, ctx)) * num / den
 
 
 def qgamma(x, q, prec: Precision = DEFAULT_PRECISION):

@@ -75,26 +75,23 @@ def compare(lhs, rhs, tolerance_digits: int, prec: Precision | None = None,
             identity: str = "COMPARE", params: dict | None = None) -> VerificationReport:
     """Compare two finite values by relative difference in agreed digits.
 
-    Both sides below 10^-digits in modulus is a vacuous pass: flagged, since
+    The relative difference |a - b| / max(|a|, |b|) is taken at every
+    magnitude, so two tiny sides agree only to the digits they share.  Only
+    two sides that are both exactly 0 are vacuous: they pass, flagged, since
     zero-equals-zero carries no evidence about the identity.
     """
     prec = prec or Precision()
     ctx = context(prec)
     a = to_hp(lhs, ctx)
     b = to_hp(rhs, ctx)
-    tiny = ctx.mpf(10) ** (-prec.digits)
     amax = max(abs(a), abs(b))
-    vacuous = amax < tiny
-    if vacuous:
-        rel = ctx.mpf(0)
+    vacuous = not amax
+    rel = abs(a - b) / amax if amax else ctx.mpf(0)
+    if rel == 0:
         digits = ctx.dps
     else:
-        rel = abs(a - b) / amax
-        if rel == 0:
-            digits = ctx.dps
-        else:
-            digits = int(ctx.floor(-ctx.log10(rel)))
-            digits = max(0, min(digits, ctx.dps))
+        digits = int(ctx.floor(-ctx.log10(rel)))
+        digits = max(0, min(digits, ctx.dps))
     return VerificationReport(
         identity=identity,
         params=params or {},

@@ -210,13 +210,24 @@ def test_verify_default_tolerance_is_at_least_one_digit(capsys):
     assert "backs 0 digits, fewer than the tolerance 1" in out and "FAIL" in out
 
 
-def test_verify_vacuous_comparison_says_so(capsys):
-    # Gamma(50)^2 / Gamma(99), about 3.9e-29, is below 10^-20 on both sides
+def test_verify_compares_tiny_sides_by_their_digits(capsys):
+    # Gamma(50)^2 / Gamma(99), about 3.9e-29, is below 10^-20 on both sides,
+    # and they agree to 22 digits of it, not vacuously
     code, out, err = run(capsys, "verify", "--id", "cor2", "--alphas", "1,99",
                          "--betas", "50,50", "--terms", "100000", "--digits", "20")
     assert code == 0
-    assert "note:          vacuous comparison (both sides ~ 0)" in out.splitlines()
-    assert "PASS" in out
+    assert "digits agreed: 22 (tolerance 12)" in out.splitlines()
+    assert "vacuous" not in out and "PASS" in out
+
+
+def test_verify_fails_tiny_sides_near_a_pole(capsys):
+    # z = 5 - 10^-58 is within 10^-58 of THM5's pole for the character mod
+    # 4: both sides are about 7.7e-59 and differ in the 10th digit
+    code, out, err = run(capsys, "verify", "--id", "thm5", "--modulus", "4", "--char-index", "1",
+                         "--q", "0.5", "--z", "4." + "9" * 58, "--digits", "50")
+    assert code == 1
+    assert "digits agreed: 9 (tolerance 40)" in out.splitlines()
+    assert "vacuous" not in out and "FAIL" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -794,6 +794,7 @@ def test_counted_sides_pass_exact_shifts_where_their_inputs_are_exact(monkeypatc
         return rational_product(shifts, *args)
 
     monkeypatch.setattr(products, "rational_product", spy)
+    qfunc._MEMO.clear()  # a side stored by an earlier test would reach no kernel
     eval_lhs_info(spec)
     seen = [x for shifts in calls for pair in shifts if pair is not None for x in pair]
     assert seen and all(isinstance(x, (int, Fraction)) for x in seen) == exact_shifts
@@ -828,7 +829,8 @@ def test_thm4_pole_raises_with_the_former_message():
 
 
 # ---------------------------------------------------------------------------
-# The memo of geometric_product, euler_function and qgamma_ctx
+# The memo: geometric_product, euler_function, qgamma_ctx, whole sides, parsed
+# inputs, logarithms and complex character values
 
 
 def test_memo_hit_is_bit_identical():
@@ -972,9 +974,9 @@ def test_qgamma_of_a_wider_input_is_the_value_of_its_bits_in_ctx():
 
 
 def test_suite_reports_do_not_depend_on_which_entry_filled_the_memo():
-    # one memo holds the geometric products, the Euler functions and the
-    # Gamma_q values, so all three layers are filled by one entry and served
-    # to another here
+    # one memo holds the geometric products, the Euler functions, the
+    # Gamma_q values and whole sides, so each is filled by one entry and
+    # served to another here: in reverse order COR6 fills THM5's left side
     entries = default_suite(include=("THM1", "THM3_FULL", "THM3_COPRIME", "THM5", "COR6"))
 
     def frozen(order):
@@ -984,9 +986,109 @@ def test_suite_reports_do_not_depend_on_which_entry_filled_the_memo():
     forward = frozen(entries)
     assert any(key[0] == "qgamma" for key in qfunc._MEMO)
     assert any(key[0] == "euler" for key in qfunc._MEMO)
-    assert frozen(entries[::-1]) == forward  # every product served from the memo
+    assert any(key[0] == "side" for key in qfunc._MEMO)
+    assert frozen(entries[::-1]) == forward  # every side served from the memo
     qfunc._MEMO.clear()
     assert frozen(entries[::-1]) == forward  # each product computed by another entry first
+
+
+def test_cor6_left_side_from_thm5_entry_is_the_cold_side():
+    # COR6's left side is THM5's evaluator on the same inputs: once THM5 has
+    # run, COR6's is its stored pair, with the bits and EvalInfo of a cold one
+    for z in ("0.5", "0.25+0.25i"):
+        thm5 = IdentitySpec("THM5", chi=CHI5, q="0.7", z=z, prec=Precision(60))
+        cor6 = dataclasses.replace(thm5, id="COR6")
+        qfunc._MEMO.clear()
+        cold_value, cold_info = eval_lhs_info(cor6)
+        qfunc._MEMO.clear()
+        thm5_pair = eval_lhs_info(thm5)
+        sides = [key for key in qfunc._MEMO if key[0] == "side"]
+        value, info = eval_lhs_info(cor6)
+        assert [key for key in qfunc._MEMO if key[0] == "side"] == sides  # served, not computed
+        assert (value, info) == thm5_pair and info == cold_info
+        assert bits(value) == bits(cold_value) and value.context is cold_value.context
+
+
+def test_side_memo_keeps_evaluators_and_input_types_apart():
+    # a right side is never a left side's entry, and z = 0.5 + 0j, equal to
+    # 0.5 in Python, is another key: it runs as a complex value
+    spec = IdentitySpec("THM5", chi=CHI4, q="0.3", z=0.5, prec=Precision(40))
+    qfunc._MEMO.clear()
+    eval_lhs_info(spec)
+    eval_rhs_info(spec)
+    eval_lhs_info(dataclasses.replace(spec, z=complex(0.5)))
+    assert len([key for key in qfunc._MEMO if key[0] == "side"]) == 3
+
+
+def test_side_memo_stores_nothing_for_a_raising_side():
+    # 1 - q^(n - chi(n) z) vanishes at n = 3 for the character mod 4 at z = -3
+    spec = IdentitySpec("THM5", chi=CHI4, q="0.5", z="-3", prec=Precision(40))
+    qfunc._MEMO.clear()
+    first = message_of(lambda: eval_lhs_info(spec))
+    assert not any(key[0] == "side" for key in qfunc._MEMO)
+    assert message_of(lambda: eval_lhs_info(spec)) == first
+
+
+def test_side_of_an_unhashable_input_fails_as_before():
+    # a list is no number: the report fails with the evaluator's error, as
+    # it did before sides were remembered, and nothing is stored
+    spec = IdentitySpec("THM5", chi=CHI4, q=[0.5], z="0.5", prec=Precision(40))
+    qfunc._MEMO.clear()
+    report = run_identity(spec)
+    assert not report.passed and report.error == "ValueError: cannot interpret [0.5] as a number"
+    assert not qfunc._MEMO
+
+
+@pytest.mark.parametrize("text", ["0.7", "-0.5", "0.25+0.25i", "2-i", "e^-pi", "e^-8pi"])
+def test_parse_memo_hit_is_the_fresh_parse(text):
+    ctx = context(Precision(60))
+    qfunc._MEMO.clear()
+    fresh = qfunc._parse_number(text, ctx)
+    assert bits(qfunc.parse_number(text, ctx)) == bits(fresh)  # stored
+    twin = mpmath.mp.clone()
+    twin.dps = ctx.dps
+    value = qfunc.parse_number(text, twin)  # served, in the twin's own type
+    assert value.context is twin and bits(value) == bits(fresh)
+    assert [key for key in qfunc._MEMO if key[0] == "parse"] == [("parse", text, ctx.prec, ctx.dps)]
+
+
+@pytest.mark.parametrize("text", ["0.3", "0.7", "0.999", "e^-pi", "e^-4pi"])
+def test_log_memo_hit_is_ctx_log(text):
+    # _log serves ctx.log's bits, in a context and on mpmath.libmp, for q and 1 - q
+    for digits in (40, 113):
+        ctx = context(Precision(digits))
+        q = qfunc.parse_number(text, ctx)
+        for x in (q, 1 - q):
+            qfunc._MEMO.clear()
+            cold = qfunc.log_ctx(x, ctx)
+            assert bits(cold) == bits(ctx.log(x))
+            assert bits(qfunc.log_ctx(x, ctx)) == bits(cold)
+            assert len(qfunc._MEMO) == 1
+            wide = ctx.prec + 40
+            assert qfunc._log(x._mpf_, wide) == mpmath.libmp.mpf_log(x._mpf_, wide, "n")
+
+
+def test_omega_memo_hit_is_the_root_of_unity():
+    # a complex character value (+-i mod 5, a sixth root of unity mod 7) is
+    # stored once per root and context; a real one stays an exact int
+    ctx = context(Precision(60))
+    chi7 = next(c for c in enumerate_characters(7) if c.order == 6)
+    for ro in (CHI5.value(2), CHI5.value(3), chi7.value(3)):
+        qfunc._MEMO.clear()
+        cold = _omega(ro, ctx)
+        assert bits(cold) == bits(ro.to_complex(ctx))
+        assert bits(_omega(ro, ctx)) == bits(cold) and len(qfunc._MEMO) == 1
+    assert _omega(CHI3.value(2), ctx) == -1
+
+
+def test_memo_holds_the_default_suite_without_evicting():
+    # every kind of entry of a full default-suite pass fits in the memo, so no
+    # Gamma_q value is dropped before a later entry asks for it again
+    qfunc._MEMO.clear()
+    run_suite(default_suite())
+    assert len(qfunc._MEMO) < qfunc._MEMO_SIZE
+    kinds = {key[0] for key in qfunc._MEMO if isinstance(key[0], str)}
+    assert {"euler", "qgamma", "side", "parse", "log", "omega"} <= kinds
 
 
 # ---------------------------------------------------------------------------

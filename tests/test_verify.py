@@ -69,9 +69,16 @@ def test_compare_total_disagreement_clips_to_zero():
 
 
 def test_compare_vacuous():
+    # two tiny sides agree only to the digits they share; only two exact
+    # zeros are vacuous
     r = compare("1e-60", "2e-60", 40, Precision(50))
+    assert not r.vacuous and not r.passed
+    assert r.rel_diff == "0.5" and r.digits_agreed == 0
+    r = compare("1e-60", "1.0000000001e-60", 10, Precision(50))
+    assert not r.vacuous and r.passed and r.digits_agreed == 10
+    r = compare(0, 0, 40, Precision(50))
     assert r.vacuous and r.passed
-    assert r.rel_diff == "0.0"
+    assert r.rel_diff == "0.0" and r.digits_agreed == 60
 
 
 def test_report_json_shape():
