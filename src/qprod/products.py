@@ -29,11 +29,11 @@ most the proven bound on the raw product at N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import mpmath
 
@@ -49,18 +49,19 @@ from .qfunc import (
     as_q,
     context,
     euler_function,
+    from_exact,
     gamma_ctx,
     geometric_product,
     geometric_terms,
     jackson_value,
     log_ctx,
+    parse_number,
     psi_product,
     qgamma_ctx,
     qpoch_inf_ctx,
     rational_product,
     rational_zeros,
     split_context,
-    to_hp,
     working_eps,
 )
 
@@ -94,18 +95,13 @@ class EvalInfo:
     level: int | None = None
 
 
-def _exact_entry(e) -> Fraction | None:
-    """The entry as an exact Fraction when that is faithful, else None."""
-    if isinstance(e, bool):
-        return None
-    if isinstance(e, (int, Fraction)):
-        return Fraction(e)
-    if isinstance(e, str):
-        try:
-            return Fraction(e.strip())
-        except (ValueError, ZeroDivisionError):
-            return None
-    return None
+class ExactInputs(NamedTuple):
+    """A spec's numeric inputs as exact values (qfunc.parse_number); None where not taken."""
+
+    alphas: tuple
+    betas: tuple
+    q: object
+    z: object
 
 
 @dataclass(frozen=True)
@@ -113,8 +109,11 @@ class IdentitySpec:
     """Parameters for one identity verification.
 
     Numeric parameters (q, z, alphas, betas) are best given as decimal
-    strings; they are converted at evaluation time in each side's context
-    (_side), so one spec evaluates identically at any Precision.
+    strings.  Each is parsed once, here, into its exact value in `exact`
+    (qfunc.parse_number; no part of init, ==, repr or to_json), and a side
+    rounds it once into its own context (qfunc.from_exact), so one spec
+    evaluates identically at any Precision.  An input that is no finite
+    number, or a q outside 0 < q < 1, raises ValueError here.
     """
 
     id: str
@@ -127,59 +126,51 @@ class IdentitySpec:
     prec: Precision = DEFAULT_PRECISION
     terms: int | None = None
     blocks: int | None = None
+    exact: ExactInputs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(self.alphas))
         object.__setattr__(self, "betas", tuple(self.betas))
-        self._validate()
+        object.__setattr__(self, "exact", self._validate())
 
-    def _validate(self):
-        """Check the spec against its record; a field the identity does not take is a typo."""
+    def _validate(self) -> ExactInputs:
+        """Check the spec against its record, a field the identity does not take being a typo; its exact inputs."""
         i = self.id
         if i not in IDENTITIES:
             raise ValueError(f"unknown identity id {i!r}; expected one of {IDENTITY_IDS}")
         rec = IDENTITIES[i]
+        if (self.alphas or self.betas) and "alphas" not in rec.takes:
+            raise ValueError(f"{i} takes no alphas/betas")
+        for name, word in (("n", "n"), ("chi", "character"), ("q", "q"), ("z", "z"),
+                           ("terms", "terms parameter"), ("blocks", "blocks parameter")):
+            if getattr(self, name) is not None and name not in rec.takes:
+                fixed = " (it is fixed by the identity)" if name == "q" and not rec.takes else ""
+                raise ValueError(f"{i} takes no {word}{fixed}")
+            if getattr(self, name) is None and name in ("q", "z") and name in rec.takes:
+                raise ValueError(f"{i} needs {name}")
+        alphas, betas = (), ()
         if "alphas" in rec.takes:
             if not self.alphas or len(self.alphas) != len(self.betas):
                 raise ValueError(f"{i} needs equal-length non-empty alphas and betas")
-            for e in (*self.alphas, *self.betas):
-                fr = _exact_entry(e)
-                if fr is not None and fr == 0:
+            alphas, betas = tuple(map(parse_number, self.alphas)), tuple(map(parse_number, self.betas))
+            for e, v in zip((*self.alphas, *self.betas), (*alphas, *betas)):
+                if v == 0:
                     raise ValueError(f"{i} entries must be nonzero")
-                if rec.gamma_args and fr is not None and fr.denominator == 1 and fr <= 0:
+                if rec.gamma_args and isinstance(v, Fraction) and v.denominator == 1 and v <= 0:
                     raise ValueError(f"{i} entries must avoid non-positive integers, got {e!r}")
-        elif self.alphas or self.betas:
-            raise ValueError(f"{i} takes no alphas/betas")
-        if "n" in rec.takes:
-            if type(self.n) is not int or self.n < rec.n_min:  # a bool is no n
-                raise ValueError(f"{i} needs integer n >= {rec.n_min}, got {self.n!r}")
-        elif self.n is not None:
-            raise ValueError(f"{i} takes no n")
+        if "n" in rec.takes and (type(self.n) is not int or self.n < rec.n_min):  # a bool is no n
+            raise ValueError(f"{i} needs integer n >= {rec.n_min}, got {self.n!r}")
         if "chi" in rec.takes:
             if self.chi is None:
                 raise ValueError(f"{i} needs a Dirichlet character")
             if self.chi.is_principal or self.chi.modulus < 3:
                 raise ValueError(f"{i} needs a non-principal character of modulus > 2")
-        elif self.chi is not None:
-            raise ValueError(f"{i} takes no character")
-        if "q" in rec.takes:
-            if self.q is None:
-                raise ValueError(f"{i} needs q")
-        elif self.q is not None:
-            raise ValueError(f"{i} takes no q" if rec.takes else f"{i} takes no q (it is fixed by the identity)")
-        if "z" in rec.takes:
-            if self.z is None:
-                raise ValueError(f"{i} needs z")
-        elif self.z is not None:
-            raise ValueError(f"{i} takes no z")
-        if self.terms is not None and "terms" not in rec.takes:
-            raise ValueError(f"{i} takes no terms parameter")
-        if self.blocks is not None and "blocks" not in rec.takes:
-            raise ValueError(f"{i} takes no blocks parameter")
         if self.terms is not None and (type(self.terms) is not int or self.terms < 10):
             raise ValueError(f"terms must be an integer >= 10, got {self.terms!r}")
         if self.blocks is not None and (type(self.blocks) is not int or self.blocks < 2):
             raise ValueError(f"blocks must be an integer >= 2, got {self.blocks!r}")
+        return ExactInputs(alphas, betas, self.q if self.q is None else as_q(self.q, context(self.prec)),
+                           self.z if self.z is None else parse_number(self.z))
 
     # -- serialization
 
@@ -469,10 +460,10 @@ def _prototype_rhs(spec, ctx):
 
 
 def _thm1_lhs(spec, ctx):
-    q = as_q(spec.q, ctx)
+    q = from_exact(spec.exact.q, ctx)
     lq = log_ctx(q, ctx)
-    ta = [ctx.exp(to_hp(a, ctx) * lq) for a in spec.alphas]
-    tb = [ctx.exp(to_hp(b, ctx) * lq) for b in spec.betas]
+    ta = [ctx.exp(from_exact(a, ctx) * lq) for a in spec.exact.alphas]
+    tb = [ctx.exp(from_exact(b, ctx) * lq) for b in spec.exact.betas]
     terms = geometric_terms(sum((abs(t) for t in ta + tb), ctx.mpf(0)), q, ctx)
     p = ctx.mpf(1)
     for j, (a, b) in enumerate(zip(ta, tb)):
@@ -484,17 +475,17 @@ def _thm1_lhs(spec, ctx):
 
 
 def _thm1_rhs(spec, ctx):
-    q = as_q(spec.q, ctx)
+    q = from_exact(spec.exact.q, ctx)
     p = ctx.mpf(1)
-    for a, b in zip(spec.alphas, spec.betas):
-        p *= (qgamma_ctx(to_hp(b, ctx), q, ctx, spec.prec.guard)
-              / qgamma_ctx(to_hp(a, ctx), q, ctx, spec.prec.guard))
+    for a, b in zip(spec.exact.alphas, spec.exact.betas):
+        p *= (qgamma_ctx(from_exact(b, ctx), q, ctx, spec.prec.guard)
+              / qgamma_ctx(from_exact(a, ctx), q, ctx, spec.prec.guard))
     return p, EvalInfo()
 
 
 def _cor2_estimate(spec, ctx, n_terms):
-    al = [to_hp(a, ctx) for a in spec.alphas]
-    be = [to_hp(b, ctx) for b in spec.betas]
+    al = [from_exact(a, ctx) for a in spec.exact.alphas]
+    be = [from_exact(b, ctx) for b in spec.exact.betas]
     quad = abs(sum(a * a for a in al) - sum(b * b for b in be)) / 2 / (n_terms - 1)
     cubic = (
         (sum(abs(a) ** 3 for a in al) + sum(abs(b) ** 3 for b in be))
@@ -506,8 +497,8 @@ def _cor2_estimate(spec, ctx, n_terms):
 def _cor2_lhs(spec, ctx, extrapolate=True):
     n_terms = _count(spec)
     hi = _context_at(ctx.dps + _EXTRA_DIGITS)
-    al = [to_hp(a, hi) for a in spec.alphas]
-    be = [to_hp(b, hi) for b in spec.betas]
+    al = [from_exact(a, hi) for a in spec.exact.alphas]
+    be = [from_exact(b, hi) for b in spec.exact.betas]
     # convergence requires the sums to agree exactly
     mismatch = abs(sum(al) - sum(be))
     scale = max(max(abs(v) for v in al + be), ctx.mpf(1))
@@ -518,24 +509,22 @@ def _cor2_lhs(spec, ctx, extrapolate=True):
     poles = [n for b in be for n in rational_zeros([b], 0, n_terms, hi)]
     if poles:
         raise SingularArgumentError(f"factor n + beta vanishes at n = {min(poles)}")
-    # a pair of exact entries (decimal strings among them) runs at the lcm of its denominators
-    pairs = []
-    for a, b, ah, bh in zip(spec.alphas, spec.betas, al, be):
-        exact = (_exact_entry(a), _exact_entry(b))
-        pairs.append(exact if None not in exact else (ah, bh))
+    # an exact real pair runs at the lcm of its denominators, any other as values in hi
+    pairs = [(a, b) if isinstance(a, Fraction) and isinstance(b, Fraction) else (ah, bh)
+             for a, b, ah, bh in zip(spec.exact.alphas, spec.exact.betas, al, be)]
     return _counted_lhs([[pair] for pair in pairs], 0, n_terms, ctx, n_terms,
                         _cor2_estimate(spec, ctx, n_terms), extrapolate)
 
 
 def _cor2_rhs(spec, ctx):
     p = ctx.mpf(1)
-    for a, b in zip(spec.alphas, spec.betas):
-        p *= gamma_ctx(to_hp(b, ctx), ctx) / gamma_ctx(to_hp(a, ctx), ctx)
+    for a, b in zip(spec.exact.alphas, spec.exact.betas):
+        p *= gamma_ctx(from_exact(b, ctx), ctx) / gamma_ctx(from_exact(a, ctx), ctx)
     return p, EvalInfo()
 
 
 def _thm3_full_lhs(spec, ctx):
-    q = as_q(spec.q, ctx)
+    q = from_exact(spec.exact.q, ctx)
     p = ctx.mpf(1)
     for j in range(1, spec.n + 1):
         p *= qgamma_ctx(ctx.mpf(j) / spec.n, q, ctx, spec.prec.guard)
@@ -543,7 +532,7 @@ def _thm3_full_lhs(spec, ctx):
 
 
 def _thm3_full_rhs(spec, ctx):
-    q = as_q(spec.q, ctx)
+    q = from_exact(spec.exact.q, ctx)
     n = spec.n
     euler = qpoch_inf_ctx(q, q, ctx)
     head = ctx.exp(log_ctx(1 - q, ctx) * (n - 1) / 2)
@@ -551,12 +540,12 @@ def _thm3_full_rhs(spec, ctx):
 
 
 def _thm3_coprime_lhs(spec, ctx):
-    p, count = _qgamma_coprime(spec.n, as_q(spec.q, ctx), ctx, spec.prec.guard)
+    p, count = _qgamma_coprime(spec.n, from_exact(spec.exact.q, ctx), ctx, spec.prec.guard)
     return p, EvalInfo(terms=count)
 
 
 def _thm3_coprime_rhs(spec, ctx):
-    q = as_q(spec.q, ctx)
+    q = from_exact(spec.exact.q, ctx)
     n = spec.n
     phi = totient(n)
     euler = qpoch_inf_ctx(q, q, ctx)
@@ -573,7 +562,7 @@ def _thm4_estimate(spec, ctx, blocks):
         (r * chi.value(r).to_complex(ctx) for r in range(2, k + 2) if chi.value(r) is not None),
         ctx.mpc(0),
     )
-    az = abs(to_hp(spec.z, ctx))
+    az = abs(from_exact(spec.exact.z, ctx))
     c_est = (az * abs(weighted) + az**2 * phi / 2 + az**3 * phi * 2 / 3) / k**2
     return c_est / (blocks - 1)
 
@@ -582,16 +571,15 @@ def _thm4_lhs(spec, ctx, extrapolate=True):
     blocks = _count(spec)
     chi = spec.chi
     k = chi.modulus
-    z = to_hp(spec.z, ctx)
-    if 4 * abs(z) > blocks * k:
+    if 4 * abs(from_exact(spec.exact.z, ctx)) > blocks * k:
         raise ValueError("blocks too small for |z|; tail estimate invalid")
     # 1 - chi(n) z / n = (n - chi(n) z) / n
     hi = _context_at(ctx.dps + _EXTRA_DIGITS)
-    # an exact z gives the residues with chi(j) = +-1 exact shifts, which run at the
-    # denominator of z; the others keep the complex -chi(j) zh
-    zf = _exact_entry(spec.z)
-    zh = to_hp(spec.z, hi)
-    shifts = [None if v is None else -_omega(v, hi) * (zf if zf is not None and v.order <= 2 else zh)
+    # a real z stays exact in the residues with chi(j) = +-1, which run at its denominator;
+    # every other -chi(j) z is a value in hi
+    z = spec.exact.z
+    shifts = [None if v is None else -_omega(v, hi) * (z if v.order <= 2 and isinstance(z, Fraction)
+                                                       else from_exact(z, hi))
               for v in (chi.value(j) for j in range(k))]
     stop = blocks * k + 2  # n runs over 2 .. blocks*k + 1: exactly `blocks` full periods
     zeros = rational_zeros(shifts, 2, stop, hi)
@@ -604,7 +592,7 @@ def _thm4_lhs(spec, ctx, extrapolate=True):
 def _thm4_rhs(spec, ctx):
     chi = spec.chi
     k = chi.modulus
-    z = to_hp(spec.z, ctx)
+    z = from_exact(spec.exact.z, ctx)
     one_minus_z = 1 - z
     if abs(one_minus_z) < working_eps(ctx):
         raise SingularArgumentError("z = 1 is a pole of the closed form")
@@ -622,14 +610,14 @@ def _thm4_rhs(spec, ctx):
 
 
 def _thm5_lhs(spec, ctx):
-    q = as_q(spec.q, ctx)
-    z = to_hp(spec.z, ctx)
+    q = from_exact(spec.exact.q, ctx)
+    z = from_exact(spec.exact.z, ctx)
     return _char_shift_lhs(spec.chi, z, q, ctx, _pole_eps(spec, ctx))
 
 
 def _thm5_rhs(spec, ctx):
-    q = as_q(spec.q, ctx)
-    z = to_hp(spec.z, ctx)
+    q = from_exact(spec.exact.q, ctx)
+    z = from_exact(spec.exact.z, ctx)
     chi = spec.chi
     k = chi.modulus
     qk = q**k
@@ -645,8 +633,8 @@ def _thm5_rhs(spec, ctx):
 
 
 def _cor6_rhs(spec, ctx):
-    q = as_q(spec.q, ctx)
-    z = to_hp(spec.z, ctx)
+    q = from_exact(spec.exact.q, ctx)
+    z = from_exact(spec.exact.z, ctx)
     chi = spec.chi
     k = chi.modulus
     phi = totient(k)  # even for every modulus >= 3, so phi/2 is an integer power
@@ -858,37 +846,26 @@ def _side(evaluate, spec: IdentitySpec) -> tuple:
 
     A side whose identity takes q runs in split_context(q, ctx), ctx the
     spec's context, and is rounded once to ctx; every other side runs in
-    ctx.  The evaluator parses its inputs and truncates in the context it is
-    handed, and its pole checks keep the spec's epsilon (_pole_eps).
+    ctx.  The evaluator reads spec.exact and truncates in the context it is
+    handed; its pole checks keep the spec's epsilon (_pole_eps).
 
-    The pair is remembered in qfunc's memo under the evaluator itself and
-    every field of the spec but its id, each input with its type (0.5 and
-    0.5+0j are equal in Python, but run as a real and a complex value).  So
-    COR6's left side, THM5's evaluator on the same inputs, is THM5's stored
-    pair, and one evaluator never answers for another.  The value is
-    already rounded into the spec's shared context, and is returned as
-    stored; a side that raises stores nothing, and one whose inputs cannot
-    be hashed is evaluated, or raises, outside the memo.
+    The pair is remembered in qfunc's memo under the evaluator itself, the
+    spec's exact inputs (0.5, a Fraction, runs as a real value, 0.5+0j, a
+    pair, as a complex one) and its other fields but the id.  So COR6's
+    left side, THM5's evaluator on the same inputs, is THM5's stored pair,
+    and one evaluator never answers for another.  The value, already
+    rounded into the spec's context, is returned as stored; a side that
+    raises stores nothing.
     """
-    key = ("side", evaluate, tuple(map(_typed, spec.alphas)), tuple(map(_typed, spec.betas)), spec.n,
-           spec.chi, _typed(spec.q), _typed(spec.z), spec.prec, spec.terms, spec.blocks)
-    try:
-        hash(key)
-    except TypeError:  # an unhashable input, as a list: the evaluator says why it cannot take it
-        return _evaluate_side(evaluate, spec)
+    key = ("side", evaluate, spec.exact, spec.n, spec.chi, spec.prec, spec.terms, spec.blocks)
     return _remembered(key, None, _evaluate_side, evaluate, spec)
-
-
-def _typed(value) -> tuple:
-    """A spec input and its type, a part of a side's memo key."""
-    return type(value), value
 
 
 def _evaluate_side(evaluate, spec: IdentitySpec) -> tuple:
     ctx = context(spec.prec)
     if "q" not in IDENTITIES[spec.id].takes:
         return evaluate(spec, ctx)
-    value, info = evaluate(spec, split_context(as_q(spec.q, ctx), ctx))
+    value, info = evaluate(spec, split_context(from_exact(spec.exact.q, ctx), ctx))
     return +ctx.convert(value), info  # + rounds to ctx
 
 

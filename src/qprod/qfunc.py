@@ -17,25 +17,25 @@ working_eps(ctx), computed once per context.
 That determinism lets a process compute each value once.  One memo, _MEMO,
 holds the results of geometric_product, the kernel behind every q-product,
 euler_function and qgamma_ctx, and beside them whole identity sides
-(products._side), parsed inputs (parse_number), logarithms (_log) and
-complex character values (products._omega).  Each is kept under a key of
-everything its value depends on: the exact bits of its inputs, converted
-into ctx first (a complex value with a zero imaginary part is not the real
-one), the context's working bits and digits, and its own parameters.
-Those are geometric_product's n, polynomial coefficients and pole eps (the
-pole's message only words an error), euler_function's n and d, and
-qgamma_ctx's guard, which decides whether a value near a pole is computed
-again.  The split's head runs geometric_product's loop outside the memo:
-over the default suite no head is asked for twice.  Every other key begins
-with its kind: "euler", "qgamma", "side", "parse", "log" or "omega".  A
-side's key holds its evaluator itself and every field of its spec but the
-id, so COR6's left side, THM5's product, is computed once per (chi, q, z,
-prec), and a left side never answers a right side.  A repeat returns the
-bits the call would compute, an mpf or mpc in the caller's context's own
-type, a side as it was stored: its value is already rounded into the
-spec's shared context.  Only results are stored, never a raised error,
-and past _MEMO_SIZE entries the oldest one goes.  The memo lives in the
-process only.
+(products._side), logarithms (_log) and complex character values
+(products._omega).  Each is kept under a key of everything its value
+depends on: the exact bits of its inputs, converted into ctx first (a
+complex value with a zero imaginary part is not the real one), the
+context's working bits and digits, and its own parameters.  Those are
+geometric_product's n, polynomial coefficients and pole eps (the pole's
+message only words an error), euler_function's n and d, and qgamma_ctx's
+guard, which decides whether a value near a pole is computed again.  The
+split's head runs geometric_product's loop outside the memo: over the
+default suite no head is asked for twice.  Every other key begins with its
+kind: "euler", "qgamma", "side", "log" or "omega".  A side's key holds its
+evaluator itself, its spec's exact inputs and every other field of the
+spec but the id, so COR6's left side, THM5's product, is computed once per
+(chi, q, z, prec), and a left side never answers a right side.  A repeat
+returns the bits the call would compute, an mpf or mpc in the caller's
+context's own type, a side as it was stored: its value is already rounded
+into the spec's shared context.  Only results are stored, never a raised
+error, and past _MEMO_SIZE entries the oldest one goes.  The memo lives in
+the process only.
 
 q is restricted to real 0 < q < 1; arguments x may be complex.  q**x always
 means exp(x * log q) with the real (principal) logarithm of q.
@@ -94,6 +94,7 @@ running for hours.
 from __future__ import annotations
 
 import bisect
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -104,6 +105,7 @@ from mpmath.libmp import (
     dps_to_prec,
     from_int,
     from_man_exp,
+    from_rational,
     mpc_exp,
     mpc_mul,
     mpc_mul_mpf,
@@ -133,6 +135,7 @@ __all__ = [
     "SingularArgumentError",
     "context",
     "euler_function",
+    "from_exact",
     "gamma_classical",
     "gamma_ctx",
     "geometric_product",
@@ -214,52 +217,72 @@ def working_eps(ctx):
 _EXP_PI_LITERALS = {"e^-pi": 1, "e^-2pi": 2, "e^-4pi": 4, "e^-8pi": 8}
 
 
-def parse_number(text: str, ctx):
-    """Parse a decimal string, optionally complex ("0.25+0.25i"), in ctx.
+def parse_number(value):
+    """The exact value of a numeric input: a Fraction, a pair (re, im) of them when complex, or a tag.
 
-    The exponential literals e^-pi, e^-2pi, e^-4pi, e^-8pi are accepted and
-    evaluated at the context's working precision.  The value is remembered
-    in the module's memo.
+    Text is a decimal or p/q, optionally complex ("0.25+0.25i", "2-i",
+    "2i"), or one of the literals e^-pi, e^-2pi, e^-4pi, e^-8pi, which stay
+    as their text, the tag.  A float or an mpf is taken at its binary value;
+    anything else, a bool or a non-finite value among it, raises ValueError.
     """
-    return _remembered(("parse", text, ctx.prec, ctx.dps), ctx, _parse_number, text, ctx)
+    try:
+        if isinstance(value, str):
+            return _parse_text(value)
+        if isinstance(value, complex) or hasattr(value, "_mpc_"):
+            return _fraction(value.real), _fraction(value.imag)
+        return _fraction(value)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        try:
+            finite = cmath.isfinite(complex(value))
+        except (TypeError, ValueError):
+            finite = True
+        what = f"cannot interpret {value!r} as a number" + (f": {exc}" if isinstance(exc, OverflowError) else "")
+        raise ValueError(what if finite else f"non-finite value {value!r} rejected") from exc
 
 
-def _parse_number(text, ctx):
+def _parse_text(text):
     t = text.strip().replace(" ", "")
-    if not t:
-        raise ValueError("empty numeric string")
     if t in _EXP_PI_LITERALS:
-        return ctx.exp(-_EXP_PI_LITERALS[t] * ctx.pi)
-    if t[-1] in "ij":
+        return t
+    if t[-1:] in ("i", "j"):
         core = t[:-1]
-        for pos in range(len(core) - 1, 0, -1):
-            if core[pos] in "+-" and core[pos - 1] not in "eE+-":
-                re_s, im_s = core[:pos], core[pos:]
-                if im_s in ("+", "-"):
-                    im_s += "1"
-                return ctx.mpc(ctx.mpf(re_s), ctx.mpf(im_s))
-        if core in ("", "+", "-"):
-            core += "1"
-        return ctx.mpc(0, ctx.mpf(core))
-    return ctx.mpf(t)
+        # the real part ends at the last sign that does not follow an exponent's e or another sign
+        cut = max((p for p in range(1, len(core)) if core[p] in "+-" and core[p - 1] not in "eE+-"), default=0)
+        im = core[cut:]
+        return _fraction(core[:cut] or "0"), _fraction(im + "1" if im in ("", "+", "-") else im)
+    return _fraction(t)
+
+
+def _fraction(x) -> Fraction:
+    """A real number, or its decimal or p/q text, as an exact Fraction."""
+    if isinstance(x, bool):
+        raise TypeError("a bool is no number")
+    # 10^e as an exact int, rounded into a context, takes 3 ms at e = 10^4 and 14 s at 10^6
+    if isinstance(x, str) and abs(int(x.lower().partition("e")[2] or 0)) > 10**4:
+        raise OverflowError("its decimal exponent passes 10000")
+    return Fraction(*to_rational(x._mpf_)) if hasattr(x, "_mpf_") else Fraction(x)
+
+
+def from_exact(value, ctx):
+    """An exact value (parse_number) in ctx: each Fraction part rounded once to nearest, a tag evaluated.
+
+    So text converts to the bits of ctx.mpf(text), except past decimal
+    exponents of +-400, where mpmath's own path can miss the nearest value.
+    """
+    if isinstance(value, str):
+        return ctx.exp(-_EXP_PI_LITERALS[value] * ctx.pi)
+    parts = [from_rational(x.numerator, x.denominator, ctx.prec, round_nearest)
+             for x in (value if isinstance(value, tuple) else (value,))]
+    return ctx.make_mpc(tuple(parts)) if len(parts) == 2 else ctx.make_mpf(parts[0])
 
 
 def to_hp(value, ctx):
-    """Convert to an mpf/mpc in ctx, rejecting NaN and infinities."""
-    if isinstance(value, str):
-        v = parse_number(value, ctx)
-    elif isinstance(value, Fraction):
-        v = ctx.mpf(value.numerator) / value.denominator
-    elif isinstance(value, complex):
-        v = ctx.mpc(value.real, value.imag)
-    else:
-        try:
-            v = ctx.convert(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"cannot interpret {value!r} as a number") from exc
-    if not ctx.isfinite(v):
-        raise ValueError(f"non-finite value {value!r} rejected")
-    return v
+    """A numeric input in ctx: from_exact(parse_number(value), ctx), or a finite mpf or mpc rounded directly."""
+    if hasattr(value, "_mpf_") or hasattr(value, "_mpc_"):
+        v = +ctx.convert(value)  # + rounds to ctx: the bits of its exact value, rounded once
+        if ctx.isfinite(v):
+            return v
+    return from_exact(parse_number(value), ctx)
 
 
 def hp_str(value, digits: int = DEFAULT_PRECISION.digits) -> str:
@@ -274,13 +297,12 @@ def hp_str(value, digits: int = DEFAULT_PRECISION.digits) -> str:
 
 
 def as_q(q, ctx):
-    """Convert q to a real in ctx and enforce 0 < q < 1 strictly."""
-    v = to_hp(q, ctx)
-    if isinstance(v, ctx.mpc):
-        if v.imag != 0:
-            raise ValueError(f"q must be real, got {q!r}")
-        v = v.real
-    if not (0 < v < 1):
+    """q's exact real value (parse_number), checked 0 < q < 1 once rounded into ctx, which may reach 1."""
+    v = parse_number(q)
+    v, im = v if isinstance(v, tuple) else (v, 0)
+    if im:
+        raise ValueError(f"q must be real, got {q!r}")
+    if not 0 < from_exact(v, ctx) < 1:
         raise ValueError(f"q must satisfy 0 < q < 1, got {q!r}")
     return v
 
@@ -1296,7 +1318,7 @@ def qpochhammer(a, q, n=INFINITY, prec: Precision = DEFAULT_PRECISION):
     Precision.
     """
     ctx = context(prec)
-    qv = as_q(q, ctx)
+    qv = from_exact(as_q(q, ctx), ctx)
     av = to_hp(a, ctx)
     if n == INFINITY or n == mpmath.inf:
         return qpoch_inf_ctx(av, qv, ctx)
@@ -1387,7 +1409,7 @@ def qgamma(x, q, prec: Precision = DEFAULT_PRECISION):
     with more digits (qgamma_ctx).
     """
     ctx = context(prec)
-    qv = as_q(q, ctx)
+    qv = from_exact(as_q(q, ctx), ctx)
     xv = to_hp(x, ctx)
     return qgamma_ctx(xv, qv, ctx, prec.guard)
 

@@ -17,7 +17,7 @@ import mpmath
 
 from qprod.numtheory import IntPolynomial, divisors, mobius, totient
 from qprod.products import EvalInfo, _omega
-from qprod.qfunc import SingularArgumentError, as_q, to_hp
+from qprod.qfunc import SingularArgumentError, to_hp
 
 # (1/2; 1/2)_inf, (1/4; 1/2)_inf, (9/10; 9/10)_inf via mpmath.qp, dps 70
 QP_HALF_HALF = "0.28878809508660242127889972192923078008891190484068578411474107"
@@ -146,7 +146,7 @@ def char_shift_lhs_mpf(chi, z, q, ctx, min_terms=0):
 
 def thm1_lhs_mpf(spec, ctx, min_terms=0):
     """The THM1 left side prod_n prod_j (1 - q^(n+alpha_j)) / (1 - q^(n+beta_j)) on mpf values."""
-    q = as_q(spec.q, ctx)
+    q = to_hp(spec.q, ctx)
     lq = ctx.log(q)
     ta = [ctx.exp(to_hp(a, ctx) * lq) for a in spec.alphas]
     tb = [ctx.exp(to_hp(b, ctx) * lq) for b in spec.betas]

@@ -27,7 +27,7 @@ from qprod.products import (
     random_cor2_instance,
     random_thm1_instance,
 )
-from qprod.qfunc import Precision, as_q, context, gamma_ctx, qgamma, qpoch_inf_ctx, working_eps
+from qprod.qfunc import Precision, context, gamma_ctx, qgamma, qpoch_inf_ctx, to_hp, working_eps
 from qprod.verify import compare, run_identity
 
 SEED = 20260818
@@ -274,7 +274,7 @@ def test_criterion_10_property_suites_and_controls():
 
     # q-gamma functional equation at random complex arguments
     rng = random.Random(SEED)
-    q = as_q("0.6", ctx)
+    q = to_hp("0.6", ctx)
     tol = ctx.mpf(10) ** -45
     for _ in range(5):
         x = ctx.mpc(0.1 + 2 * rng.random(), -0.5 + rng.random())

@@ -306,6 +306,10 @@ def test_suite_only_naming_no_identity_is_usage_error(capsys, only):
     ("eval qpoch --a 0.5 --q 0.5 --pochhammer-n 1.5", "--pochhammer-n must be a non-negative integer or 'inf'"),
     ("chars --modulus 0", "--modulus must be a positive integer"),
     ("psi --n 0", "--n must be a positive integer"),
+    # numeric inputs are parsed and q is checked when the spec is built
+    ("verify --id thm3-full --n 2 --q abc", "cannot interpret 'abc' as a number"),
+    ("verify --id thm3-full --n 2 --q 1.5", "q must satisfy 0 < q < 1, got '1.5'"),
+    ("verify --id thm5 --modulus 4 --char-index 1 --q 0.5 --z 0.5+", "cannot interpret '0.5+' as a number"),
 ])
 def test_usage_errors_exit_two_with_a_message(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())

@@ -5,6 +5,7 @@ the estimate of the extrapolated value."""
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import oracles
@@ -325,6 +326,28 @@ def test_bool_counts_are_rejected(identity, kw, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("identity,kw", [
+    ("THM3_FULL", {"n": 2, "q": True}),
+    ("THM5", {"chi": CHI4, "q": "0.5", "z": True}),
+    ("THM1", {"alphas": (True, "0.5"), "betas": ("0.75", "0.75"), "q": "0.5"}),
+    ("COR2", {"alphas": ("0.5", "0.5"), "betas": ("0.25", False)}),
+])
+def test_bool_inputs_are_refused(identity, kw):
+    # True == 1 to Python, and ran as 1 in a side
+    with pytest.raises(ValueError, match="^cannot interpret (True|False) as a number$"):
+        spec_for(identity, **kw)
+
+
+def test_inputs_are_parsed_once_into_exact_values():
+    # each input is parsed when the spec is built; the text stays what the spec prints
+    spec = spec_for("THM5", chi=CHI5, z="0.25+0.25i", q="0.3")
+    assert spec.exact == ((), (), Fraction(3, 10), (Fraction(1, 4), Fraction(1, 4)))
+    assert "exact" not in repr(spec) and spec.to_json()["z"] == "0.25+0.25i"
+    spec = spec_for("THM1", alphas=("1/3", "0.5-i"), betas=("e^-pi", "5/6-i"), q="e^-2pi")
+    assert spec.exact == ((Fraction(1, 3), (Fraction(1, 2), -1)), ("e^-pi", (Fraction(5, 6), -1)), "e^-2pi", None)
+    assert spec.to_json()["alphas"] == ["1/3", "0.5-i"]
+
+
 def test_cor2_refuses_entries_too_large_for_its_terms():
     # the largest |entry|, 30, exceeds terms / 4 = 25
     spec = spec_for("COR2", alphas=("30", "1"), betas=("1", "30"), terms=100)
@@ -383,6 +406,14 @@ def test_exact_fraction_entries():
 
 @pytest.mark.parametrize("entry", [True, 0.5, context(Precision(30)).mpf("0.5")])
 def test_inexact_entries_are_not_taken_as_fractions(entry):
-    # a bool is not a count, and a float or an mpf is not an exact decimal:
-    # none of them is taken as a Fraction
-    assert products._exact_entry(entry) is None
+    # a bool is no number, and the spec refuses it; a float or an mpf is
+    # taken at its binary value, never as the decimal it prints as: a fifth
+    # of it, 0.1 rounded to binary, is not the Fraction 1/10
+    if entry is True:
+        with pytest.raises(ValueError, match="cannot interpret True as a number"):
+            IdentitySpec("COR2", alphas=(entry, "0.5"), betas=("0.75", "0.75"))
+        return
+    spec = IdentitySpec("COR2", alphas=(entry, entry / 5), betas=("0.3", "0.3"))
+    exact, fifth = spec.exact.alphas
+    assert exact == Fraction(1, 2) and fifth != Fraction(1, 10)
+    assert fifth == Fraction(*mpmath.libmp.to_rational(context(Precision(30)).convert(entry / 5)._mpf_))

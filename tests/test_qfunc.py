@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -68,38 +68,130 @@ def test_evaluation_leaves_context_and_global_precision_alone():
 
 
 def test_parse_number():
+    # exact values: a Fraction, a pair of them when complex, the text of an e^-k pi literal
     ctx = context(Precision(30))
-    assert parse_number("0.25", ctx) == ctx.mpf("0.25")
-    assert parse_number("-3", ctx) == -3
-    z = parse_number("0.25+0.25i", ctx)
-    assert z.real == ctx.mpf("0.25") and z.imag == ctx.mpf("0.25")
-    z = parse_number("1.2-0.5i", ctx)
-    assert z.real == ctx.mpf("1.2") and z.imag == ctx.mpf("-0.5")
-    assert parse_number("2i", ctx) == ctx.mpc(0, 2)
-    assert parse_number("-i", ctx) == ctx.mpc(0, -1)
+    assert parse_number("0.25") == Fraction(1, 4) and to_hp("0.25", ctx) == ctx.mpf("0.25")
+    assert parse_number("-3") == -3
+    assert parse_number("0.25+0.25i") == (Fraction(1, 4), Fraction(1, 4))
+    assert parse_number("1.2-0.5i") == (Fraction(6, 5), Fraction(-1, 2))
+    assert parse_number("2i") == (0, 2) and to_hp("2i", ctx) == ctx.mpc(0, 2)
+    assert parse_number("-i") == (0, -1)
     # a bare sign before the i is an imaginary part of one
-    assert parse_number("0.5+i", ctx) == ctx.mpc("0.5", 1)
-    assert parse_number("2-i", ctx) == ctx.mpc(2, -1)
-    assert parse_number("1e-3", ctx) == ctx.mpf("0.001")
-    lit = parse_number("e^-pi", ctx)
-    assert abs(lit - ctx.exp(-ctx.pi)) == 0
-    assert parse_number("e^-8pi", ctx) == ctx.exp(-8 * ctx.pi)
-    for junk in ("", "zebra", "1+2", "e^-3pi"):
-        with pytest.raises(ValueError):
-            parse_number(junk, ctx)
+    assert parse_number("0.5+i") == (Fraction(1, 2), 1)
+    assert parse_number("2-i") == (2, -1)
+    assert parse_number("1e-3") == Fraction(1, 1000)
+    assert parse_number("2/3") == Fraction(2, 3)
+    # 0.5 and 0.5+0j are equal in Python, but a real and a complex input
+    assert parse_number(0.5) == Fraction(1, 2) and parse_number(0.5 + 0j) == (Fraction(1, 2), 0)
+    assert parse_number(" e^-pi ") == "e^-pi"
+    assert abs(to_hp("e^-pi", ctx) - ctx.exp(-ctx.pi)) == 0
+    assert to_hp("e^-8pi", ctx) == ctx.exp(-8 * ctx.pi)
+    for junk in ("", "zebra", "1+2", "e^-3pi", True, [0.5]):
+        with pytest.raises(ValueError, match="cannot interpret"):
+            parse_number(junk)
+    with pytest.raises(ValueError, match="decimal exponent passes"):
+        parse_number("1e-100000")
     with pytest.raises(ValueError, match="cannot interpret"):
         to_hp(object(), ctx)
     with pytest.raises(ValueError, match="non-finite"):
         to_hp("inf", ctx)
 
 
+def nearest(x: Fraction, prec: int) -> Fraction:
+    """x rounded to prec significant bits, to nearest with ties to even, in exact arithmetic."""
+    if not x:
+        return x
+    scale = Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length() - prec)
+    while abs(x) / scale >= 2**prec:
+        scale *= 2
+    while abs(x) / scale < 2 ** (prec - 1):
+        scale /= 2
+    return round(x / scale) * scale
+
+
+def exact_bits(value) -> Fraction:
+    return Fraction(*mpmath.libmp.to_rational(value._mpf_))
+
+
+def bits(value):
+    return value._mpc_ if hasattr(value, "_mpc_") else value._mpf_
+
+
+def test_to_hp_rounds_a_fraction_once():
+    # num / den taken as mpf(num) / den rounds twice: 1.02e-31 off, where the
+    # nearest value at 20 digits is 9.1e-32 off
+    ctx = context(Precision(20))
+    x = Fraction(68834591774196800308938414388710, 53)
+    assert exact_bits(to_hp(x, ctx)) == nearest(x, ctx.prec)
+
+
+@st.composite
+def decimal_text(draw, signs=("", "+", "-")):
+    sign = draw(st.sampled_from(signs))
+    places = draw(st.text("0123456789", max_size=60))
+    text = f"{sign}{draw(st.integers(0, 10**20))}" + (f".{places}" if places else "")
+    return text + (f"e{draw(st.integers(-300, 300))}" if draw(st.booleans()) else "")
+
+
+@st.composite
+def numeric_text(draw):
+    """(text, its real and imaginary parts as text, imaginary None when real; or a literal's k)."""
+    kind = draw(st.sampled_from(["decimal", "ratio", "complex", "imaginary", "literal"]))
+    if kind == "decimal":
+        text = draw(decimal_text())
+        return text, (text, None)
+    if kind == "ratio":
+        text = f"{draw(st.sampled_from(['', '-']))}{draw(st.integers(0, 10**40))}/{draw(st.integers(1, 10**40))}"
+        return text, (text, None)
+    if kind == "complex":
+        re, im = draw(decimal_text()), draw(decimal_text(signs=("+", "-")))
+        return f"{re}{im}i", (re, im)
+    if kind == "imaginary":
+        im = draw(st.sampled_from(["", "+", "-"])) + draw(st.sampled_from(["", "2", "0.75", "1e-30"]))
+        return f"{im}i", ("0", im if im.strip("+-") else im + "1")
+    k = draw(st.sampled_from([1, 2, 4, 8]))
+    return f"e^-{k if k > 1 else ''}pi", k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(numeric_text(), st.integers(20, 210))
+def test_exact_inputs_convert_to_the_bits_of_mpmaths_own_parse(drawn, dps):
+    # one rounding of the exact value gives what ctx.mpf(text) gives, part by part
+    text, parts = drawn
+    ctx = qfunc._context_at(dps)
+    value = to_hp(text, ctx)
+    # a wider mpf or mpc is rounded directly, to the bits of its exact value rounded once
+    wide = to_hp(text, qfunc._context_at(dps + 20))
+    assert bits(to_hp(wide, ctx)) == bits(qfunc.from_exact(parse_number(wide), ctx))
+    if isinstance(parts, int):
+        assert bits(value) == bits(ctx.exp(-parts * ctx.pi))
+    elif parts[1] is None:
+        assert bits(value) == bits(ctx.mpf(parts[0]))
+    else:
+        assert bits(value) == bits(ctx.mpc(ctx.mpf(parts[0]), ctx.mpf(parts[1])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 9), st.text("0123456789", max_size=60),
+       st.integers(461, 3000).flatmap(lambda e: st.sampled_from([e, -e])), st.sampled_from([20, 40, 70, 117, 210]))
+@example(4, "87542260654392698714603363798018415595200370478", -554, 40)
+@example(9, "677165741764047503854107232466457950452770101468988404198", 1038, 117)
+def test_decimal_exponents_past_400_round_to_nearest(lead, places, exp, dps):
+    # past +-400, ctx.mpf(text) multiplies by a rounded power of ten and can
+    # miss the nearest value (both examples); the exact value rounds once
+    text = f"{lead}.{places}e{exp}" if places else f"{lead}e{exp}"
+    ctx = qfunc._context_at(dps)
+    assert exact_bits(to_hp(text, ctx)) == nearest(Fraction(text), ctx.prec)
+
+
 def test_as_q_domain():
     ctx = context(Precision(20))
-    assert as_q("0.5", ctx) == ctx.mpf("0.5")
+    assert as_q("0.5", ctx) == Fraction(1, 2)
     # a zero imaginary part leaves a real q
-    q = as_q("0.5+0i", ctx)
-    assert q == ctx.mpf("0.5") and not isinstance(q, ctx.mpc)
-    for bad in ("0", "1", "1.5", "-0.2", "0.5+0.1i"):
+    assert as_q("0.5+0i", ctx) == Fraction(1, 2)
+    assert as_q("e^-pi", ctx) == "e^-pi"
+    # the last q is below 1, but 1 once rounded into ctx
+    for bad in ("0", "1", "1.5", "-0.2", "0.5+0.1i", "0." + "9" * 40):
         with pytest.raises(ValueError):
             as_q(bad, ctx)
 
@@ -175,7 +267,7 @@ def test_qgamma_small_integers():
     ctx = context(P50)
     eps = ctx.mpf(10) ** -(ctx.dps - 2)
     for q in ("0.2", "0.5", "0.9"):
-        qv = as_q(q, ctx)
+        qv = to_hp(q, ctx)
         assert abs(qgamma(1, q, P50) - 1) < eps
         assert abs(qgamma(2, q, P50) - 1) < eps
         assert abs(qgamma(3, q, P50) - (1 + qv)) < eps
@@ -188,7 +280,7 @@ def test_qgamma_functional_equation():
     ctx = context(P50)
     tol = ctx.mpf(10) ** -(P50.digits - 5)
     for q in ("0.2", "0.6", "0.9"):
-        qv = as_q(q, ctx)
+        qv = to_hp(q, ctx)
         for _ in range(50):
             x = ctx.mpc(0.05 + 2.95 * rng.random(), -0.5 + rng.random())
             lhs = qgamma(x + 1, q, P50)
@@ -291,7 +383,7 @@ def test_qpochhammer_dissection():
     ctx = context(P50)
     tol = ctx.mpf(10) ** -55
     for q in ("0.3", "0.7"):
-        qv = as_q(q, ctx)
+        qv = to_hp(q, ctx)
         for n in range(2, 9):
             y = ctx.root(qv, n)
             lhs = ctx.mpf(1)
@@ -365,7 +457,7 @@ def test_gamma_reflection():
     ctx = context(P50)
     tol = ctx.mpf(10) ** -(P50.digits - 3)
     for xs in ("0.3", "0.3+2i", "-1.7+0.4i"):
-        x = parse_number(xs, ctx)
+        x = to_hp(xs, ctx)
         prod = gamma_ctx(x, ctx) * gamma_ctx(1 - x, ctx)
         expect = ctx.pi / ctx.sinpi(x)
         assert abs(prod - expect) / abs(expect) < tol
