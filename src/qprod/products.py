@@ -8,7 +8,10 @@ evidence, not tautology.
 
 One `Identity` record per id, in `IDENTITIES`, holds everything that defines
 it: the parameters it takes, both evaluators, its default term or block
-count, its tolerance, and its entries in the default suite.
+count, its tolerance, and its entries in the default suite.  The paper's
+special values are instances: the records EX1A-EX2B and JACKSON1-4 take no
+parameter, and their left side is THM5's or THM3_COPRIME's own, run on fixed
+parameters (_instance), against a closed form in pi, e^-pi and Gamma(1/4).
 
 Truncation policy: geometric-tail products stop once the remaining factors
 are provably below one unit in the last working digit.  The polynomially
@@ -31,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from random import Random
 from typing import Callable, NamedTuple
 
@@ -53,7 +55,6 @@ from .qfunc import (
     gamma_ctx,
     geometric_product,
     geometric_terms,
-    jackson_value,
     log_ctx,
     parse_number,
     psi_product,
@@ -309,17 +310,6 @@ def _char_shift_lhs(chi, z, q, ctx, eps):
     return p, EvalInfo(terms=terms)
 
 
-def _qgamma_coprime(n, q, ctx, guard):
-    """prod Gamma_q(j/n) over 1 <= j <= n with gcd(j, n) = 1, and the factor count."""
-    p = ctx.mpf(1)
-    count = 0
-    for j in range(1, n + 1):
-        if math.gcd(j, n) == 1:
-            p *= qgamma_ctx(ctx.mpf(j) / n, q, ctx, guard)
-            count += 1
-    return p, count
-
-
 def _front_factor(q, z, ctx, eps):
     """(1 - q) / (1 - q^(1-z)) with a pole guard, `eps`, on the denominator."""
     den = 1 - ctx.exp((1 - z) * log_ctx(q, ctx))
@@ -494,16 +484,25 @@ def _cor2_estimate(spec, ctx, n_terms):
     return quad + cubic
 
 
+def _exact_sum(values) -> tuple:
+    """A sum of exact inputs (qfunc.parse_number) as its real part, imaginary part and sorted tags.
+
+    1, e^-pi, e^-2pi, e^-4pi, e^-8pi are linearly independent over Q, so two sums are equal iff these are.
+    """
+    parts = [v if isinstance(v, tuple) else (v, 0) for v in values if not isinstance(v, str)]
+    return (sum(re for re, _ in parts), sum(im for _, im in parts),
+            sorted(v for v in values if isinstance(v, str)))
+
+
 def _cor2_lhs(spec, ctx, extrapolate=True):
     n_terms = _count(spec)
     hi = _context_at(ctx.dps + _EXTRA_DIGITS)
     al = [from_exact(a, hi) for a in spec.exact.alphas]
     be = [from_exact(b, hi) for b in spec.exact.betas]
     # convergence requires the sums to agree exactly
-    mismatch = abs(sum(al) - sum(be))
-    scale = max(max(abs(v) for v in al + be), ctx.mpf(1))
-    if mismatch > scale * ctx.mpf(10) ** (-(ctx.dps - 8)):
+    if _exact_sum(spec.exact.alphas) != _exact_sum(spec.exact.betas):
         raise ValueError("sum(alphas) != sum(betas): the product does not converge")
+    scale = max(max(abs(v) for v in al + be), ctx.mpf(1))
     if scale > n_terms / 4:
         raise ValueError("terms too small for entries of this magnitude")
     poles = [n for b in be for n in rational_zeros([b], 0, n_terms, hi)]
@@ -540,8 +539,12 @@ def _thm3_full_rhs(spec, ctx):
 
 
 def _thm3_coprime_lhs(spec, ctx):
-    p, count = _qgamma_coprime(spec.n, from_exact(spec.exact.q, ctx), ctx, spec.prec.guard)
-    return p, EvalInfo(terms=count)
+    q = from_exact(spec.exact.q, ctx)
+    units = [j for j in range(1, spec.n + 1) if math.gcd(j, spec.n) == 1]
+    p = ctx.mpf(1)
+    for j in units:
+        p *= qgamma_ctx(ctx.mpf(j) / spec.n, q, ctx, spec.prec.guard)
+    return p, EvalInfo(terms=len(units))
 
 
 def _thm3_coprime_rhs(spec, ctx):
@@ -651,10 +654,14 @@ def _cor6_rhs(spec, ctx):
     return head * euler / (pp * gprod), EvalInfo()
 
 
-def _example_lhs(spec, ctx, pi_mult, z):
-    """The THM5 product for the character mod 4 at q = e^(-pi_mult pi)."""
-    q = ctx.exp(-pi_mult * ctx.pi)
-    return _char_shift_lhs(_CHI4, ctx.mpf(z), q, ctx, _pole_eps(spec, ctx))
+def _instance(family, **fixed):
+    """A special value's left side: `family`'s own, on its IdentitySpec of the parameters `fixed`.
+
+    It runs in the context it is handed, the special value's own, not through _side.
+    """
+    def lhs(spec, ctx):
+        return IDENTITIES[family].lhs(IdentitySpec(family, prec=spec.prec, **fixed), ctx)
+    return lhs
 
 
 def _ex1a_rhs(spec, ctx):
@@ -688,14 +695,29 @@ def _ex2b_rhs(spec, ctx):
     return val, EvalInfo()
 
 
-def _jackson_lhs(spec, ctx, pi_mult, n):
-    """Gamma_q(1/2) (n = 2) or Gamma_q(1/4) Gamma_q(3/4) (n = 4) at q = e^(-pi_mult pi)."""
-    p, _ = _qgamma_coprime(n, ctx.exp(-pi_mult * ctx.pi), ctx, spec.prec.guard)
-    return p, EvalInfo()
+def _jackson1_rhs(spec, ctx):
+    pi, g4 = ctx.pi, gamma_ctx(ctx.mpf(1) / 4, ctx)
+    return (ctx.exp(-29 * pi / 8) * (ctx.exp(4 * pi) - 1) * g4**2
+            / (ctx.mpf(2) ** (ctx.mpf(23) / 8) * pi ** (ctx.mpf(3) / 2))), EvalInfo()
 
 
-def _jackson_rhs(spec, ctx, value_id):
-    return jackson_value(value_id, spec.prec), EvalInfo()
+def _jackson2_rhs(spec, ctx):
+    pi, g4 = ctx.pi, gamma_ctx(ctx.mpf(1) / 4, ctx)
+    return (ctx.exp(-7 * pi / 4) * ctx.sqrt(ctx.exp(4 * pi) - 1) * g4
+            / (ctx.mpf(2) ** (ctx.mpf(7) / 4) * pi ** (ctx.mpf(3) / 4))), EvalInfo()
+
+
+def _jackson3_rhs(spec, ctx):
+    pi, g4 = ctx.pi, gamma_ctx(ctx.mpf(1) / 4, ctx)
+    return (ctx.exp(-7 * pi / 2) * ctx.sqrt(ctx.exp(8 * pi) - 1) * g4
+            / (ctx.mpf(2) ** (ctx.mpf(9) / 4) * pi ** (ctx.mpf(3) / 4)
+               * ctx.sqrt(1 + ctx.sqrt(ctx.mpf(2))))), EvalInfo()
+
+
+def _jackson4_rhs(spec, ctx):
+    pi, g4 = ctx.pi, gamma_ctx(ctx.mpf(1) / 4, ctx)
+    return (ctx.exp(-29 * pi / 4) * (ctx.exp(8 * pi) - 1) * g4**2
+            / (16 * pi ** (ctx.mpf(3) / 2) * ctx.sqrt(1 + ctx.sqrt(ctx.mpf(2))))), EvalInfo()
 
 
 # ---------------------------------------------------------------------------
@@ -798,15 +820,6 @@ def _constant_suite(ident, rng, count):
     return [IdentitySpec(ident, prec=_P60)]
 
 
-def _example(pi_mult, z, rhs):
-    return Identity(partial(_example_lhs, pi_mult=pi_mult, z=z), rhs, _constant_suite)
-
-
-def _jackson(pi_mult, n, value_id):
-    return Identity(partial(_jackson_lhs, pi_mult=pi_mult, n=n),
-                    partial(_jackson_rhs, value_id=value_id), _constant_suite)
-
-
 # ---------------------------------------------------------------------------
 # The catalog, in default-suite order (THM1 draws its instances before COR2)
 
@@ -823,14 +836,14 @@ IDENTITIES: dict = {
                      count=10**6),
     "THM5": Identity(_thm5_lhs, _thm5_rhs, _char_shift_suite, takes=("chi", "z", "q")),
     "COR6": Identity(_thm5_lhs, _cor6_rhs, _char_shift_suite, takes=("chi", "z", "q")),
-    "EX1A": _example(1, 1, _ex1a_rhs),
-    "EX1B": _example(1, -1, _ex1b_rhs),
-    "EX2A": _example(2, 1, _ex2a_rhs),
-    "EX2B": _example(2, -1, _ex2b_rhs),
-    "JACKSON1": _jackson(4, 4, "J_QTR_4PI"),
-    "JACKSON2": _jackson(4, 2, "J_HALF_4PI"),
-    "JACKSON3": _jackson(8, 2, "J_HALF_8PI"),
-    "JACKSON4": _jackson(8, 4, "J_QTR_8PI"),
+    "EX1A": Identity(_instance("THM5", chi=_CHI4, q="e^-pi", z="1"), _ex1a_rhs, _constant_suite),
+    "EX1B": Identity(_instance("THM5", chi=_CHI4, q="e^-pi", z="-1"), _ex1b_rhs, _constant_suite),
+    "EX2A": Identity(_instance("THM5", chi=_CHI4, q="e^-2pi", z="1"), _ex2a_rhs, _constant_suite),
+    "EX2B": Identity(_instance("THM5", chi=_CHI4, q="e^-2pi", z="-1"), _ex2b_rhs, _constant_suite),
+    "JACKSON1": Identity(_instance("THM3_COPRIME", n=4, q="e^-4pi"), _jackson1_rhs, _constant_suite),
+    "JACKSON2": Identity(_instance("THM3_COPRIME", n=2, q="e^-4pi"), _jackson2_rhs, _constant_suite),
+    "JACKSON3": Identity(_instance("THM3_COPRIME", n=2, q="e^-8pi"), _jackson3_rhs, _constant_suite),
+    "JACKSON4": Identity(_instance("THM3_COPRIME", n=4, q="e^-8pi"), _jackson4_rhs, _constant_suite),
 }
 
 IDENTITY_IDS = tuple(IDENTITIES)

@@ -79,9 +79,9 @@ Rahman, Basic Hypergeometric Series, ch. 1).  K and the J terms summed are
 each about sqrt(dps ln 10 / L), so the cost grows as 1/sqrt(1 - q).  The
 split runs with log10(1/L) + 5 more digits (_split_digits), as bits on
 mpmath.libmp, and, for Gamma_q, takes q^x there from x: it magnifies a
-rounding of q^x about log(1/L) / L times.  The left sides of THM1,
-THM5/COR6 and the examples call geometric_product themselves and stay
-direct.  Every side of an identity
+rounding of q^x about log(1/L) / L times.  The left sides of THM1 and
+THM5/COR6, the EX special values among them, call geometric_product
+themselves and stay direct.  Every side of an identity
 that takes q runs in split_context too and is rounded once (products._side).
 
 No kernel runs past _WORK_BUDGET factors (the split counts three for each
@@ -130,7 +130,6 @@ from .numtheory import cyclotomic, divisors, mobius
 __all__ = [
     "DEFAULT_PRECISION",
     "INFINITY",
-    "JACKSON_IDS",
     "Precision",
     "SingularArgumentError",
     "context",
@@ -141,7 +140,6 @@ __all__ = [
     "geometric_product",
     "geometric_terms",
     "hp_str",
-    "jackson_value",
     "log_ctx",
     "parse_number",
     "psi_product",
@@ -1436,41 +1434,3 @@ def gamma_classical(x, prec: Precision = DEFAULT_PRECISION):
     ctx = context(prec)
     return gamma_ctx(to_hp(x, ctx), ctx)
 
-
-# ---------------------------------------------------------------------------
-# Jackson closed-form values
-
-JACKSON_IDS = ("J_QTR_4PI", "J_HALF_4PI", "J_HALF_8PI", "J_QTR_8PI")
-
-
-def jackson_value(value_id: str, prec: Precision = DEFAULT_PRECISION):
-    """Closed-form q-gamma special values at q = e^(-4*pi) and q = e^(-8*pi).
-
-    J_QTR_* are the products Gamma_q(1/4) * Gamma_q(3/4); J_HALF_* are the
-    values Gamma_q(1/2).  All reduce to pi and Gamma(1/4).
-    """
-    ctx = context(prec)
-    pi = ctx.pi
-    g4 = gamma_ctx(ctx.mpf(1) / 4, ctx)
-    two = ctx.mpf(2)
-    if value_id == "J_QTR_4PI":
-        return (
-            ctx.exp(-29 * pi / 8) * (ctx.exp(4 * pi) - 1) * g4**2
-            / (two ** (ctx.mpf(23) / 8) * pi ** (ctx.mpf(3) / 2))
-        )
-    if value_id == "J_HALF_4PI":
-        return (
-            ctx.exp(-7 * pi / 4) * ctx.sqrt(ctx.exp(4 * pi) - 1) * g4
-            / (two ** (ctx.mpf(7) / 4) * pi ** (ctx.mpf(3) / 4))
-        )
-    if value_id == "J_HALF_8PI":
-        return (
-            ctx.exp(-7 * pi / 2) * ctx.sqrt(ctx.exp(8 * pi) - 1) * g4
-            / (two ** (ctx.mpf(9) / 4) * pi ** (ctx.mpf(3) / 4) * ctx.sqrt(1 + ctx.sqrt(two)))
-        )
-    if value_id == "J_QTR_8PI":
-        return (
-            ctx.exp(-29 * pi / 4) * (ctx.exp(8 * pi) - 1) * g4**2
-            / (16 * pi ** (ctx.mpf(3) / 2) * ctx.sqrt(1 + ctx.sqrt(two)))
-        )
-    raise ValueError(f"unknown Jackson value id {value_id!r}; expected one of {JACKSON_IDS}")

@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from qprod.characters import DirichletCharacter, enumerate_characters
-from qprod import cli, qfunc
+from qprod import cli, qfunc, verify
 from qprod.cli import main
 from qprod.numtheory import psi_by_definition
 from qprod.qfunc import Precision, qgamma, qpochhammer
@@ -218,6 +218,12 @@ def test_verify_compares_tiny_sides_by_their_digits(capsys):
     assert code == 0
     assert "digits agreed: 22 (tolerance 12)" in out.splitlines()
     assert "vacuous" not in out and "PASS" in out
+
+
+def test_text_report_notes_a_vacuous_comparison():
+    text = cli._format_report_text(verify.compare(0, 0, 10))
+    assert "note:          vacuous comparison (both sides exactly 0)" in text.splitlines()
+    assert "PASS" in text
 
 
 def test_verify_fails_tiny_sides_near_a_pole(capsys):

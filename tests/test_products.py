@@ -131,6 +131,20 @@ def test_cor2_rejects_divergent_input():
         eval_lhs(spec)
     # the gamma side has no such constraint
     assert eval_rhs(spec) is not None
+    # the sums are compared exactly: 10^-3 apart, the product diverges like N^-0.001,
+    # yet at 10 digits with no guard its sides agree to 2
+    spec = spec_for("COR2", alphas=("0.5", "0.5"), betas=("0.25", "0.751"), terms=1000,
+                    prec=Precision(10, guard=0))
+    report = run_identity(spec)
+    assert not report.passed and "does not converge" in report.error
+    # by real and imaginary part, and e^-k pi literals as a multiset
+    for alphas, betas in ((("0.5+0.1i", "0.5"), ("0.25", "0.75")),
+                          (("e^-pi", "e^-pi"), ("e^-2pi", "1"))):
+        with pytest.raises(ValueError, match="does not converge"):
+            eval_lhs(spec_for("COR2", alphas=alphas, betas=betas, terms=1000))
+    spec = spec_for("COR2", alphas=("e^-pi", "0.5", "0.5"), betas=("0.25", "e^-pi", "0.75"),
+                    terms=20000, prec=Precision(30))
+    assert run_identity(spec).passed
 
 
 def test_cor2_gamma_side_matches_oracle():
@@ -249,12 +263,27 @@ def test_cor6_matches_thm5_rhs():
 
 
 def test_examples_and_jackson_agree():
-    for identity in ("EX1A", "EX1B", "EX2A", "EX2B",
-                     "JACKSON1", "JACKSON2", "JACKSON3", "JACKSON4"):
-        spec = spec_for(identity, prec=Precision(60))
+    # each special value's left side is its family's own, on fixed parameters
+    prec = Precision(60)
+    instances = {
+        "EX1A": ("THM5", dict(chi=CHI4, q="e^-pi", z="1")),
+        "EX1B": ("THM5", dict(chi=CHI4, q="e^-pi", z="-1")),
+        "EX2A": ("THM5", dict(chi=CHI4, q="e^-2pi", z="1")),
+        "EX2B": ("THM5", dict(chi=CHI4, q="e^-2pi", z="-1")),
+        "JACKSON1": ("THM3_COPRIME", dict(n=4, q="e^-4pi")),
+        "JACKSON2": ("THM3_COPRIME", dict(n=2, q="e^-4pi")),
+        "JACKSON3": ("THM3_COPRIME", dict(n=2, q="e^-8pi")),
+        "JACKSON4": ("THM3_COPRIME", dict(n=4, q="e^-8pi")),
+    }
+    for identity, (family, fixed) in instances.items():
+        spec = spec_for(identity, prec=prec)
         assert agree(spec, 55), identity
         _, rinfo = eval_rhs_info(spec)
         assert rinfo.terms == 0  # closed form, no truncation
+        expect = IDENTITIES[family].lhs(spec_for(family, prec=prec, **fixed), context(prec))
+        assert eval_lhs_info(spec) == expect, identity
+    # Gamma_q(1/4) Gamma_q(3/4) and Gamma_q(1/2): the factors THM3_COPRIME counts
+    assert [eval_lhs_info(spec_for(f"JACKSON{i}", prec=prec))[1].terms for i in range(1, 5)] == [2, 1, 1, 2]
 
 
 def test_validation_errors():
