@@ -13,7 +13,7 @@ but the value table is dense in k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iter_product
@@ -186,13 +186,11 @@ class DirichletCharacter:
 
     modulus: int
     exponents: tuple[int, ...]
-    group_structure: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {self.modulus}")
         gens = _unit_group(self.modulus)
-        object.__setattr__(self, "group_structure", gens)
         exps = tuple(int(e) for e in self.exponents)
         if len(exps) != len(gens):
             raise ValueError(
@@ -217,7 +215,7 @@ class DirichletCharacter:
     def order(self) -> int:
         """Order of the character in the dual group."""
         o = 1
-        for e, (_, d) in zip(self.exponents, self.group_structure):
+        for e, (_, d) in zip(self.exponents, _unit_group(self.modulus)):
             o = math.lcm(o, d // math.gcd(d, e))
         return o
 
@@ -236,7 +234,7 @@ class DirichletCharacter:
     def index(self) -> int:
         """Position of this character in enumerate_characters(modulus)."""
         idx = 0
-        for e, (_, d) in zip(self.exponents, self.group_structure):
+        for e, (_, d) in zip(self.exponents, _unit_group(self.modulus)):
             idx = idx * d + e
         return idx
 
@@ -260,10 +258,6 @@ class DirichletCharacter:
             "primitive": self.is_primitive,
             "principal": self.is_principal,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DirichletCharacter":
-        return cls(modulus=int(obj["modulus"]), exponents=tuple(obj["exponents"]))
 
 
 @lru_cache(maxsize=None)

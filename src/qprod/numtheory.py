@@ -11,12 +11,10 @@ All functions are pure; caches are append-only, so concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
-    "ArithValue",
     "IntPolynomial",
     "RationalPolyFraction",
     "cyclotomic",
@@ -29,7 +27,6 @@ __all__ = [
     "psi_reduced",
     "radical",
     "totient",
-    "von_mangoldt",
 ]
 
 
@@ -102,43 +99,6 @@ def radical(n: int) -> int:
     for p, _ in factorize(n):
         r *= p
     return r
-
-
-@dataclass(frozen=True)
-class ArithValue:
-    """Exact value of an arithmetic function, kept symbolic where floats would lie.
-
-    kind is "integer" or "prime-power-log".  A prime-power-log value stands
-    for log(prime) and is only produced for inputs of the form prime**exponent;
-    converting it to a number at some working precision is the caller's job.
-    """
-
-    kind: str
-    value: int = 0
-    prime: int | None = None
-    exponent: int | None = None
-
-    @classmethod
-    def integer(cls, value: int) -> "ArithValue":
-        return cls(kind="integer", value=value)
-
-    @classmethod
-    def prime_power_log(cls, prime: int, exponent: int) -> "ArithValue":
-        return cls(kind="prime-power-log", prime=prime, exponent=exponent)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "integer" and self.value == 0
-
-
-def von_mangoldt(n: int) -> ArithValue:
-    """Von Mangoldt function: log p when n = p**a, else 0, returned exactly."""
-    _check_positive(n)
-    fac = factorize(n)
-    if len(fac) == 1:
-        p, e = fac[0]
-        return ArithValue.prime_power_log(p, e)
-    return ArithValue.integer(0)
 
 
 def jacobi_symbol(n: int, m: int) -> int:
@@ -294,13 +254,6 @@ class IntPolynomial:
             out[i * e] = c
         return IntPolynomial(out)
 
-    def evaluate(self, x):
-        """Horner evaluation; x may be an int, Fraction, or any numeric type."""
-        acc = 0 * x  # a zero of the caller's numeric type
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     # -- presentation
 
     def __str__(self) -> str:
@@ -328,10 +281,6 @@ class IntPolynomial:
     def to_json(self) -> list[int]:
         """Coefficient list, lowest degree first."""
         return list(self.coeffs)
-
-    @classmethod
-    def from_json(cls, coeffs: Sequence[int]) -> "IntPolynomial":
-        return cls(coeffs)
 
 
 def one_minus_x_power(d: int) -> IntPolynomial:
@@ -380,10 +329,6 @@ class RationalPolyFraction:
     def is_polynomial(self) -> bool:
         return self.denominator == IntPolynomial((1,))
 
-    def evaluate(self, x):
-        den = self.denominator.evaluate(x)
-        return self.numerator.evaluate(x) / den
-
     def __str__(self) -> str:
         if self.is_polynomial:
             return str(self.numerator)
@@ -397,10 +342,6 @@ class RationalPolyFraction:
             "numerator": self.numerator.to_json(),
             "denominator": self.denominator.to_json(),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RationalPolyFraction":
-        return cls(IntPolynomial(obj["numerator"]), IntPolynomial(obj["denominator"]))
 
 
 # ---------------------------------------------------------------------------

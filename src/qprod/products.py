@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 import mpmath
 
 from .characters import DirichletCharacter, enumerate_characters
-from .numtheory import radical, totient, von_mangoldt
+from .numtheory import factorize, radical, totient
 from .qfunc import (
     DEFAULT_PRECISION,
     Precision,
@@ -155,6 +155,8 @@ class IdentitySpec:
                 raise ValueError(f"{i} needs equal-length non-empty alphas and betas")
             alphas, betas = tuple(map(parse_number, self.alphas)), tuple(map(parse_number, self.betas))
             for e, v in zip((*self.alphas, *self.betas), (*alphas, *betas)):
+                if isinstance(v, tuple) and v[1] == 0:  # x+0i is the real x to both rules
+                    v = v[0]
                 if v == 0:
                     raise ValueError(f"{i} entries must be nonzero")
                 if rec.gamma_args and isinstance(v, Fraction) and v.denominator == 1 and v <= 0:
@@ -194,25 +196,6 @@ class IdentitySpec:
         if self.blocks is not None:
             obj["blocks"] = self.blocks
         return obj
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "IdentitySpec":
-        chi = None if obj.get("chi") is None else DirichletCharacter.from_json(obj["chi"])
-        prec = DEFAULT_PRECISION
-        if obj.get("prec"):
-            prec = Precision(int(obj["prec"]["digits"]), int(obj["prec"].get("guard", 10)))
-        return cls(
-            id=obj["id"],
-            alphas=tuple(obj.get("alphas", ())),
-            betas=tuple(obj.get("betas", ())),
-            n=obj.get("n"),
-            chi=chi,
-            q=obj.get("q"),
-            z=obj.get("z"),
-            prec=prec,
-            terms=obj.get("terms"),
-            blocks=obj.get("blocks"),
-        )
 
 
 @dataclass(frozen=True)
@@ -266,7 +249,7 @@ _CHI4 = DirichletCharacter(modulus=4, exponents=(1,))
 
 def _omega(ro, ctx):
     """A character value as an exact int when real, else a unit-modulus complex from the memo."""
-    if ro.order <= 2:
+    if ro.is_real:
         return ro.as_int()
     return _remembered(("omega", ro, ctx.prec, ctx.dps), ctx, ro.to_complex, ctx)
 
@@ -505,6 +488,8 @@ def _cor2_lhs(spec, ctx, extrapolate=True):
     scale = max(max(abs(v) for v in al + be), ctx.mpf(1))
     if scale > n_terms / 4:
         raise ValueError("terms too small for entries of this magnitude")
+    # the spec refuses an exact non-positive integer beta, but one within rounding of it lands on
+    # it in hi when its pair runs as values (beside a complex alpha)
     poles = [n for b in be for n in rational_zeros([b], 0, n_terms, hi)]
     if poles:
         raise SingularArgumentError(f"factor n + beta vanishes at n = {min(poles)}")
@@ -581,7 +566,7 @@ def _thm4_lhs(spec, ctx, extrapolate=True):
     # a real z stays exact in the residues with chi(j) = +-1, which run at its denominator;
     # every other -chi(j) z is a value in hi
     z = spec.exact.z
-    shifts = [None if v is None else -_omega(v, hi) * (z if v.order <= 2 and isinstance(z, Fraction)
+    shifts = [None if v is None else -_omega(v, hi) * (z if v.is_real and isinstance(z, Fraction)
                                                        else from_exact(z, hi))
               for v in (chi.value(j) for j in range(k))]
     stop = blocks * k + 2  # n runs over 2 .. blocks*k + 1: exactly `blocks` full periods
@@ -599,8 +584,8 @@ def _thm4_rhs(spec, ctx):
     one_minus_z = 1 - z
     if abs(one_minus_z) < working_eps(ctx):
         raise SingularArgumentError("z = 1 is a pole of the closed form")
-    lam = von_mangoldt(k)
-    exp_half_lambda = ctx.sqrt(ctx.mpf(lam.prime)) if lam.kind == "prime-power-log" else ctx.mpf(1)
+    fac = factorize(k)  # e^(Lambda(k)/2): sqrt(p) when k = p^a, else 1
+    exp_half_lambda = ctx.sqrt(ctx.mpf(fac[0][0])) if len(fac) == 1 else ctx.mpf(1)
     phi = totient(k)
     head = (2 * ctx.pi) ** (ctx.mpf(phi) / 2) / (one_minus_z * exp_half_lambda)
     gprod = ctx.mpf(1)

@@ -295,8 +295,13 @@ def hp_str(value, digits: int = DEFAULT_PRECISION.digits) -> str:
 
 
 def as_q(q, ctx):
-    """q's exact real value (parse_number), checked 0 < q < 1 once rounded into ctx, which may reach 1."""
+    """q's exact real value (parse_number), checked 0 < q < 1 once rounded into ctx, which may reach 1.
+
+    A tag, e^-k pi, lies in (0, 1) at any precision and is returned unevaluated.
+    """
     v = parse_number(q)
+    if isinstance(v, str):
+        return v
     v, im = v if isinstance(v, tuple) else (v, 0)
     if im:
         raise ValueError(f"q must be real, got {q!r}")

@@ -243,7 +243,7 @@ def test_criterion_09_prototype_product():
 
 
 class _NudgedRoot:
-    order = 3  # above 2, forcing the complex-value path
+    is_real = False  # forcing the complex-value path
 
     def __init__(self, base, delta):
         self._base = base

@@ -813,7 +813,13 @@ def test_rational_zeros_are_exact_integer_roots():
 
 
 def test_cor2_pole_raises_with_the_former_message():
-    spec = IdentitySpec("COR2", alphas=("0.5", "-2.5"), betas=("-3+0i", "1"),
+    # an exact beta at a pole is refused when the spec is built, the complex -3+0i as the real -3
+    for beta in ("-3", "-3+0i"):
+        with pytest.raises(ValueError) as info:
+            IdentitySpec("COR2", alphas=("0.5", "-2.5"), betas=(beta, "1"), terms=100, prec=Precision(30))
+        assert str(info.value) == f"COR2 entries must avoid non-positive integers, got {beta!r}"
+    # a beta 10^-60 above -3 beside a complex alpha runs as a value, which rounds onto the pole
+    spec = IdentitySpec("COR2", alphas=("0.5+0.1i", "-2.5-0.1i"), betas=("-2." + "9" * 60, "0." + "9" * 60),
                         terms=100, prec=Precision(30))
     expect = "factor n + beta vanishes at n = 3"
     assert message_of(lambda: oracles.cor2_lhs_mpf(spec, context(spec.prec))) == expect

@@ -9,7 +9,6 @@ import pytest
 
 from oracles import cyclotomic_by_mobius
 from qprod.numtheory import (
-    ArithValue,
     IntPolynomial,
     RationalPolyFraction,
     cyclotomic,
@@ -22,7 +21,6 @@ from qprod.numtheory import (
     psi_reduced,
     radical,
     totient,
-    von_mangoldt,
 )
 
 
@@ -80,15 +78,6 @@ def test_totient_is_multiplicative():
         for n in range(1, 40):
             if math.gcd(m, n) == 1:
                 assert totient(m * n) == totient(m) * totient(n)
-
-
-def test_von_mangoldt():
-    v = von_mangoldt(8)
-    assert v.kind == "prime-power-log" and v.prime == 2 and v.exponent == 3
-    assert von_mangoldt(7) == ArithValue.prime_power_log(7, 1)
-    assert von_mangoldt(1).is_zero
-    assert von_mangoldt(12).is_zero
-    assert von_mangoldt(6).is_zero
 
 
 def test_jacobi_symbol():
@@ -151,16 +140,10 @@ def test_polynomial_arithmetic():
         xm1.exact_div(x3m1)
 
 
-def test_polynomial_evaluate_and_substitute():
+def test_polynomial_substitute_power():
     p = IntPolynomial((1, -1, 2))  # 1 - x + 2x^2
-    assert p.evaluate(3) == 1 - 3 + 18
-    assert p.evaluate(Fraction(1, 2)) == Fraction(1, 1)
     assert p.substitute_power(2).coeffs == (1, 0, -1, 0, 2)
     assert p.substitute_power(1) == p
-    # Horner against direct powers on a few random-ish points
-    for x in (-3, -1, 0, 2, 5):
-        direct = sum(c * x**i for i, c in enumerate(p.coeffs))
-        assert p.evaluate(x) == direct
 
 
 def test_polynomial_str_and_json():
@@ -168,8 +151,8 @@ def test_polynomial_str_and_json():
     assert str(IntPolynomial((-1, 1))) == "-1 + x"
     assert str(IntPolynomial((0, 0, 3))) == "3*x^2"
     assert str(IntPolynomial.zero()) == "0"
-    p = IntPolynomial((2, 0, -5, 1))
-    assert IntPolynomial.from_json(p.to_json()) == p
+    # coefficients lowest degree first, trailing zeros dropped
+    assert IntPolynomial((2, 0, -5, 1, 0)).to_json() == [2, 0, -5, 1]
 
 
 def test_exact_div_non_unit_leading_coefficient():
@@ -212,7 +195,7 @@ def test_cyclotomic_degree_and_constant_term():
         assert phi.degree == totient(n)
         assert phi.leading == 1
         if n >= 2:
-            assert phi.evaluate(0) == 1
+            assert phi.coeffs[0] == 1
 
 
 def test_cyclotomic_product_identity():
@@ -246,9 +229,7 @@ def test_rational_fraction_algebra():
     assert (a * b) == RationalPolyFraction(one, one)
     assert (a / a) == RationalPolyFraction(one, one)
     assert a.is_polynomial and not b.is_polynomial
-    assert b.evaluate(Fraction(1)) == Fraction(1, 2)
-    rt = RationalPolyFraction.from_json(b.to_json())
-    assert rt == b
+    assert b.to_json() == {"numerator": [1], "denominator": [1, 1]}
     assert str(b) == "(1) / (1 + x)"
     # kept as given: no common factor is divided out and no sign moves
     r = RationalPolyFraction(IntPolynomial((1, -1)), IntPolynomial((-1, 0, 1)))

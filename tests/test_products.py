@@ -332,6 +332,8 @@ THM5_ARGS = {"chi": CHI4, "z": "0.5", "q": "0.5"}
     ("EX1A", {"q": "0.5"}, "EX1A takes no q (it is fixed by the identity)"),
     ("THM5", dict(THM5_ARGS, terms=100), "THM5 takes no terms parameter"),
     ("THM5", dict(THM5_ARGS, blocks=100), "THM5 takes no blocks parameter"),
+    # an entry x+0i meets the real x's rules
+    ("THM1", dict(THM1_ARGS, alphas=("0+0i", "1.75")), "THM1 entries must be nonzero"),
 ])
 def test_validation_messages(identity, kw, message):
     with pytest.raises(ValueError) as info:
@@ -348,10 +350,6 @@ def test_bool_counts_are_rejected(identity, kw, message):
     # a bool is an int to Python; True would run as 1
     with pytest.raises(ValueError) as info:
         spec_for(identity, **kw)
-    assert str(info.value) == message
-    obj = spec_for(identity, **{k: 12 if v is True else v for k, v in kw.items()}).to_json()
-    with pytest.raises(ValueError) as info:
-        IdentitySpec.from_json(dict(obj, **{k: True for k, v in kw.items() if v is True}))
     assert str(info.value) == message
 
 
@@ -407,20 +405,6 @@ def test_thm4_tolerance_at_ten_thousand_blocks(monkeypatch):
     # its own tolerance is one digit less than its estimate backs
     own = run_identity(short)
     assert own.passed and own.tolerance_digits == 29 and own.error is None
-
-
-def test_spec_json_roundtrip():
-    specs = (
-        spec_for("THM1", alphas=("0.5", "1.25"), betas=("0.75", "1.0"), q="0.5"),
-        spec_for("THM5", chi=CHI5, z="0.25+0.25i", q="0.3", prec=Precision(60)),
-        spec_for("PROTOTYPE", terms=10**4),
-        spec_for("THM4", chi=CHI4, z="0.5", blocks=500),
-        spec_for("EX2A"),
-    )
-    for spec in specs:
-        back = IdentitySpec.from_json(spec.to_json())
-        assert back == spec
-        assert eval_rhs(back) == eval_rhs(spec)
 
 
 def test_exact_fraction_entries():
