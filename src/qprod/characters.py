@@ -76,9 +76,6 @@ class RootOfUnity:
     def __pow__(self, e: int) -> "RootOfUnity":
         return RootOfUnity(self.numerator * e, self.order)
 
-    def conjugate(self) -> "RootOfUnity":
-        return RootOfUnity(-self.numerator, self.order)
-
     def to_complex(self, ctx):
         """The value as a complex number in the given mpmath context."""
         if self.order == 1:
@@ -218,10 +215,6 @@ class DirichletCharacter:
         for e, (_, d) in zip(self.exponents, _unit_group(self.modulus)):
             o = math.lcm(o, d // math.gcd(d, e))
         return o
-
-    @property
-    def is_real(self) -> bool:
-        return self.order <= 2
 
     def conductor(self) -> int:
         return _conductor(self.modulus, self.exponents)

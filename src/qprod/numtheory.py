@@ -22,7 +22,6 @@ __all__ = [
     "factorize",
     "jacobi_symbol",
     "mobius",
-    "one_minus_x_power",
     "psi_by_definition",
     "psi_reduced",
     "radical",
@@ -283,12 +282,6 @@ class IntPolynomial:
         return list(self.coeffs)
 
 
-def one_minus_x_power(d: int) -> IntPolynomial:
-    """1 - x**d."""
-    _check_positive(d, "d")
-    return IntPolynomial((1,) + (0,) * (d - 1) + (-1,))
-
-
 # ---------------------------------------------------------------------------
 # Rational functions
 
@@ -381,9 +374,9 @@ def psi_by_definition(n: int) -> RationalPolyFraction:
     for d in divisors(n):
         m = mobius(d)
         if m == 1:
-            num = num * one_minus_x_power(d)
+            num = num * -IntPolynomial.x_power_minus_one(d)
         elif m == -1:
-            den = den * one_minus_x_power(d)
+            den = den * -IntPolynomial.x_power_minus_one(d)
     if num.degree >= den.degree:
         return RationalPolyFraction(num.exact_div(den))
     return RationalPolyFraction(IntPolynomial.one(), den.exact_div(num))

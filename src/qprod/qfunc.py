@@ -55,34 +55,36 @@ rule's count, a factor costs 7.5 to 12.4 ns real and 15 to 24 ns complex at
 20 to 210 working digits, 16 to 85 times less than one at a time when real
 and 21 to 112 times less when complex.
 
-The Euler function (q; q)_inf, the numerator of every q-gamma value, has a
-second route (euler_function).  The Dedekind eta transformation
+Each (a; q)_inf takes one of three routes, and one function, _route, picks
+it: the direct product below a crossover count of factors; from there on
+the eta route for the Euler function, a real a == q (the direct product
+still where L = -log q > 2 pi), and the split for any other a.  Every direct
+geometric product truncates by one rule: after N factors a q^k the tail
+|a| q^N / (1 - q) is below 10^-dps (geometric_terms).
+The eta route (euler_function) takes the Euler function (q; q)_inf, the
+numerator of every q-gamma value.  The Dedekind eta transformation
 eta(-1/tau) = sqrt(-i tau) eta(tau) turns it into a closed part times
-(q'; q')_inf with q' = exp(-4 pi^2 / L), L = -log q, and q' is tiny once q
-is near 1 (below 10^-1700 at q = 0.99).  So its cost no longer grows as
-1/(1 - q).  Below _EULER_CROSSOVER direct factors the direct product stays.
+(q'; q')_inf with q' = exp(-4 pi^2 / L), and q' is tiny once q is near 1
+(below 10^-1700 at q = 0.99).  So its cost no longer grows as 1/(1 - q).
 The route also gives (y; y)_inf at y = q^(d/n): L = -d log(q) / n comes from
 log q, so y is never rounded.
 The cyclotomic product prod_j Phi_r(q^(j/n))^mu(r) of the THM3_COPRIME and
 COR6 closed forms (psi_product) is, for squarefree r, the Moebius product
-prod_{d|r} (y^d; y^d)_inf^mu(d) of such Euler functions, and takes that route
-at the same crossover; below it, it multiplies as many factors Phi_r(y^j) as
-(y; y)_inf takes.  So every direct geometric product truncates by one
-rule: after N factors a q^k the tail |a| q^N / (1 - q) is below 10^-dps
-(geometric_terms).
+prod_{d|r} (y^d; y^d)_inf^mu(d) of such Euler functions; where (y; y)_inf
+is direct, it multiplies as many factors Phi_r(y^j) as (y; y)_inf takes.
 
-Any other (a; q)_inf of _EULER_CROSSOVER factors or more, the denominator
-(q^x; q)_inf of Gamma_q(x) among them, is split in qpoch_inf_ctx: K direct
-factors, then the tail (w; q)_inf, w = a q^K, from the exact rearrangement
-log (w; q)_inf = -sum_{j>=1} w^j / (j (1 - q^j)) for |w| < 1 (Gasper and
-Rahman, Basic Hypergeometric Series, ch. 1).  K and the J terms summed are
-each about sqrt(dps ln 10 / L), so the cost grows as 1/sqrt(1 - q).  The
-split runs with log10(1/L) + 5 more digits (_split_digits), as bits on
-mpmath.libmp, and, for Gamma_q, takes q^x there from x: it magnifies a
-rounding of q^x about log(1/L) / L times.  The left sides of THM1 and
-THM5/COR6, the EX special values among them, call geometric_product
-themselves and stay direct.  Every side of an identity
-that takes q runs in split_context too and is rounded once (products._side).
+The split, in qpoch_inf_ctx, takes the denominator (q^x; q)_inf of
+Gamma_q(x) among others: K direct factors, then the tail (w; q)_inf,
+w = a q^K, from the exact rearrangement log (w; q)_inf = -sum_{j>=1} w^j /
+(j (1 - q^j)) for |w| < 1 (Gasper and Rahman, Basic Hypergeometric Series,
+ch. 1).  K and the J terms summed are each about sqrt(dps ln 10 / L), so
+the cost grows as 1/sqrt(1 - q).  The split runs with log10(1/L) + 5 more
+digits (_split_digits), as bits on mpmath.libmp, and, for Gamma_q, takes
+q^x there from x: it magnifies a rounding of q^x about log(1/L) / L times.
+The left sides of THM1 and THM5/COR6, the EX special values among them,
+call geometric_product themselves and stay direct.  Every side of an
+identity that takes q runs in split_context too and is rounded once
+(products._side).
 
 No kernel runs past _WORK_BUDGET factors (the split counts three for each
 head factor and series term): a product whose count exceeds it raises
@@ -1098,15 +1100,28 @@ def rational_zeros(values, start, stop, ctx) -> list:
 _EULER_CROSSOVER = 1000
 
 
+def _route(a, q, ctx):
+    """The route of (a; q)_inf in ctx, "direct", "eta" or "split", and N = geometric_terms(|a|, q, ctx).
+
+    "direct" below _EULER_CROSSOVER factors; from there on "eta" for a real
+    a == q ("direct" where L = -log q > 2 pi: the transformed product would
+    be the longer one) and "split" for any other a.
+    """
+    count = geometric_terms(abs(a), q, ctx)
+    if count < _EULER_CROSSOVER:
+        return "direct", count
+    if a == q and not isinstance(a, ctx.mpc):
+        return ("direct" if -_float_log(q) > 2 * math.pi else "eta"), count
+    return "split", count
+
+
 def euler_function(q, ctx, n=1, d=1):
     """The Euler function (y; y)_inf at y = q^(d/n), for real 0 < q < 1 and n, d >= 1.
 
-    A product of fewer than _EULER_CROSSOVER factors, or one at
-    L = -d log(q) / n above 2 pi, where the transformed product below would
-    be the longer one, is multiplied directly: geometric_product at y, with y
-    rounded to working precision (q itself when d = n, ctx.root(q, n) when
-    d = 1, else exp(d log(q) / n) in ctx).  Otherwise the Dedekind eta
-    transformation gives
+    Where _route(y, y, ctx) says "direct", the product is multiplied
+    directly: geometric_product at y, with y rounded to working precision
+    (q itself when d = n, ctx.root(q, n) when d = 1, else exp(d log(q) / n)
+    in ctx).  On its eta route the Dedekind eta transformation gives
 
         (y; y)_inf = sqrt(2 pi / L) exp(L/24 - pi^2 / (6 L)) (y'; y')_inf,
 
@@ -1127,10 +1142,10 @@ def euler_function(q, ctx, n=1, d=1):
 
 def _euler_function(q, ctx, n, d):
     y = q if d == n else ctx.root(q, n) if d == 1 else ctx.exp(log_ctx(q, ctx) * d / n)
-    count = geometric_terms(y, y, ctx)
-    lq = -_float_log(y)
-    if count < _EULER_CROSSOVER or lq > 2 * math.pi:
+    route, count = _route(y, y, ctx)
+    if route == "direct":
         return geometric_product(y, y, ctx, n=count)
+    lq = -_float_log(y)
     prec = dps_to_prec(ctx.dps + max(0, math.ceil(math.log10(math.pi**2 / (6 * lq)))) + 5)
     rnd = round_nearest
     log_q = _log(mpf_pos(q._mpf_, prec, rnd), prec)
@@ -1150,23 +1165,23 @@ def psi_product(r, q, ctx, n=1):
     """prod_{j>=1} Phi_r(y^j)^mu(r) at y = q^(1/n), for squarefree r >= 2.
 
     This is the cyclotomic product of the THM3_COPRIME and COR6 closed
-    forms.  Below _EULER_CROSSOVER direct factors of (y; y)_inf it is the
-    direct product of the first N factors Phi_r(y^j) (Horner's rule in
+    forms.  Where (y; y)_inf is direct, _route(y, y, ctx), it is the direct
+    product of the first N factors Phi_r(y^j) (Horner's rule in
     geometric_product, y = ctx.root(q, n) rounded to working precision), N
-    the tail-rule count geometric_terms(y, y, ctx) of (y; y)_inf.  That
-    count is enough: log Phi_r(t) = sum_{d|r} mu(r/d) log(1 - t^d), so the
-    factors past N move the product by y^(N+1) / (1 - y) to first order,
-    the tail bound of (y; y)_inf, below 10^-dps.  Otherwise, since
+    the tail-rule count of (y; y)_inf.  That count is enough:
+    log Phi_r(t) = sum_{d|r} mu(r/d) log(1 - t^d), so the factors past N
+    move the product by y^(N+1) / (1 - y) to first order, the tail bound of
+    (y; y)_inf, below 10^-dps.  Otherwise, since
     Phi_r(x)^mu(r) = prod_{d|r} (1 - x^d)^mu(d) for squarefree r, it is
 
         prod_{d|r} (y^d; y^d)_inf^mu(d),
 
     each factor from euler_function(q, ctx, n, d): no factor is dropped from
-    the tail, and above its own crossover no y^d is rounded.
+    the tail, and where a factor takes the eta route no y^d is rounded.
     """
     y = q if n == 1 else ctx.root(q, n)
-    count = geometric_terms(y, y, ctx)
-    if count < _EULER_CROSSOVER:
+    route, count = _route(y, y, ctx)
+    if route == "direct":
         p = geometric_product(y, y, ctx, n=count, poly=cyclotomic(r))
         return p if mobius(r) == 1 else 1 / p
     p = ctx.mpf(1)
@@ -1277,19 +1292,17 @@ def _qpoch_split(a, q, ctx, pole, x=None):
 
 
 def qpoch_inf_ctx(a, q, ctx, pole_eps=None, x=None):
-    """(a; q)_inf inside an existing context.
+    """(a; q)_inf inside an existing context, by the route _route picks.
 
-    A product of fewer than _EULER_CROSSOVER factors multiplies the smallest
-    N factors with |a| q^N / (1-q) below the working epsilon 10^-(dps).  A
-    longer one is K direct factors times the exact log series of its tail
-    (_qpoch_split), K + J about 2 sqrt(dps ln 10 / L), L = -log q, in place
-    of N about dps ln 10 / L.  When pole_eps is given, any factor 1 - a q^k
-    smaller than it in modulus raises SingularArgumentError (used by qgamma,
-    whose reciprocal factors must stay away from zero); on the split only
-    the head's factors can be that small.  A real a equal to q is the Euler
-    function and goes to euler_function; its only factor that can vanish is
-    the first, 1 - q.  Given x, a is q^x = exp(x log q) rounded to working
-    precision, and the split recomputes it from x with its extra digits.
+    The direct route multiplies the smallest N factors with |a| q^N / (1-q)
+    below the working epsilon 10^-(dps); the split is _qpoch_split; the eta
+    route, for a real a equal to q, is euler_function.  When pole_eps is
+    given, any factor 1 - a q^k smaller than it in modulus raises
+    SingularArgumentError (used by qgamma, whose reciprocal factors must
+    stay away from zero); on the split only the head's factors can be that
+    small, and on the eta route only the first, 1 - q.  Given x, a is
+    q^x = exp(x log q) rounded to working precision, and the split
+    recomputes it from x with its extra digits.
     """
     if isinstance(q, ctx.mpc):
         if q.imag != 0:
@@ -1301,24 +1314,23 @@ def qpoch_inf_ctx(a, q, ctx, pole_eps=None, x=None):
     pole = None
     if pole_eps is not None:
         pole = (pole_eps, lambda k: f"vanishing factor 1 - a*q^k (|factor| < {pole_eps})")
-    if a == q and not isinstance(a, ctx.mpc):
-        if pole is not None and 1 - q < pole_eps:
-            raise SingularArgumentError(pole[1](0))
-        return euler_function(q, ctx)
-    count = geometric_terms(abs(a), q, ctx)
-    if count < _EULER_CROSSOVER:
+    route, count = _route(a, q, ctx)
+    if route == "direct":
         return geometric_product(a, q, ctx, n=count, pole=pole)
-    return _qpoch_split(a, q, ctx, pole, x)
+    if route == "split":
+        return _qpoch_split(a, q, ctx, pole, x)
+    if pole is not None and 1 - q < pole_eps:
+        raise SingularArgumentError(pole[1](0))
+    return euler_function(q, ctx)
 
 
 def qpochhammer(a, q, n=INFINITY, prec: Precision = DEFAULT_PRECISION):
     """(a; q)_n = prod_{k=0}^{n-1} (1 - a q^k); n may be INFINITY.
 
-    The infinite product is qpoch_inf_ctx: below _EULER_CROSSOVER factors it
-    truncates once the geometric tail bound drops below one unit in the last
-    working digit; above it the Euler route or the head-and-log-series split
-    keeps the whole tail.  Results are deterministic for fixed inputs and
-    Precision.
+    The infinite product is qpoch_inf_ctx: on the direct route it truncates
+    once the geometric tail bound drops below one unit in the last working
+    digit; the eta route and the head-and-log-series split keep the whole
+    tail.  Results are deterministic for fixed inputs and Precision.
     """
     ctx = context(prec)
     qv = from_exact(as_q(q, ctx), ctx)
@@ -1350,16 +1362,17 @@ def qgamma_ctx(x, q, ctx, guard):
 
     Near a pole x = -n, n >= 0 the integer nearest to -Re x, the smallest
     factor 1 - q^(x+n) of the denominator is about |x + n| L, L = -log q,
-    and forming it cancels log10(1 / (|x + n| L)) digits of q^x.  On the
-    split, which takes q^x with _split_digits(q, ctx) digits, as many fewer
-    are lost as they carry past ctx.  When this float estimate says more
-    than `guard` digits are lost, the caller's guard digits, the value is
-    computed again in a context with that many more digits plus
-    _POLE_MARGIN, from the same bits of x and q; when it says more than the
-    working digits are lost, SingularArgumentError names them.  The value
-    in ctx comes first, so an input that raised before (a factor below
-    10^-dps, or the work budget) still raises the same error, and away from
-    the poles the check is one float comparison.
+    and forming it cancels log10(1 / (|x + n| L)) digits of q^x.  Off the
+    direct route (_route of q^x), as many fewer are lost as the
+    _split_digits(q, ctx) digits carry past ctx: the split takes q^x with
+    them, and the eta route, at x = 1, takes L from log q.  When this float
+    estimate says more than `guard` digits are lost, the caller's guard
+    digits, the value is computed again in a context with that many more
+    digits plus _POLE_MARGIN, from the same bits of x and q; when it says
+    more than the working digits are lost, SingularArgumentError names
+    them.  The value in ctx comes first, so an input that raised before (a
+    factor below 10^-dps, or the work budget) still raises the same error,
+    and away from the poles the check is one float comparison.
 
     x and q are first converted into ctx, so every step rounds there.  The
     value is remembered in the module's memo.
@@ -1371,7 +1384,7 @@ def qgamma_ctx(x, q, ctx, guard):
 
 
 def _qgamma_guarded(x, q, ctx, guard):
-    value = _qgamma(x, q, ctx)
+    value, qx = _qgamma(x, q, ctx)
     xr, L = float(x.real), -_float_log(q)
     if abs(xr) < 2.0**50:
         # |Re x + n| less the float rounding of Re x is a lower bound on |x + n|
@@ -1382,7 +1395,7 @@ def _qgamma_guarded(x, q, ctx, guard):
     if size >= 10.0**-guard:
         return value
     lost = math.ceil(-math.log10(size)) if size else math.inf
-    if geometric_terms(abs(ctx.exp(x * log_ctx(q, ctx))), q, ctx) >= _EULER_CROSSOVER:
+    if _route(qx, q, ctx)[0] != "direct":
         lost -= _split_digits(q, ctx) - ctx.dps
     if lost <= guard:
         return value
@@ -1391,15 +1404,16 @@ def _qgamma_guarded(x, q, ctx, guard):
             f"Gamma_q(x) at {ctx.nstr(abs(x + n), 3)} from its pole at x = {-n}: the factor "
             f"1 - q^(x + {n}) would cancel {lost} digits, more than the {ctx.dps} working digits")
     hi = _context_at(ctx.dps + lost + _POLE_MARGIN)
-    return +ctx.convert(_qgamma(hi.convert(x), hi.convert(q), hi))  # + rounds to ctx
+    return +ctx.convert(_qgamma(hi.convert(x), hi.convert(q), hi)[0])  # + rounds to ctx
 
 
 def _qgamma(x, q, ctx):
+    """Gamma_q(x) in ctx, and q^x, the argument of its denominator."""
     qx = q if x == 1 else ctx.exp(x * log_ctx(q, ctx))
     pole_eps = working_eps(ctx)
     num = qpoch_inf_ctx(q, q, ctx)
     den = qpoch_inf_ctx(qx, q, ctx, pole_eps=pole_eps, x=x)
-    return ctx.exp((1 - x) * log_ctx(1 - q, ctx)) * num / den
+    return ctx.exp((1 - x) * log_ctx(1 - q, ctx)) * num / den, qx
 
 
 def qgamma(x, q, prec: Precision = DEFAULT_PRECISION):

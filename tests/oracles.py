@@ -276,7 +276,8 @@ def cor2_tail_log(alphas, betas, start, ctx):
     """
     r = max(abs(v) for v in (*alphas, *betas))
     assert r < start / 2, "the tail series needs |entries| well below start"
-    eps = ctx.mpf(10) ** -ctx.dps
+    log_eps = -ctx.dps * math.log(10)
+    log_ratio = math.log(2 * float(r) / start) if r else -math.inf
     wide = mpmath.mp.clone()
     total = ctx.mpf(0)
     m = 2
@@ -285,8 +286,12 @@ def cor2_tail_log(alphas, betas, start, ctx):
         power = sum(a**m for a in alphas) - sum(b**m for b in betas)
         term = (-1) ** (m + 1) * power * ctx.convert(wide.zeta(m, start)) / m
         total += term
-        # the terms left are below (2 r)^m zeta(m, start) (r / start)^j summed over j
-        if (2 * r) ** m * ctx.zeta(m, start) < eps:
+        # the terms left are below (2 r)^m zeta(m, start) (r / start)^j summed
+        # over j, and zeta(m, start) <= start^-m (1 + start / (m - 1)), the
+        # integral bound, which exceeds it by about start^-m / 2, far more
+        # than float rounding: so stop once that bound, in logs, is below
+        # 10^-dps
+        if m * log_ratio + math.log1p(start / (m - 1)) < log_eps:
             return total
         m += 1
 

@@ -31,8 +31,8 @@ def test_root_of_unity_algebra():
     i = RootOfUnity(1, 4)
     assert i * i == RootOfUnity(1, 2)
     assert i**4 == RootOfUnity.one()
-    assert i**-1 == i.conjugate()
-    assert (i * i.conjugate()).is_one
+    assert i**-1 == RootOfUnity(3, 4)
+    assert (i * i**-1).is_one
     assert RootOfUnity(1, 2).as_int() == -1
     assert RootOfUnity.one().as_int() == 1
     with pytest.raises(ValueError):
@@ -62,7 +62,7 @@ def test_mod4_character_table():
         RootOfUnity.one(), None, RootOfUnity.one(), None]
     assert [chi.value(n) for n in range(1, 5)] == [
         RootOfUnity.one(), None, RootOfUnity(1, 2), None]
-    assert chi.order == 2 and chi.is_real
+    assert chi.order == 2
     assert (chi.conductor(), chi.is_primitive) == (4, True)
     assert (principal.conductor(), principal.is_primitive) == (1, False)
 
@@ -102,7 +102,7 @@ def test_mod8_conductors():
 def test_legendre_character():
     for p in (3, 5, 7, 11, 13, 17):
         chi = legendre_character(p)
-        assert chi.order == 2 and chi.is_real and chi.is_primitive
+        assert chi.order == 2 and chi.is_primitive
         for n in range(2 * p):
             v = chi.value(n)
             expected = jacobi_symbol(n, p)

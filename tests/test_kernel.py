@@ -113,9 +113,8 @@ def test_qpoch_inf_matches_mpf_loop(digits, qs, a_text):
     oracle, factors = oracles.qpoch_inf_mpf(a, q, ctx)
     assert geometric_terms(abs(a), q, ctx) == factors
     ar, qr = ref.convert(a), ref.convert(q)
-    # a product of _EULER_CROSSOVER factors or more, a != q, takes the split,
-    # which keeps the tail the former loop dropped: its reference keeps it too
-    split = a_text != "q" and factors >= qfunc._EULER_CROSSOVER
+    # the split keeps the tail the former loop dropped: its reference keeps it too
+    split = qfunc._route(a, q, ctx)[0] == "split"
     count = geometric_terms(abs(ar), qr, ref) if split else factors
     reference = ref.fprod(1 - ar * t for t in powers(ref, qr, 0, count))
     check_error(value, oracle, reference, ctx)
@@ -148,7 +147,7 @@ def test_psi_product_matches_mpf_loop(digits, qs):
     # test_psi_product_matches_a_tail_complete_product)
     ctx = context(Precision(digits))
     y = ctx.mpf(qs)
-    units = 2 if geometric_terms(y, y, ctx) < qfunc._EULER_CROSSOVER else 100
+    units = 2 if qfunc._route(y, y, ctx)[0] == "direct" else 100
     assert psi_error(3, y, 1, digits) <= units * ctx.mpf(10) ** -ctx.dps
 
 
@@ -1117,36 +1116,37 @@ def test_euler_function_at_drawn_q(qf):
 
 def test_euler_function_agrees_across_the_crossover():
     ctx = context(Precision(50))
-    crossover = qfunc._EULER_CROSSOVER
-    # bisect for the two neighbouring q whose direct products take
-    # crossover - 1 and crossover factors
+    # bisect for the two neighbouring q, one direct and one on the eta
+    # route, whose direct products take neighbouring factor counts
     lo, hi = ctx.mpf("0.5"), ctx.mpf("0.999")
     while hi - lo > ctx.mpf(10) ** -15:
         mid = (lo + hi) / 2
-        if geometric_terms(mid, mid, ctx) < crossover:
+        if qfunc._route(mid, mid, ctx)[0] == "direct":
             lo = mid
         else:
             hi = mid
-    assert geometric_terms(lo, lo, ctx) == crossover - 1
-    assert geometric_terms(hi, hi, ctx) == crossover
+    route, count = qfunc._route(lo, lo, ctx)
+    assert route == "direct"
+    assert qfunc._route(hi, hi, ctx) == ("eta", count + 1)
     # below the crossover the direct product's bits are kept
-    direct = geometric_product(lo, lo, ctx, n=crossover - 1)
+    direct = geometric_product(lo, lo, ctx, n=count)
     assert euler_function(lo, ctx)._mpf_ == direct._mpf_
     # above it the eta route differs from the direct product by that
     # product's truncation, below one unit in the last working digit
     value = euler_function(hi, ctx)
-    direct = geometric_product(hi, hi, ctx, n=crossover)
+    direct = geometric_product(hi, hi, ctx, n=count + 1)
     assert abs(value - direct) / direct <= ctx.mpf(10) ** -ctx.dps
     assert euler_error(hi, 50) <= ctx.mpf(10) ** -ctx.dps
 
 
 def test_euler_function_stays_direct_where_the_transform_is_longer():
-    # at 3,000 digits, q = 0.001 needs 1,000 direct factors, but with
-    # L = -log q > 2 pi the transformed product would need more
+    # at 3,000 digits, q = 0.001 needs 1,000 direct factors, as many as
+    # take any other a to the split, but with L = -log q > 2 pi the
+    # transformed product would need more
     ctx = context(Precision(3000))
     q = ctx.mpf("0.001")
-    count = geometric_terms(q, q, ctx)
-    assert count >= qfunc._EULER_CROSSOVER and -ctx.log(q) > 2 * ctx.pi
+    route, count = qfunc._route(q, q, ctx)
+    assert route == "direct" and qfunc._route(-q, q, ctx) == ("split", count)
     assert euler_function(q, ctx)._mpf_ == geometric_product(q, q, ctx, n=count)._mpf_
 
 
@@ -1173,7 +1173,7 @@ def test_euler_function_at_a_power_of_y():
             ctx = context(Precision(digits))
             q = ctx.mpf(qs)
             y = ctx.exp(ctx.log(q) * d / n)
-            assert geometric_terms(y, y, ctx) >= qfunc._EULER_CROSSOVER
+            assert qfunc._route(y, y, ctx)[0] == "eta"
             assert euler_error(q, digits, n, d) <= ctx.mpf(10) ** -ctx.dps
 
 
@@ -1217,8 +1217,7 @@ def test_psi_product_matches_a_tail_complete_product(r, n, qs):
     ctx = context(Precision(50))
     q = ctx.mpf(qs)
     y = q if n == 1 else ctx.root(q, n)
-    route = geometric_terms(y, y, ctx) >= qfunc._EULER_CROSSOVER
-    assert route == (qs == PSI_Q[n][1])
+    assert qfunc._route(y, y, ctx)[0] == ("eta" if qs == PSI_Q[n][1] else "direct")
     assert psi_error(r, q, n, 50) <= ctx.mpf(10) ** (2 - ctx.dps)
 
 
@@ -1230,7 +1229,7 @@ def test_direct_psi_product_keeps_its_tail(digits, qs):
     # r = 11, q = 0.7, 60 digits
     ctx = context(Precision(digits))
     q = ctx.mpf(qs)
-    assert geometric_terms(q, q, ctx) < qfunc._EULER_CROSSOVER
+    assert qfunc._route(q, q, ctx)[0] == "direct"
     for r in (2, 3, 5, 6, 7, 10, 11, 30):
         assert psi_error(r, q, 1, digits) <= 2 * ctx.mpf(10) ** -ctx.dps
 
@@ -1334,7 +1333,7 @@ def test_split_without_a_head():
     c = ctx.sqrt(ctx.dps * ctx.ln10 * -ctx.log(q))
     for a_text, headless in (("0.3", True), ("0.3+0.4i", True), ("0.9", False)):
         a = to_hp(a_text, ctx)
-        assert geometric_terms(abs(a), q, ctx) >= qfunc._EULER_CROSSOVER
+        assert qfunc._route(a, q, ctx)[0] == "split"
         assert (abs(a) <= ctx.exp(-c)) == headless
         assert (qfunc._split_sizes(a, q, ctx)[0] == 0) == headless
         assert split_error(a, q, 50) <= 2 * ctx.mpf(10) ** -ctx.dps
@@ -1420,12 +1419,12 @@ def test_split_and_eta_route_keep_their_bits(key):
     q = ctx.mpf(qs)
     if len(args) == 1:
         x = to_hp(args[0], ctx)
-        assert geometric_terms(abs(ctx.exp(x * ctx.log(q))), q, ctx) >= qfunc._EULER_CROSSOVER
+        assert qfunc._route(ctx.exp(x * ctx.log(q)), q, ctx)[0] == "split"
         value = qfunc.qgamma_ctx(x, q, ctx, prec.guard)
     else:
         n, d = args
         y = ctx.exp(ctx.log(q) * d / n)
-        assert geometric_terms(y, y, ctx) >= qfunc._EULER_CROSSOVER
+        assert qfunc._route(y, y, ctx)[0] == "eta"
         value = euler_function(q, ctx, n, d)
     assert hexbits(value) == SPLIT_PINS[key]
 
@@ -1445,7 +1444,7 @@ def test_split_and_eta_route_create_no_context(monkeypatch):
     for x_text in ("0.3", "1.8+0.2i"):
         x = to_hp(x_text, ctx)
         a = ctx.exp(x * ctx.log(q))
-        assert geometric_terms(abs(a), q, ctx) >= qfunc._EULER_CROSSOVER
+        assert qfunc._route(a, q, ctx)[0] == "split"
         qpoch_inf_ctx(a, q, ctx)
         qfunc.qgamma_ctx(x, q, ctx, prec.guard)
     for n, d in ((1, 1), (3, 2)):
@@ -1480,7 +1479,7 @@ def test_split_pole_raises_with_the_former_message(x_text):
     x = ctx.mpf(x_text) + ctx.mpf(10) ** -70
     qx = ctx.exp(x * ctx.log(q))
     pole_eps = ctx.mpf(10) ** -ctx.dps
-    assert geometric_terms(abs(qx), q, ctx) >= qfunc._EULER_CROSSOVER
+    assert qfunc._route(qx, q, ctx)[0] == "split"
     expect = message_of(lambda: oracles.qpoch_inf_mpf(qx, q, ctx, pole_eps=pole_eps))
     assert expect.startswith("vanishing factor")
     assert message_of(lambda: qpoch_inf_ctx(qx, q, ctx, pole_eps=pole_eps)) == expect
@@ -1518,6 +1517,73 @@ def test_split_rounds_a_complex_result_to_working_precision():
     for a_text in ("0.3+0.4i", "0.9+0.1i"):
         value = qpoch_inf_ctx(to_hp(a_text, ctx), ctx.mpf("0.999"), ctx)
         assert all(part[1].bit_length() <= ctx.prec for part in value._mpc_)
+
+
+# ---------------------------------------------------------------------------
+# The routes each side of the default suite takes
+
+# Per (identity, q) class of the default suite, the routes _route gives the
+# left and the right side of its first entry, each from a cold memo.  The
+# left sides of THM1, THM5, COR6 and the EX values call geometric_product
+# themselves and ask for none; those of THM3_FULL and THM3_COPRIME take the
+# eta route through the (q; q)_inf numerators of their Gamma_q, which cancel
+# against the right side's.  The table records the routes; it does not judge
+# them.
+SUITE_ROUTES = {
+    ("PROTOTYPE", None): (set(), set()),
+    ("THM1", "0.1"): (set(), {"direct"}),
+    ("THM1", "0.5"): (set(), {"direct"}),
+    ("THM1", "0.9"): (set(), {"eta", "split"}),
+    ("COR2", None): (set(), set()),
+    ("THM3_FULL", "0.2"): ({"direct"}, {"direct"}),
+    ("THM3_FULL", "0.6"): ({"direct"}, {"direct"}),
+    ("THM3_FULL", "0.95"): ({"eta", "split"}, {"eta"}),
+    ("THM3_FULL", "0.99"): ({"eta", "split"}, {"eta"}),
+    ("THM3_FULL", "0.999"): ({"eta", "split"}, {"eta"}),
+    ("THM3_COPRIME", "0.2"): ({"direct"}, {"direct"}),
+    ("THM3_COPRIME", "0.6"): ({"direct"}, {"direct"}),
+    ("THM3_COPRIME", "0.95"): ({"eta", "split"}, {"eta"}),
+    ("THM3_COPRIME", "0.99"): ({"eta", "split"}, {"eta"}),
+    ("THM3_COPRIME", "0.999"): ({"eta", "split"}, {"eta"}),
+    ("THM4", None): (set(), set()),
+    ("THM5", "0.3"): (set(), {"direct"}),
+    ("THM5", "0.7"): (set(), {"direct"}),
+    ("COR6", "0.3"): (set(), {"direct"}),
+    ("COR6", "0.7"): (set(), {"direct"}),
+    ("EX1A", None): (set(), set()),
+    ("EX1B", None): (set(), set()),
+    ("EX2A", None): (set(), set()),
+    ("EX2B", None): (set(), set()),
+    ("JACKSON1", None): ({"direct"}, set()),
+    ("JACKSON2", None): ({"direct"}, set()),
+    ("JACKSON3", None): ({"direct"}, set()),
+    ("JACKSON4", None): ({"direct"}, set()),
+}
+
+
+def test_each_side_of_the_suite_takes_its_routes(monkeypatch):
+    taken = set()
+    route = qfunc._route
+
+    def recorded(a, q, ctx):
+        chosen = route(a, q, ctx)
+        taken.add(chosen[0])
+        return chosen
+
+    monkeypatch.setattr(qfunc, "_route", recorded)
+    first = {}
+    for spec, _ in default_suite():
+        first.setdefault((spec.id, spec.q), spec)
+    found = {}
+    for key, spec in first.items():
+        sides = []
+        for side in (eval_lhs_info, eval_rhs_info):
+            qfunc._MEMO.clear()
+            taken.clear()
+            side(spec)
+            sides.append(set(taken))
+        found[key] = tuple(sides)
+    assert found == SUITE_ROUTES
 
 
 # ---------------------------------------------------------------------------

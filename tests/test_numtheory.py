@@ -16,7 +16,6 @@ from qprod.numtheory import (
     factorize,
     jacobi_symbol,
     mobius,
-    one_minus_x_power,
     psi_by_definition,
     psi_reduced,
     radical,
@@ -112,7 +111,6 @@ def test_polynomial_basics():
     assert IntPolynomial.zero().degree == -1
     assert IntPolynomial.one().coeffs == (1,)
     assert IntPolynomial.x_power_minus_one(3).coeffs == (-1, 0, 0, 1)
-    assert one_minus_x_power(3).coeffs == (1, 0, 0, -1)
     with pytest.raises(ValueError):
         IntPolynomial((1, Fraction(1, 2)))
     with pytest.raises(ValueError, match="no leading coefficient"):
@@ -297,9 +295,9 @@ def test_psi_mobius_inversion():
                 acc = acc / psi_by_definition(d)
         mu_n = mobius(n)
         if mu_n == 1:
-            expected = RationalPolyFraction(one_minus_x_power(n), one)
+            expected = RationalPolyFraction(-IntPolynomial.x_power_minus_one(n), one)
         elif mu_n == -1:
-            expected = RationalPolyFraction(one, one_minus_x_power(n))
+            expected = RationalPolyFraction(one, -IntPolynomial.x_power_minus_one(n))
         else:
             expected = unit
         assert acc == expected, n
@@ -317,7 +315,7 @@ def test_psi_divisor_weighted_product():
                 acc = acc * psi_by_definition(d)
             elif mu == -1:
                 acc = acc / psi_by_definition(d)
-        assert acc == RationalPolyFraction(one_minus_x_power(radical(n)), one), n
+        assert acc == RationalPolyFraction(-IntPolynomial.x_power_minus_one(radical(n)), one), n
 
 
 def test_psi_reduction_lemma_spot_cases():
