@@ -149,24 +149,15 @@ def _unit_group(k: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _residue_logs(k: int) -> dict[int, tuple[int, ...]]:
-    """Map each residue coprime to k to its exponent vector on the generators."""
+    """Map each residue coprime to k to its exponent vector on the generators.
+
+    Every vector e, 0 <= e_i < order(g_i), names the residue prod g_i^(e_i) mod k.
+    """
     gens = _unit_group(k)
-    logs: dict[int, tuple[int, ...]] = {1 % k: (0,) * len(gens)}
-    # breadth-first closure: multiply known residues by each generator
-    frontier = [1 % k]
-    while frontier:
-        nxt = []
-        for r in frontier:
-            vec = logs[r]
-            for i, (g, d) in enumerate(gens):
-                s = r * g % k
-                if s not in logs:
-                    w = list(vec)
-                    w[i] = (w[i] + 1) % d
-                    logs[s] = tuple(w)
-                    nxt.append(s)
-        frontier = nxt
-    return logs
+    return {
+        math.prod(pow(g, e, k) for (g, _), e in zip(gens, vec)) % k: vec
+        for vec in _iter_product(*(range(d) for _, d in gens))
+    }
 
 
 # ---------------------------------------------------------------------------

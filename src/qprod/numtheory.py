@@ -308,16 +308,6 @@ class RationalPolyFraction:
             return (self.numerator * other.denominator) == (other.numerator * self.denominator)
         return NotImplemented
 
-    def __mul__(self, other: "RationalPolyFraction") -> "RationalPolyFraction":
-        return RationalPolyFraction(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
-    def __truediv__(self, other: "RationalPolyFraction") -> "RationalPolyFraction":
-        return RationalPolyFraction(
-            self.numerator * other.denominator, self.denominator * other.numerator
-        )
-
     @property
     def is_polynomial(self) -> bool:
         return self.denominator == IntPolynomial((1,))

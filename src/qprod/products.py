@@ -59,7 +59,6 @@ from .qfunc import (
     parse_number,
     psi_product,
     qgamma_ctx,
-    qpoch_inf_ctx,
     rational_product,
     rational_zeros,
     split_context,
@@ -237,7 +236,10 @@ def _count(spec: IdentitySpec) -> int:
 
 
 def _pole_eps(spec: IdentitySpec, ctx):
-    """The spec's working epsilon in ctx, the threshold of every pole check in any side's context."""
+    """The spec's working epsilon in ctx, the threshold of the evaluators' own pole checks.
+
+    Gamma_q inside a side checks against its context's own epsilon (qgamma_ctx).
+    """
     return ctx.convert(working_eps(context(spec.prec)))
 
 
@@ -518,7 +520,7 @@ def _thm3_full_lhs(spec, ctx):
 def _thm3_full_rhs(spec, ctx):
     q = from_exact(spec.exact.q, ctx)
     n = spec.n
-    euler = qpoch_inf_ctx(q, q, ctx)
+    euler = euler_function(q, ctx)
     head = ctx.exp(log_ctx(1 - q, ctx) * (n - 1) / 2)
     return head * euler**n / euler_function(q, ctx, n), EvalInfo()
 
@@ -536,7 +538,7 @@ def _thm3_coprime_rhs(spec, ctx):
     q = from_exact(spec.exact.q, ctx)
     n = spec.n
     phi = totient(n)
-    euler = qpoch_inf_ctx(q, q, ctx)
+    euler = euler_function(q, ctx)
     head = ctx.exp(log_ctx(1 - q, ctx) * ctx.mpf(phi) / 2)
     return head * euler**phi / psi_product(radical(n), q, ctx, n), EvalInfo()
 
@@ -628,7 +630,7 @@ def _cor6_rhs(spec, ctx):
     phi = totient(k)  # even for every modulus >= 3, so phi/2 is an integer power
     qk = q**k
     head = _front_factor(q, z, ctx, _pole_eps(spec, ctx)) * (1 - qk) ** (phi // 2)
-    euler = qpoch_inf_ctx(qk, qk, ctx) ** phi
+    euler = euler_function(qk, ctx) ** phi
     pp = psi_product(radical(k), q, ctx)
     gprod = ctx.mpf(1)
     for j in range(1, k + 1):
@@ -845,7 +847,8 @@ def _side(evaluate, spec: IdentitySpec) -> tuple:
     A side whose identity takes q runs in split_context(q, ctx), ctx the
     spec's context, and is rounded once to ctx; every other side runs in
     ctx.  The evaluator reads spec.exact and truncates in the context it is
-    handed; its pole checks keep the spec's epsilon (_pole_eps).
+    handed; its own pole checks keep the spec's epsilon (_pole_eps), and
+    Gamma_q's check against the context's.
 
     The pair is remembered in qfunc's memo under the evaluator itself, the
     spec's exact inputs (0.5, a Fraction, runs as a real value, 0.5+0j, a

@@ -58,11 +58,13 @@ and 21 to 112 times less when complex.
 Each (a; q)_inf takes one of three routes, and one function, _route, picks
 it: the direct product below a crossover count of factors; from there on
 the eta route for the Euler function, a real a == q (the direct product
-still where L = -log q > 2 pi), and the split for any other a.  Every direct
-geometric product truncates by one rule: after N factors a q^k the tail
-|a| q^N / (1 - q) is below 10^-dps (geometric_terms).
-The eta route (euler_function) takes the Euler function (q; q)_inf, the
-numerator of every q-gamma value.  The Dedekind eta transformation
+still where L = -log q > 2 pi), and the split for any other a.  The Euler
+function (q; q)_inf, the numerator of every q-gamma value, is
+euler_function's, whose memo answers before _route is asked:
+qpoch_inf_ctx hands it a real a == q and routes only the other a, direct
+or split.  Every direct geometric product truncates by one rule: after N
+factors a q^k the tail |a| q^N / (1 - q) is below 10^-dps
+(geometric_terms).  On the eta route the Dedekind eta transformation
 eta(-1/tau) = sqrt(-i tau) eta(tau) turns it into a closed part times
 (q'; q')_inf with q' = exp(-4 pi^2 / L), and q' is tiny once q is near 1
 (below 10^-1700 at q = 0.99).  So its cost no longer grows as 1/(1 - q).
@@ -1105,7 +1107,10 @@ def _route(a, q, ctx):
 
     "direct" below _EULER_CROSSOVER factors; from there on "eta" for a real
     a == q ("direct" where L = -log q > 2 pi: the transformed product would
-    be the longer one) and "split" for any other a.
+    be the longer one) and "split" for any other a.  qpoch_inf_ctx hands a
+    real a == q to euler_function before it asks, so it only ever gets
+    "direct" or "split"; the eta arm answers euler_function, psi_product
+    and Gamma_q's pole guard.
     """
     count = geometric_terms(abs(a), q, ctx)
     if count < _EULER_CROSSOVER:
@@ -1292,17 +1297,18 @@ def _qpoch_split(a, q, ctx, pole, x=None):
 
 
 def qpoch_inf_ctx(a, q, ctx, pole_eps=None, x=None):
-    """(a; q)_inf inside an existing context, by the route _route picks.
+    """(a; q)_inf inside an existing context.
 
-    The direct route multiplies the smallest N factors with |a| q^N / (1-q)
-    below the working epsilon 10^-(dps); the split is _qpoch_split; the eta
-    route, for a real a equal to q, is euler_function.  When pole_eps is
-    given, any factor 1 - a q^k smaller than it in modulus raises
-    SingularArgumentError (used by qgamma, whose reciprocal factors must
-    stay away from zero); on the split only the head's factors can be that
-    small, and on the eta route only the first, 1 - q.  Given x, a is
-    q^x = exp(x log q) rounded to working precision, and the split
-    recomputes it from x with its extra digits.
+    A real a equal to q is the Euler function, euler_function(q, ctx), on
+    whichever route that takes.  Any other a takes the route _route picks:
+    the direct route multiplies the smallest N factors with |a| q^N / (1-q)
+    below the working epsilon 10^-(dps), and the split is _qpoch_split.
+    When pole_eps is given, any factor 1 - a q^k smaller than it in modulus
+    raises SingularArgumentError (used by qgamma, whose reciprocal factors
+    must stay away from zero); of (q; q)_inf's factors the first, 1 - q, is
+    the smallest, and on the split only the head's factors can be that
+    small.  Given x, a is q^x = exp(x log q) rounded to working precision,
+    and the split recomputes it from x with its extra digits.
     """
     if isinstance(q, ctx.mpc):
         if q.imag != 0:
@@ -1314,14 +1320,14 @@ def qpoch_inf_ctx(a, q, ctx, pole_eps=None, x=None):
     pole = None
     if pole_eps is not None:
         pole = (pole_eps, lambda k: f"vanishing factor 1 - a*q^k (|factor| < {pole_eps})")
+    if a == q and not isinstance(a, ctx.mpc):
+        if pole is not None and 1 - q < pole_eps:
+            raise SingularArgumentError(pole[1](0))
+        return euler_function(q, ctx)
     route, count = _route(a, q, ctx)
     if route == "direct":
         return geometric_product(a, q, ctx, n=count, pole=pole)
-    if route == "split":
-        return _qpoch_split(a, q, ctx, pole, x)
-    if pole is not None and 1 - q < pole_eps:
-        raise SingularArgumentError(pole[1](0))
-    return euler_function(q, ctx)
+    return _qpoch_split(a, q, ctx, pole, x)
 
 
 def qpochhammer(a, q, n=INFINITY, prec: Precision = DEFAULT_PRECISION):
@@ -1353,12 +1359,13 @@ _POLE_MARGIN = 5
 def qgamma_ctx(x, q, ctx, guard):
     """Gamma_q(x) = (1-q)^(1-x) (q;q)_inf / (q^x;q)_inf inside an existing context.
 
-    Both q-products go through qpoch_inf_ctx, so near q = 1 the numerator
-    takes the Euler route and the denominator the head-and-log-series split,
-    and the cost grows as 1/sqrt(1 - q), not 1/(1 - q).  The split takes
-    q^x from x and log q with its extra digits, not from q^x rounded to
-    working precision, which it would magnify.  At x = 1 the denominator is
-    the numerator's Euler function, so Gamma_q(1) is exactly 1.
+    The numerator is euler_function and the denominator qpoch_inf_ctx, so
+    near q = 1 the numerator takes the eta route and the denominator the
+    head-and-log-series split, and the cost grows as 1/sqrt(1 - q), not
+    1/(1 - q).  The split takes q^x from x and log q with its extra digits,
+    not from q^x rounded to working precision, which it would magnify.  At
+    x = 1 the denominator is the numerator's memo entry, so Gamma_q(1) is
+    exactly 1.
 
     Near a pole x = -n, n >= 0 the integer nearest to -Re x, the smallest
     factor 1 - q^(x+n) of the denominator is about |x + n| L, L = -log q,
@@ -1411,7 +1418,7 @@ def _qgamma(x, q, ctx):
     """Gamma_q(x) in ctx, and q^x, the argument of its denominator."""
     qx = q if x == 1 else ctx.exp(x * log_ctx(q, ctx))
     pole_eps = working_eps(ctx)
-    num = qpoch_inf_ctx(q, q, ctx)
+    num = euler_function(q, ctx)
     den = qpoch_inf_ctx(qx, q, ctx, pole_eps=pole_eps, x=x)
     return ctx.exp((1 - x) * log_ctx(1 - q, ctx)) * num / den, qx
 

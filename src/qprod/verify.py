@@ -198,9 +198,9 @@ def summarize(reports) -> dict:
     return {"total": len(reports), "passed": passed, "failed": len(reports) - passed}
 
 
-def reports_json(reports, indent: int = 2) -> str:
+def reports_json(reports) -> str:
     payload = {"reports": [r.to_json() for r in reports], "summary": summarize(reports)}
-    return json.dumps(payload, indent=indent, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def reports_csv(reports) -> str:

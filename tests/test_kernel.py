@@ -918,6 +918,43 @@ def test_qgamma_and_euler_memo_hits_are_bit_identical():
     assert list(qfunc._MEMO)[-1] == ("euler", q._mpf_, ctx.prec, ctx.dps, 3, 2)
 
 
+def test_qgamma_of_one_multiplies_its_euler_function_once(monkeypatch):
+    # Gamma_q(1)'s pole-checked denominator (q; q)_inf is the numerator's
+    # Euler function, the same memo entry, on the direct route (q = 0.5,
+    # below the crossover) as on the eta route (q = 0.9)
+    runs = []
+    value = qfunc._geometric_value
+
+    def counted(*args):
+        runs.append(args)
+        return value(*args)
+
+    monkeypatch.setattr(qfunc, "_geometric_value", counted)
+    for q in ("0.5", "0.9"):
+        qfunc._MEMO.clear()
+        runs.clear()
+        assert qgamma(1, q, Precision(50)) == 1
+        assert len(runs) == 1, q
+
+
+def test_qpoch_inf_ctx_hands_the_euler_function_to_its_memo(monkeypatch):
+    # a real a == q reaches euler_function's memo before any route is chosen
+    ctx = context(Precision(50))
+    q = ctx.mpf("0.9")
+    qfunc._MEMO.clear()
+    expect = euler_function(q, ctx)
+    asked = []
+    route = qfunc._route
+
+    def recorded(a, q, ctx):
+        asked.append(a)
+        return route(a, q, ctx)
+
+    monkeypatch.setattr(qfunc, "_route", recorded)
+    assert qpoch_inf_ctx(q, q, ctx)._mpf_ == expect._mpf_
+    assert asked == []
+
+
 def test_qgamma_memo_keys_the_guard():
     # Gamma_q(-1 + 10^-5) at q = 1/2 cancels 6 digits: guard 2 recomputes
     # the value with more digits, guard 10 keeps the value in ctx
