@@ -55,8 +55,8 @@ def _add_identity_flags(sub):
                      help="index into the deterministic character enumeration (see `chars`)")
     sub.add_argument("--q", help="base q in (0, 1); accepts e^-pi style literals")
     sub.add_argument("--z", help="shift parameter z (may be complex, e.g. 0.25+0.25i)")
-    sub.add_argument("--terms", type=int, help="truncation terms (PROTOTYPE, COR2)")
-    sub.add_argument("--blocks", type=int, help="full character periods (THM4)")
+    sub.add_argument("--terms", type=int, help="term count, for an identity that takes one")
+    sub.add_argument("--blocks", type=int, help="block count, for an identity that takes one")
 
 
 def _add_precision_flags(sub):
@@ -98,18 +98,21 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_identity_flags(p_verify)
     _add_precision_flags(p_verify)
     p_verify.add_argument("--tolerance", type=int,
-                          help="required agreed digits (default: the identity's own, capped for "
-                               "PROTOTYPE, COR2 and THM4 at one less than their error estimate backs)")
+                          help="required agreed digits (default: the identity's own, capped, for a "
+                               "left side with an error estimate, at one less than it backs)")
     p_verify.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p_verify.add_argument("--out", help="write output to this file instead of stdout")
 
     p_suite = subs.add_parser("suite", help="run the full verification plan")
     p_suite.add_argument("--only", help="comma-separated identity ids to keep")
     p_suite.add_argument("--seed", type=int, default=20260818)
-    p_suite.add_argument("--blocks", type=int,
-                         help=f"THM4 character periods (default {IDENTITIES['THM4'].count})")
-    p_suite.add_argument("--prototype-terms", type=int)
-    p_suite.add_argument("--cor2-terms", type=int)
+    # one --<id>-<terms|blocks> per record with a count; dest is the id, set only when given
+    for ident, rec in IDENTITIES.items():
+        if rec.count is not None:
+            field = "terms" if "terms" in rec.takes else "blocks"
+            p_suite.add_argument(f"--{ident.lower().replace('_', '-')}-{field}", type=int,
+                                 dest=ident, default=argparse.SUPPRESS, metavar="N",
+                                 help=f"{ident} {field} (default {rec.count})")
     p_suite.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p_suite.add_argument("--out", help="write output to this file instead of stdout")
     return parser
@@ -327,13 +330,8 @@ def _cmd_suite(args) -> int:
     include = None if args.only is None else _split_list(args.only)
     if include == ():
         raise CliError(f"--only {args.only!r} names no identity id")
-    entries = default_suite(
-        include=include,
-        seed=args.seed,
-        thm4_blocks=args.blocks,
-        prototype_terms=args.prototype_terms,
-        cor2_terms=args.cor2_terms,
-    )
+    counts = {ident: getattr(args, ident) for ident in IDENTITIES if hasattr(args, ident)}
+    entries = default_suite(include=include, seed=args.seed, counts=counts)
     reports = run_suite(entries)
     summary = summarize(reports)
     if args.format == "json":

@@ -509,12 +509,19 @@ def _cor2_rhs(spec, ctx):
     return p, EvalInfo()
 
 
-def _thm3_full_lhs(spec, ctx):
-    q = from_exact(spec.exact.q, ctx)
-    p = ctx.mpf(1)
-    for j in range(1, spec.n + 1):
-        p *= qgamma_ctx(ctx.mpf(j) / spec.n, q, ctx, spec.prec.guard)
-    return p, EvalInfo(terms=spec.n)
+def _thm3_lhs(coprime):
+    """Theorem 3's left side: prod Gamma_q(j/n) over j = 1..n, or over the j coprime to n only.
+
+    One evaluator per choice, so the side memo tells the two products apart.
+    """
+    def lhs(spec, ctx):
+        q = from_exact(spec.exact.q, ctx)
+        js = [j for j in range(1, spec.n + 1) if not coprime or math.gcd(j, spec.n) == 1]
+        p = ctx.mpf(1)
+        for j in js:
+            p *= qgamma_ctx(ctx.mpf(j) / spec.n, q, ctx, spec.prec.guard)
+        return p, EvalInfo(terms=len(js))
+    return lhs
 
 
 def _thm3_full_rhs(spec, ctx):
@@ -523,15 +530,6 @@ def _thm3_full_rhs(spec, ctx):
     euler = euler_function(q, ctx)
     head = ctx.exp(log_ctx(1 - q, ctx) * (n - 1) / 2)
     return head * euler**n / euler_function(q, ctx, n), EvalInfo()
-
-
-def _thm3_coprime_lhs(spec, ctx):
-    q = from_exact(spec.exact.q, ctx)
-    units = [j for j in range(1, spec.n + 1) if math.gcd(j, spec.n) == 1]
-    p = ctx.mpf(1)
-    for j in units:
-        p *= qgamma_ctx(ctx.mpf(j) / spec.n, q, ctx, spec.prec.guard)
-    return p, EvalInfo(terms=len(units))
 
 
 def _thm3_coprime_rhs(spec, ctx):
@@ -816,9 +814,9 @@ IDENTITIES: dict = {
     "THM1": Identity(_thm1_lhs, _thm1_rhs, _thm1_suite, takes=("alphas", "q"), target=42),
     "COR2": Identity(_cor2_lhs, _cor2_rhs, _cor2_suite, takes=("alphas", "terms"), gamma_args=True,
                      count=10**5),
-    "THM3_FULL": Identity(_thm3_full_lhs, _thm3_full_rhs, _thm3_suite, takes=("n", "q")),
-    "THM3_COPRIME": Identity(_thm3_coprime_lhs, _thm3_coprime_rhs, _thm3_suite, takes=("n", "q"),
-                             n_min=2),
+    "THM3_FULL": Identity(_thm3_lhs(coprime=False), _thm3_full_rhs, _thm3_suite, takes=("n", "q")),
+    "THM3_COPRIME": Identity(_thm3_lhs(coprime=True), _thm3_coprime_rhs, _thm3_suite,
+                             takes=("n", "q"), n_min=2),
     "THM4": Identity(_thm4_lhs, _thm4_rhs, _thm4_suite, takes=("chi", "z", "blocks"),
                      count=10**6),
     "THM5": Identity(_thm5_lhs, _thm5_rhs, _char_shift_suite, takes=("chi", "z", "q")),

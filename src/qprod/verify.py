@@ -124,7 +124,7 @@ def _backed_digits(info) -> int | None:
     """floor(-log10) of the left side's relative error estimate: the digits it backs.
 
     None when the left side records no estimate, or an estimate of 0 (an
-    exact product, as THM4 at z = 0).  Exact on the decimal string.
+    exact product, as Theorem 4's at z = 0).  Exact on the decimal string.
     """
     if info.rel_error_estimate is None:
         return None
@@ -218,14 +218,7 @@ def reports_csv(reports) -> str:
 # Default suite construction
 
 
-def default_suite(
-    include=None,
-    *,
-    seed: int = 20260818,
-    prototype_terms: int | None = None,
-    cor2_terms: int | None = None,
-    thm4_blocks: int | None = None,
-) -> tuple:
+def default_suite(include=None, *, seed: int = 20260818, counts=None) -> tuple:
     """The all-passing verification plan: (IdentitySpec, tolerance) pairs.
 
     Every identity's record builds its own entries, in catalog order, from
@@ -233,18 +226,23 @@ def default_suite(
     byte-identical suites.  `include` filters by identity id, in any
     spelling products.identity_id accepts, and an id outside the catalog
     raises ValueError; every builder still draws, so a filtered plan holds
-    exactly the full plan's entries of those ids.  The count arguments
-    replace an identity's default term or block count.
+    exactly the full plan's entries of those ids.  `counts` maps ids, in the
+    same spellings, to a term or block count that replaces the record's
+    `count`; an id whose record has none raises ValueError, and a count the
+    spec refuses raises when the spec is built.
     """
     rng = Random(seed)
-    counts = {"PROTOTYPE": prototype_terms, "COR2": cor2_terms, "THM4": thm4_blocks}
+    counts = {identity_id(i): n for i, n in (counts or {}).items()}
     wanted = IDENTITY_IDS if include is None else {identity_id(i) for i in include}
-    unknown = sorted(set(wanted) - set(IDENTITIES))
+    unknown = sorted((set(wanted) | set(counts)) - set(IDENTITIES))
     if unknown:
         raise ValueError(f"unknown identity id(s): {', '.join(unknown)}")
+    uncounted = sorted(i for i in counts if IDENTITIES[i].count is None)
+    if uncounted:
+        raise ValueError(f"identity id(s) without a term or block count: {', '.join(uncounted)}")
     entries: list = []
     for ident, rec in IDENTITIES.items():
-        specs = rec.suite(ident, rng, counts.get(ident) or rec.count)
+        specs = rec.suite(ident, rng, counts.get(ident, rec.count))
         if ident in wanted:
             entries += [(spec, rec.tolerance(spec)) for spec in specs]
     return tuple(entries)

@@ -1,4 +1,4 @@
-"""Independent reference values and alternate-route computations.
+"""Independent reference values, alternate-route computations and a test double.
 
 The digit strings were produced by library routines (mpmath's qp and gamma),
 frozen here so the test suite never recomputes its own expectations through
@@ -302,3 +302,34 @@ def cor2_limit(alphas, betas, ctx, head=256):
     be = [to_hp(b, ctx) for b in betas]
     value = ctx.fprod((n + a) / (n + b) for n in range(head) for a, b in zip(al, be))
     return value * ctx.exp(cor2_tail_log(al, be, head, ctx))
+
+
+# A test double of a character that perturbs one value: the controls that must fail
+
+class NudgedRoot:
+    """Duck-typed root of unity whose complex value is off by a fixed delta."""
+
+    is_real = False  # forces the complex-value path
+
+    def __init__(self, base, delta):
+        self._base = base
+        self._delta = delta
+
+    def to_complex(self, ctx):
+        return ctx.mpf(self._base) + ctx.mpf(self._delta)
+
+
+class NudgedCharacter:
+    """Wraps a real character, perturbing its value at one residue."""
+
+    def __init__(self, chi, residue, delta):
+        self._chi = chi
+        self._residue = residue
+        self._delta = delta
+        self.modulus = chi.modulus
+
+    def value(self, n):
+        v = self._chi.value(n)
+        if v is None or n % self.modulus != self._residue:
+            return v
+        return NudgedRoot(v.as_int(), self._delta)

@@ -242,31 +242,6 @@ def test_criterion_09_prototype_product():
                     f"{float(info.rel_error_estimate):.2e} estimate, >= 38 digits")
 
 
-class _NudgedRoot:
-    is_real = False  # forcing the complex-value path
-
-    def __init__(self, base, delta):
-        self._base = base
-        self._delta = delta
-
-    def to_complex(self, ctx):
-        return ctx.mpf(self._base) + ctx.mpf(self._delta)
-
-
-class _NudgedCharacter:
-    def __init__(self, chi, residue, delta):
-        self._chi = chi
-        self._residue = residue
-        self._delta = delta
-        self.modulus = chi.modulus
-
-    def value(self, n):
-        v = self._chi.value(n)
-        if v is None or n % self.modulus != self._residue:
-            return v
-        return _NudgedRoot(v.as_int(), self._delta)
-
-
 def test_criterion_10_property_suites_and_controls():
     prec = Precision(50)
     ctx = context(prec)
@@ -313,7 +288,7 @@ def test_criterion_10_property_suites_and_controls():
     nudged_z = IdentitySpec(id="THM5", chi=chi4, z="0.5000000001", q="0.3", prec=prec)
     ok = ok and not compare(lhs_true, eval_rhs(nudged_q), 40, prec).passed
     ok = ok and not compare(lhs_true, eval_rhs(nudged_z), 40, prec).passed
-    fake = _NudgedCharacter(chi4, 3, "1e-10")
+    fake = oracles.NudgedCharacter(chi4, 3, "1e-10")
     bent, _ = products._char_shift_lhs(fake, ctx.mpf(1) / 2, ctx.mpf(3) / 10, ctx,
                                        working_eps(ctx))
     ok = ok and not compare(bent, eval_rhs(base), 40, prec).passed

@@ -4,6 +4,7 @@ the library API, exercised in-process through main(argv), plus one run of
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,9 +12,10 @@ import pytest
 
 import oracles
 from qprod.characters import enumerate_characters
-from qprod import cli, qfunc, verify
+from qprod import cli, products, qfunc, verify
 from qprod.cli import main
 from qprod.numtheory import psi_by_definition
+from qprod.products import IdentitySpec
 from qprod.qfunc import Precision, qgamma, qpochhammer
 
 
@@ -387,7 +389,7 @@ def test_verify_text_report_names_the_error(capsys):
 
 def test_suite_text_lines_name_the_character_and_length(capsys):
     # 1e4 blocks and terms back the suite's 22 digits at 30
-    code, out, err = run(capsys, "suite", "--only", "thm4", "--blocks", "10000")
+    code, out, err = run(capsys, "suite", "--only", "thm4", "--thm4-blocks", "10000")
     assert code == 0
     lines = out.splitlines()
     assert lines[0].endswith(" z=0.5 blocks=10000 chi=mod3#[1]")
@@ -401,12 +403,52 @@ def test_suite_text_lines_name_the_character_and_length(capsys):
 
 def test_suite_at_too_few_blocks_fails_and_says_why(capsys):
     # 200 blocks back 14 digits, fewer than the 22 the suite asks at 30
-    code, out, err = run(capsys, "suite", "--only", "thm4", "--blocks", "200")
+    code, out, err = run(capsys, "suite", "--only", "thm4", "--thm4-blocks", "200")
     assert code == 1
     lines = out.splitlines()
     assert lines[1].startswith("FAIL THM4          agreed= 16 tol=22 ")
     assert lines[1].endswith(" error=the left side's error estimate 4.285273e-15 backs 14 digits, "
                              "fewer than the tolerance 22")
+
+
+def test_suite_count_of_zero_is_refused_not_replaced(capsys):
+    # a count of 0 reaches the spec, which refuses it, rather than falling back to the default
+    code, out, err = run(capsys, "suite", "--only", "thm4", "--thm4-blocks", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: blocks must be an integer >= 2, got 0\n"
+
+
+def test_suite_help_lists_one_count_flag_per_counted_record(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    code, out, err = run(capsys, "suite", "--help")
+    assert code == 0
+    flags = re.findall(r"^  (--[a-z0-9-]+-(?:terms|blocks)) N +(.*)$", out, re.MULTILINE)
+    assert flags == [("--prototype-terms", "PROTOTYPE terms (default 1000000)"),
+                     ("--cor2-terms", "COR2 terms (default 100000)"),
+                     ("--thm4-blocks", "THM4 blocks (default 1000000)")]
+
+
+def test_a_new_counted_record_needs_no_other_edit(monkeypatch, capsys):
+    seen = []
+
+    def toy_suite(ident, rng, terms):
+        seen.append(terms)
+        return [IdentitySpec(ident, terms=terms, prec=Precision(30))]
+
+    proto = products.IDENTITIES["PROTOTYPE"]
+    monkeypatch.setitem(products.IDENTITIES, "TOY",
+                        products.Identity(proto.lhs, proto.rhs, toy_suite, takes=("terms",), count=500))
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, "suite", "--help")
+    assert code == 0
+    assert re.search(r"^  --toy-terms N +TOY terms \(default 500\)$", out, re.MULTILINE)
+    entries = verify.default_suite(include=("toy",), counts={"TOY": 30})
+    assert seen == [30]
+    assert [spec.terms for spec, _ in entries] == [30]
+    code, out, err = run(capsys, "suite", "--only", "toy", "--toy-terms", "5")
+    assert (code, err) == (2, "error: terms must be an integer >= 10, got 5\n")
+    assert seen == [30, 5]
 
 
 def test_suite_json_to_stdout(capsys):

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from qprod import products, verify
 from qprod.characters import enumerate_characters
 from qprod.products import IdentitySpec, eval_rhs, random_cor2_instance, random_thm1_instance
@@ -146,41 +147,12 @@ def test_perturbed_z_fails():
     assert r.digits_agreed < 12
 
 
-class _NudgedRoot:
-    """Duck-typed root of unity whose complex value is off by a fixed delta."""
-
-    is_real = False  # forces the complex-value path
-
-    def __init__(self, base, delta):
-        self._base = base
-        self._delta = delta
-
-    def to_complex(self, ctx):
-        return ctx.mpf(self._base) + ctx.mpf(self._delta)
-
-
-class _NudgedCharacter:
-    """Wraps a real character, perturbing its value at one residue."""
-
-    def __init__(self, chi, residue, delta):
-        self._chi = chi
-        self._residue = residue
-        self._delta = delta
-        self.modulus = chi.modulus
-
-    def value(self, n):
-        v = self._chi.value(n)
-        if v is None or n % self.modulus != self._residue:
-            return v
-        return _NudgedRoot(v.as_int(), self._delta)
-
-
 def test_perturbed_character_value_fails():
     prec = Precision(50)
     ctx = context(prec)
     spec = IdentitySpec(id="THM5", chi=CHI4, z="0.5", q="0.3", prec=prec)
     rhs = eval_rhs(spec)
-    fake = _NudgedCharacter(CHI4, 3, "1e-10")
+    fake = oracles.NudgedCharacter(CHI4, 3, "1e-10")
     q = ctx.mpf(3) / 10
     z = ctx.mpf(1) / 2
     lhs, _ = products._char_shift_lhs(fake, z, q, ctx, working_eps(ctx))
@@ -188,7 +160,7 @@ def test_perturbed_character_value_fails():
     assert not r.passed
     assert r.digits_agreed < 15
     # sanity: the same call with delta 0 reproduces the true left side
-    clean, _ = products._char_shift_lhs(_NudgedCharacter(CHI4, 3, "0"), z, q, ctx,
+    clean, _ = products._char_shift_lhs(oracles.NudgedCharacter(CHI4, 3, "0"), z, q, ctx,
                                         working_eps(ctx))
     assert compare(clean, rhs, 40, prec).passed
 
@@ -305,8 +277,21 @@ def test_default_suite_seeded_and_filterable():
     assert sorted({s.id for s, _ in only}) == ["EX1A", "THM4"]
     assert len(only) == 3
     # smaller knobs produce a smaller run without changing shape
-    quick = default_suite(include=("THM4",), thm4_blocks=1000)
+    quick = default_suite(include=("THM4",), counts={"THM4": 1000})
     assert all(s.blocks == 1000 for s, _ in quick)
+
+
+def test_default_suite_counts_are_keyed_by_id_and_checked():
+    # keyed in any spelling identity_id accepts; a count replaces its record's default
+    plan = default_suite(include=("prototype", "cor2"), counts={"Prototype": 20, "cor2": 30})
+    assert [s.terms for s, _ in plan] == [20] + [30] * 11
+    # a count of 0 reaches the spec, which refuses it, rather than falling back to the default
+    with pytest.raises(ValueError, match="^terms must be an integer >= 10, got 0$"):
+        default_suite(include=("COR2",), counts={"cor2": 0})
+    with pytest.raises(ValueError, match="^unknown identity id\\(s\\): THM9$"):
+        default_suite(counts={"thm9": 10})
+    with pytest.raises(ValueError, match="^identity id\\(s\\) without a term or block count: THM1$"):
+        default_suite(counts={"thm1": 10})
 
 
 def test_every_default_suite_spec_has_its_own_json():
