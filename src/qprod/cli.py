@@ -41,10 +41,6 @@ from .verify import (
 )
 
 
-class CliError(Exception):
-    """Argument-level problem: reported on stderr with exit code 2."""
-
-
 def _add_identity_flags(sub):
     sub.add_argument("--id", help="identity id (case-insensitive), e.g. THM5, ex1b")
     sub.add_argument("--alphas", help="comma-separated numerator shifts")
@@ -132,10 +128,10 @@ def _character_from_args(args):
     if args.modulus is None:
         return None
     if args.char_index is None:
-        raise CliError("--modulus needs --char-index; list choices with `qprod chars`")
+        raise ValueError("--modulus needs --char-index; list choices with `qprod chars`")
     chars = enumerate_characters(args.modulus)
     if not 0 <= args.char_index < len(chars):
-        raise CliError(
+        raise ValueError(
             f"--char-index {args.char_index} out of range; "
             f"modulus {args.modulus} has {len(chars)} characters"
         )
@@ -144,25 +140,22 @@ def _character_from_args(args):
 
 def _spec_from_args(args) -> IdentitySpec:
     if not args.id:
-        raise CliError("--id is required")
+        raise ValueError("--id is required")
     ident = identity_id(args.id)
     if ident not in IDENTITIES:
-        raise CliError(f"unknown identity id {args.id!r}; choose from {', '.join(IDENTITY_IDS)}")
-    try:
-        return IdentitySpec(
-            id=ident,
-            alphas=_split_list(args.alphas),
-            betas=_split_list(args.betas),
-            n=args.n,
-            chi=_character_from_args(args),
-            q=args.q,
-            z=args.z,
-            prec=Precision(args.digits, args.guard),
-            terms=args.terms,
-            blocks=args.blocks,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise ValueError(f"unknown identity id {args.id!r}; choose from {', '.join(IDENTITY_IDS)}")
+    return IdentitySpec(
+        id=ident,
+        alphas=_split_list(args.alphas),
+        betas=_split_list(args.betas),
+        n=args.n,
+        chi=_character_from_args(args),
+        q=args.q,
+        z=args.z,
+        prec=Precision(args.digits, args.guard),
+        terms=args.terms,
+        blocks=args.blocks,
+    )
 
 
 def _pochhammer_count(text: str):
@@ -173,7 +166,7 @@ def _pochhammer_count(text: str):
     except ValueError:
         n = -1
     if n < 0:
-        raise CliError("--pochhammer-n must be a non-negative integer or 'inf'")
+        raise ValueError("--pochhammer-n must be a non-negative integer or 'inf'")
     return n
 
 
@@ -194,10 +187,10 @@ def _cmd_eval(args) -> int:
     obj: dict = {"operation": args.operation, "digits": args.digits}
     if args.operation in ("qgamma", "gamma"):
         if args.x is None:
-            raise CliError(f"{args.operation} needs --x")
+            raise ValueError(f"{args.operation} needs --x")
         if args.operation == "qgamma":
             if args.q is None:
-                raise CliError("qgamma needs --q")
+                raise ValueError("qgamma needs --q")
             value = qgamma(args.x, args.q, prec)
             obj["q"] = args.q
         else:
@@ -205,7 +198,7 @@ def _cmd_eval(args) -> int:
         obj["x"] = args.x
     elif args.operation == "qpoch":
         if args.a is None or args.q is None:
-            raise CliError("qpoch needs --a and --q")
+            raise ValueError("qpoch needs --a and --q")
         n = _pochhammer_count(args.pochhammer_n)
         value = qpochhammer(args.a, args.q, n, prec)
         obj.update({"a": args.a, "q": args.q, "n": args.pochhammer_n})
@@ -231,7 +224,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_chars(args) -> int:
     if args.modulus < 1:
-        raise CliError("--modulus must be a positive integer")
+        raise ValueError("--modulus must be a positive integer")
     chars = enumerate_characters(args.modulus)
     header = f"modulus {args.modulus}: {len(chars)} character(s)"
     if args.char_index is not None:
@@ -258,7 +251,7 @@ def _cmd_chars(args) -> int:
 
 def _cmd_psi(args) -> int:
     if args.n < 1:
-        raise CliError("--n must be a positive integer")
+        raise ValueError("--n must be a positive integer")
     frac = psi_by_definition(args.n)
     poly, exponent = psi_reduced(args.n)
     r = radical(args.n)
@@ -329,7 +322,7 @@ def _suite_line(report) -> str:
 def _cmd_suite(args) -> int:
     include = None if args.only is None else _split_list(args.only)
     if include == ():
-        raise CliError(f"--only {args.only!r} names no identity id")
+        raise ValueError(f"--only {args.only!r} names no identity id")
     counts = {ident: getattr(args, ident) for ident in IDENTITIES if hasattr(args, ident)}
     entries = default_suite(include=include, seed=args.seed, counts=counts)
     reports = run_suite(entries)
@@ -367,9 +360,6 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, SingularArgumentError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -104,16 +104,27 @@ class ExactInputs(NamedTuple):
     z: object
 
 
+def _exact_text(given, exact) -> str:
+    """given if it is text, else its exact value as text parse_number reads back: p/q, or a+bi with p/q parts."""
+    if isinstance(given, str):
+        return given
+    if isinstance(exact, tuple):
+        re, im = exact
+        return f"{re}{'-' if im < 0 else '+'}{abs(im)}i"
+    return str(exact)
+
+
 @dataclass(frozen=True)
 class IdentitySpec:
     """Parameters for one identity verification.
 
     Numeric parameters (q, z, alphas, betas) are best given as decimal
     strings.  Each is parsed once, here, into its exact value in `exact`
-    (qfunc.parse_number; no part of init, ==, repr or to_json), and a side
-    rounds it once into its own context (qfunc.from_exact), so one spec
-    evaluates identically at any Precision.  An input that is no finite
-    number, or a q outside 0 < q < 1, raises ValueError here.
+    (qfunc.parse_number; no part of init, == or repr, and what to_json
+    writes for an input not given as text), and a side rounds it once into
+    its own context (qfunc.from_exact), so one spec evaluates identically at
+    any Precision.  An input that is no finite number, or a q outside
+    0 < q < 1, raises ValueError here.
     """
 
     id: str
@@ -179,16 +190,16 @@ class IdentitySpec:
     def to_json(self) -> dict:
         obj: dict = {"id": self.id}
         if self.alphas:
-            obj["alphas"] = [str(a) for a in self.alphas]
-            obj["betas"] = [str(b) for b in self.betas]
+            obj["alphas"] = list(map(_exact_text, self.alphas, self.exact.alphas))
+            obj["betas"] = list(map(_exact_text, self.betas, self.exact.betas))
         if self.n is not None:
             obj["n"] = self.n
         if self.chi is not None:
             obj["chi"] = {"modulus": self.chi.modulus, "exponents": list(self.chi.exponents)}
         if self.q is not None:
-            obj["q"] = str(self.q)
+            obj["q"] = _exact_text(self.q, self.exact.q)
         if self.z is not None:
-            obj["z"] = str(self.z)
+            obj["z"] = _exact_text(self.z, self.exact.z)
         obj["prec"] = {"digits": self.prec.digits, "guard": self.prec.guard}
         if self.terms is not None:
             obj["terms"] = self.terms

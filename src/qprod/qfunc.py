@@ -24,7 +24,7 @@ complex value with a zero imaginary part is not the real one), the
 context's working bits and digits, and its own parameters.  Those are
 geometric_product's n, polynomial coefficients and pole eps (the pole's
 message only words an error), euler_function's n and d, and qgamma_ctx's
-guard, which decides whether a value near a pole is computed again.  The
+guard, which decides whether a value near a pole takes more digits.  The
 split's head runs geometric_product's loop outside the memo: over the
 default suite no head is asked for twice.  Every other key begins with its
 kind: "euler", "qgamma", "side", "log" or "omega".  A side's key holds its
@@ -262,7 +262,8 @@ def _fraction(x) -> Fraction:
     # 10^e as an exact int, rounded into a context, takes 3 ms at e = 10^4 and 14 s at 10^6
     if isinstance(x, str) and abs(int(x.lower().partition("e")[2] or 0)) > 10**4:
         raise OverflowError("its decimal exponent passes 10000")
-    return Fraction(*to_rational(x._mpf_)) if hasattr(x, "_mpf_") else Fraction(x)
+    # to_rational reads +-inf as 0; Fraction refuses a non-finite mpf
+    return Fraction(*to_rational(x._mpf_)) if hasattr(x, "_mpf_") and mpmath.isfinite(x) else Fraction(x)
 
 
 def from_exact(value, ctx):
@@ -1225,12 +1226,12 @@ def _split_sizes(a, q, ctx):
     return K, max(1, math.ceil((T - math.log(low)) / lam) - 1)
 
 
-def _qpoch_split(a, q, ctx, pole, x=None):
+def _qpoch_split(a, q, ctx, x=None):
     """(a; q)_inf as K direct factors times exp(-S), the log series of the rest.
 
     K is the least k with |a| q^k <= e^-c, c = sqrt(dps ln 10 L), L = -log q.
-    The head prod_{k<K} (1 - a q^k) is geometric_product's loop with the
-    caller's pole check, outside the memo; no later factor can vanish, since
+    The head prod_{k<K} (1 - a q^k) is geometric_product's loop, without a
+    pole check and outside the memo; no later factor can vanish, since
     |a q^k| <= e^-c < 1.  With
     w = a q^K the tail is exact: log (w; q)_inf = -S,
 
@@ -1269,7 +1270,7 @@ def _qpoch_split(a, q, ctx, pole, x=None):
         a = mpc_exp(mpc_mul_mpf(x._mpc_, log_q, prec, rnd), prec, rnd)
     else:
         a = mpf_exp(mpf_mul(x._mpf_, log_q, prec, rnd), prec, rnd)
-    m, mi, e = _geometric_product(a, hq, prec, K, None, pole)
+    m, mi, e = _geometric_product(a, hq, prec, K, None, None)
     qK = mpf_exp(mpf_mul_int(log_q, K, prec, rnd), prec, rnd)  # q^K; w = a q^K
     B = prec + max(0, math.ceil(-math.log2(L))) + 2 * J.bit_length() + 20
     one = 1 << B
@@ -1296,19 +1297,17 @@ def _qpoch_split(a, q, ctx, pole, x=None):
     return ctx.mpf(mpf_mul(head, mpf_exp(from_man_exp(-s, -B, prec, rnd), prec, rnd), prec, rnd))
 
 
-def qpoch_inf_ctx(a, q, ctx, pole_eps=None, x=None):
+def qpoch_inf_ctx(a, q, ctx, x=None):
     """(a; q)_inf inside an existing context.
 
     A real a equal to q is the Euler function, euler_function(q, ctx), on
     whichever route that takes.  Any other a takes the route _route picks:
     the direct route multiplies the smallest N factors with |a| q^N / (1-q)
     below the working epsilon 10^-(dps), and the split is _qpoch_split.
-    When pole_eps is given, any factor 1 - a q^k smaller than it in modulus
-    raises SingularArgumentError (used by qgamma, whose reciprocal factors
-    must stay away from zero); of (q; q)_inf's factors the first, 1 - q, is
-    the smallest, and on the split only the head's factors can be that
-    small.  Given x, a is q^x = exp(x log q) rounded to working precision,
-    and the split recomputes it from x with its extra digits.
+    Neither checks for a vanishing factor: Gamma_q, whose denominator this
+    is, decides from x's distance to its nearest pole before it calls
+    (qgamma_ctx).  Given x, a is q^x = exp(x log q) rounded to working
+    precision, and the split recomputes it from x with its extra digits.
     """
     if isinstance(q, ctx.mpc):
         if q.imag != 0:
@@ -1317,17 +1316,12 @@ def qpoch_inf_ctx(a, q, ctx, pole_eps=None, x=None):
     if not 0 < q < 1:
         raise ValueError(f"base q must lie in (0, 1), got {q}")
     a = ctx.convert(a)
-    pole = None
-    if pole_eps is not None:
-        pole = (pole_eps, lambda k: f"vanishing factor 1 - a*q^k (|factor| < {pole_eps})")
     if a == q and not isinstance(a, ctx.mpc):
-        if pole is not None and 1 - q < pole_eps:
-            raise SingularArgumentError(pole[1](0))
         return euler_function(q, ctx)
     route, count = _route(a, q, ctx)
     if route == "direct":
-        return geometric_product(a, q, ctx, n=count, pole=pole)
-    return _qpoch_split(a, q, ctx, pole, x)
+        return geometric_product(a, q, ctx, n=count)
+    return _qpoch_split(a, q, ctx, x)
 
 
 def qpochhammer(a, q, n=INFINITY, prec: Precision = DEFAULT_PRECISION):
@@ -1367,19 +1361,21 @@ def qgamma_ctx(x, q, ctx, guard):
     x = 1 the denominator is the numerator's memo entry, so Gamma_q(1) is
     exactly 1.
 
-    Near a pole x = -n, n >= 0 the integer nearest to -Re x, the smallest
-    factor 1 - q^(x+n) of the denominator is about |x + n| L, L = -log q,
-    and forming it cancels log10(1 / (|x + n| L)) digits of q^x.  Off the
-    direct route (_route of q^x), as many fewer are lost as the
+    Gamma_q has a pole at every x = -n + 2 pi i k / L, n >= 0 and k
+    integers, L = -log q (Gasper and Rahman, Basic Hypergeometric Series,
+    sec. 1.10), and one rule guards them all before any value is computed.
+    At the nearest, n = max(0, nint(-Re x)) and k = round(Im(x) L / 2 pi),
+    the factor 1 - q^(x+n) is about |x + n - 2 pi i k / L| L, and forming it
+    cancels log10 of its inverse in digits of q^x; every other factor has
+    |Re(x + m)| >= 1/2.  |Re x + n| L, a lower bound on that size, decides
+    away from the poles in one float comparison.  Off the direct route
+    (_route of q^x), as many fewer digits are lost as the
     _split_digits(q, ctx) digits carry past ctx: the split takes q^x with
-    them, and the eta route, at x = 1, takes L from log q.  When this float
-    estimate says more than `guard` digits are lost, the caller's guard
-    digits, the value is computed again in a context with that many more
-    digits plus _POLE_MARGIN, from the same bits of x and q; when it says
-    more than the working digits are lost, SingularArgumentError names
-    them.  The value in ctx comes first, so an input that raised before (a
-    factor below 10^-dps, or the work budget) still raises the same error,
-    and away from the poles the check is one float comparison.
+    them, and the eta route, at x = 1, takes L from log q.  Up to `guard`
+    lost digits, the caller's guard, the value is computed in ctx; up to the
+    working digits, once, in a context with that many more digits plus
+    _POLE_MARGIN, from the same bits of x and q; past them, or at the pole
+    itself, SingularArgumentError names the pole.
 
     x and q are first converted into ctx, so every step rounds there.  The
     value is remembered in the module's memo.
@@ -1391,46 +1387,47 @@ def qgamma_ctx(x, q, ctx, guard):
 
 
 def _qgamma_guarded(x, q, ctx, guard):
-    value, qx = _qgamma(x, q, ctx)
     xr, L = float(x.real), -_float_log(q)
-    if abs(xr) < 2.0**50:
-        # |Re x + n| less the float rounding of Re x is a lower bound on |x + n|
-        if (abs(xr + max(0, round(-xr))) - abs(xr) * 2.0**-50) * L >= 10.0**-guard:
-            return value
+    # |Re x + n| less the float rounding of Re x is a lower bound on the distance to every pole
+    if abs(xr) < 2.0**50 and (abs(xr + max(0, round(-xr))) - abs(xr) * 2.0**-50) * L >= 10.0**-guard:
+        return _qgamma(x, q, ctx)
+    log_q = log_ctx(q, ctx)
     n = max(0, int(ctx.nint(-x.real)))
-    size = float(abs(x + n)) * L
+    k = int(ctx.nint(ctx.im(x) * log_q / (-2 * ctx.pi)))  # the pole is -n + 2 pi i k / L
+    gap = abs(x + n - 2j * ctx.pi * k / -log_q)
+    size = float(gap) * L
     if size >= 10.0**-guard:
-        return value
+        return _qgamma(x, q, ctx)
     lost = math.ceil(-math.log10(size)) if size else math.inf
-    if _route(qx, q, ctx)[0] != "direct":
+    if _route(ctx.exp(x * log_q), q, ctx)[0] != "direct":  # the work budget may refuse here
         lost -= _split_digits(q, ctx) - ctx.dps
     if lost <= guard:
-        return value
+        return _qgamma(x, q, ctx)
+    pole = f"{-n}" + (f" {'-' if k < 0 else '+'} {2 * abs(k)}*pi*i/log(1/q)" if k else "")
+    if not gap:
+        raise SingularArgumentError(f"Gamma_q(x) at its pole x = {pole}")
     if lost > ctx.dps:
         raise SingularArgumentError(
-            f"Gamma_q(x) at {ctx.nstr(abs(x + n), 3)} from its pole at x = {-n}: the factor "
+            f"Gamma_q(x) at {ctx.nstr(gap, 3)} from its pole at x = {pole}: the factor "
             f"1 - q^(x + {n}) would cancel {lost} digits, more than the {ctx.dps} working digits")
     hi = _context_at(ctx.dps + lost + _POLE_MARGIN)
-    return +ctx.convert(_qgamma(hi.convert(x), hi.convert(q), hi)[0])  # + rounds to ctx
+    return +ctx.convert(_qgamma(hi.convert(x), hi.convert(q), hi))  # + rounds to ctx
 
 
 def _qgamma(x, q, ctx):
-    """Gamma_q(x) in ctx, and q^x, the argument of its denominator."""
+    """Gamma_q(x) in ctx."""
     qx = q if x == 1 else ctx.exp(x * log_ctx(q, ctx))
-    pole_eps = working_eps(ctx)
-    num = euler_function(q, ctx)
-    den = qpoch_inf_ctx(qx, q, ctx, pole_eps=pole_eps, x=x)
-    return ctx.exp((1 - x) * log_ctx(1 - q, ctx)) * num / den, qx
+    return ctx.exp((1 - x) * log_ctx(1 - q, ctx)) * euler_function(q, ctx) / qpoch_inf_ctx(qx, q, ctx, x=x)
 
 
 def qgamma(x, q, prec: Precision = DEFAULT_PRECISION):
     """The q-gamma function for 0 < q < 1 and complex x.
 
-    q**x is exp(x log q) with the principal (real) logarithm.  Arguments
-    where some 1 - q^(x+n) falls below the working epsilon in modulus are
-    reported as SingularArgumentError.  Near a pole, where forming that
-    factor cancels more than prec.guard digits, the value is recomputed
-    with more digits (qgamma_ctx).
+    q**x is exp(x log q) with the principal (real) logarithm.  Near a pole
+    -n + 2 pi i k / log(1/q), where forming the factor 1 - q^(x+n) cancels
+    more than prec.guard digits, the value is computed with more digits;
+    past the working digits, or at the pole, SingularArgumentError names it
+    (qgamma_ctx).
     """
     ctx = context(prec)
     qv = from_exact(as_q(q, ctx), ctx)

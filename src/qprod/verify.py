@@ -223,16 +223,17 @@ def default_suite(include=None, *, seed: int = 20260818, counts=None) -> tuple:
 
     Every identity's record builds its own entries, in catalog order, from
     one seeded generator, so two calls with the same arguments build
-    byte-identical suites.  `include` filters by identity id, in any
-    spelling products.identity_id accepts, and an id outside the catalog
-    raises ValueError; every builder still draws, so a filtered plan holds
-    exactly the full plan's entries of those ids.  `counts` maps ids, in the
+    byte-identical suites.  `include` filters by one identity id or several,
+    in any spelling products.identity_id accepts, and an id outside the
+    catalog raises ValueError; every builder still draws, so a filtered plan
+    holds exactly the full plan's entries of those ids.  `counts` maps ids, in the
     same spellings, to a term or block count that replaces the record's
     `count`; an id whose record has none raises ValueError, and a count the
     spec refuses raises when the spec is built.
     """
     rng = Random(seed)
     counts = {identity_id(i): n for i, n in (counts or {}).items()}
+    include = (include,) if isinstance(include, str) else include
     wanted = IDENTITY_IDS if include is None else {identity_id(i) for i in include}
     unknown = sorted((set(wanted) | set(counts)) - set(IDENTITIES))
     if unknown:

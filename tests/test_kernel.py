@@ -216,6 +216,16 @@ def test_geometric_terms_settles_a_near_integer_solution(qs):
     assert geometric_terms(ctx.mpf(2) ** -(10**400), q, ctx) == 0
 
 
+def test_geometric_terms_past_the_float_range_refuses_a_finite_numerator():
+    # at q = 1 - 10^-310, -log q is a subnormal float, and the count
+    # (dps ln 10 - log(1 - q)) / -log q overflows a float though its
+    # numerator does not: the work budget refuses it as an exact rational
+    ctx = qfunc._context_at(320)
+    q = 1 - ctx.mpf(10) ** -310
+    with pytest.raises(ValueError, match="exceed the work budget"):
+        geometric_terms(ctx.mpf(1), q, ctx)
+
+
 def test_kernel_complex_and_finite_counts():
     ctx = context(Precision(30))
     q = ctx.mpf("0.5")
@@ -232,19 +242,27 @@ def message_of(call):
     return str(info.value)
 
 
+def former_pole(pole_eps):
+    """geometric_product's pole argument that words its error as the oracle's mpf loop does."""
+    return pole_eps, lambda k: f"vanishing factor 1 - a*q^k (|factor| < {pole_eps})"
+
+
 def test_near_pole_raises_with_the_former_message():
     prec = Precision(50)
     ctx = context(prec)
     q = ctx.mpf("0.5")
-    x = ctx.mpf(-1) + ctx.mpf(10) ** -70
+    x = ctx.mpf(-1) + ctx.mpf(10) ** -70  # -1 once rounded to 60 digits
     qx = ctx.exp(x * ctx.log(q))
     pole_eps = ctx.mpf(10) ** -ctx.dps
     expect = message_of(lambda: oracles.qpoch_inf_mpf(qx, q, ctx, pole_eps=pole_eps))
-    assert message_of(lambda: qpoch_inf_ctx(qx, q, ctx, pole_eps=pole_eps)) == expect
-    assert message_of(lambda: qgamma(x, q, prec)) == expect
-    # the same pole approached off the real axis, through the complex loop
-    assert message_of(lambda: qgamma("-1+1e-70i", "0.5", prec)) == \
-        "vanishing factor 1 - a*q^k (|factor| < 1.0e-60)"
+    count = geometric_terms(abs(qx), q, ctx)
+    assert message_of(lambda: geometric_product(qx, q, ctx, n=count, pole=former_pole(pole_eps))) == expect
+    # Gamma_q's own rule refuses before its denominator is formed
+    assert message_of(lambda: qgamma(x, q, prec)) == "Gamma_q(x) at its pole x = -1"
+    # the same pole approached off the real axis
+    assert message_of(lambda: qgamma("-1+1e-70i", "0.5", prec)) == (
+        "Gamma_q(x) at 1.0e-70 from its pole at x = -1: the factor 1 - q^(x + 1) would cancel "
+        "71 digits, more than the 60 working digits")
     # 1 - q^(n - chi(n) z) vanishes at n = 3 for the character mod 4 and z = -3
     z = ctx.mpf(-3)
     expect = message_of(lambda: oracles.char_shift_lhs_mpf(CHI4, z, q, ctx))
@@ -867,8 +885,9 @@ def test_memo_never_serves_an_unguarded_result_to_a_pole_check():
     qx = ctx.exp((ctx.mpf(-1) + ctx.mpf(10) ** -70) * ctx.log(q))
     pole_eps = ctx.mpf(10) ** -ctx.dps
     expect = message_of(lambda: oracles.qpoch_inf_mpf(qx, q, ctx, pole_eps=pole_eps))
-    geometric_product(qx, q, ctx, n=geometric_terms(abs(qx), q, ctx))  # no pole check: stored
-    assert message_of(lambda: qpoch_inf_ctx(qx, q, ctx, pole_eps=pole_eps)) == expect
+    count = geometric_terms(abs(qx), q, ctx)
+    geometric_product(qx, q, ctx, n=count)  # no pole check: stored
+    assert message_of(lambda: geometric_product(qx, q, ctx, n=count, pole=former_pole(pole_eps))) == expect
 
 
 def test_memo_stores_nothing_for_a_raising_call():
@@ -1193,14 +1212,16 @@ def test_qgamma_at_one_is_exactly_one(qs):
 
 
 def test_pole_guarded_euler_call_raises_the_former_message():
+    # the first factor, 1 - q, is below the pole check's eps; Gamma_q(1) is
+    # no pole at any q, and its denominator is its numerator's memo entry
     prec = Precision(50)
     ctx = context(prec)
     pole_eps = ctx.mpf(10) ** -ctx.dps
     q = 1 - ctx.mpf(10) ** -(ctx.dps + 1)
     assert 0 < q < 1 and 1 - q < pole_eps
     expect = message_of(lambda: oracles.qpoch_inf_mpf(q, q, ctx, pole_eps=pole_eps))
-    assert message_of(lambda: qpoch_inf_ctx(q, q, ctx, pole_eps=pole_eps)) == expect
-    assert message_of(lambda: qgamma(1, q, prec)) == expect
+    assert message_of(lambda: geometric_product(q, q, ctx, n=1, pole=former_pole(pole_eps))) == expect
+    assert qgamma(1, q, prec) == 1
 
 
 def test_euler_function_at_a_power_of_y():
@@ -1507,21 +1528,30 @@ def test_float_log_reads_the_bits_of_q(digits, low, shift):
 
 
 @pytest.mark.parametrize("x_text", ["-1", "-5"])
-def test_split_pole_raises_with_the_former_message(x_text):
-    # the factor that vanishes lies in the head, whose pole check is the
-    # direct product's
+def test_split_pole_raises_with_the_former_message(x_text, monkeypatch):
+    # the factor that vanishes would lie in the split's head; Gamma_q's pole
+    # rule refuses before the split starts
     prec = Precision(50)
     ctx = context(prec)
     q = ctx.mpf("0.99")
-    x = ctx.mpf(x_text) + ctx.mpf(10) ** -70
+    x = ctx.mpf(x_text) + ctx.mpf(10) ** -70  # x_text once rounded to 60 digits
     qx = ctx.exp(x * ctx.log(q))
     pole_eps = ctx.mpf(10) ** -ctx.dps
     assert qfunc._route(qx, q, ctx)[0] == "split"
     expect = message_of(lambda: oracles.qpoch_inf_mpf(qx, q, ctx, pole_eps=pole_eps))
     assert expect.startswith("vanishing factor")
-    assert message_of(lambda: qpoch_inf_ctx(qx, q, ctx, pole_eps=pole_eps)) == expect
-    assert message_of(lambda: qgamma(x, q, prec)) == expect
-    assert message_of(lambda: qgamma(x_text + "+1e-70i", "0.99", prec)) == expect
+    count = geometric_terms(abs(qx), q, ctx)
+    assert message_of(lambda: geometric_product(qx, q, ctx, n=count, pole=former_pole(pole_eps))) == expect
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("the split started")
+
+    monkeypatch.setattr(qfunc, "_qpoch_split", no_split)
+    n = x_text[1:]
+    assert message_of(lambda: qgamma(x, q, prec)) == f"Gamma_q(x) at its pole x = {x_text}"
+    assert message_of(lambda: qgamma(x_text + "+1e-70i", "0.99", prec)) == (
+        f"Gamma_q(x) at 1.0e-70 from its pole at x = {x_text}: the factor 1 - q^(x + {n}) would cancel "
+        "65 digits, more than the 60 working digits")
 
 
 def test_thm3_full_at_q_a_ten_millionth_from_one():
@@ -1658,7 +1688,7 @@ def test_split_charges_three_factors_a_step(monkeypatch):
     a = q**x
     K, J = qfunc._split_sizes(a, q, ctx)
     assert K > 0 and J > 0
-    expect = qfunc._qpoch_split(a, q, ctx, None, x=x)
+    expect = qfunc._qpoch_split(a, q, ctx, x=x)
 
     def no_head(*args, **kwargs):
         raise AssertionError("the split's head product started")
@@ -1667,10 +1697,10 @@ def test_split_charges_three_factors_a_step(monkeypatch):
         patch.setattr(qfunc, "_geometric_product", no_head)
         for budget in (2 * (K + J), 3 * (K + J) - 1):
             patch.setattr(qfunc, "_WORK_BUDGET", budget)
-            message = fails_fast(lambda: qfunc._qpoch_split(a, q, ctx, None, x=x))
+            message = fails_fast(lambda: qfunc._qpoch_split(a, q, ctx, x=x))
             assert message == f"{3 * (K + J)} factors exceed the work budget of {budget} factors"
     monkeypatch.setattr(qfunc, "_WORK_BUDGET", 3 * (K + J) + 2)
-    assert qfunc._qpoch_split(a, q, ctx, None, x=x) == expect
+    assert qfunc._qpoch_split(a, q, ctx, x=x) == expect
 
 
 def test_euler_function_near_one_stays_within_budget():

@@ -21,7 +21,7 @@ from qprod.products import (
     eval_rhs,
     eval_rhs_info,
 )
-from qprod.qfunc import Precision, SingularArgumentError, context
+from qprod.qfunc import Precision, SingularArgumentError, context, parse_number
 from qprod.verify import run_identity
 
 CHI4 = enumerate_characters(4)[1]
@@ -373,6 +373,21 @@ def test_inputs_are_parsed_once_into_exact_values():
     spec = spec_for("THM1", alphas=("1/3", "0.5-i"), betas=("e^-pi", "5/6-i"), q="e^-2pi")
     assert spec.exact == ((Fraction(1, 3), (Fraction(1, 2), -1)), ("e^-pi", (Fraction(5, 6), -1)), "e^-2pi", None)
     assert spec.to_json()["alphas"] == ["1/3", "0.5-i"]
+
+
+def test_inputs_not_given_as_text_print_their_exact_values():
+    # a float or an mpf is written as the exact value the spec evaluates, as
+    # p/q or a+bi with p/q parts, which parse_number reads back; "0.1" would
+    # read back as 1/10
+    spec = spec_for("THM3_FULL", n=2, q=0.1)
+    assert parse_number(spec.to_json()["q"]) == spec.exact.q == Fraction(0.1)
+    spec = spec_for("THM5", chi=CHI5, z=mpmath.mpf("0.1"), q="0.3")
+    assert parse_number(spec.to_json()["z"]) == spec.exact.z and spec.to_json()["q"] == "0.3"
+    spec = spec_for("THM1", alphas=(0.3 + 0.2j, "0.7"), betas=(0.4, 1.8 - 0.2j), q="0.5")
+    obj = spec.to_json()
+    assert obj["alphas"][1] == "0.7"
+    assert tuple(map(parse_number, obj["alphas"])) == spec.exact.alphas
+    assert tuple(map(parse_number, obj["betas"])) == spec.exact.betas
 
 
 def test_cor2_refuses_entries_too_large_for_its_terms():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qprod import qfunc
+from qprod import qfunc, verify
 from qprod.characters import enumerate_characters
 from qprod.products import IdentitySpec, eval_lhs, eval_rhs
 from qprod.qfunc import (
@@ -93,6 +93,18 @@ def test_parse_number():
         to_hp(object(), ctx)
     with pytest.raises(ValueError, match="non-finite"):
         to_hp("inf", ctx)
+
+
+def test_an_infinite_mpf_is_refused_not_read_as_zero():
+    # mpmath's to_rational reads +-inf as 0
+    chi = enumerate_characters(4)[1]
+    for call in (lambda: parse_number(mpmath.mpf("-inf")),
+                 lambda: parse_number(mpmath.mpc(1, "-inf")),
+                 lambda: qpochhammer(mpmath.mpf("inf"), "0.5"),
+                 lambda: IdentitySpec("THM5", chi=chi, q="0.5", z=mpmath.mpf("inf")),
+                 lambda: verify.compare(mpmath.mpf("inf"), 1, 10)):
+        with pytest.raises(ValueError, match="non-finite value .* rejected"):
+            call()
 
 
 def nearest(x: Fraction, prec: int) -> Fraction:
@@ -353,16 +365,66 @@ def test_qgamma_at_a_q_below_the_float_range():
     assert abs(qgamma("0.5", "1e-400", Precision(30)) - 1) < mpmath.mpf(10) ** -39
 
 
-def test_qgamma_refuses_to_cancel_more_than_its_working_digits(monkeypatch):
-    # the value in ctx raises first wherever the factor is below 10^-dps, so
-    # this cap is reached only if that value passes: here a stand-in passes
+def test_qgamma_refuses_to_cancel_more_than_its_working_digits():
+    # the pole rule refuses before any value is computed
     ctx = context(P50)
     x = context(Precision(80)).mpf(-2) + context(Precision(80)).mpf("1e-65")
-    monkeypatch.setattr(qfunc, "_qgamma", lambda x, q, ctx: (ctx.mpf(1), ctx.exp(x * ctx.log(q))))
     with pytest.raises(SingularArgumentError) as info:
         qgamma_ctx(x, ctx.mpf("0.5"), ctx, P50.guard)
     assert str(info.value) == ("Gamma_q(x) at 1.0e-65 from its pole at x = -2: the factor "
                                "1 - q^(x + 2) would cancel 66 digits, more than the 60 working digits")
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_qgamma_near_a_complex_pole_keeps_its_digits(n):
+    # Gamma_q has a pole at every -n + 2 pi i k / log(1/q), not only at -n;
+    # the reference takes the same bits of x, 90 guard digits
+    ctx = context(P50)
+    ref = context(Precision(50, 90))
+    for decades in (15, 30, 45, 55):
+        x = -n + ctx.mpf(10) ** -decades + 2j * ctx.pi / ctx.ln2
+        try:
+            value = qgamma(x, "0.5", P50)
+        except SingularArgumentError as exc:
+            assert f"pole at x = {-n} + 2*pi*i/log(1/q)" in str(exc)
+            continue
+        true = qgamma(ref.convert(x), "0.5", Precision(50, 90))
+        assert abs(value - true) <= abs(true) * ref.mpf(10) ** -60
+    # -1 + 1e-70 rounds to -1, and then x is the pole k = -2 in working precision
+    x = -n + ctx.mpf(10) ** -70 - 4j * ctx.pi / ctx.ln2
+    with pytest.raises(SingularArgumentError) as info:
+        qgamma(x, "0.5", P50)
+    assert str(info.value) == (
+        "Gamma_q(x) at its pole x = -1 - 4*pi*i/log(1/q)" if n else
+        "Gamma_q(x) at 1.0e-70 from its pole at x = 0 - 4*pi*i/log(1/q): the factor 1 - q^(x + 0) "
+        "would cancel 71 digits, more than the 60 working digits")
+
+
+def test_qgamma_near_a_pole_is_computed_once(monkeypatch):
+    # 16 digits cancel: one computation, at 60 + 16 + 5 digits
+    digits = []
+    compute = qfunc._qgamma
+
+    def counted(x, q, ctx):
+        digits.append(ctx.dps)
+        return compute(x, q, ctx)
+
+    monkeypatch.setattr(qfunc, "_qgamma", counted)
+    monkeypatch.setattr(qfunc, "_MEMO", {})
+    qgamma("-1.999999999999999", "0.5", P50)
+    assert digits == [81]
+
+
+def test_qgamma_near_zero_is_not_refused_by_its_denominator():
+    # the factor 1 - q^x is about 1e-32 at q = 0.99, below 10^-30, but the
+    # split takes q^x with 7 more digits and the rule computes it at 60
+    prec = Precision(20)
+    ctx = context(prec)
+    ref = context(Precision(20, 80))
+    x, q = to_hp("1e-30", ctx), ctx.mpf("0.99")
+    value = qgamma(x, q, prec)
+    true = qgamma_ctx(ref.convert(x), ref.convert(q), ref, 80)
+    assert abs(value - true) <= abs(true) * ref.mpf(10) ** -30
 
 
 def test_qgamma_classical_limit():

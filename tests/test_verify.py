@@ -281,6 +281,11 @@ def test_default_suite_seeded_and_filterable():
     assert all(s.blocks == 1000 for s, _ in quick)
 
 
+def test_default_suite_takes_a_bare_string_as_one_id():
+    # a string is iterable, but names one identity, not one per letter
+    assert default_suite(include="thm4") == default_suite(include=("THM4",))
+
+
 def test_default_suite_counts_are_keyed_by_id_and_checked():
     # keyed in any spelling identity_id accepts; a count replaces its record's default
     plan = default_suite(include=("prototype", "cor2"), counts={"Prototype": 20, "cor2": 30})
