@@ -31,6 +31,7 @@ most the proven bound on the raw product at N.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,7 +60,7 @@ from .qfunc import (
     parse_number,
     psi_product,
     qgamma_ctx,
-    rational_product,
+    rational_products,
     rational_zeros,
     split_context,
     working_eps,
@@ -184,6 +185,17 @@ class IdentitySpec:
             raise ValueError(f"blocks must be an integer >= 2, got {self.blocks!r}")
         return ExactInputs(alphas, betas, self.q if self.q is None else as_q(self.q, context(self.prec)),
                            self.z if self.z is None else parse_number(self.z))
+
+    @functools.cached_property
+    def exact_text(self) -> str:
+        """repr(self.exact), the side memo's key for the exact inputs (_side).
+
+        Computed once per spec, and a str caches its hash, where a Fraction
+        computes its own at every lookup.  Two specs have the same text iff
+        their exact inputs are equal: a real 0.5 is Fraction(1, 2), 0.5+0i
+        the pair (Fraction(1, 2), Fraction(0, 1)), a tag its quoted text.
+        """
+        return repr(self.exact)
 
     # -- serialization
 
@@ -405,17 +417,18 @@ def _counted_lhs(shift_lists, start, stop, ctx, terms, bound, extrapolate):
 
     Each list in shift_lists is rational_product's shifts, all of one period
     k, taken in working precision plus _EXTRA_DIGITS (hi).  The partial
-    products come from one pass per list, at _checkpoints and at stop, in
-    hi; with `extrapolate` and two checkpoints or more the value is
-    _extrapolate's over the checkpoints, else the raw product at stop with
-    `bound` as its estimate.
+    products come from one pass per class of every list, all in one batch
+    (rational_products), at _checkpoints and at stop, in hi; with
+    `extrapolate` and two checkpoints or more the value is _extrapolate's
+    over the checkpoints, else the raw product at stop with `bound` as its
+    estimate.
     """
     hi = _context_at(ctx.dps + _EXTRA_DIGITS)
     marks = _checkpoints(start, stop, len(shift_lists[0])) if extrapolate else []
     stops = marks if marks and marks[-1] == stop else marks + [stop]
     values = [1] * len(stops)
-    for shifts in shift_lists:
-        values = [v * p for v, p in zip(values, rational_product(shifts, start, stops, ctx, hi))]
+    for partials in rational_products(shift_lists, start, stops, ctx, hi):
+        values = [v * p for v, p in zip(values, partials)]
     if len(marks) > 1:
         value, est, level = _extrapolate([c - start for c in marks], values[:len(marks)], ctx, bound)
     else:
@@ -860,14 +873,15 @@ def _side(evaluate, spec: IdentitySpec) -> tuple:
     Gamma_q's check against the context's.
 
     The pair is remembered in qfunc's memo under the evaluator itself, the
-    spec's exact inputs (0.5, a Fraction, runs as a real value, 0.5+0j, a
-    pair, as a complex one) and its other fields but the id.  So COR6's
-    left side, THM5's evaluator on the same inputs, is THM5's stored pair,
-    and one evaluator never answers for another.  The value, already
+    spec's exact inputs as their text (IdentitySpec.exact_text: 0.5, a
+    Fraction, runs as a real value, 0.5+0j, a pair, as a complex one) and
+    its other fields but the id.  So COR6's left side, THM5's evaluator on
+    the same inputs, is THM5's stored pair, and one evaluator never answers
+    for another.  The value, already
     rounded into the spec's context, is returned as stored; a side that
     raises stores nothing.
     """
-    key = ("side", evaluate, spec.exact, spec.n, spec.chi, spec.prec, spec.terms, spec.blocks)
+    key = ("side", evaluate, spec.exact_text, spec.n, spec.chi, spec.prec, spec.terms, spec.blocks)
     return _remembered(key, None, _evaluate_side, evaluate, spec)
 
 

@@ -71,6 +71,7 @@ from qprod.qfunc import (
     qpochhammer,
     _context_at,
     rational_product,
+    rational_products,
     rational_zeros,
     split_context,
     to_hp,
@@ -806,11 +807,11 @@ def test_counted_sides_pass_exact_shifts_where_their_inputs_are_exact(monkeypatc
     # mpc, but a THM4 residue with chi(n) = +-1 is exact beside the others
     calls = []
 
-    def spy(shifts, *args):
-        calls.append(shifts)
-        return rational_product(shifts, *args)
+    def spy(shift_lists, *args):
+        calls.extend(shift_lists)
+        return rational_products(shift_lists, *args)
 
-    monkeypatch.setattr(products, "rational_product", spy)
+    monkeypatch.setattr(products, "rational_products", spy)
     qfunc._MEMO.clear()  # a side stored by an earlier test would reach no kernel
     eval_lhs_info(spec)
     seen = [x for shifts in calls for pair in shifts if pair is not None for x in pair]
@@ -1079,6 +1080,25 @@ def test_side_memo_keeps_evaluators_and_input_types_apart():
     eval_rhs_info(spec)
     eval_lhs_info(dataclasses.replace(spec, z=complex(0.5)))
     assert len([key for key in qfunc._MEMO if key[0] == "side"]) == 3
+
+
+def test_side_memo_hashes_no_fraction_on_a_repeat(monkeypatch):
+    # a side's key holds the spec's exact inputs as text, made once per spec,
+    # so a second lookup of a THM1 side over five Fraction inputs hashes none
+    spec = IdentitySpec("THM1", alphas=("0.3", "0.7"), betas=("0.45", "0.55"), q="0.5", prec=Precision(30))
+    qfunc._MEMO.clear()
+    first = eval_lhs_info(spec)
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    value, info = eval_lhs_info(spec)
+    assert hashed == []
+    assert bits(value) == bits(first[0]) and info == first[1]
 
 
 def test_side_memo_stores_nothing_for_a_raising_side():

@@ -405,7 +405,7 @@ def test_thm4_tolerance_at_ten_thousand_blocks(monkeypatch):
         raise AssertionError("the tolerance evaluated a product")
 
     with monkeypatch.context() as patch:
-        patch.setattr(products, "rational_product", refuse)
+        patch.setattr(products, "rational_products", refuse)
         assert IDENTITIES["THM4"].tolerance(spec) == 40
     # 10^4 blocks back 41 digits at 50: the report at tolerance 40 passes
     report = run_identity(spec, 40)
