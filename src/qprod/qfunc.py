@@ -97,16 +97,16 @@ running for hours.
 rational_products, the kernel of the slowly convergent classical products,
 runs one pass per residue class, and a class depends only on its own
 shifts, the stops and B.  So the classes of a batch are shared between the
-calling process and worker processes (_class_batch): one per usable CPU
-beyond the first, each forked on first need and kept for the life of the
-process, taking its classes over a pipe in marshal form.  Neither
-multiprocessing nor pickle nor a thread is involved.  A class's partial
-products are the same ints wherever it runs, and each product is put
-together from them in the same order, so no bit depends on the CPU count.
-A batch stays serial where it cannot gain: no os.fork, one usable CPU,
-another thread running, one class, or a worker share below
-_WORKER_FACTORS factors.  An atexit hook reaps every worker, and a forked
-child forgets its parent's (os.register_at_fork); importing qprod
+calling process and one worker process (_class_batch), forked on first
+need and kept for the life of the process, taking its classes over a pipe
+in marshal form.  Neither multiprocessing nor pickle nor a thread is
+involved.  A class's partial products are the same ints wherever it runs,
+and each product is put together from them in the same order, so no bit
+depends on the CPU count.  A batch stays serial where it cannot gain: no
+os.fork, one usable CPU, another thread running, one class, or a worker
+share below _WORKER_FACTORS factors; a worker found gone is reaped and its
+share runs in the calling process.  An atexit hook reaps the worker, and a
+forked child forgets its parent's (os.register_at_fork); importing qprod
 registers both hooks and starts no process.
 """
 
@@ -958,7 +958,7 @@ def rational_product(shifts, start, stops, ctx, result_ctx=None) -> list:
 
     The classes run as one batch of rational_products, on this process and,
     where more than one CPU is usable and a class is long enough to pay for
-    the round trip, on worker processes (_class_batch).  A class's partial
+    the round trip, on a worker process (_class_batch).  A class's partial
     products are the same ints wherever it runs, and the classes are
     multiplied in the same order, so the result does not depend on where
     they ran.
@@ -970,10 +970,11 @@ def rational_products(shift_lists, start, stops, ctx, result_ctx=None) -> list:
     """[rational_product(shifts, start, stops, ctx, result_ctx) for shifts in shift_lists], its classes run as one batch.
 
     The classes of every list go to _class_batch together, so classes of
-    different lists may run side by side on worker processes.  Each list is
-    then put together from its own classes, in their order, exactly as
-    rational_product describes, so its bits do not depend on where a class
-    ran.  start < 0 and the work budget are refused before any class runs.
+    different lists may run side by side, here and on the worker process.
+    Each list is then put together from its own classes, in their order,
+    exactly as rational_product describes, so its bits do not depend on
+    where a class ran.  start < 0 and the work budget are refused before
+    any class runs.
     """
     if start < 0:
         raise ValueError(f"rational_product needs start >= 0, got {start}")
@@ -1119,7 +1120,7 @@ def _class_products(fixed, S, first, k, stops, B):
     return out
 
 
-# The least number of factors a worker's share must hold before
+# The least number of factors the worker's share must hold before
 # _class_batch moves it off the calling process.  Measured on the
 # pure-Python mpmath backend (CPython 3.11, 2 cores, medians of 101
 # interleaved runs) on two real classes at 40 working digits: a round trip
@@ -1133,7 +1134,11 @@ def _class_products(fixed, S, first, k, stops, B):
 # break-even sooner.
 _WORKER_FACTORS = 500
 
-_WORKERS = []  # (pid, request fd, reply fd) of each live worker process, in fork order
+# A batch has one worker at most, the design measured above: on 2 cores,
+# where every slow_products batch has two classes.  More workers wait for a
+# measurement of their wall time and total memory on a host with three
+# CPUs or more, over batches of three classes or more.
+_WORKERS = []  # [(pid, request fd, reply fd)] of the live worker, or []
 
 
 def _usable_cpus() -> int:
@@ -1144,67 +1149,77 @@ def _usable_cpus() -> int:
 
 
 def _shares(tasks):
-    """The indices of tasks per process, the calling process's share first; None where the batch stays serial.
+    """The indices of tasks for this process and for the worker; None where the batch stays serial.
 
-    One process per usable CPU, at most one per task, each task going to
-    the share with the fewest factors so far, longest task first; the
-    calling process takes the longest share, which makes no round trip.
+    Each task goes to the share with fewer factors so far, longest task
+    first, and this process takes the longer share, which makes no round
+    trip.
     """
     threading = sys.modules.get("threading")
-    count = min(len(tasks), _usable_cpus())
-    if count < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+    if (len(tasks) < 2 or _usable_cpus() < 2 or not hasattr(os, "fork")
+            or (threading and threading.active_count() > 1)):
         return None
     factors = [len(range(first, stops[-1], k)) for fixed, S, first, k, stops, B in tasks]
-    shares = [[] for _ in range(count)]
-    sizes = [0] * count
+    shares, sizes = ([], []), [0, 0]
     for i in sorted(range(len(tasks)), key=lambda i: -factors[i]):
-        j = sizes.index(min(sizes))
+        j = 0 if sizes[0] <= sizes[1] else 1
         shares[j].append(i)
         sizes[j] += factors[i]
-    order = sorted(range(count), key=lambda j: -sizes[j])
-    if sizes[order[-1]] < _WORKER_FACTORS:
+    if min(sizes) < _WORKER_FACTORS:
         return None
-    return [shares[j] for j in order]
+    return shares if sizes[0] >= sizes[1] else shares[::-1]
 
 
 def _class_batch(tasks) -> list:
-    """[_class_products(*task) for task in tasks], its tasks shared between this process and worker processes.
+    """[_class_products(*task) for task in tasks], its tasks shared between this process and a worker process.
 
     Every task's result is the same list of ints wherever it runs.  The
     batch stays serial, the class loop in task order, when _shares says so:
     no os.fork, one usable CPU, other threads running, one task, or a
     worker share of fewer than _WORKER_FACTORS factors.  It stays serial
-    too when a worker cannot be forked.  Otherwise the workers' shares are
-    sent first, then this process runs its own, then it reads the replies.
-    Any exception during the batch, a worker's among them, stops every
-    worker before it propagates, so no later batch reads a stale reply.
+    too when the worker cannot be forked.  Otherwise the worker's share is
+    sent first, then this process runs its own, then it reads the reply.
+    A worker found gone (killed, say, so its pipe breaks or ends early) is
+    reaped and its share runs here.  Any exception during the batch, the
+    worker's among them, stops the worker before it propagates, so no later
+    batch reads a stale reply.
     """
     shares = _shares(tasks)
     try:
-        workers = shares and [_worker(i) for i in range(len(shares) - 1)]
+        worker = shares and _worker()
     except OSError:
-        workers = None
-    if not workers:
+        worker = None
+    if not worker:
         return [_class_products(*task) for task in tasks]
-    own, *moved = shares
+    own, moved = shares
+    pid, request, reply = worker
     results = [None] * len(tasks)
     try:
-        for (pid, request, reply), share in zip(workers, moved):
-            _send(request, [tasks[i] for i in share])
+        sent = _send(request, [tasks[i] for i in moved])
         for i in own:
             results[i] = _class_products(*tasks[i])
-        for (pid, request, reply), share in zip(workers, moved):
-            for i, value in zip(share, _reply(reply)):
-                results[i] = value
+        values = _reply(reply) if sent else None
     except BaseException:
         _stop_workers(kill=True)
         raise
+    if values is None:  # the worker is gone
+        _stop_workers(kill=True)
+        values = [_class_products(*tasks[i]) for i in moved]
+    for i, value in zip(moved, values):
+        results[i] = value
     return results
 
 
-def _worker(i):
-    """The i-th worker, (pid, request fd, reply fd), forked with any before it on first need."""
-    while len(_WORKERS) <= i:
+def _worker():
+    """The worker, (pid, request fd, reply fd), forked on first need and again once the last one is gone.
+
+    The check that the last one still runs precedes any write to its pipe,
+    so a worker that died between batches breaks no pipe under a SIGPIPE
+    left at its default action.
+    """
+    if _WORKERS and not _alive(_WORKERS[0][0]):
+        _stop_workers()
+    if not _WORKERS:
         request_r, request_w = os.pipe()
         reply_r, reply_w = os.pipe()
         try:
@@ -1213,7 +1228,7 @@ def _worker(i):
             for fd in (request_r, request_w, reply_r, reply_w):
                 os.close(fd)
             raise
-        if pid == 0:  # _forget_workers has closed the pipes of the workers before this one
+        if pid == 0:
             try:
                 _serve(request_r, reply_w, request_w, reply_r)
             finally:
@@ -1221,7 +1236,14 @@ def _worker(i):
         os.close(request_r)
         os.close(reply_w)
         _WORKERS.append((pid, request_w, reply_r))
-    return _WORKERS[i]
+    return _WORKERS[0]
+
+
+def _alive(pid) -> bool:
+    try:
+        return os.waitpid(pid, os.WNOHANG) == (0, 0)
+    except ChildProcessError:  # reaped already, as under SIGCHLD set to SIG_IGN
+        return False
 
 
 def _serve(request, reply, *parent_fds):
@@ -1240,14 +1262,20 @@ def _serve(request, reply, *parent_fds):
             answer = True, [_class_products(*task) for task in tasks]
         except Exception as exc:
             answer = False, (type(exc).__name__, str(exc))
-        _send(reply, answer)
+        if not _send(reply, answer):
+            return
 
 
-def _send(fd, obj):
+def _send(fd, obj) -> bool:
+    """Write obj to fd in marshal form; False where the pipe is broken."""
     data = marshal.dumps(obj)
     data = len(data).to_bytes(8, "little") + data
-    while data:
-        data = data[os.write(fd, data):]
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    except OSError:
+        return False
+    return True
 
 
 def _receive(fd):
@@ -1273,10 +1301,13 @@ def _read(fd, size):
 
 
 def _reply(fd):
-    """A worker's results from fd; its exception raised here as the built-in type of that name, else RuntimeError."""
-    answer = _receive(fd)
+    """The worker's results from fd, None where it is gone; its exception raised here as the built-in type of that name, else RuntimeError."""
+    try:
+        answer = _receive(fd)
+    except (OSError, EOFError):
+        return None
     if answer is None:
-        raise EOFError("a worker exited before its reply")
+        return None
     ok, values = answer
     if ok:
         return values
@@ -1288,11 +1319,12 @@ def _reply(fd):
 
 
 def _stop_workers(kill=False):
-    """Close every worker's pipes and reap it: at EOF a worker exits, and with kill it is sent SIGKILL first.
+    """Close the worker's pipes and reap it: at EOF a worker exits, and with kill it is sent SIGKILL first.
 
     atexit runs this at interpreter exit, so no worker outlives its
-    parent.  A test that patches the class loop must call it first: a
-    worker keeps the code it was forked with.
+    parent.  A worker that is gone already, or was reaped by someone else,
+    is passed over.  A test that patches the class loop must call this
+    first: a worker keeps the code it was forked with.
     """
     workers = _WORKERS[:]
     _WORKERS.clear()
@@ -1300,15 +1332,21 @@ def _stop_workers(kill=False):
         if kill:
             import signal
 
-            os.kill(pid, signal.SIGKILL)
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
         os.close(request)
         os.close(reply)
     for pid, request, reply in workers:
-        os.waitpid(pid, 0)
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass
 
 
 def _forget_workers():
-    """In a child forked from this process: close the parent's worker pipes, whose workers are not its own."""
+    """In a child forked from this process: close the parent's worker pipes, whose worker is not its own."""
     for pid, request, reply in _WORKERS:
         os.close(request)
         os.close(reply)

@@ -1,7 +1,7 @@
 """rational_product's classes on worker processes: the same bits, and no process left behind.
 
 A batch of classes (qfunc.rational_products) is shared between the calling
-process and forked workers wherever more than one CPU is usable.  Every
+process and one forked worker wherever more than one CPU is usable.  Every
 class is the same _class_products on the same ints wherever it runs, and
 each list is put together in the same order, so the parallel results must
 equal the serial ones bit for bit: on the shift lists the counted left
@@ -9,15 +9,17 @@ sides hand the kernel (PROTOTYPE; decimal COR2, whose two single-class
 lists run side by side; COR2 with a complex beta, in blocks of two; THM4
 mod 5 with a complex character, blocks of four beside exact real classes),
 at every checkpoint stop, with two usable CPUs, and on THM4 mod 7 with
-three, so that two workers run.  The serial path is forced by one usable
-CPU.
+three, where still one worker runs.  The serial path is forced by one
+usable CPU.
 
 Process hygiene: a worker exits with its interpreter, after a normal exit
 and after an uncaught exception; an exception in the parent's own share,
 KeyboardInterrupt included, kills and reaps the worker, and the next call
 returns the serial bits; an exception in a worker is raised in the parent;
 a child forked after the worker started runs its own batch, without the
-parent's pipes; a fork that fails, a running thread or a refused work
+parent's pipes; a worker killed between batches is reaped and replaced,
+one lost during a batch is reaped and its share runs in the parent, also
+with SIGCHLD ignored or SIGPIPE at its default action; a fork that fails, a running thread or a refused work
 budget leave the batch serial or refused with nothing forked.
 
 A test that patches the class loop (_class_products, _single_steps,
@@ -28,9 +30,11 @@ the unpatched loop.
 """
 
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -82,7 +86,7 @@ def sent_batches(monkeypatch):
 
     def counted(fd, obj):
         sent.append(obj)
-        send(fd, obj)
+        return send(fd, obj)
 
     monkeypatch.setattr(qfunc, "_send", counted)
     return sent
@@ -98,15 +102,14 @@ P30 = Precision(30)
 
 
 @needs_two_cpus
-@pytest.mark.parametrize("spec,cpus,workers", [
-    (IdentitySpec("PROTOTYPE", terms=4000, prec=P30), 2, 1),
-    (IdentitySpec("COR2", alphas=("0.3205", "0.5"), betas=("0.6538", "0.1667"), terms=2000, prec=P30), 2, 1),
-    (IdentitySpec("COR2", alphas=("0.3+0.2i", "0.6-0.1i"), betas=("0.5+0.1i", "0.4"), terms=2000, prec=P30),
-     2, 1),
-    (IdentitySpec("THM4", chi=CHI5, z="0.3", blocks=1000, prec=P30), 2, 1),
-    (IdentitySpec("THM4", chi=CHI7, z="0.25", blocks=1000, prec=P30), 3, 2),
-], ids=["prototype", "cor2-decimal", "cor2-complex-beta", "thm4-mod5-complex-chi", "thm4-mod7-two-workers"])
-def test_parallel_bits_equal_serial_bits(spec, cpus, workers, monkeypatch):
+@pytest.mark.parametrize("spec,cpus", [
+    (IdentitySpec("PROTOTYPE", terms=4000, prec=P30), 2),
+    (IdentitySpec("COR2", alphas=("0.3205", "0.5"), betas=("0.6538", "0.1667"), terms=2000, prec=P30), 2),
+    (IdentitySpec("COR2", alphas=("0.3+0.2i", "0.6-0.1i"), betas=("0.5+0.1i", "0.4"), terms=2000, prec=P30), 2),
+    (IdentitySpec("THM4", chi=CHI5, z="0.3", blocks=1000, prec=P30), 2),
+    (IdentitySpec("THM4", chi=CHI7, z="0.25", blocks=1000, prec=P30), 3),
+], ids=["prototype", "cor2-decimal", "cor2-complex-beta", "thm4-mod5-complex-chi", "thm4-mod7-three-cpus"])
+def test_parallel_bits_equal_serial_bits(spec, cpus, monkeypatch):
     calls = kernel_calls(spec, monkeypatch)
     monkeypatch.setattr(qfunc, "_usable_cpus", lambda: cpus)
     for call in calls:
@@ -115,25 +118,32 @@ def test_parallel_bits_equal_serial_bits(spec, cpus, workers, monkeypatch):
         expected = serial(call, monkeypatch)
         sent = sent_batches(monkeypatch)
         parallel = rational_products(*call)
-        assert len(sent) == workers == len(qfunc._WORKERS)
+        assert len(sent) == 1 == len(qfunc._WORKERS)  # one worker, however many CPUs
         assert [[bits(v) for v in values] for values in parallel] == \
             [[bits(v) for v in values] for values in expected]
 
 
-def run_batch_script(ending):
-    """Run a parallel batch in a fresh interpreter that prints its worker's pid, then ends as `ending` says."""
+def run_script(body):
+    """Run body in a fresh interpreter that has a batch's arguments as `args`."""
     script = f"""
-import sys
+import os, signal, sys, time
 from fractions import Fraction
 from qprod import qfunc
 half = Fraction(1, 2)
-qfunc.rational_product([(0, half), (1, half)], 1, [20001], qfunc.context(qfunc.Precision(30)))
+args = [(0, half), (1, half)], 1, [20001], qfunc.context(qfunc.Precision(30))
+{body}"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_batch_script(ending):
+    """Run a parallel batch in a fresh interpreter that prints its worker's pid, then ends as `ending` says."""
+    return run_script(f"""
+qfunc.rational_product(*args)
 print(qfunc._WORKERS[0][0], flush=True)
 if {ending == "raise"!r}:
     raise RuntimeError("uncaught")
-"""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+""")
 
 
 @needs_two_cpus
@@ -223,6 +233,84 @@ def test_a_forked_child_runs_its_own_batch(monkeypatch):
     # the parent's worker still answers
     assert qfunc._WORKERS[0][0] == parent_worker
     assert [bits(v) for v in rational_product(*args)] == expected
+
+
+def wait_for_exit(pid):
+    """Wait until pid has exited, leaving it unreaped, or until it is reaped elsewhere."""
+    while True:
+        try:
+            if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG):
+                return
+        except ChildProcessError:
+            return
+        time.sleep(0.01)
+
+
+def reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@needs_two_cpus
+def test_a_worker_killed_between_batches_is_replaced(monkeypatch):
+    args = two_classes(20000)
+    expected = [bits(v) for v in serial(([args[0]], *args[1:]), monkeypatch)[0]]
+    assert [bits(v) for v in rational_product(*args)] == expected
+    [(pid, request, reply)] = qfunc._WORKERS
+    os.kill(pid, signal.SIGKILL)
+    wait_for_exit(pid)
+    sent = sent_batches(monkeypatch)
+    assert [bits(v) for v in rational_product(*args)] == expected
+    assert reaped(pid)
+    assert len(sent) == 1 and len(qfunc._WORKERS) == 1 and qfunc._WORKERS[0][0] != pid
+
+
+@needs_two_cpus
+def test_a_worker_lost_during_a_batch_leaves_its_share_to_the_parent(monkeypatch):
+    args = two_classes(20000)
+    expected = [bits(v) for v in serial(([args[0]], *args[1:]), monkeypatch)[0]]
+    assert [bits(v) for v in rational_product(*args)] == expected
+    [(pid, request, reply)] = qfunc._WORKERS
+    send = qfunc._send
+
+    def send_then_kill(fd, obj):
+        sent = send(fd, obj)
+        os.kill(pid, signal.SIGKILL)
+        wait_for_exit(pid)
+        return sent
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qfunc, "_send", send_then_kill)
+        assert [bits(v) for v in rational_product(*args)] == expected
+    assert reaped(pid) and qfunc._WORKERS == []
+    assert [bits(v) for v in rational_product(*args)] == expected
+    assert len(qfunc._WORKERS) == 1
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("name,action", [("SIGCHLD", "SIG_IGN"), ("SIGPIPE", "SIG_DFL")])
+def test_a_killed_worker_is_replaced_under_other_signal_settings(name, action):
+    # with SIGCHLD ignored the kernel reaps the worker, so waitpid finds no child;
+    # with SIGPIPE at its default a write to the dead worker's pipe would end the parent
+    proc = run_script(f"""
+signal.signal(signal.{name}, signal.{action})
+first = [v._mpf_ for v in qfunc.rational_product(*args)]
+pid = qfunc._WORKERS[0][0]
+os.kill(pid, signal.SIGKILL)
+while True:
+    try:
+        if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG):
+            break
+    except ChildProcessError:
+        break
+    time.sleep(0.01)
+second = [v._mpf_ for v in qfunc.rational_product(*args)]
+print(first == second and qfunc._WORKERS[0][0] != pid)
+""")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
 
 
 @needs_two_cpus
